@@ -25,13 +25,17 @@ class UsageError(Exception):
     pass
 
 
-def parse_partition(text):
+def parse_partition(text, n=None):
+    """The --lambda partition; with n, also checks it fits in n variables."""
     if text in ("", "0", "[]"):
         return ()
     try:
-        return as_partition(int(p) for p in text.split(","))
+        lam = as_partition(int(p) for p in text.split(","))
     except ValueError as exc:
         raise UsageError("bad partition %r: %s" % (text, exc))
+    if n is not None and len(lam) > n:
+        raise UsageError("partition %r has more than n=%d parts" % (lam, n))
+    return lam
 
 
 def parse_beta(text):
@@ -160,7 +164,8 @@ def build_parser():
     return ap
 
 
-def read_poly(path):
+def read_poly(path, n, dmax):
+    """The membership input over Q, in n variables and of degree <= dmax."""
     if path == "-":
         obj = json.load(sys.stdin)
     else:
@@ -168,10 +173,20 @@ def read_poly(path):
             obj = json.load(fh)
     try:
         if obj.get("basis") == "expanded":
-            return ExpandedPoly.from_obj(obj).to_msym()
-        return MSymPoly.from_obj(obj)
+            P = ExpandedPoly.from_obj(obj).to_msym()
+        else:
+            P = MSymPoly.from_obj(obj)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise UsageError("bad polynomial input: %s" % exc)
+    if P.n != n:
+        raise UsageError("input polynomial has n=%d, not %d" % (P.n, n))
+    if not all(isinstance(c, (int, Fraction)) for c in P.terms.values()):
+        raise UsageError("input polynomial needs rational coefficients")
+    degree = max(map(sum, P.terms), default=0)
+    if degree > dmax:
+        raise UsageError("input polynomial has degree %d, above --dmax %d"
+                         % (degree, dmax))
+    return P
 
 
 def run_report(rep, fmt):
@@ -206,7 +221,7 @@ def run(args):
         return 0
 
     if args.command == "jack":
-        lam = parse_partition(args.lam)
+        lam = parse_partition(args.lam, args.n)
         if (args.k is None) != (args.r is None):
             raise UsageError("--k and --r go together")
         if args.k is not None:
@@ -216,22 +231,18 @@ def run(args):
         jp = jack_symbolic(lam, args.n, cache)
         if args.beta is not None:
             b0 = parse_beta(args.beta)
-            terms = {}
-            for mu, u in jp.coeffs.items():
-                v = u(b0)
-                if v:
-                    terms[mu] = v
-            P = MSymPoly(args.n, terms)
+            P = jp.at(b0)
             obj = P.to_obj()
             obj["beta"] = {"num": str(b0.numerator),
                            "den": str(b0.denominator)}
             emit(obj, fmt, [str(P)])
             return 0
-        emit(jp.to_obj(), fmt, [str(jp.msym())])
+        P = jp.msym()
+        emit(P.to_obj(), fmt, [str(P)])
         return 0
 
     if args.command == "specialize-principal":
-        lam = parse_partition(args.lam)
+        lam = parse_partition(args.lam, args.n)
         val = principal_specialization(lam, args.n)
         if args.beta is not None:
             v = val(parse_beta(args.beta))
@@ -258,9 +269,9 @@ def run(args):
                 emit(obj, fmt,
                      ["%s: %s" % (list(e.lam), e.poly) for e in basis])
             return 0
+        P = read_poly(args.input, args.n, args.dmax)
         basis = build_basis(args.k, args.r, args.n, args.dmax,
                             cache, args.workers)
-        P = read_poly(args.input)
         cert = reduce_membership(P, basis)
         emit(cert.to_obj(), fmt,
              ["member" if cert.member
@@ -269,6 +280,8 @@ def run(args):
 
     if args.command == "verify":
         if args.suite == "commutators":
+            if args.n < 1 or args.dmax < 0:
+                raise UsageError("commutators need --n >= 1 and --dmax >= 0")
             rep = verify_commutators(args.n, args.dmax, args.trials,
                                      args.seed, args.tmax)
         elif args.suite == "pieri":

@@ -121,13 +121,15 @@ def _jack_worker(args):
 
 def build_basis(k, r, n, dmax, cache=None, workers=None):
     """Construct the admissible basis; symbolic solves fan out over
-    processes when workers > 1 and merge back into the cache."""
+    processes when workers > 1 (at most os.cpu_count()) and merge back
+    into the cache."""
     b0 = beta_value(k, r)
     fam = enumerate_admissible(k, r, n, dmax)
     lams = list(fam.all_partitions())
     cache = cache if cache is not None else default_cache
     todo = [lam for lam in lams if cache.get(lam, n) is None]
-    if workers and workers > 1 and len(todo) > 1:
+    workers = min(workers or 1, os.cpu_count() or 1)
+    if workers > 1 and len(todo) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for jp in pool.map(_jack_worker, [(lam, n) for lam in todo]):
                 cache.put(jp)

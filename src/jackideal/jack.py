@@ -2,24 +2,28 @@
 
 P_lam is the unique eigenfunction of the Sutherland-type Hamiltonian that is
 unitriangular on monomial symmetric functions: P_lam = m_lam + lower terms in
-dominance order.  The solver works with a single polynomial common
-denominator (the product of eigenvalue gaps), so every division inside the
-recursion is an exact polynomial division; coefficients are reduced to
-canonical Q(beta) form only once at the end.
+dominance order.  A JackPoly stores the integral form J_lam = c_lam P_lam:
+the shared denominator den = c_lambda(lam) and one integer-coefficient
+numerator per m-basis coefficient, so the solver, specialization, pole
+profiles and the disk cache all work in Z[beta] without a gcd.  Coefficients
+in Q(beta) (BetaRatFunc) are built only on request, by coefficient(), coeffs
+and msym().
 """
 
 import json
 import os
 import threading
 from fractions import Fraction
-from math import gcd
 
-from .ratfunc import BETA, BetaPoly, BetaRatFunc, poly_lcm
-from .partitions import (as_partition, beta_value, cs_eigenvalue,
-                         dominated_by, padded, partitions_leq,
-                         sekiguchi_eigenvalue, conjugate)
-from .sympoly import MSymPoly
+from .ratfunc import BETA, BetaPoly, BetaRatFunc
+from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
+                         dominated_by, partitions_leq, sekiguchi_eigenvalue,
+                         conjugate)
+from .sympoly import MSymPoly, orbit_size
 from . import operators
+
+# format of the JackPoly.to_obj() files that JackCache writes
+CACHE_VERSION = 2
 
 
 class SpecializationPole(ArithmeticError):
@@ -31,57 +35,93 @@ class SpecializationPole(ArithmeticError):
                          "at beta=%s" % (mu, lam, order, beta0))
 
 
+def _is_integral(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
 class JackPoly:
-    """Symbolic Jack polynomial: partition, ambient n, m-basis coefficients."""
+    """Symbolic Jack polynomial in integral form: P_lam is
+    sum_mu (nums[mu] / den) m_mu with den = c_lambda(lam), every numerator
+    a nonzero integer-coefficient BetaPoly and nums[lam] = den."""
 
-    __slots__ = ("lam", "n", "coeffs")
+    __slots__ = ("lam", "n", "den", "nums")
 
-    def __init__(self, lam, n, coeffs):
+    def __init__(self, lam, n, den, nums):
         self.lam = as_partition(lam)
         self.n = n
-        self.coeffs = coeffs  # dict partition -> BetaRatFunc, includes lam -> 1
+        self.den = den
+        self.nums = nums  # dict partition -> BetaPoly, decreasing lex order
+
+    @property
+    def coeffs(self):
+        """The m-basis coefficients in Q(beta): dict partition -> BetaRatFunc."""
+        return {mu: BetaRatFunc(p, self.den) for mu, p in self.nums.items()}
 
     def msym(self):
-        return MSymPoly(self.n, dict(self.coeffs))
+        return MSymPoly(self.n, self.coeffs)
 
     def coefficient(self, mu):
-        mu = as_partition(mu)
-        return self.coeffs.get(mu, BetaRatFunc(0))
+        p = self.nums.get(as_partition(mu))
+        return BetaRatFunc(0) if p is None else BetaRatFunc(p, self.den)
 
     def cleared(self):
-        """(D, numerators): D = integer-rescaled lcm of the coefficient
-        denominators, numerators integer-coefficient BetaPolys with
-        coeff = numerators[mu] / D exactly."""
-        D = BetaPoly((1,))
-        for u in self.coeffs.values():
-            D = poly_lcm(D, u.den)
-        nums = {mu: u.num * D.exact_div(u.den) for mu, u in self.coeffs.items()}
-        scale = 1
-        for p in list(nums.values()) + [D]:
-            for c in p.coeffs:
-                d = c.denominator if isinstance(c, Fraction) else 1
-                scale = scale * d // gcd(scale, d)
-        if scale != 1:
-            D = D * scale
-            nums = {mu: p * scale for mu, p in nums.items()}
-        D = D.int_normalized()
-        nums = {mu: p.int_normalized() for mu, p in nums.items()}
-        return D, nums
+        """(den, nums): coefficient(mu) = nums[mu] / den exactly, with
+        den = c_lambda(lam) and integer-coefficient numerators."""
+        return self.den, self.nums
+
+    def at(self, beta0):
+        """The m-expansion at beta0 as an MSymPoly over Q.  Raises
+        SpecializationPole naming the first coefficient, in decreasing lex
+        order, that has a pole there."""
+        dv = self.den(beta0)
+        if dv:
+            return MSymPoly(self.n, {mu: p(beta0) / dv
+                                     for mu, p in self.nums.items()})
+        terms = {}
+        for mu in self.nums:
+            u = self.coefficient(mu)
+            order = u.pole_order(beta0)
+            if order > 0:
+                raise SpecializationPole(self.lam, mu, order, beta0)
+            terms[mu] = u(beta0)
+        return MSymPoly(self.n, terms)
 
     def to_obj(self):
-        return self.msym().to_obj()
+        """The versioned cache-file shape: integer coefficient lists in
+        ascending powers of beta."""
+        return {"version": CACHE_VERSION, "lam": list(self.lam), "n": self.n,
+                "den": list(self.den.coeffs),
+                "nums": [{"partition": list(mu), "coeffs": list(p.coeffs)}
+                         for mu, p in self.nums.items()]}
 
     @classmethod
     def from_obj(cls, obj):
-        P = MSymPoly.from_obj(obj)
-        terms = {mu: c if isinstance(c, BetaRatFunc) else BetaRatFunc(c)
-                 for mu, c in P.terms.items()}
-        lam = max(terms, key=lambda p: (sum(p), p))
-        return cls(lam, P.n, terms)
+        """Inverse of to_obj; raises ValueError (or KeyError/TypeError on a
+        malformed shape) unless obj is a consistent entry of this version."""
+        if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
+            raise ValueError("not a version-%d Jack entry" % CACHE_VERSION)
+        lam, n = as_partition(obj["lam"]), obj["n"]
+        if type(n) is not int or len(lam) > n:
+            raise ValueError("bad n=%r for %r" % (n, lam))
+        den = c_lambda(lam)
+        nums = {}
+        for t in obj["nums"]:
+            mu, p = as_partition(t["partition"]), BetaPoly(t["coeffs"])
+            if not p or not _is_integral(p):
+                raise ValueError("numerator of m_%r is not a nonzero "
+                                 "integer polynomial" % (mu,))
+            if (len(mu) > n or sum(mu) != sum(lam)
+                    or not dominated_by(mu, lam)):
+                raise ValueError("m_%r outside the support of P_%r"
+                                 % (mu, lam))
+            nums[mu] = p
+        if BetaPoly(obj["den"]) != den or nums.get(lam) != den:
+            raise ValueError("P_%r is not stored over c_lambda" % (lam,))
+        return cls(lam, n, den, dict(sorted(nums.items(), reverse=True)))
 
     def __repr__(self):
         return "JackPoly(lam=%r, n=%d, %d terms)" % (self.lam, self.n,
-                                                     len(self.coeffs))
+                                                     len(self.nums))
 
 
 class SpecializedJack:
@@ -132,28 +172,29 @@ class JackCache:
     def get(self, lam, n):
         with self._lock:
             hit = self._mem.get((lam, n))
-        if hit is not None:
+        if hit is not None or not self.directory:
             return hit
-        if self.directory:
-            path = self._path(lam, n)
-            if os.path.exists(path):
-                with open(path) as fh:
-                    jp = JackPoly.from_obj(json.load(fh))
-                if jp.lam == lam and jp.n == n:
-                    self.put(jp, persist=False)
-                    return jp
-        return None
+        try:
+            with open(self._path(lam, n)) as fh:
+                jp = JackPoly.from_obj(json.load(fh))
+        except (OSError, ValueError, KeyError, TypeError):
+            # absent, unparsable, another version or inconsistent: a miss,
+            # and the solve that follows rewrites the file
+            return None
+        if (jp.lam, jp.n) != (lam, n):
+            return None
+        self.put(jp, persist=False)
+        return jp
 
     def put(self, jp, persist=True):
         with self._lock:
             self._mem[(jp.lam, jp.n)] = jp
         if persist and self.directory:
             path = self._path(jp.lam, jp.n)
-            if not os.path.exists(path):
-                tmp = path + ".tmp.%d" % os.getpid()
-                with open(tmp, "w") as fh:
-                    json.dump(jp.to_obj(), fh)
-                os.replace(tmp, path)
+            tmp = "%s.tmp.%d.%d" % (path, os.getpid(), threading.get_ident())
+            with open(tmp, "w") as fh:
+                json.dump(jp.to_obj(), fh)
+            os.replace(tmp, path)
 
     def __len__(self):
         with self._lock:
@@ -203,12 +244,13 @@ def hamiltonian_matrix_row(mu, n):
 
 
 def jack_symbolic(lam, n, cache=None):
-    """P_lam in n variables as an MSymPoly over Q(beta) (unitriangular).
+    """P_lam in n variables (unitriangular), in its integral form c_lam P_lam.
 
     Solves (eps_lam - eps_nu) u_nu = sum_{nu < mu <= lam} u_mu h_{mu,nu}
-    downward in dominance order.  Internally every u is represented as
-    N_nu / D with the fixed common denominator D = prod (eps_lam - eps_mu),
-    which turns each step into an exact polynomial division.
+    downward in dominance order for the numerators N_nu = c_lam u_nu,
+    starting from N_lam = c_lam.  Every step is an exact division in
+    Z[beta]; a remainder or a non-integer quotient raises, so each solve
+    machine-checks that c_lam clears the denominators of P_lam.
     """
     lam = as_partition(lam)
     if len(lam) > n:
@@ -220,47 +262,37 @@ def jack_symbolic(lam, n, cache=None):
 
     d = sum(lam)
     eps_lam = cs_eigenvalue(lam, n)
-    below = [nu for nu in partitions_leq(d, n)
-             if nu != lam and dominated_by(nu, lam)]
-    gaps = {}
-    D = BetaPoly((1,))
-    for nu in below:
-        g = eps_lam - cs_eigenvalue(nu, n)
-        if g.is_zero():
-            raise AssertionError("eigenvalue collision between %r and %r"
-                                 % (lam, nu))
-        gaps[nu] = g
-        D = D * g
-
-    nums = {lam: D}
+    den = c_lambda(lam)
+    nums = {lam: den}
     rows = {lam: hamiltonian_matrix_row(lam, n)}
     # decreasing lex refines dominance, so every mu > nu is already solved
-    for nu in below:
+    for nu in partitions_leq(d, n):
+        if nu == lam or not dominated_by(nu, lam):
+            continue
+        gap = eps_lam - cs_eigenvalue(nu, n)
+        if gap.is_zero():
+            raise AssertionError("eigenvalue collision between %r and %r"
+                                 % (lam, nu))
         acc = BetaPoly()
         for mu, nmu in nums.items():
             h = rows[mu].get(nu)
             if h is not None:
                 acc = acc + nmu * h
-        nums[nu] = acc.exact_div(gaps[nu])
+        num = acc.exact_div(gap)
+        if not _is_integral(num):
+            raise AssertionError("c_lambda does not clear the coefficient "
+                                 "of m_%r in P_%r" % (nu, lam))
+        if num:
+            nums[nu] = num
         rows[nu] = hamiltonian_matrix_row(nu, n)
-
-    coeffs = {}
-    for nu, num in nums.items():
-        u = BetaRatFunc(num, D)
-        if u:
-            coeffs[nu] = u
-    if coeffs.get(lam) != 1:
-        raise AssertionError("leading coefficient of P_%r is not 1" % (lam,))
-    jp = JackPoly(lam, n, coeffs)
+    jp = JackPoly(lam, n, den, nums)
     cache.put(jp)
     return jp
 
 
 def verify_hamiltonian(lam, n, cache=None):
     """Exact check of H P_lam = eps_lam P_lam, identically in beta."""
-    jp = jack_symbolic(lam, n, cache)
-    D, nums = jp.cleared()
-    Q = MSymPoly(n, nums)
+    Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums)
     lhs = operators.apply_hamiltonian(Q, BETA)
     eps = cs_eigenvalue(lam, n)
     rhs = Q.map_coeffs(lambda c: c * eps)
@@ -270,9 +302,7 @@ def verify_hamiltonian(lam, n, cache=None):
 def verify_sekiguchi(lam, n, cache=None):
     """Exact check of the full Sekiguchi eigen-equation
     S(u, beta) P_lam = prod_i (u + lam_i + (n-i) beta) P_lam in Q[beta][u]."""
-    jp = jack_symbolic(lam, n, cache)
-    D, nums = jp.cleared()
-    Q = MSymPoly(n, nums).to_expanded()
+    Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums).to_expanded()
     got = operators.apply_sekiguchi(Q, BETA)
     want = sekiguchi_eigenvalue(lam, n)
     if len(got) != len(want):
@@ -285,7 +315,6 @@ def verify_sekiguchi(lam, n, cache=None):
 
 def verify_eigensystem(n, dmax, cache=None):
     """Both eigen-equations for every partition of weight <= dmax."""
-    from .partitions import partitions_leq
     from .report import Report
     rep = Report("eigensystem", {"n": n, "dmax": dmax})
     for d in range(dmax + 1):
@@ -299,14 +328,10 @@ def verify_eigensystem(n, dmax, cache=None):
 
 def pole_profile(lam, n, beta0, cache=None):
     """Worst pole order at beta0 over the coefficients of P_lam (0 = regular;
-    the leading coefficient 1 keeps the maximum at >= 0)."""
+    nums[lam] = den keeps it at >= 0)."""
     jp = jack_symbolic(lam, n, cache)
-    worst = None
-    for u in jp.coeffs.values():
-        p = u.pole_order(beta0)
-        if p is not None and (worst is None or p > worst):
-            worst = p
-    return worst if worst is not None else 0
+    return (jp.den.root_multiplicity(beta0)
+            - min(p.root_multiplicity(beta0) for p in jp.nums.values()))
 
 
 def specialize(lam, n, k, r, cache=None):
@@ -314,16 +339,7 @@ def specialize(lam, n, k, r, cache=None):
     naming the first offending coefficient."""
     b0 = beta_value(k, r)
     jp = jack_symbolic(lam, n, cache)
-    terms = {}
-    for mu in sorted(jp.coeffs, reverse=True):
-        u = jp.coeffs[mu]
-        p = u.pole_order(b0)
-        if p is not None and p > 0:
-            raise SpecializationPole(lam, mu, p, b0)
-        v = u(b0)
-        if v:
-            terms[mu] = v
-    return SpecializedJack(lam, n, k, r, b0, MSymPoly(n, terms))
+    return SpecializedJack(lam, n, k, r, b0, jp.at(b0))
 
 
 def principal_specialization(lam, n):
@@ -344,9 +360,8 @@ def principal_specialization(lam, n):
 
 def evaluate_all_ones(lam, n, cache=None):
     """P_lam at the all-ones point, exactly in Q(beta), from the m-expansion."""
-    from .sympoly import orbit_size
     jp = jack_symbolic(lam, n, cache)
-    total = BetaRatFunc(0)
-    for mu, u in jp.coeffs.items():
-        total = total + u * orbit_size(mu, n)
-    return total
+    total = BetaPoly()
+    for mu, p in jp.nums.items():
+        total = total + p * orbit_size(mu, n)
+    return BetaRatFunc(total, jp.den)

@@ -34,10 +34,6 @@ def as_partition(parts):
     return parts
 
 
-def weight(lam):
-    return sum(lam)
-
-
 def padded(lam, n):
     if len(lam) > n:
         raise ValueError("partition %r longer than n=%d" % (lam, n))

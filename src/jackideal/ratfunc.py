@@ -49,10 +49,6 @@ class BetaPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def const(cls, c):
-        return cls((c,))
-
     @property
     def degree(self):
         # degree of the zero polynomial is -1 by convention
@@ -132,7 +128,9 @@ class BetaPoly:
         return out
 
     def __divmod__(self, other):
-        """Polynomial long division over Q."""
+        """Polynomial long division over Q.  A quotient coefficient stays an
+        int when the leading coefficient divides it exactly, so division in
+        Z[beta] that happens to be exact never leaves the integers."""
         if isinstance(other, (int, Fraction)):
             other = BetaPoly((other,))
         if other.is_zero():
@@ -142,11 +140,13 @@ class BetaPoly:
         if len(rem) - 1 < db:
             return BetaPoly(), self
         quo = [0] * (len(rem) - db)
-        inv = Fraction(1, 1) / lb
         for i in range(len(rem) - 1, db - 1, -1):
             c = rem[i]
             if c:
-                q = c * inv
+                if type(c) is int and type(lb) is int and not c % lb:
+                    q = c // lb
+                else:
+                    q = Fraction(c) / lb
                 quo[i - db] = q
                 for j, cb in enumerate(other.coeffs):
                     rem[i - db + j] -= q * cb
@@ -179,18 +179,6 @@ class BetaPoly:
         for c in reversed(self.coeffs):
             acc = acc * beta0 + c
         return Fraction(acc)
-
-    def int_normalized(self):
-        """Same polynomial with integral Fraction coefficients demoted to
-        int (native arithmetic is much faster downstream)."""
-        if all(isinstance(c, int) for c in self.coeffs):
-            return self
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction) and c.denominator == 1:
-                c = int(c)
-            out.append(c)
-        return BetaPoly(out)
 
     def monic(self):
         if self.is_zero():
@@ -255,12 +243,6 @@ def poly_gcd(a, b):
     return a.monic()
 
 
-def poly_lcm(a, b):
-    if a.is_zero() or b.is_zero():
-        return BetaPoly()
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
 class BetaRatFunc:
     """Element of Q(beta), stored as num/den with den monic and gcd(num, den) = 1."""
 
@@ -284,10 +266,6 @@ class BetaRatFunc:
                 den = den * inv
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_scalar(cls, c):
-        return cls(_coerce_poly(c))
 
     def is_zero(self):
         return self.num.is_zero()
@@ -390,9 +368,6 @@ class BetaRatFunc:
     @classmethod
     def from_obj(cls, obj):
         return cls(BetaPoly.from_obj(obj["num"]), BetaPoly.from_obj(obj["den"]))
-
-
-BETA_FUNC = BetaRatFunc(BETA)
 
 
 def coeff_to_obj(c):

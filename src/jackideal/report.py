@@ -4,8 +4,6 @@ Suites never abort on the first failure: every case lands in the report and
 the caller decides what a failure means (the CLI turns it into exit code 1).
 """
 
-import json
-
 
 class Report:
     """One suite run: named cases with pass/fail status and details."""
@@ -41,9 +39,6 @@ class Report:
                 "cases": self.cases,
                 "summary": {"pass": self.npass, "fail": self.nfail}}
 
-    def to_json(self, indent=None):
-        return json.dumps(self.to_obj(), indent=indent, default=_fallback)
-
     def text_lines(self):
         lines = ["suite %s  params %s" % (self.suite, self.params)]
         for c in self.cases:
@@ -57,9 +52,3 @@ class Report:
     def __repr__(self):
         return "Report(%s: %d pass, %d fail)" % (self.suite, self.npass, self.nfail)
 
-
-def _fallback(obj):
-    to_obj = getattr(obj, "to_obj", None)
-    if to_obj is not None:
-        return to_obj()
-    return str(obj)

@@ -4,7 +4,10 @@ monomial-symmetric basis.
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
 to coefficients (the m-basis).  Coefficients may live in Q (int/Fraction),
 Q[beta] (BetaPoly) or Q(beta) (BetaRatFunc); all operations here are
-coefficient-ring agnostic and never divide by coefficients.
+coefficient-ring agnostic and never divide by coefficients.  Symbolic Jack
+polynomials reach this module as integer BetaPoly numerators over a shared
+denominator (JackPoly.cleared()) or, at the API boundary, as BetaRatFunc
+coefficients (JackPoly.msym()); specialized ones have coefficients in Q.
 """
 
 from fractions import Fraction

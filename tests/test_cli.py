@@ -81,6 +81,30 @@ def test_usage_errors(capsys):
     assert ei.value.code == 2
 
 
+def test_member_above_dmax_exit(capsys, tmp_path):
+    poly = tmp_path / "high.json"
+    poly.write_text(json.dumps({
+        "n": 2, "basis": "msym",
+        "terms": [{"partition": [5], "coeff": {"num": "1", "den": "1"}}]}))
+    code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
+                             "2", "--n", "2", "--dmax", "4", "--input",
+                             str(poly))
+    assert code == 2 and out == ""
+    assert "degree 5" in err and "Traceback" not in err
+
+
+def test_jack_partition_longer_than_n_exit(capsys):
+    code, out, err = run_cli(capsys, "jack", "--lambda", "1,1,1", "--n", "2")
+    assert code == 2 and out == ""
+    assert "n=2" in err and "Traceback" not in err
+
+
+def test_commutators_without_variables_exit(capsys):
+    code, out, err = run_cli(capsys, "verify", "commutators", "--n", "0")
+    assert code == 2 and out == ""
+    assert "--n >= 1" in err and "Traceback" not in err
+
+
 def test_specialize_principal(capsys):
     code, out, _ = run_cli(capsys, "specialize-principal", "--lambda", "2",
                            "--n", "2", "--format", "text")

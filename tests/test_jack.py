@@ -1,6 +1,7 @@
 """The symbolic Jack solver, its eigen-verification, denominator clearing,
 specialization, and the principal (all-ones) evaluation."""
 
+import json
 import os
 import random
 from fractions import Fraction
@@ -104,6 +105,14 @@ def test_specialize_pole_raises():
     assert ei.value.order == 1 and ei.value.mu == (1, 1, 1, 1)
 
 
+def test_at_removable_singularity():
+    # c_lam vanishes at beta = 0 for every nonempty lam, yet P_lam -> m_lam
+    for lam, n in [((2,), 2), ((3, 1), 3), ((2, 2, 1), 4)]:
+        jp = jack_symbolic(lam, n)
+        assert jp.den(Fraction(0)) == 0
+        assert jp.at(Fraction(0)) == MSymPoly(n, {lam: 1})
+
+
 def test_pole_profile():
     assert pole_profile((2,), 2, Fraction(-1, 2)) == 0
     assert pole_profile((2,), 2, Fraction(-1)) == 1
@@ -153,6 +162,47 @@ def test_cache_memory_and_disk(tmp_path):
     assert hit is not None and hit.coeffs == jp.coeffs
     cache2.clear()
     assert cache2.get((2, 1), 3) is None
+
+
+def test_cache_rewrites_unreadable_and_old_format_files(tmp_path):
+    good = json.dumps(jack_symbolic((2, 1), 3).to_obj())
+    planted = {
+        (2, 1): ("jack_n3_2-1.json", good[:len(good) // 2]),
+        # the unversioned m-basis shape earlier releases wrote
+        (3,): ("jack_n3_3.json",
+               json.dumps(jack_symbolic((3,), 3).msym().to_obj())),
+    }
+    cache = JackCache(str(tmp_path))
+    for lam, (name, text) in planted.items():
+        (tmp_path / name).write_text(text)
+        assert cache.get(lam, 3) is None
+        jack_symbolic(lam, 3, cache)
+        assert json.loads((tmp_path / name).read_text())["version"] == 2
+    fresh = JackCache(str(tmp_path))
+    for lam in planted:
+        hit = fresh.get(lam, 3)
+        assert hit is not None and hit.coeffs == jack_symbolic(lam, 3).coeffs
+
+
+def test_cache_entry_validation():
+    obj = jack_symbolic((2, 1), 3).to_obj()
+    assert obj["version"] == 2 and obj["den"] == obj["nums"][0]["coeffs"]
+    assert JackPoly.from_obj(obj).nums == jack_symbolic((2, 1), 3).nums
+
+    def mutated(**changes):
+        bad = json.loads(json.dumps(obj))
+        bad.update(changes)
+        return bad
+
+    wrong_lead = [{"partition": [2, 1], "coeffs": [1]}] + obj["nums"][1:]
+    outside = obj["nums"] + [{"partition": [3], "coeffs": [1]}]
+    non_integer = obj["nums"][:1] + [{"partition": [1, 1, 1],
+                                      "coeffs": [0.5]}]
+    for bad in (mutated(version=1), mutated(lam=[3]), mutated(n=1),
+                mutated(den=[1]), mutated(nums=wrong_lead),
+                mutated(nums=outside), mutated(nums=non_integer), [obj]):
+        with pytest.raises((ValueError, TypeError)):
+            JackPoly.from_obj(bad)
 
 
 def test_msym_view_consistency():
