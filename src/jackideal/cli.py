@@ -176,7 +176,8 @@ def read_poly(path, n, dmax):
             P = ExpandedPoly.from_obj(obj).to_msym()
         else:
             P = MSymPoly.from_obj(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
         raise UsageError("bad polynomial input: %s" % exc)
     if P.n != n:
         raise UsageError("input polynomial has n=%d, not %d" % (P.n, n))
@@ -194,8 +195,32 @@ def run_report(rep, fmt):
     return 0 if rep.all_pass() else 1
 
 
+VERIFY_SUITES = {
+    "commutators": lambda a, cache: verify_commutators(
+        a.n, a.dmax, a.trials, a.seed, a.tmax),
+    "pieri": lambda a, cache: verify_pieri(
+        a.n, a.dmax, a.k, a.r, a.symbolic, cache),
+    "lassalle": lambda a, cache: verify_lassalle(
+        a.n, a.dmax, a.k, a.r, a.symbolic, cache),
+    "closure": lambda a, cache: verify_closure(
+        a.k, a.r, a.n, a.dmax, a.mmax, a.tmax, cache, a.workers),
+    "restriction": lambda a, cache: verify_restriction(
+        a.k, a.r, a.n, a.dmax, a.jmax, cache),
+    "regularity": lambda a, cache: verify_regularity(
+        a.k, a.r, a.n, a.dmax, cache),
+    "wheel": lambda a, cache: verify_wheel(a.k, a.n, a.dmax, cache, a.workers),
+    "phi3": lambda a, cache: verify_phi3(a.r, cache),
+    "sekiguchi": lambda a, cache: verify_eigensystem(a.n, a.dmax, cache),
+}
+
+
 def run(args):
     fmt = getattr(args, "format", "json")
+    opts = vars(args)
+    if opts.get("n", 0) < 0:
+        raise UsageError("need --n >= 0")
+    if "k" in opts and "r" in opts and (args.k is None) != (args.r is None):
+        raise UsageError("--k and --r go together")
     cache = make_cache(args)
 
     if args.command == "partitions":
@@ -222,8 +247,6 @@ def run(args):
 
     if args.command == "jack":
         lam = parse_partition(args.lam, args.n)
-        if (args.k is None) != (args.r is None):
-            raise UsageError("--k and --r go together")
         if args.k is not None:
             sp = specialize(lam, args.n, args.k, args.r, cache)
             emit(sp.to_obj(), fmt, [str(sp.poly)])
@@ -279,36 +302,9 @@ def run(args):
         return 0 if cert.member else 1
 
     if args.command == "verify":
-        if args.suite == "commutators":
-            if args.n < 1 or args.dmax < 0:
-                raise UsageError("commutators need --n >= 1 and --dmax >= 0")
-            rep = verify_commutators(args.n, args.dmax, args.trials,
-                                     args.seed, args.tmax)
-        elif args.suite == "pieri":
-            if (args.k is None) != (args.r is None):
-                raise UsageError("--k and --r go together")
-            rep = verify_pieri(args.n, args.dmax, args.k, args.r,
-                               args.symbolic, cache)
-        elif args.suite == "lassalle":
-            if (args.k is None) != (args.r is None):
-                raise UsageError("--k and --r go together")
-            rep = verify_lassalle(args.n, args.dmax, args.k, args.r,
-                                  args.symbolic, cache)
-        elif args.suite == "closure":
-            rep = verify_closure(args.k, args.r, args.n, args.dmax,
-                                 args.mmax, args.tmax, cache, args.workers)
-        elif args.suite == "restriction":
-            rep = verify_restriction(args.k, args.r, args.n, args.dmax,
-                                     args.jmax, cache)
-        elif args.suite == "regularity":
-            rep = verify_regularity(args.k, args.r, args.n, args.dmax, cache)
-        elif args.suite == "wheel":
-            rep = verify_wheel(args.k, args.n, args.dmax, cache, args.workers)
-        elif args.suite == "phi3":
-            rep = verify_phi3(args.r, cache)
-        else:
-            rep = verify_eigensystem(args.n, args.dmax, cache)
-        return run_report(rep, fmt)
+        if args.suite == "commutators" and (args.n < 1 or args.dmax < 0):
+            raise UsageError("commutators need --n >= 1 and --dmax >= 0")
+        return run_report(VERIFY_SUITES[args.suite](args, cache), fmt)
 
     raise UsageError("unknown command %r" % args.command)
 

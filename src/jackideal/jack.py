@@ -14,6 +14,7 @@ import json
 import os
 import threading
 from fractions import Fraction
+from functools import lru_cache
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
@@ -211,10 +212,7 @@ class JackCache:
 
 default_cache = JackCache()
 
-_H_ROWS = {}
-_H_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def hamiltonian_matrix_row(mu, n):
     """Coefficients of H m_mu in the m-basis: dict nu -> BetaPoly.
 
@@ -222,24 +220,18 @@ def hamiltonian_matrix_row(mu, n):
     the diagonal entry to be the closed-form eigenvalue.
     """
     mu = as_partition(mu)
-    key = (mu, n)
-    with _H_LOCK:
-        row = _H_ROWS.get(key)
-    if row is not None:
-        return row
-    hm = operators.apply_hamiltonian(MSymPoly.monomial_sym(n, mu), BETA)
-    row = {}
-    for nu, c in hm.terms.items():
+    euler, h = operators.hamiltonian_row(mu, n)
+    row = {nu: BetaPoly((0, c)) for nu, c in h.items()}
+    diag = BetaPoly((euler, h.get(mu, 0)))
+    if diag:
+        row[mu] = diag
+    for nu in row:
         if not dominated_by(nu, mu):
             raise AssertionError("H m_%r hit %r outside the dominance cone"
                                  % (mu, nu))
-        row[nu] = c if isinstance(c, BetaPoly) else BetaPoly((c,))
-    diag = row.get(mu, BetaPoly())
     if diag != cs_eigenvalue(mu, n):
         raise AssertionError("diagonal of H at %r disagrees with the "
                              "closed-form eigenvalue" % (mu,))
-    with _H_LOCK:
-        _H_ROWS[key] = row
     return row
 
 

@@ -6,14 +6,19 @@ a Fraction (specialized), a BetaPoly or a BetaRatFunc (symbolic); the
 arithmetic is whatever the coefficients support.  Divisions by (x_i - x_j)
 are always performed exactly through the telescoping identity, so no
 operator ever leaves the coefficient ring.
+
+The Hamiltonian acts on the m-basis in closed form (hamiltonian_row: pair
+moves on the parts of mu, cost polynomial in n and the degree); symmetric
+ExpandedPoly inputs are collected to the m-basis first.  The Dunkl,
+Cherednik, Sekiguchi and w operators break symmetry and act on monomials.
 """
 
 import random
 
 from .ratfunc import BETA, BetaPoly
 from .report import Report
-from .sympoly import ExpandedPoly, MSymPoly, NotSymmetric, power_sum
-from .partitions import partitions_leq
+from .sympoly import ExpandedPoly, MSymPoly, orbit_size, power_sum
+from .partitions import as_partition, padded, partitions_leq
 
 
 def apply_exchange(P, i, j):
@@ -65,58 +70,48 @@ def apply_sekiguchi(P, beta):
     return coeffs
 
 
-def _hamiltonian_expanded(P, beta, validate=True):
-    """Core of the Hamiltonian sum (x_i d_i)^2 + beta * sum_{i<j}
-    (x_i + x_j)/(x_i - x_j) (x_i d_i - x_j d_j) on a symmetric expansion.
+def hamiltonian_row(mu, n):
+    """H m_mu = euler m_mu + beta sum_nu h_nu m_nu in closed form, for
+    H = sum_i (x_i d_i)^2 + beta sum_{i<j} (x_i + x_j)/(x_i - x_j)
+    (x_i d_i - x_j d_j); returns (euler, {nu: h_nu}) with integer entries.
 
-    Symmetry pairs the monomial x^a with its ij-swap, and
-    (x_i + x_j)(x_i^a x_j^b - x_i^b x_j^a)/(x_i - x_j) telescopes to
-    sum_{s=b}^{a} mult(s) x_i^s x_j^(a+b-s) with mult 1 at the ends and 2
-    between, so the division never happens.
+    With p = mu padded to n slots, euler = sum p_i^2 and the diagonal
+    h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves
+    to (a - t, b + t) for 0 < t < a - b and adds a - b to S[nu]; the
+    off-diagonal h_nu = S[nu] |orbit(mu)| / |orbit(nu)| counts those moves
+    per monomial of m_nu, an exact division.
     """
-    if validate and not P.is_symmetric():
-        raise NotSymmetric("Hamiltonian needs a symmetric polynomial")
-    n = P.n
-    euler = {}
-    for e, c in P.terms.items():
-        w = sum(a * a for a in e)
-        if w:
-            euler[e] = c * w
-    out = ExpandedPoly(n)
-    out.terms.update(euler)
-    cross = {}
-    for e, c in P.terms.items():
-        for i in range(n):
-            a = e[i]
-            for j in range(i + 1, n):
-                b = e[j]
-                if a <= b:
-                    continue
-                # unordered orbit pair {e, swap(e)} handled once, at a > b
-                base = list(e)
-                scale = c * (a - b)
-                for s in range(b, a + 1):
-                    base[i] = s
-                    base[j] = a + b - s
-                    key = tuple(base)
-                    add = scale if s in (a, b) else 2 * scale
-                    acc = cross.get(key)
-                    acc = add if acc is None else acc + add
-                    if acc:
-                        cross[key] = acc
-                    elif key in cross:
-                        del cross[key]
-    if cross:
-        out = out + ExpandedPoly(n, cross) * beta
-    return out
+    p = padded(mu, n)
+    moves = {}
+    for i, a in enumerate(p):
+        for j in range(i + 1, n):
+            b = p[j]
+            for t in range(1, a - b):
+                q = list(p)
+                q[i], q[j] = a - t, b + t
+                nu = as_partition(sorted(q, reverse=True))
+                moves[nu] = moves.get(nu, 0) + a - b
+    size = orbit_size(mu, n)
+    row = {nu: s * size // orbit_size(nu, n) for nu, s in moves.items()}
+    diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))
+    if diag:
+        row[mu] = diag
+    return sum(a * a for a in p), row
 
 
 def apply_hamiltonian(P, beta):
-    """Hamiltonian on an MSymPoly or a symmetric ExpandedPoly."""
-    if isinstance(P, MSymPoly):
-        return _hamiltonian_expanded(P.to_expanded(), beta,
-                                     validate=False).to_msym(validate=False)
-    return _hamiltonian_expanded(P, beta)
+    """Hamiltonian on an MSymPoly, or on a symmetric ExpandedPoly (raises
+    NotSymmetric otherwise), row by row in the m-basis."""
+    if isinstance(P, ExpandedPoly):
+        return apply_hamiltonian(P.to_msym(), beta).to_expanded()
+    euler, cross = {}, {}
+    for mu, c in P.terms.items():
+        e, row = hamiltonian_row(mu, P.n)
+        euler[mu] = c * e
+        for nu, h in row.items():
+            acc = cross.get(nu)
+            cross[nu] = c * h if acc is None else acc + c * h
+    return MSymPoly(P.n, euler) + MSymPoly(P.n, cross).scale(beta)
 
 
 def _l_expanded(P, m):

@@ -6,6 +6,7 @@ matters the functions take n explicitly and treat the partition as padded
 with zeros to length n.
 """
 
+import operator
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -22,8 +23,10 @@ class DegreeMismatch(ValueError):
 
 
 def as_partition(parts):
-    """Normalize to a partition tuple; validates weak decrease."""
-    parts = tuple(int(p) for p in parts)
+    """Normalize to a partition tuple; validates weak decrease.  Parts must
+    be integers (operator.index): floats and strings raise TypeError
+    rather than being truncated or parsed."""
+    parts = tuple(map(operator.index, parts))
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     for i in range(1, len(parts)):

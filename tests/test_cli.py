@@ -93,6 +93,36 @@ def test_member_above_dmax_exit(capsys, tmp_path):
     assert "degree 5" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("term", [
+    {"partition": [1], "coeff": {"num": "1", "den": "0"}},
+    {"partition": [1], "coeff": {"num": [{"num": "1", "den": "1"}],
+                                 "den": []}},
+    {"partition": [1.5], "coeff": {"num": "1", "den": "1"}},
+    {"partition": ["2"], "coeff": {"num": "1", "den": "1"}},
+])
+def test_member_rejects_malformed_terms(capsys, tmp_path, term):
+    poly = tmp_path / "bad.json"
+    poly.write_text(json.dumps({"n": 2, "basis": "msym", "terms": [term]}))
+    code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
+                             "2", "--n", "2", "--dmax", "4", "--input",
+                             str(poly))
+    assert code == 2 and out == ""
+    assert "bad polynomial input" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("jack", "--lambda", "0"),
+    ("specialize-principal", "--lambda", "0"),
+    ("verify", "sekiguchi", "--dmax", "2"),
+    ("verify", "pieri", "--dmax", "2"),
+    ("verify", "lassalle", "--dmax", "2"),
+])
+def test_negative_n_exit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--n", "-1")
+    assert code == 2 and out == ""
+    assert "--n >= 0" in err and "Traceback" not in err
+
+
 def test_jack_partition_longer_than_n_exit(capsys):
     code, out, err = run_cli(capsys, "jack", "--lambda", "1,1,1", "--n", "2")
     assert code == 2 and out == ""

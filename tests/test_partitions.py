@@ -26,6 +26,9 @@ def test_as_partition_validates():
         as_partition((1, 2))
     with pytest.raises(ValueError):
         as_partition((2, -1))
+    for part in (1.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            as_partition((part,))
 
 
 def test_conjugate_involution():
