@@ -214,11 +214,18 @@ VERIFY_SUITES = {
 }
 
 
+# below these the suites would drop whole case families and pass vacuously
+SUITE_MINIMUMS = {"trials": 1, "jmax": 0, "mmax": 1, "tmax": 2}
+
+
 def run(args):
     fmt = getattr(args, "format", "json")
     opts = vars(args)
     if opts.get("n", 0) < 0:
         raise UsageError("need --n >= 0")
+    for name, low in SUITE_MINIMUMS.items():
+        if opts.get(name, low) < low:
+            raise UsageError("need --%s >= %d" % (name, low))
     if "k" in opts and "r" in opts and (args.k is None) != (args.r is None):
         raise UsageError("--k and --r go together")
     cache = make_cache(args)

@@ -15,9 +15,10 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
                          cs_eigenvalue, dominated_by, enumerate_admissible,
                          is_admissible, node_moves, padded, partitions_leq,
                          removable_rows, remove_node)
-from .sympoly import MSymPoly, NotSymmetric, power_sum
+from .sympoly import MSymPoly, NotSymmetric
 from .jack import (default_cache, jack_symbolic, pole_profile, specialize)
-from .operators import OperatorTag, apply_hamiltonian, apply_l
+from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
+                        dunkl_chain, w_from_chain)
 from .report import Report
 
 
@@ -350,12 +351,11 @@ def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
         symbolic = k is None
     rep = Report("pieri", {"n": n, "dmax": dmax, "k": k, "r": r,
                            "symbolic": symbolic})
-    p1 = power_sum(1, n)
     if symbolic:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
                 Pmu = jack_symbolic(mu, n, cache).msym()
-                lhs = Pmu.multiply(p1)
+                lhs = apply_p(Pmu, 1)
                 rhs = MSymPoly(n)
                 for j in addable_rows(mu, n):
                     lam = add_node(mu, j)
@@ -369,7 +369,7 @@ def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
         for mu in basis.family.all_partitions():
             if sum(mu) + 1 > dmax:
                 continue
-            lhs = basis.get(mu).poly.multiply(p1)
+            lhs = apply_p(basis.get(mu).poly, 1)
             expected = {}
             ok_factors = True
             for j in addable_rows(mu, n):
@@ -537,7 +537,13 @@ def closure_tags(mmax, tmax):
 
 def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
     """Ideal property: every operator image of every basis element reduces
-    to a member of the span, in every degree the battery can reach."""
+    to a member of the span, in every degree the battery can reach.
+
+    The w images of one element all come from its Dunkl chain
+    nabla_1^s P, s < tmax (w_from_chain), built once per element.
+    """
+    if mmax < 1 or tmax < 2:
+        raise ValueError("closure needs mmax >= 1 and tmax >= 2")
     b0 = beta_value(k, r)
     rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
                              "mmax": mmax, "tmax": tmax})
@@ -545,11 +551,15 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
     tags = closure_tags(mmax, tmax)
     for lam in basis.family.all_partitions():
         P = basis.get(lam).poly
+        chain = dunkl_chain(P, tmax - 1, b0)
         d = sum(lam)
         for tag in tags:
             if not 0 <= d + tag.degree_shift() <= dmax:
                 continue
-            img = tag.apply(P, b0)
+            if tag.kind == "w":
+                img = w_from_chain(chain[tag.t - 1], tag.t, tag.m)
+            else:
+                img = tag.apply(P, b0)
             cert = reduce_membership(img, basis)
             detail = {}
             if not cert.member:
@@ -563,6 +573,8 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
     at n-1, exactly."""
     if n < 2:
         raise InvalidParameters("restriction needs n >= 2")
+    if jmax < 0:
+        raise ValueError("restriction needs jmax >= 0")
     rep = Report("restriction", {"k": k, "r": r, "n": n, "dmax": dmax,
                                  "jmax": jmax})
     basis_n = build_basis(k, r, n, dmax, cache)

@@ -9,8 +9,12 @@ operator ever leaves the coefficient ring.
 
 The Hamiltonian acts on the m-basis in closed form (hamiltonian_row: pair
 moves on the parts of mu, cost polynomial in n and the degree); symmetric
-ExpandedPoly inputs are collected to the m-basis first.  The Dunkl,
-Cherednik, Sekiguchi and w operators break symmetry and act on monomials.
+ExpandedPoly inputs are collected to the m-basis first.  On the m-basis,
+l_m and p_m move one part of mu by m (apply_l, apply_p), and w^(t)_m reads
+its image off one Dunkl chain nabla_1^s P (dunkl_chain, w_from_chain), since
+nabla_j^s P = K_1j nabla_1^s P for symmetric P.  The Dunkl, Cherednik and
+Sekiguchi operators break symmetry and act on monomials; so do l_m and w on
+ExpandedPoly inputs (_l_expanded, _w_expanded).
 """
 
 import random
@@ -135,27 +139,98 @@ def _l_expanded(P, m):
     return q
 
 
+def _part_shifts(P, m, weighted):
+    """sum_j x_j^m (x_j d_j if weighted else 1) on the m-basis, m >= -1.
+
+    For each distinct part a of mu padded to n slots, moving one a to a + m
+    gives nu, hit from mult_nu(a + m) monomials of m_mu; each hit carries
+    a (weighted) or 1.  No orbit is expanded.
+    """
+    n = P.n
+    out = {}
+    for mu, c in P.terms.items():
+        p = padded(mu, n)
+        for a in set(p):
+            if weighted and not a:
+                continue
+            q = list(p)
+            q[q.index(a)] = a + m
+            nu = tuple(sorted(q, reverse=True))
+            add = c * ((a if weighted else 1) * q.count(a + m))
+            acc = out.get(nu)
+            out[nu] = add if acc is None else acc + add
+    return MSymPoly(n, out)
+
+
 def apply_l(P, m):
+    """l_m on an MSymPoly (by part shifts) or on an ExpandedPoly."""
     if isinstance(P, MSymPoly):
-        return _l_expanded(P.to_expanded(), m).to_msym(validate=False)
+        if m < -1:
+            raise ValueError("l_m needs m >= -1")
+        return _part_shifts(P, m, True)
     return _l_expanded(P, m)
 
 
-def _w_expanded(P, t, m, beta):
-    """w^(t)_m = sum_j x_j^(m+t-1) nabla_j^(t-1) (t >= 2, m >= -t+1)."""
+def apply_p(P, m):
+    """p_m P for an MSymPoly P (m >= 1), by part shifts."""
+    if m < 1:
+        raise ValueError("p_m needs m >= 1")
+    return _part_shifts(P, m, False)
+
+
+def _check_w(t, m):
     if t < 2:
         raise ValueError("w operators need t >= 2")
     if m < -t + 1:
         raise ValueError("w^(%d)_m needs m >= %d" % (t, -t + 1))
+
+
+def _w_expanded(P, t, m, beta):
+    """w^(t)_m = sum_j x_j^(m+t-1) nabla_j^(t-1) (t >= 2, m >= -t+1)."""
+    _check_w(t, m)
     out = ExpandedPoly.zero(P.n)
     for j in range(1, P.n + 1):
         out = out + apply_dunkl_power(P, j, t - 1, beta).mul_var(j, m + t - 1)
     return out
 
 
+def dunkl_chain(P, smax, beta):
+    """[nabla_1^s P for s = 0..smax] on the expansion of the MSymPoly P."""
+    Q = P.to_expanded()
+    chain = [Q]
+    for _ in range(smax):
+        Q = apply_dunkl(Q, 1, beta)
+        chain.append(Q)
+    return chain
+
+
+def w_from_chain(Q, t, m):
+    """w^(t)_m P on the m-basis from Q = nabla_1^(t-1) P, for symmetric P.
+
+    nabla_j^(t-1) P = K_1j Q, so w^(t)_m P = sum_j x_j^(m+t-1) K_1j Q.  That
+    image is symmetric, so its m_nu coefficient is its x^nu coefficient:
+    swap slots 1 and j of each exponent of Q, add m+t-1 to slot j and keep
+    the non-increasing results.
+    """
+    _check_w(t, m)
+    shift = m + t - 1
+    out = {}
+    for e, c in Q.terms.items():
+        for j in range(Q.n):
+            f = list(e)
+            f[0], f[j] = f[j], f[0] + shift
+            if f == sorted(f, reverse=True):
+                key = tuple(f)
+                acc = out.get(key)
+                out[key] = c if acc is None else acc + c
+    return MSymPoly(Q.n, out)
+
+
 def apply_w(P, t, m, beta):
+    """w^(t)_m on an MSymPoly (through one Dunkl chain) or on an
+    ExpandedPoly."""
     if isinstance(P, MSymPoly):
-        return _w_expanded(P.to_expanded(), t, m, beta).to_msym(validate=False)
+        return w_from_chain(dunkl_chain(P, t - 1, beta)[-1], t, m)
     return _w_expanded(P, t, m, beta)
 
 
@@ -198,7 +273,7 @@ class OperatorTag:
     def apply(self, P, beta):
         """Apply to an MSymPoly."""
         if self.kind == "p":
-            return P.multiply(power_sum(self.m, P.n))
+            return apply_p(P, self.m)
         if self.kind == "l":
             return apply_l(P, self.m)
         return apply_w(P, self.t, self.m, beta)
@@ -259,6 +334,8 @@ def verify_commutators(n, degree, trials, seed, tmax=3):
     All checks are identical in beta: inputs have integer coefficients and
     beta is the symbolic generator, so a pass is a polynomial identity.
     """
+    if trials < 1 or tmax < 2:
+        raise ValueError("commutators need trials >= 1 and tmax >= 2")
     rng = random.Random(seed)
     beta = BETA
     rep = Report("commutators", {"n": n, "degree": degree,

@@ -123,6 +123,22 @@ def test_negative_n_exit(capsys, argv):
     assert "--n >= 0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("commutators", "--n", "2", "--dmax", "2", "--trials", "0"), "--trials"),
+    (("commutators", "--n", "2", "--dmax", "2", "--tmax", "1"), "--tmax"),
+    (("restriction", "--k", "1", "--r", "2", "--n", "2", "--dmax", "2",
+      "--jmax", "-1"), "--jmax"),
+    (("closure", "--k", "1", "--r", "2", "--n", "2", "--dmax", "2",
+      "--mmax", "-3"), "--mmax"),
+    (("closure", "--k", "1", "--r", "2", "--n", "2", "--dmax", "2",
+      "--tmax", "1"), "--tmax"),
+])
+def test_vacuous_suite_knobs_exit(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert "need %s >= " % flag in err and "Traceback" not in err
+
+
 def test_jack_partition_longer_than_n_exit(capsys):
     code, out, err = run_cli(capsys, "jack", "--lambda", "1,1,1", "--n", "2")
     assert code == 2 and out == ""

@@ -1,0 +1,156 @@
+"""Differential oracles for the m-basis closure battery.
+
+The expanded operators stay as the independent references: _w_expanded
+applies nabla_j^(t-1) for every j to the S_n-orbit expansion and sums the
+shifted copies, _l_expanded acts monomial by monomial, and p_m is an
+expanded product.  The m-basis paths (apply_w through one nabla_1 chain,
+apply_l and apply_p by part shifts) share none of that, so agreement here
+checks the symmetry reduction and the part-shift coefficients from outside.
+
+The last test keeps the per-tag closure loop that verify_closure ran before
+it built one Dunkl chain per basis element, and compares verdicts.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
+                             verify_closure)
+from jackideal.jack import JackCache
+from jackideal.operators import (OperatorTag, _l_expanded, _w_expanded,
+                                 apply_dunkl_power, apply_l, apply_p, apply_w,
+                                 dunkl_chain, w_from_chain)
+from jackideal.partitions import beta_value, partitions_leq
+from jackideal.ratfunc import BETA, BetaPoly
+from jackideal.report import Report
+from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
+
+GRID = [(n, mu) for n in range(1, 7) for d in range(9)
+        for mu in partitions_leq(d, n)]
+SPECIAL = (Fraction(-1, 2), Fraction(-3, 2))
+W_TAGS = [(t, m) for t in range(2, 5) for m in range(-t + 1, 5)]
+
+
+def at(P, beta0):
+    """P with its BetaPoly coefficients evaluated at beta0."""
+    return P.map_coeffs(lambda c: c(beta0) if isinstance(c, BetaPoly) else c)
+
+
+def random_symmetric(rng, n, degree, nterms):
+    """Sum of m_mu with random nonzero coefficients, mu of weight <= degree."""
+    parts = [mu for d in range(degree + 1) for mu in partitions_leq(d, n)]
+    return MSymPoly(n, {mu: Fraction(rng.choice([-5, -2, -1, 1, 3, 4]),
+                                     rng.randint(1, 3))
+                        for mu in rng.sample(parts, min(nterms, len(parts)))})
+
+
+def expanded_w_images(E, t, beta):
+    """{m: _w_expanded(E, t, m, beta)} for every m in W_TAGS at once: the
+    same sum over j, with each nabla_j^(t-1) E built once for all m."""
+    powers = [apply_dunkl_power(E, j, t - 1, beta) for j in range(1, E.n + 1)]
+    out = {}
+    for tt, m in W_TAGS:
+        if tt == t:
+            acc = ExpandedPoly.zero(E.n)
+            for j, D in enumerate(powers, 1):
+                acc = acc + D.mul_var(j, m + t - 1)
+            out[m] = acc.to_msym()
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_w_matches_expanded(n):
+    """Every mu with |mu| <= 8 and every (t, m), t <= 4, m <= 4, read off
+    one Dunkl chain per (mu, beta) as apply_w and verify_closure do.
+
+    The oracle runs at the symbolic beta; its value at -1/2 and -3/2 is
+    that image evaluated there, which is exact because the input has
+    integer coefficients and w is polynomial in beta.
+    """
+    for nn, mu in GRID:
+        if nn != n:
+            continue
+        P = MSymPoly.monomial_sym(n, mu)
+        chains = {b0: dunkl_chain(P, 3, b0) for b0 in (BETA,) + SPECIAL}
+        for t in range(2, 5):
+            for m, want in expanded_w_images(P.to_expanded(), t, BETA).items():
+                for b0, chain in chains.items():
+                    got = w_from_chain(chain[t - 1], t, m)
+                    assert got == (want if b0 is BETA else at(want, b0)), \
+                        (mu, t, m, b0)
+
+
+def test_l_and_p_match_expanded():
+    for n, mu in GRID:
+        P = MSymPoly.monomial_sym(n, mu, BETA + 2)
+        E = P.to_expanded()
+        for m in range(-1, 5):
+            assert apply_l(P, m) == _l_expanded(E, m).to_msym(), (mu, m)
+            assert OperatorTag("l", m).apply(P, BETA) == apply_l(P, m)
+        for m in range(1, 5):
+            want = (E * power_sum(m, n).to_expanded()).to_msym()
+            assert apply_p(P, m) == want, (mu, m)
+            assert OperatorTag("p", m).apply(P, BETA) == want
+
+
+@pytest.mark.parametrize("beta", [BETA] + list(SPECIAL))
+def test_sums_match_expanded(beta):
+    """Several m_mu at once, so images of different mu meet and cancel."""
+    rng = random.Random(11)
+    for _ in range(8):
+        n = rng.randint(1, 4)
+        P = random_symmetric(rng, n, 6, 5)
+        E = P.to_expanded()
+        for m in range(-1, 5):
+            assert apply_l(P, m) == _l_expanded(E, m).to_msym()
+        for m in range(1, 5):
+            assert apply_p(P, m) == \
+                (E * power_sum(m, n).to_expanded()).to_msym()
+        for t, m in W_TAGS:
+            want = _w_expanded(E, t, m, beta)
+            assert apply_w(P, t, m, beta) == want.to_msym()
+        for t in range(2, 5):
+            for m, got in expanded_w_images(E, t, beta).items():
+                assert got == _w_expanded(E, t, m, beta).to_msym()
+
+
+def test_argument_checks():
+    P = MSymPoly.monomial_sym(2, (1,))
+    for bad in (lambda: apply_l(P, -2), lambda: apply_p(P, 0),
+                lambda: apply_w(P, 1, 0, BETA),
+                lambda: apply_w(P, 3, -3, BETA)):
+        with pytest.raises(ValueError):
+            bad()
+
+
+def closure_per_tag(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
+    """verify_closure with every tag applied on its own (no Dunkl chain)."""
+    b0 = beta_value(k, r)
+    rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
+                             "mmax": mmax, "tmax": tmax})
+    basis = build_basis(k, r, n, dmax, cache, workers)
+    tags = closure_tags(mmax, tmax)
+    for lam in basis.family.all_partitions():
+        P = basis.get(lam).poly
+        d = sum(lam)
+        for tag in tags:
+            if not 0 <= d + tag.degree_shift() <= dmax:
+                continue
+            img = tag.apply(P, b0)
+            cert = reduce_membership(img, basis)
+            detail = {}
+            if not cert.member:
+                detail["obstruction"] = list(cert.obstruction)
+            rep.add("%s@%s" % (tag, list(lam)), cert.member, **detail)
+    return rep
+
+
+def test_closure_verdicts_match_per_tag_loop():
+    cache = JackCache()
+    for k, r in ((1, 2), (2, 3), (1, 4)):
+        for n in range(1, 5):
+            want = closure_per_tag(k, r, n, 10, cache=cache)
+            got = verify_closure(k, r, n, 10, cache=cache)
+            assert got.to_obj() == want.to_obj(), (k, r, n)

@@ -213,6 +213,10 @@ def test_closure_suite_small():
     # every reachable (tag, element) pair shows up
     ids = {c["id"] for c in rep.cases}
     assert "p(1)@[2]" in ids and "w3(-2)@[2]" in ids
+    # without p (mmax < 1) or w (tmax < 2) the suite would pass vacuously
+    for mmax, tmax in ((0, 3), (3, 1)):
+        with pytest.raises(ValueError):
+            verify_closure(1, 2, 2, 6, mmax=mmax, tmax=tmax)
 
 
 def test_closure_tags_order():
@@ -228,6 +232,8 @@ def test_restriction_suite_small():
     assert rep.all_pass()
     with pytest.raises(Exception):
         verify_restriction(1, 2, 1, 4)
+    with pytest.raises(ValueError):
+        verify_restriction(1, 2, 3, 8, jmax=-1)
 
 
 def test_regularity_suite_small():

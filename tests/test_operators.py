@@ -167,6 +167,10 @@ def test_commutator_suite_passes():
     assert "l-bracket[-1,2]" in ids
     assert "w2-w3-ladder" in ids
     assert "l1-p[4]" in ids
+    for trials, tmax in ((0, 3), (4, 1)):
+        with pytest.raises(ValueError):
+            verify_commutators(n=3, degree=4, trials=trials, seed=99,
+                               tmax=tmax)
 
 
 def test_commutator_suite_catches_wrong_relation():
