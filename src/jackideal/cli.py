@@ -190,7 +190,11 @@ def read_poly(path, n, dmax):
     return P
 
 
-def run_report(rep, fmt):
+def run_report(suite, rep, fmt):
+    # a report with no cases would pass vacuously
+    if not rep.cases:
+        raise UsageError("verify %s has no cases for these parameters"
+                         % suite)
     emit(rep.to_obj(), fmt, rep.text_lines())
     return 0 if rep.all_pass() else 1
 
@@ -311,7 +315,8 @@ def run(args):
     if args.command == "verify":
         if args.suite == "commutators" and (args.n < 1 or args.dmax < 0):
             raise UsageError("commutators need --n >= 1 and --dmax >= 0")
-        return run_report(VERIFY_SUITES[args.suite](args, cache), fmt)
+        return run_report(args.suite,
+                          VERIFY_SUITES[args.suite](args, cache), fmt)
 
     raise UsageError("unknown command %r" % args.command)
 

@@ -5,9 +5,11 @@ unitriangular on monomial symmetric functions: P_lam = m_lam + lower terms in
 dominance order.  A JackPoly stores the integral form J_lam = c_lam P_lam:
 the shared denominator den = c_lambda(lam) and one integer-coefficient
 numerator per m-basis coefficient, so the solver, specialization, pole
-profiles and the disk cache all work in Z[beta] without a gcd.  Coefficients
-in Q(beta) (BetaRatFunc) are built only on request, by coefficient(), coeffs
-and msym().
+profiles and the disk cache all work in Z[beta] without a gcd.  Evaluation
+at a rational beta0 = a/b stays in Z too: each numerator is a dot product
+with the weights a^i b^(D-i), and one Fraction is built per coefficient.
+Coefficients in Q(beta) (BetaRatFunc) are built only on request, by
+coefficient(), coeffs and msym().
 """
 
 import json
@@ -15,6 +17,7 @@ import os
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
@@ -73,11 +76,20 @@ class JackPoly:
     def at(self, beta0):
         """The m-expansion at beta0 as an MSymPoly over Q.  Raises
         SpecializationPole naming the first coefficient, in decreasing lex
-        order, that has a pole there."""
-        dv = self.den(beta0)
+        order, that has a pole there.
+
+        With beta0 = a/b, every numerator and den are scaled by b^D (D the
+        top degree): p(beta0) b^D = sum_i c_i w_i with w_i = a^i b^(D-i),
+        an integer dot product, so each coefficient costs one Fraction."""
+        beta0 = Fraction(beta0)
+        a, b = beta0.numerator, beta0.denominator
+        top = max(p.degree for p in (self.den, *self.nums.values()))
+        w = [a ** i * b ** (top - i) for i in range(top + 1)]
+        dv = sum(map(mul, self.den.coeffs, w))
         if dv:
-            return MSymPoly(self.n, {mu: p(beta0) / dv
-                                     for mu, p in self.nums.items()})
+            return MSymPoly(self.n, {
+                mu: Fraction(sum(map(mul, p.coeffs, w)), dv)
+                for mu, p in self.nums.items()})
         terms = {}
         for mu in self.nums:
             u = self.coefficient(mu)

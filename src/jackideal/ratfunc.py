@@ -174,11 +174,22 @@ class BetaPoly:
         return q
 
     def __call__(self, beta0):
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * beta0 + c
-        return Fraction(acc)
+        """Exact value at a rational beta0 = a/b, as a Fraction.
+
+        Runs Horner's rule on the homogenized form,
+        p(a/b) = sum_i c_i a^i b^(D-i) / b^D with D = degree, so an integer
+        polynomial is evaluated in Z with no gcd until the one Fraction
+        built at the end."""
+        if not self.coeffs:
+            return Fraction(0)
+        beta0 = Fraction(beta0)
+        a, b = beta0.numerator, beta0.denominator
+        coeffs = reversed(self.coeffs)
+        acc, bp = next(coeffs), 1
+        for c in coeffs:
+            bp *= b
+            acc = acc * a + c * bp
+        return Fraction(acc, bp)
 
     def monic(self):
         if self.is_zero():
@@ -193,7 +204,10 @@ class BetaPoly:
         """Multiplicity of beta0 as a root, by repeated exact division."""
         if self.is_zero():
             raise ValueError("zero polynomial has no root multiplicity")
-        lin = BetaPoly((-Fraction(beta0), 1))
+        # the primitive factor b*beta - a of beta - a/b: by Gauss's lemma an
+        # integer polynomial divided by it stays in Z[beta]
+        beta0 = Fraction(beta0)
+        lin = BetaPoly((-beta0.numerator, beta0.denominator))
         mult, p = 0, self
         while not p.is_zero() and p(beta0) == 0:
             p = p.exact_div(lin)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism, caching."""
 
+import hashlib
 import json
 
 import pytest
@@ -137,6 +138,43 @@ def test_vacuous_suite_knobs_exit(capsys, argv, flag):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert "need %s >= " % flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pieri", "--n", "2", "--dmax", "0"),
+    ("lassalle", "--n", "2", "--dmax", "0"),
+    ("sekiguchi", "--n", "2", "--dmax", "-1"),
+    ("closure", "--k", "1", "--r", "2", "--n", "2", "--dmax", "0"),
+    ("restriction", "--k", "1", "--r", "2", "--n", "2", "--dmax", "0"),
+    ("regularity", "--k", "1", "--r", "2", "--n", "2", "--dmax", "0"),
+])
+def test_empty_report_exit(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: verify %s has no cases for these parameters\n" \
+        % argv[0]
+
+
+# sha256 of stdout, recorded before evaluation at rational beta moved from
+# Fraction Horner sums to integer ones; stdout must stay byte-identical
+GOLDEN_STDOUT = [
+    (("ideal", "basis", "--k", "1", "--r", "2", "--n", "3", "--dmax", "10"),
+     "63d83c007627b5ae1b68f9d4c1cdcb2207e30bf442ac80afab2dbb3972819ea8"),
+    (("jack", "--lambda", "3,1", "--n", "3", "--beta=-1/2"),
+     "664557bb87922268d7fdb1df8b59d273b369f205cb63c4688c5bd9734a8659f8"),
+    (("specialize-principal", "--lambda", "2,1", "--n", "3", "--beta=-2/3"),
+     "c7855bcb2ea8dad2f6d90be4b20c57176cd4b03f15bc239a391b0b800ede28ab"),
+    (("verify", "regularity", "--k", "1", "--r", "2", "--n", "3", "--dmax",
+      "6"),
+     "c25e627c7668780dfe9662e8ebab091d344bed15de871401b246685ab46d9893"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT)
+def test_golden_stdout(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_jack_partition_longer_than_n_exit(capsys):
