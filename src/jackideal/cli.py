@@ -218,8 +218,9 @@ VERIFY_SUITES = {
 }
 
 
-# below these the suites would drop whole case families and pass vacuously
-SUITE_MINIMUMS = {"trials": 1, "jmax": 0, "mmax": 1, "tmax": 2}
+# below these the suites would drop whole case families and pass vacuously,
+# and fewer than one worker would silently run serially
+KNOB_MINIMUMS = {"trials": 1, "jmax": 0, "mmax": 1, "tmax": 2, "workers": 1}
 
 
 def run(args):
@@ -227,8 +228,9 @@ def run(args):
     opts = vars(args)
     if opts.get("n", 0) < 0:
         raise UsageError("need --n >= 0")
-    for name, low in SUITE_MINIMUMS.items():
-        if opts.get(name, low) < low:
+    for name, low in KNOB_MINIMUMS.items():
+        # an unset --workers is None: serial
+        if opts.get(name) is not None and opts[name] < low:
             raise UsageError("need --%s >= %d" % (name, low))
     if "k" in opts and "r" in opts and (args.k is None) != (args.r is None):
         raise UsageError("--k and --r go together")

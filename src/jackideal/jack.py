@@ -5,7 +5,10 @@ unitriangular on monomial symmetric functions: P_lam = m_lam + lower terms in
 dominance order.  A JackPoly stores the integral form J_lam = c_lam P_lam:
 the shared denominator den = c_lambda(lam) and one integer-coefficient
 numerator per m-basis coefficient, so the solver, specialization, pole
-profiles and the disk cache all work in Z[beta] without a gcd.  Evaluation
+profiles and the disk cache all work in Z[beta] without a gcd.  The solver
+runs in Z on int coefficient lists and int Hamiltonian rows, with one
+synthetic division by the linear eigenvalue gap per coefficient; each
+numerator becomes a BetaPoly once, at the end.  Evaluation
 at a rational beta0 = a/b stays in Z too: each numerator is a dot product
 with the weights a^i b^(D-i), and one Fraction is built per coefficient.
 Coefficients in Q(beta) (BetaRatFunc) are built only on request, by
@@ -226,25 +229,36 @@ default_cache = JackCache()
 
 @lru_cache(maxsize=None)
 def hamiltonian_matrix_row(mu, n):
-    """Coefficients of H m_mu in the m-basis: dict nu -> BetaPoly.
+    """H m_mu in the m-basis with int entries: (euler, diag, off) for
+    H m_mu = (euler + diag beta) m_mu + beta sum_nu off[nu] m_nu.
 
     The support is checked to be dominated by mu (upper triangularity) and
     the diagonal entry to be the closed-form eigenvalue.
     """
     mu = as_partition(mu)
-    euler, h = operators.hamiltonian_row(mu, n)
-    row = {nu: BetaPoly((0, c)) for nu, c in h.items()}
-    diag = BetaPoly((euler, h.get(mu, 0)))
-    if diag:
-        row[mu] = diag
-    for nu in row:
+    euler, off = operators.hamiltonian_row(mu, n)
+    diag = off.pop(mu, 0)
+    for nu in off:
         if not dominated_by(nu, mu):
             raise AssertionError("H m_%r hit %r outside the dominance cone"
                                  % (mu, nu))
-    if diag != cs_eigenvalue(mu, n):
+    if BetaPoly((euler, diag)) != cs_eigenvalue(mu, n):
         raise AssertionError("diagonal of H at %r disagrees with the "
                              "closed-form eigenvalue" % (mu,))
-    return row
+    return euler, diag, off
+
+
+def _scatter(sums, off, num):
+    """sums[nu] += off[nu] * num for every nu of a row, on int lists."""
+    for nu, h in off.items():
+        acc = sums.get(nu)
+        if acc is None:
+            sums[nu] = [h * c for c in num]
+            continue
+        if len(acc) < len(num):
+            acc.extend([0] * (len(num) - len(acc)))
+        for i, c in enumerate(num):
+            acc[i] += h * c
 
 
 def jack_symbolic(lam, n, cache=None):
@@ -252,9 +266,13 @@ def jack_symbolic(lam, n, cache=None):
 
     Solves (eps_lam - eps_nu) u_nu = sum_{nu < mu <= lam} u_mu h_{mu,nu}
     downward in dominance order for the numerators N_nu = c_lam u_nu,
-    starting from N_lam = c_lam.  Every step is an exact division in
-    Z[beta]; a remainder or a non-integer quotient raises, so each solve
-    machine-checks that c_lam clears the denominators of P_lam.
+    starting from N_lam = c_lam.  The recursion runs in Z on int
+    coefficient lists: with the int rows of hamiltonian_matrix_row, the gap
+    is g0 + g1 beta with g1 > 0 (diag falls strictly down the dominance
+    order) and N_nu = beta S_nu / (g0 + g1 beta) for the int combination
+    S_nu = sum_mu h_{mu,nu} N_mu, one synthetic division from the top.  A
+    remainder raises, so each solve machine-checks that c_lam clears the
+    denominators of P_lam.
     """
     lam = as_partition(lam)
     if len(lam) > n:
@@ -264,31 +282,40 @@ def jack_symbolic(lam, n, cache=None):
     if hit is not None:
         return hit
 
-    d = sum(lam)
-    eps_lam = cs_eigenvalue(lam, n)
+    euler, diag, off = hamiltonian_matrix_row(lam, n)
     den = c_lambda(lam)
     nums = {lam: den}
-    rows = {lam: hamiltonian_matrix_row(lam, n)}
-    # decreasing lex refines dominance, so every mu > nu is already solved
-    for nu in partitions_leq(d, n):
+    sums = {}  # nu -> S_nu over the mu solved so far
+    _scatter(sums, off, den.coeffs)
+    # decreasing lex refines dominance, so every mu > nu is already scattered
+    for nu in partitions_leq(sum(lam), n):
         if nu == lam or not dominated_by(nu, lam):
             continue
-        gap = eps_lam - cs_eigenvalue(nu, n)
-        if gap.is_zero():
-            raise AssertionError("eigenvalue collision between %r and %r"
-                                 % (lam, nu))
-        acc = BetaPoly()
-        for mu, nmu in nums.items():
-            h = rows[mu].get(nu)
-            if h is not None:
-                acc = acc + nmu * h
-        num = acc.exact_div(gap)
-        if not _is_integral(num):
+        e, g, off = hamiltonian_matrix_row(nu, n)
+        g0, g1 = euler - e, diag - g
+        if g1 <= 0:
+            # moving a box from row i down to row j lowers diag by 2(j - i)
+            raise AssertionError("eigenvalues of %r and %r do not separate: "
+                                 "gap %d + %d beta" % (lam, nu, g0, g1))
+        s = sums.pop(nu, [])
+        while s and not s[-1]:
+            s.pop()
+        if not s:
+            continue
+        # beta S = (g0 + g1 beta) Q, by synthetic division from the top:
+        # Q_i = (S_i - g0 Q_(i+1)) / g1, and the remainder g0 Q_0 must vanish
+        q, c, r = [], 0, 0
+        for x in reversed(s):
+            c, r = divmod(x - g0 * c, g1)
+            if r:
+                break
+            q.append(c)
+        if r or g0 * c:
             raise AssertionError("c_lambda does not clear the coefficient "
                                  "of m_%r in P_%r" % (nu, lam))
-        if num:
-            nums[nu] = num
-        rows[nu] = hamiltonian_matrix_row(nu, n)
+        q.reverse()
+        nums[nu] = BetaPoly.trusted(tuple(q))
+        _scatter(sums, off, q)
     jp = JackPoly(lam, n, den, nums)
     cache.put(jp)
     return jp

@@ -49,6 +49,13 @@ class BetaPoly:
             coeffs.pop()
         self.coeffs = tuple(coeffs)
 
+    @classmethod
+    def trusted(cls, coeffs):
+        """Wrap a tuple of ints with a nonzero top entry, unchecked."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
+
     @property
     def degree(self):
         # degree of the zero polynomial is -1 by convention

@@ -141,6 +141,24 @@ def test_vacuous_suite_knobs_exit(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ("ideal", "basis", "--k", "1", "--r", "2", "--n", "2", "--dmax", "4",
+     "--workers", "0"),
+    ("ideal", "basis", "--k", "1", "--r", "2", "--n", "2", "--dmax", "4",
+     "--workers", "-3"),
+    ("ideal", "member", "--k", "1", "--r", "2", "--n", "2", "--dmax", "4",
+     "--workers", "0"),
+    ("verify", "closure", "--k", "1", "--r", "2", "--n", "2", "--dmax", "2",
+     "--workers", "-1"),
+    ("verify", "wheel", "--k", "1", "--n", "3", "--dmax", "4",
+     "--workers", "-1"),
+])
+def test_workers_below_one_exit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: need --workers >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
     ("pieri", "--n", "2", "--dmax", "0"),
     ("lassalle", "--n", "2", "--dmax", "0"),
     ("sekiguchi", "--n", "2", "--dmax", "-1"),

@@ -1,16 +1,98 @@
-"""Differential oracle for jack_symbolic.
+"""Differential oracles for jack_symbolic.
 
-gap_product_solve is the earlier solver, kept unchanged as an independent
-reference: it runs over the product of all eigenvalue gaps and reduces every
-coefficient in Q(beta) at the end.  jack_symbolic stores c_lambda P_lam by
-construction, so comparing the two on the acceptance grid is what checks the
-clearing fact (reduced denominators divide c_lambda) from outside the solver.
+Two earlier solvers are kept unchanged as independent references, both on
+BetaPoly rows (betapoly_row, the Hamiltonian rows with BetaPoly entries):
+
+- gap_product_solve runs over the product of all eigenvalue gaps and reduces
+  every coefficient in Q(beta) at the end.  jack_symbolic stores c_lambda P_lam
+  by construction, so comparing the two on the acceptance grid is what checks
+  the clearing fact (reduced denominators divide c_lambda) from outside the
+  solver.
+- betapoly_solve is the integral-form recursion in BetaPoly arithmetic, one
+  exact_div by the gap per coefficient.  jack_symbolic runs the same
+  recursion on int lists with a synthetic division, so its numerators must be
+  equal, and in the same order.
 """
 
-from jackideal.jack import JackCache, hamiltonian_matrix_row, jack_symbolic
+from functools import lru_cache
+
+import pytest
+
+from jackideal import jack, operators
+from jackideal.jack import JackCache, jack_symbolic
 from jackideal.partitions import (as_partition, c_lambda, cs_eigenvalue,
-                                  dominated_by, partitions_leq)
+                                  dominated_by, enumerate_admissible,
+                                  partitions_leq)
 from jackideal.ratfunc import BetaPoly, BetaRatFunc
+
+
+@lru_cache(maxsize=None)
+def betapoly_row(mu, n):
+    """Coefficients of H m_mu in the m-basis: dict nu -> BetaPoly.
+
+    The support is checked to be dominated by mu (upper triangularity) and
+    the diagonal entry to be the closed-form eigenvalue.
+    """
+    mu = as_partition(mu)
+    euler, h = operators.hamiltonian_row(mu, n)
+    row = {nu: BetaPoly((0, c)) for nu, c in h.items()}
+    diag = BetaPoly((euler, h.get(mu, 0)))
+    if diag:
+        row[mu] = diag
+    for nu in row:
+        if not dominated_by(nu, mu):
+            raise AssertionError("H m_%r hit %r outside the dominance cone"
+                                 % (mu, nu))
+    if diag != cs_eigenvalue(mu, n):
+        raise AssertionError("diagonal of H at %r disagrees with the "
+                             "closed-form eigenvalue" % (mu,))
+    return row
+
+
+def _is_integral(p):
+    return all(type(c) is int for c in p.coeffs)
+
+
+def betapoly_solve(lam, n):
+    """Numerators of c_lam P_lam: dict partition -> BetaPoly, in the order
+    jack_symbolic stores them.
+
+    Solves (eps_lam - eps_nu) u_nu = sum_{nu < mu <= lam} u_mu h_{mu,nu}
+    downward in dominance order for the numerators N_nu = c_lam u_nu,
+    starting from N_lam = c_lam.  Every step is an exact division in
+    Z[beta]; a remainder or a non-integer quotient raises, so each solve
+    machine-checks that c_lam clears the denominators of P_lam.
+    """
+    lam = as_partition(lam)
+    if len(lam) > n:
+        raise ValueError("partition %r longer than n=%d" % (lam, n))
+
+    d = sum(lam)
+    eps_lam = cs_eigenvalue(lam, n)
+    den = c_lambda(lam)
+    nums = {lam: den}
+    rows = {lam: betapoly_row(lam, n)}
+    # decreasing lex refines dominance, so every mu > nu is already solved
+    for nu in partitions_leq(d, n):
+        if nu == lam or not dominated_by(nu, lam):
+            continue
+        gap = eps_lam - cs_eigenvalue(nu, n)
+        if gap.is_zero():
+            raise AssertionError("eigenvalue collision between %r and %r"
+                                 % (lam, nu))
+        acc = BetaPoly()
+        for mu, nmu in nums.items():
+            h = rows[mu].get(nu)
+            if h is not None:
+                acc = acc + nmu * h
+        num = acc.exact_div(gap)
+        if not _is_integral(num):
+            raise AssertionError("c_lambda does not clear the coefficient "
+                                 "of m_%r in P_%r" % (nu, lam))
+        if num:
+            nums[nu] = num
+        rows[nu] = betapoly_row(nu, n)
+    return nums
 
 
 def gap_product_solve(lam, n):
@@ -40,7 +122,7 @@ def gap_product_solve(lam, n):
         D = D * g
 
     nums = {lam: D}
-    rows = {lam: hamiltonian_matrix_row(lam, n)}
+    rows = {lam: betapoly_row(lam, n)}
     # decreasing lex refines dominance, so every mu > nu is already solved
     for nu in below:
         acc = BetaPoly()
@@ -49,7 +131,7 @@ def gap_product_solve(lam, n):
             if h is not None:
                 acc = acc + nmu * h
         nums[nu] = acc.exact_div(gaps[nu])
-        rows[nu] = hamiltonian_matrix_row(nu, n)
+        rows[nu] = betapoly_row(nu, n)
 
     coeffs = {}
     for nu, num in nums.items():
@@ -72,3 +154,84 @@ def test_solver_matches_gap_product_reference():
                 c = c_lambda(lam)
                 for u in ref.values():
                     assert (c % u.den).is_zero(), (lam, n)
+
+
+def _solver_grid():
+    """Criterion 3's grid (n <= 4, |lam| <= 8), then every admissible lam of
+    the basis-deep, basis-wide and (2,2,5,16) bases."""
+    for n in range(1, 5):
+        for d in range(9):
+            for lam in partitions_leq(d, n):
+                yield lam, n
+    for k, r, n, dmax in [(1, 2, 3, 18), (8, 2, 9, 8), (2, 2, 5, 16)]:
+        for lam in enumerate_admissible(k, r, n, dmax).all_partitions():
+            yield lam, n
+
+
+def test_solver_matches_betapoly_solver():
+    cache = JackCache()
+    for lam, n in _solver_grid():
+        got = jack_symbolic(lam, n, cache).nums
+        assert list(got.items()) == list(betapoly_solve(lam, n).items()), \
+            (lam, n)
+
+
+@pytest.fixture
+def patched_rows(monkeypatch):
+    """Lets a test replace operators.hamiltonian_row, with the row cache of
+    jack emptied before and after so no row outlives the patch."""
+    jack.hamiltonian_matrix_row.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    jack.hamiltonian_matrix_row.cache_clear()
+
+
+def _perturbed(mu0, n0, change):
+    orig = operators.hamiltonian_row
+
+    def row(mu, n):
+        euler, h = orig(mu, n)
+        return change(euler, h) if (mu, n) == (mu0, n0) else (euler, h)
+    return row
+
+
+@pytest.mark.parametrize("lam, n, nu", [
+    ((2,), 2, (1, 1)),         # the quotient is in Q[beta], not Z[beta]
+    ((4, 1), 3, (2, 2, 1)),    # the division leaves a remainder over Q
+])
+def test_clearing_check_catches_a_wrong_row(patched_rows, lam, n, nu):
+    # one off-diagonal entry of H m_lam is off by one: the solve must
+    # raise rather than return a wrong Jack
+    def bump(euler, h):
+        h[nu] += 1
+        return euler, h
+    patched_rows.setattr(operators, "hamiltonian_row",
+                         _perturbed(lam, n, bump))
+    with pytest.raises(AssertionError, match="does not clear"):
+        jack_symbolic(lam, n, JackCache())
+
+
+def test_eigenvalue_collision_raises(patched_rows):
+    # give m_(1,1) the eigenvalue 4 + 2 beta of m_(2), in both the row and
+    # the closed form, so the row checks pass and only the gap is zero
+    lam, nu, n = (2,), (1, 1), 2
+    eps = cs_eigenvalue(lam, n)
+
+    def collide(euler, h):
+        h[nu] = eps.coeffs[1]
+        return eps.coeffs[0], h
+    patched_rows.setattr(operators, "hamiltonian_row",
+                         _perturbed(nu, n, collide))
+    patched_rows.setattr(jack, "cs_eigenvalue",
+                         lambda mu, m: eps if mu == nu else
+                         cs_eigenvalue(mu, m))
+    with pytest.raises(AssertionError, match="do not separate"):
+        jack_symbolic(lam, n, JackCache())
+
+
+def test_clearing_check_catches_a_short_denominator(monkeypatch):
+    # den = 1 in place of c_(2) = beta (1 + beta): the coefficient
+    # 2 beta / (1 + beta) of m_(1,1) then leaves the remainder -g0 Q_0
+    monkeypatch.setattr(jack, "c_lambda", lambda lam: BetaPoly((1,)))
+    with pytest.raises(AssertionError, match="does not clear"):
+        jack_symbolic((2,), 2, JackCache())
