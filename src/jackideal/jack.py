@@ -157,14 +157,6 @@ class SpecializedJack:
         obj["beta"] = {"num": -(self.r - 1), "den": self.k + 1}
         return obj
 
-    @classmethod
-    def from_obj(cls, obj):
-        poly = MSymPoly.from_obj(obj)
-        k, r = obj["k"], obj["r"]
-        lam = max(poly.terms, key=lambda p: (sum(p), p))
-        return cls(lam, poly.n, k, r, Fraction(obj["beta"]["num"],
-                                               obj["beta"]["den"]), poly)
-
     def __repr__(self):
         return "SpecializedJack(lam=%r, n=%d, beta0=%s)" % (self.lam, self.n,
                                                             self.beta0)

@@ -118,10 +118,27 @@ def apply_hamiltonian(P, beta):
     return MSymPoly(P.n, euler) + MSymPoly(P.n, cross).scale(beta)
 
 
+def _check_operator(kind, m, t=None):
+    """Raise ValueError unless p_m (m >= 1), l_m (m >= -1) or w^(t)_m
+    (t >= 2, m >= -t+1) is defined."""
+    if kind == "p":
+        if m < 1:
+            raise ValueError("p_m needs m >= 1")
+    elif kind == "l":
+        if m < -1:
+            raise ValueError("l_m needs m >= -1")
+    elif kind == "w":
+        if t is None or t < 2:
+            raise ValueError("w operators need t >= 2")
+        if m < -t + 1:
+            raise ValueError("w^(%d)_m needs m >= %d" % (t, -t + 1))
+    else:
+        raise ValueError("unknown operator kind %r" % (kind,))
+
+
 def _l_expanded(P, m):
     """l_m = sum_j x_j^(m+1) d/dx_j (m >= -1); beta-free."""
-    if m < -1:
-        raise ValueError("l_m needs m >= -1")
+    _check_operator("l", m)
     out = {}
     for e, c in P.terms.items():
         for j, a in enumerate(e):
@@ -134,9 +151,7 @@ def _l_expanded(P, m):
                     out[key] = acc
                 elif key in out:
                     del out[key]
-    q = ExpandedPoly.__new__(ExpandedPoly)
-    q.n, q.terms = P.n, out
-    return q
+    return ExpandedPoly._raw(P.n, out)
 
 
 def _part_shifts(P, m, weighted):
@@ -165,29 +180,20 @@ def _part_shifts(P, m, weighted):
 def apply_l(P, m):
     """l_m on an MSymPoly (by part shifts) or on an ExpandedPoly."""
     if isinstance(P, MSymPoly):
-        if m < -1:
-            raise ValueError("l_m needs m >= -1")
+        _check_operator("l", m)
         return _part_shifts(P, m, True)
     return _l_expanded(P, m)
 
 
 def apply_p(P, m):
     """p_m P for an MSymPoly P (m >= 1), by part shifts."""
-    if m < 1:
-        raise ValueError("p_m needs m >= 1")
+    _check_operator("p", m)
     return _part_shifts(P, m, False)
-
-
-def _check_w(t, m):
-    if t < 2:
-        raise ValueError("w operators need t >= 2")
-    if m < -t + 1:
-        raise ValueError("w^(%d)_m needs m >= %d" % (t, -t + 1))
 
 
 def _w_expanded(P, t, m, beta):
     """w^(t)_m = sum_j x_j^(m+t-1) nabla_j^(t-1) (t >= 2, m >= -t+1)."""
-    _check_w(t, m)
+    _check_operator("w", m, t)
     out = ExpandedPoly.zero(P.n)
     for j in range(1, P.n + 1):
         out = out + apply_dunkl_power(P, j, t - 1, beta).mul_var(j, m + t - 1)
@@ -212,7 +218,7 @@ def w_from_chain(Q, t, m):
     swap slots 1 and j of each exponent of Q, add m+t-1 to slot j and keep
     the non-increasing results.
     """
-    _check_w(t, m)
+    _check_operator("w", m, t)
     shift = m + t - 1
     out = {}
     for e, c in Q.terms.items():
@@ -248,23 +254,9 @@ class OperatorTag:
     __slots__ = ("kind", "m", "t")
 
     def __init__(self, kind, m, t=None):
-        if kind == "p":
-            if m < 1:
-                raise ValueError("p_m needs m >= 1")
-            if t is not None:
-                raise ValueError("p_m takes no t")
-        elif kind == "l":
-            if m < -1:
-                raise ValueError("l_m needs m >= -1")
-            if t is not None:
-                raise ValueError("l_m takes no t")
-        elif kind == "w":
-            if t is None or t < 2:
-                raise ValueError("w needs t >= 2")
-            if m < -t + 1:
-                raise ValueError("w^(%d)_m needs m >= %d" % (t, -t + 1))
-        else:
-            raise ValueError("unknown operator kind %r" % (kind,))
+        _check_operator(kind, m, t)
+        if kind != "w" and t is not None:
+            raise ValueError("%s_m takes no t" % kind)
         self.kind, self.m, self.t = kind, m, t
 
     def degree_shift(self):

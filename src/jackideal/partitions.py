@@ -171,13 +171,6 @@ class AdmissibleFamily:
                            for d in range(self.dmax + 1)},
         }
 
-    @classmethod
-    def from_obj(cls, obj):
-        by_degree = {int(d): tuple(tuple(p) for p in ps)
-                     for d, ps in obj["partitions"].items()}
-        dmax = max(by_degree) if by_degree else 0
-        return cls(obj["k"], obj["r"], obj["n"], dmax, by_degree)
-
 
 def enumerate_admissible(k, r, n, dmax):
     """All admissible partitions of weight <= dmax by pruned descent.

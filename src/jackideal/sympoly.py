@@ -2,15 +2,27 @@
 monomial-symmetric basis.
 
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
-to coefficients (the m-basis).  Coefficients may live in Q (int/Fraction),
+to coefficients (the m-basis).  Both share one sparse-term core
+(_SparsePoly): equality, sums, negation, scaling, grading, repr and the
+JSON form.  Coefficients may live in Q (int/Fraction),
 Q[beta] (BetaPoly) or Q(beta) (BetaRatFunc); all operations here are
 coefficient-ring agnostic and never divide by coefficients.  Symbolic Jack
 polynomials reach this module as integer BetaPoly numerators over a shared
 denominator (JackPoly.cleared()) or, at the API boundary, as BetaRatFunc
 coefficients (JackPoly.msym()); specialized ones have coefficients in Q.
+
+Keys are validated at the boundary only.  The public constructor, and with
+it from_obj, checks every key (an exponent vector must be n non-negative
+integers; a partition is normalized by as_partition and has at most n
+parts) and drops zero coefficients.  It serves outside input and results
+whose keys may be unnormalized or whose terms may cancel.  Results whose
+keys come from an existing polynomial and whose coefficients cannot be zero
+(the coefficient rings have no zero divisors) are built unchecked by _raw:
+negation, nonzero scaling, sums and products after pruning, homogeneous
+components, restrict_last, to_expanded, to_msym and the Dunkl building
+blocks (partial, mul_var, swap, divided_difference).
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -73,8 +85,10 @@ def orbit_size(lam, n):
     return size
 
 
-class ExpandedPoly:
-    """Polynomial as a dict {exponent tuple: coefficient}.  Treat as frozen."""
+class _SparsePoly:
+    """A dict {key: nonzero coefficient} in n variables.  Subclasses set
+    BASIS and KEY (the JSON names), _key (validate one key) and
+    sorted_terms.  Treat as frozen."""
 
     __slots__ = ("n", "terms")
 
@@ -82,13 +96,112 @@ class ExpandedPoly:
         self.n = n
         self.terms = {}
         if terms:
-            for e, c in terms.items():
+            for key, c in terms.items():
+                key = self._key(key, n)
                 if c:
-                    self.terms[tuple(e)] = c
+                    self.terms[key] = c
+
+    @classmethod
+    def _raw(cls, n, terms):
+        """Unchecked constructor: every key valid for n, no zero coefficient."""
+        p = cls.__new__(cls)
+        p.n, p.terms = n, terms
+        return p
 
     @classmethod
     def zero(cls, n):
-        return cls(n)
+        return cls._raw(n, {})
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.n == other.n and self.terms == other.terms
+
+    def __neg__(self):
+        return self._raw(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.n != other.n:
+            raise ValueError("variable counts differ: %d vs %d" % (self.n, other.n))
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            acc = out.get(k)
+            acc = c if acc is None else acc + c
+            if acc:
+                out[k] = acc
+            elif k in out:
+                del out[k]
+        return self._raw(self.n, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        if not c:
+            return self.zero(self.n)
+        return self._raw(self.n, {k: v * c for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self.multiply(other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def map_coeffs(self, fn):
+        return type(self)(self.n, {k: fn(c) for k, c in self.terms.items()})
+
+    def degree(self):
+        return max((sum(k) for k in self.terms), default=-1)
+
+    def homogeneous_components(self):
+        comps = {}
+        for k, c in self.terms.items():
+            comps.setdefault(sum(k), {})[k] = c
+        return {d: self._raw(self.n, t) for d, t in sorted(comps.items())}
+
+    def __repr__(self):
+        return "%s(n=%d, %d terms)" % (type(self).__name__, self.n,
+                                       len(self.terms))
+
+    def to_obj(self):
+        from .ratfunc import coeff_to_obj
+        return {"n": self.n, "basis": self.BASIS,
+                "terms": [{self.KEY: list(k), "coeff": coeff_to_obj(c)}
+                          for k, c in self.sorted_terms()]}
+
+    @classmethod
+    def from_obj(cls, obj):
+        from .ratfunc import coeff_from_obj
+        if obj.get("basis") != cls.BASIS:
+            raise ValueError("not an %s-basis polynomial" % cls.BASIS)
+        if type(obj["n"]) is not int or obj["n"] < 0:
+            raise ValueError("bad variable count n=%r" % (obj["n"],))
+        return cls(obj["n"], {tuple(t[cls.KEY]): coeff_from_obj(t["coeff"])
+                              for t in obj["terms"]})
+
+
+class ExpandedPoly(_SparsePoly):
+    """Polynomial as a dict {exponent tuple: coefficient}.  Treat as frozen."""
+
+    __slots__ = ()
+    BASIS, KEY = "expanded", "exponents"
+
+    @staticmethod
+    def _key(e, n):
+        e = tuple(e)
+        if len(e) != n or not all(type(a) is int and a >= 0 for a in e):
+            raise ValueError("bad exponent vector %r for n=%r" % (e, n))
+        return e
 
     @classmethod
     def one(cls, n):
@@ -96,10 +209,7 @@ class ExpandedPoly:
 
     @classmethod
     def monomial(cls, n, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != n or any(e < 0 for e in exps):
-            raise ValueError("bad exponent vector %r for n=%d" % (exps, n))
-        return cls(n, {exps: coeff})
+        return cls(n, {tuple(exps): coeff})
 
     @classmethod
     def variable(cls, n, i):
@@ -109,74 +219,22 @@ class ExpandedPoly:
         e[i - 1] = 1
         return cls(n, {tuple(e): 1})
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExpandedPoly):
-            return NotImplemented
-        if self.n != other.n or len(self.terms) != len(other.terms):
-            return False
-        for e, c in self.terms.items():
-            if e not in other.terms or other.terms[e] != c:
-                return False
-        return True
-
-    def __neg__(self):
-        return ExpandedPoly(self.n, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, ExpandedPoly):
-            return NotImplemented
+    def multiply(self, other):
         if self.n != other.n:
-            raise ValueError("variable counts differ: %d vs %d" % (self.n, other.n))
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = out.get(e)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[e] = acc
-            elif e in out:
-                del out[e]
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n, out
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, ExpandedPoly):
-            if self.n != other.n:
-                raise ValueError("variable counts differ")
-            _check_budget(len(self.terms) * len(other.terms))
-            out = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    c = ca * cb
-                    acc = out.get(e)
-                    acc = c if acc is None else acc + c
-                    if acc:
-                        out[e] = acc
-                    elif e in out:
-                        del out[e]
-            p = ExpandedPoly.__new__(ExpandedPoly)
-            p.n, p.terms = self.n, out
-            return p
-        # scalar
-        if not other:
-            return ExpandedPoly(self.n)
-        return ExpandedPoly(self.n, {e: c * other for e, c in self.terms.items()})
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def scale(self, c):
-        return self.__mul__(c)
+            raise ValueError("variable counts differ")
+        _check_budget(len(self.terms) * len(other.terms))
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                c = ca * cb
+                acc = out.get(e)
+                acc = c if acc is None else acc + c
+                if acc:
+                    out[e] = acc
+                elif e in out:
+                    del out[e]
+        return self._raw(self.n, out)
 
     def mul_var(self, i, power=1):
         """Multiply by x_i**power (power >= 0)."""
@@ -186,9 +244,7 @@ class ExpandedPoly:
             return self
         j = i - 1
         out = {e[:j] + (e[j] + power,) + e[j + 1:]: c for e, c in self.terms.items()}
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n, out
-        return p
+        return self._raw(self.n, out)
 
     def partial(self, i):
         """d/dx_i."""
@@ -198,9 +254,7 @@ class ExpandedPoly:
             a = e[j]
             if a:
                 out[e[:j] + (a - 1,) + e[j + 1:]] = c * a
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n, out
-        return p
+        return self._raw(self.n, out)
 
     def swap(self, i, j):
         """Exchange variables x_i and x_j."""
@@ -212,9 +266,7 @@ class ExpandedPoly:
             f = list(e)
             f[a], f[b] = f[b], f[a]
             out[tuple(f)] = c
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n, out
-        return p
+        return self._raw(self.n, out)
 
     def divided_difference(self, i, j):
         """(P - K_ij P)/(x_i - x_j), exact by the telescoping identity
@@ -241,9 +293,7 @@ class ExpandedPoly:
                     out[key] = acc
                 elif key in out:
                     del out[key]
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n, out
-        return p
+        return self._raw(self.n, out)
 
     def evaluate(self, point):
         if len(point) != self.n:
@@ -270,27 +320,7 @@ class ExpandedPoly:
                 out[key] = acc
             elif key in out:
                 del out[key]
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n - c + 1, out
-        return p
-
-    def restrict_last(self):
-        """Set x_n = 0 and drop the variable."""
-        if self.n < 1:
-            raise ValueError("no variable to restrict")
-        out = {e[:-1]: c for e, c in self.terms.items() if e[-1] == 0}
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n - 1, out
-        return p
-
-    def degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def homogeneous_components(self):
-        comps = {}
-        for e, c in self.terms.items():
-            comps.setdefault(sum(e), {})[e] = c
-        return {d: ExpandedPoly(self.n, t) for d, t in sorted(comps.items())}
+        return self._raw(self.n - c + 1, out)
 
     def is_symmetric(self):
         """Full orbit check: every monomial's orbit present with one coefficient."""
@@ -312,56 +342,27 @@ class ExpandedPoly:
             raise NotSymmetric("polynomial is not symmetric")
         out = {}
         for e, c in self.terms.items():
-            dec = True
-            for u in range(len(e) - 1):
-                if e[u] < e[u + 1]:
-                    dec = False
-                    break
-            if dec:
-                out[as_partition(e)] = c
-        return MSymPoly(self.n, out)
+            if list(e) == sorted(e, reverse=True):
+                out[e[:len(e) - e.count(0)]] = c
+        return MSymPoly._raw(self.n, out)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
 
-    def __repr__(self):
-        return "ExpandedPoly(n=%d, %d terms)" % (self.n, len(self.terms))
 
-    def to_obj(self):
-        from .ratfunc import coeff_to_obj
-        return {"n": self.n, "basis": "expanded",
-                "terms": [{"exponents": list(e), "coeff": coeff_to_obj(c)}
-                          for e, c in self.sorted_terms()]}
-
-    @classmethod
-    def from_obj(cls, obj):
-        from .ratfunc import coeff_from_obj
-        if obj.get("basis") != "expanded":
-            raise ValueError("not an expanded-basis polynomial")
-        return cls(obj["n"], {tuple(t["exponents"]): coeff_from_obj(t["coeff"])
-                              for t in obj["terms"]})
-
-
-class MSymPoly:
+class MSymPoly(_SparsePoly):
     """Symmetric polynomial as a dict {partition: coefficient} in the
     monomial-symmetric basis m_lambda.  Treat as frozen."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ()
+    BASIS, KEY = "msym", "partition"
 
-    def __init__(self, n, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for lam, c in terms.items():
-                lam = as_partition(lam)
-                if len(lam) > n:
-                    raise ValueError("partition %r longer than n=%d" % (lam, n))
-                if c:
-                    self.terms[lam] = c
-
-    @classmethod
-    def zero(cls, n):
-        return cls(n)
+    @staticmethod
+    def _key(lam, n):
+        lam = as_partition(lam)
+        if len(lam) > n:
+            raise ValueError("partition %r longer than n=%d" % (lam, n))
+        return lam
 
     @classmethod
     def one(cls, n):
@@ -370,58 +371,6 @@ class MSymPoly:
     @classmethod
     def monomial_sym(cls, n, lam, coeff=1):
         return cls(n, {as_partition(lam): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, MSymPoly):
-            return NotImplemented
-        if self.n != other.n or len(self.terms) != len(other.terms):
-            return False
-        for lam, c in self.terms.items():
-            if lam not in other.terms or other.terms[lam] != c:
-                return False
-        return True
-
-    def __neg__(self):
-        return MSymPoly(self.n, {p: -c for p, c in self.terms.items()})
-
-    def __add__(self, other):
-        if not isinstance(other, MSymPoly):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            acc = out.get(p)
-            acc = c if acc is None else acc + c
-            if acc:
-                out[p] = acc
-            elif p in out:
-                del out[p]
-        q = MSymPoly.__new__(MSymPoly)
-        q.n, q.terms = self.n, out
-        return q
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return MSymPoly(self.n)
-        return MSymPoly(self.n, {p: v * c for p, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, MSymPoly):
-            return self.multiply(other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def multiply(self, other):
         """Product via expansion and recollection."""
@@ -436,41 +385,35 @@ class MSymPoly:
         for lam, c in self.terms.items():
             for e in orbit_exponents(lam, self.n):
                 out[e] = c
-        p = ExpandedPoly.__new__(ExpandedPoly)
-        p.n, p.terms = self.n, out
-        return p
+        return ExpandedPoly._raw(self.n, out)
 
     def evaluate(self, point):
         return self.to_expanded().evaluate(point)
 
-    def restrict_last(self):
-        """Drop the last variable (partitions of full length die)."""
+    def restrict_last(self, j=0):
+        """(d/dx_n)^j, then x_n = 0, in n - 1 variables: j! times the
+        coefficient of x_n^j.  Each mu padded to n with a part j loses one
+        such part; the rest of m_mu dies."""
         if self.n < 1:
             raise ValueError("no variable to restrict")
-        out = {p: c for p, c in self.terms.items() if len(p) < self.n}
-        return MSymPoly(self.n - 1, out)
+        if j < 0:
+            raise ValueError("restriction needs j >= 0")
+        f = factorial(j)
+        out = {}
+        for mu, c in self.terms.items():
+            if j in mu:
+                i = mu.index(j)
+                out[mu[:i] + mu[i + 1:]] = c * f
+            elif not j and len(mu) < self.n:
+                out[mu] = c
+        return self._raw(self.n - 1, out)
 
     def substitute_coincident(self, c):
         return self.to_expanded().substitute_coincident(c)
 
-    def degree(self):
-        return max((sum(p) for p in self.terms), default=-1)
-
-    def homogeneous_components(self):
-        comps = {}
-        for p, c in self.terms.items():
-            comps.setdefault(sum(p), {})[p] = c
-        return {d: MSymPoly(self.n, t) for d, t in sorted(comps.items())}
-
-    def map_coeffs(self, fn):
-        return MSymPoly(self.n, {p: fn(c) for p, c in self.terms.items()})
-
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda t: (sum(t[0]), t[0]), reverse=True)
-
-    def __repr__(self):
-        return "MSymPoly(n=%d, %d terms)" % (self.n, len(self.terms))
 
     def __str__(self):
         if not self.terms:
@@ -480,20 +423,6 @@ class MSymPoly:
             name = "m[%s]" % ",".join(str(p) for p in lam)
             bits.append("(%s)*%s" % (c, name))
         return " + ".join(bits)
-
-    def to_obj(self):
-        from .ratfunc import coeff_to_obj
-        return {"n": self.n, "basis": "msym",
-                "terms": [{"partition": list(p), "coeff": coeff_to_obj(c)}
-                          for p, c in self.sorted_terms()]}
-
-    @classmethod
-    def from_obj(cls, obj):
-        from .ratfunc import coeff_from_obj
-        if obj.get("basis") != "msym":
-            raise ValueError("not an msym-basis polynomial")
-        return cls(obj["n"], {tuple(t["partition"]): coeff_from_obj(t["coeff"])
-                              for t in obj["terms"]})
 
 
 def power_sum(m, n):

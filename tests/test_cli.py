@@ -100,15 +100,23 @@ def test_member_above_dmax_exit(capsys, tmp_path):
                                  "den": []}},
     {"partition": [1.5], "coeff": {"num": "1", "den": "1"}},
     {"partition": ["2"], "coeff": {"num": "1", "den": "1"}},
+    {"exponents": [1], "coeff": {"num": "1", "den": "1"}},
+    {"exponents": [1, 0, 0], "coeff": {"num": "1", "den": "1"}},
+    {"exponents": [2, -1], "coeff": {"num": "1", "den": "1"}},
+    {"exponents": [1.5, 0], "coeff": {"num": "1", "den": "1"}},
+    {"exponents": ["1", 0], "coeff": {"num": "1", "den": "1"}},
 ])
 def test_member_rejects_malformed_terms(capsys, tmp_path, term):
+    basis = "expanded" if "exponents" in term else "msym"
     poly = tmp_path / "bad.json"
-    poly.write_text(json.dumps({"n": 2, "basis": "msym", "terms": [term]}))
+    poly.write_text(json.dumps({"n": 2, "basis": basis, "terms": [term]}))
     code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
                              "2", "--n", "2", "--dmax", "4", "--input",
                              str(poly))
     assert code == 2 and out == ""
     assert "bad polynomial input" in err and "Traceback" not in err
+    if basis == "expanded":
+        assert "bad exponent vector %r" % (tuple(term["exponents"]),) in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,15 @@
 """Basis construction, membership reduction, transition coefficients, the
 wheel kernel, and the structural verification suites."""
 
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from jackideal import ideal
-from jackideal.ideal import (DegreeOverflow, IdealBasis, bareiss_rank,
+from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              build_basis, certificate_holds,
                              clearing_zero_order, closure_tags,
                              lassalle_down, lassalle_up, pieri_coefficient,
@@ -18,7 +20,7 @@ from jackideal.ideal import (DegreeOverflow, IdealBasis, bareiss_rank,
 from jackideal.jack import JackCache, specialize
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
-from jackideal.sympoly import MSymPoly, power_sum
+from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
 
 
 def test_build_basis_character():
@@ -89,15 +91,19 @@ def test_membership_degree_overflow():
         reduce_membership(MSymPoly(2, {(2,): BETA}), basis)
 
 
-def test_basis_serialization_roundtrip(tmp_path):
+def test_basis_to_dir_files(tmp_path):
+    # one degree_NN.json per degree 0..dmax, its elements in basis order
     basis = build_basis(1, 2, 2, 4)
     basis.to_dir(str(tmp_path))
-    back = IdealBasis.from_dir(str(tmp_path))
-    assert back.character() == basis.character()
-    for sp in basis:
-        assert back.get(sp.lam).poly == sp.poly
-    with pytest.raises(FileNotFoundError):
-        IdealBasis.from_dir(str(tmp_path / "missing"))
+    names = ["degree_%02d.json" % d for d in range(5)]
+    assert sorted(os.listdir(str(tmp_path))) == names
+    for d, name in enumerate(names):
+        with open(str(tmp_path / name)) as fh:
+            obj = json.load(fh)
+        assert obj == {"k": 1, "r": 2, "n": 2, "degree": d,
+                       "elements": [basis.get(lam).to_obj()
+                                    for lam in basis.by_degree(d)]}
+    assert len(obj["elements"]) == 2
 
 
 def test_pieri_coefficient_oracles():
@@ -225,6 +231,28 @@ def test_closure_tags_order():
     assert names == ["p(1)", "p(2)", "l(-1)", "l(0)", "l(1)", "l(2)",
                      "w2(-1)", "w2(0)", "w2(1)", "w2(2)",
                      "w3(-2)", "w3(-1)", "w3(0)", "w3(1)", "w3(2)"]
+
+
+def expanded_restriction(P, j):
+    """(d/dx_n)^j and x_n = 0 on the expansion of P, collected with the
+    full orbit check: the m-basis restrict_last must agree with it."""
+    Q = P.to_expanded()
+    for _ in range(j):
+        Q = Q.partial(P.n)
+    low = {e[:-1]: c for e, c in Q.terms.items() if e[-1] == 0}
+    return ExpandedPoly(P.n - 1, low).to_msym()
+
+
+def test_restrict_last_matches_expanded_route():
+    cases = 0
+    for k, r, n, dmax in [(1, 2, 3, 10), (2, 2, 4, 10), (1, 4, 3, 12),
+                          (2, 3, 4, 9)]:
+        for sp in build_basis(k, r, n, dmax):
+            for j in range(4):
+                assert sp.poly.restrict_last(j) == \
+                    expanded_restriction(sp.poly, j), (k, r, n, sp.lam, j)
+                cases += 1
+    assert cases == 236
 
 
 def test_restriction_suite_small():

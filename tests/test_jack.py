@@ -9,8 +9,7 @@ from fractions import Fraction
 import pytest
 
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
-                            SpecializedJack, evaluate_all_ones,
-                            jack_symbolic, pole_profile,
+                            evaluate_all_ones, jack_symbolic, pole_profile,
                             principal_specialization, specialize,
                             verify_eigensystem, verify_hamiltonian,
                             verify_sekiguchi)
@@ -147,8 +146,9 @@ def test_jackpoly_serialization():
     assert back.lam == (2, 1) and back.n == 3
     assert back.coeffs == jp.coeffs
     sp = specialize((2,), 2, 1, 2)
-    back = SpecializedJack.from_obj(sp.to_obj())
-    assert back.poly == sp.poly and back.beta0 == sp.beta0
+    obj = sp.to_obj()
+    assert (obj["k"], obj["r"], obj["beta"]) == (1, 2, {"num": -1, "den": 2})
+    assert MSymPoly.from_obj(obj) == sp.poly
 
 
 def test_cache_memory_and_disk(tmp_path):

@@ -8,9 +8,10 @@ import pytest
 
 from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
                                  apply_dunkl_power, apply_exchange,
-                                 apply_hamiltonian, apply_l,
+                                 apply_hamiltonian, apply_l, apply_p,
                                  apply_sekiguchi, apply_w,
-                                 expanded_power_sum, verify_commutators)
+                                 expanded_power_sum, verify_commutators,
+                                 w_from_chain)
 from jackideal.partitions import (cs_eigenvalue, partitions_leq,
                                   sekiguchi_eigenvalue)
 from jackideal.ratfunc import BETA, BetaPoly
@@ -157,6 +158,25 @@ def test_operator_tags():
         OperatorTag("w", -3, 3)
     with pytest.raises(ValueError):
         OperatorTag("q", 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda q: apply_p(q, 0),
+    lambda q: OperatorTag("p", 0),
+    lambda q: OperatorTag("p", 1, 2),
+    lambda q: apply_l(q, -2),
+    lambda q: apply_l(q.to_expanded(), -2),
+    lambda q: OperatorTag("l", 0, 2),
+    lambda q: apply_w(q.to_expanded(), 1, 0, HALF),
+    lambda q: apply_w(q.to_expanded(), 2, -2, HALF),
+    lambda q: w_from_chain(q.to_expanded(), 1, 0),
+    lambda q: w_from_chain(q.to_expanded(), 4, -4),
+    lambda q: OperatorTag("w", 0),
+])
+def test_operator_ranges_checked_everywhere(call):
+    # one rule set: p_m (m >= 1), l_m (m >= -1), w^(t)_m (t >= 2, m >= -t+1)
+    with pytest.raises(ValueError):
+        call(MSymPoly.monomial_sym(2, (2, 1)))
 
 
 def test_commutator_suite_passes():

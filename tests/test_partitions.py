@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from jackideal.partitions import (AdmissibleFamily, DegreeMismatch,
-                                  InvalidNode, InvalidParameters, add_node,
+from jackideal.partitions import (DegreeMismatch, InvalidNode,
+                                  InvalidParameters, add_node,
                                   addable_rows, as_partition, beta_value,
                                   c_lambda, check_nonvanishing, conjugate,
                                   cs_eigenvalue, dominance_compare,
@@ -118,12 +118,13 @@ def test_admissible_character_oracle():
     assert fam.character() == [len(partitions_leq(d, 2)) for d in range(6)]
 
 
-def test_admissible_family_roundtrip():
+def test_admissible_family_to_obj():
     fam = enumerate_admissible(2, 3, 3, 6)
-    back = AdmissibleFamily.from_obj(fam.to_obj())
-    assert back.k == 2 and back.r == 3 and back.n == 3
-    assert back.character() == fam.character()
-    assert all(back.by_degree[d] == fam.by_degree[d] for d in back.by_degree)
+    obj = fam.to_obj()
+    assert (obj["k"], obj["r"], obj["n"]) == (2, 3, 3)
+    assert obj["character"] == fam.character()
+    assert obj["partitions"] == {str(d): [list(p) for p in fam.by_degree[d]]
+                                 for d in range(7)}
 
 
 def test_node_moves():

@@ -5,8 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import jackideal.sympoly as sympoly
+from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
                                TermBudgetExceeded, distinct_permutations,
@@ -155,12 +157,17 @@ def test_substitute_coincident():
 
 
 def test_restrict_last():
-    q = MSymPoly(3, {(2, 1): 1, (1, 1, 1): 5})
+    q = MSymPoly(3, {(2, 1): 1, (1, 1, 1): 5, (2, 2, 1): 3})
     low = q.restrict_last()
     assert low.n == 2 and low.terms == {(2, 1): 1}
-    e = ExpandedPoly.monomial(2, (2, 0)) + ExpandedPoly.monomial(2, (1, 1))
-    r = e.restrict_last()
-    assert r.n == 1 and r.terms == {(2,): 1}
+    # (d/dx_3)^j at x_3 = 0: m_mu keeps j! times m_(mu minus one part j)
+    assert q.restrict_last(1).terms == {(2,): 1, (1, 1): 5, (2, 2): 3}
+    assert q.restrict_last(2).terms == {(1,): 2, (2, 1): 6}
+    assert q.restrict_last(3).is_zero()
+    with pytest.raises(ValueError):
+        q.restrict_last(-1)
+    with pytest.raises(ValueError):
+        MSymPoly.zero(0).restrict_last()
 
 
 def test_homogeneous_components_and_degree():
@@ -199,6 +206,61 @@ def test_term_budget_guard():
         sympoly.TERM_BUDGET = old
 
 
+def test_bases_do_not_mix():
+    q = MSymPoly.monomial_sym(2, (1,))
+    e = q.to_expanded()
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(TypeError):
+            op(e, q)
+        with pytest.raises(TypeError):
+            op(q, e)
+    assert (e == q) is False and (q == e) is False and e != q
+
+
+@pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1), (1.5, 0),
+                                  ("1", 0)])
+def test_bad_exponent_vector_named(exps):
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        ExpandedPoly(2, {exps: 1})
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        ExpandedPoly.monomial(2, exps, 0)
+
+
+COEFFS = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.lists(st.integers(-3, 3), max_size=3).map(BetaPoly))
+
+
+@st.composite
+def msym_operands(draw):
+    n = draw(st.integers(1, 4))
+    parts = [lam for d in range(5) for lam in partitions_leq(d, n)]
+    terms = st.dictionaries(st.sampled_from(parts), COEFFS, max_size=5)
+    return (MSymPoly(n, draw(terms)), MSymPoly(n, draw(terms)),
+            draw(COEFFS))
+
+
+@settings(max_examples=60, deadline=None)
+@given(msym_operands())
+def test_unchecked_results_pass_validation(operands):
+    # every result built without key checks equals its copy rebuilt by
+    # the validating constructor: valid keys, no zero coefficients
+    a, b, c = operands
+    n = a.n
+    ea, eb = a.to_expanded(), b.to_expanded()
+    results = [-a, a + b, a - b, a.scale(c), ea.to_msym(), ea, -ea, ea + eb,
+               ea - eb, ea.scale(c), ea * eb, ea.partial(n), ea.mul_var(1, 2),
+               ea.swap(1, n), ea.substitute_coincident(n)]
+    results += [a.restrict_last(j) for j in range(4)]
+    results += list(a.homogeneous_components().values())
+    results += list(ea.homogeneous_components().values())
+    if n > 1:
+        results.append(ea.divided_difference(1, n))
+    for r in results:
+        assert type(r)(r.n, r.terms).terms == r.terms
+
+
 def test_serialization_roundtrip():
     rng = random.Random(41)
     for _ in range(10):
@@ -208,3 +270,8 @@ def test_serialization_roundtrip():
         assert ExpandedPoly.from_obj(e.to_obj()) == e
     q = MSymPoly(2, {(1,): BETA / (BETA + 1)})
     assert MSymPoly.from_obj(q.to_obj()) == q
+    for cls, n in [(MSymPoly, "2"), (ExpandedPoly, "2"), (MSymPoly, -1),
+                   (ExpandedPoly, 2.0)]:
+        obj = dict(cls.zero(2).to_obj(), n=n)
+        with pytest.raises(ValueError, match="bad variable count"):
+            cls.from_obj(obj)
