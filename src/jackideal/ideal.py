@@ -8,11 +8,12 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from math import gcd
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc
 from .partitions import (InvalidParameters, add_node, addable_rows,
                          as_partition, beta_value, conjugate, c_lambda,
-                         cs_eigenvalue, dominated_by, enumerate_admissible,
+                         cs_eigenvalue, enumerate_admissible,
                          is_admissible, node_moves, padded, partitions_leq,
                          removable_rows, remove_node)
 from .sympoly import MSymPoly
@@ -28,7 +29,9 @@ class DegreeOverflow(ValueError):
 
 class MembershipCertificate:
     """Result of a membership reduction: either an exact combination over the
-    admissible basis, or a dominance-maximal non-admissible obstruction."""
+    admissible basis, or an obstruction: the lex-leading partition of the
+    lowest nonzero degree of the normal form (what is left once every
+    admissible leading term is cleared), whatever the elimination order."""
 
     __slots__ = ("member", "combination", "obstruction")
 
@@ -36,6 +39,10 @@ class MembershipCertificate:
         self.member = member
         self.combination = combination
         self.obstruction = obstruction
+
+    def detail(self):
+        """Report details: the obstruction of a non-member."""
+        return {} if self.member else {"obstruction": list(self.obstruction)}
 
     def to_obj(self):
         from .ratfunc import rat_to_obj
@@ -64,6 +71,13 @@ class IdealBasis:
         self.beta0 = beta0
         self.family = family
         self.elements = elements  # dict lam -> SpecializedJack
+        self._integral = {}  # lam -> P_lam.cleared(), filled on first use
+
+    def integral(self, lam):
+        """(D, N = D P_lam) with int coefficients, so N[lam] == D."""
+        if lam not in self._integral:
+            self._integral[lam] = self.elements[lam].poly.cleared()
+        return self._integral[lam]
 
     def by_degree(self, d):
         return self.family.by_degree.get(d, ())
@@ -115,12 +129,13 @@ def build_basis(k, r, n, dmax, cache=None, workers=None):
 
 
 def reduce_membership(P, basis):
-    """Triangular reduction of P (over Q) against the basis.
+    """Reduction of P (over Q) against the basis, one sweep per degree.
 
-    Works one homogeneous component at a time; in each pass every
-    dominance-maximal support partition must be admissible (else that
-    partition is returned as the obstruction) and all of them are cleared
-    at once by subtracting the matching basis elements.
+    A component is scaled to integers by s > 0 and walked in decreasing lex
+    order, a linear extension of dominance, so each nonzero leading term is
+    dominance-maximal: a non-admissible one is the obstruction, an
+    admissible one records c/s and is cleared fraction-free against the
+    integer row of its Jack (IdealBasis.integral).
     """
     if P.n != basis.n:
         raise ValueError("polynomial has n=%d, basis has n=%d" % (P.n, basis.n))
@@ -131,20 +146,28 @@ def reduce_membership(P, basis):
     for d, comp in P.homogeneous_components().items():
         if d > basis.dmax:
             raise DegreeOverflow("degree %d beyond basis dmax=%d" % (d, basis.dmax))
-        work = comp
-        while work.terms:
-            support = sorted(work.terms, reverse=True)
-            maxima = [p for p in support
-                      if not any(q != p and dominated_by(p, q) for q in support)]
-            for p in maxima:
-                if p not in basis.elements:
-                    return MembershipCertificate(False, {}, p)
-            acc = work
-            for p in maxima:
-                c = work.terms[p]
-                combination[p] = c
-                acc = acc - basis.elements[p].poly.scale(c)
-            work = acc
+        s, Q = comp.cleared()
+        work = dict(Q.terms)
+        for p in partitions_leq(d, basis.n):
+            if not work:
+                break
+            c = work.get(p)
+            if c is None:
+                continue
+            if p not in basis.elements:
+                return MembershipCertificate(False, {}, p)
+            combination[p] = Fraction(c, s)
+            D, N = basis.integral(p)
+            g = gcd(c, D)
+            u, v = D // g, c // g
+            s *= u
+            if u != 1:
+                for mu in work:
+                    work[mu] *= u
+            for mu, x in N.terms.items():  # clears p, as N[p] == D
+                y = work.pop(mu, 0) - v * x
+                if y:
+                    work[mu] = y
     return MembershipCertificate(True, combination, None)
 
 
@@ -513,8 +536,10 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
     """Ideal property: every operator image of every basis element reduces
     to a member of the span, in every degree the battery can reach.
 
-    The w images of one element all come from its Dunkl chain
-    nabla_1^s P, s < tmax (w_from_chain), built once per element.
+    Images are taken of N = D P in Z (IdealBasis.integral); the w images of
+    one element all come from its integer Dunkl chain c_s nabla_1^s N,
+    s < tmax (w_from_chain).  Positive scales change neither membership nor
+    the obstruction, and the report records only those.
     """
     if mmax < 1 or tmax < 2:
         raise ValueError("closure needs mmax >= 1 and tmax >= 2")
@@ -524,21 +549,18 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
     basis = build_basis(k, r, n, dmax, cache, workers)
     tags = closure_tags(mmax, tmax)
     for lam in basis.family.all_partitions():
-        P = basis.get(lam).poly
+        P = basis.integral(lam)[1]
         chain = dunkl_chain(P, tmax - 1, b0)
         d = sum(lam)
         for tag in tags:
             if not 0 <= d + tag.degree_shift() <= dmax:
                 continue
             if tag.kind == "w":
-                img = w_from_chain(chain[tag.t - 1], tag.t, tag.m)
+                img = w_from_chain(chain[tag.t - 1][1], tag.t, tag.m)
             else:
                 img = tag.apply(P, b0)
             cert = reduce_membership(img, basis)
-            detail = {}
-            if not cert.member:
-                detail["obstruction"] = list(cert.obstruction)
-            rep.add("%s@%s" % (tag, list(lam)), cert.member, **detail)
+            rep.add("%s@%s" % (tag, list(lam)), cert.member, **cert.detail())
     return rep
 
 
@@ -557,11 +579,8 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
         P = basis_n.get(lam).poly
         for j in range(jmax + 1):
             cert = reduce_membership(P.restrict_last(j), basis_m)
-            detail = {}
-            if not cert.member:
-                detail["obstruction"] = list(cert.obstruction)
             rep.add("restrict[j=%d]@%s" % (j, list(lam)), cert.member,
-                    **detail)
+                    **cert.detail())
     return rep
 
 

@@ -11,13 +11,16 @@ The Hamiltonian acts on the m-basis in closed form (hamiltonian_row: pair
 moves on the parts of mu, cost polynomial in n and the degree); symmetric
 ExpandedPoly inputs are collected to the m-basis first.  On the m-basis,
 l_m and p_m move one part of mu by m (apply_l, apply_p), and w^(t)_m reads
-its image off one Dunkl chain nabla_1^s P (dunkl_chain, w_from_chain), since
-nabla_j^s P = K_1j nabla_1^s P for symmetric P.  The Dunkl, Cherednik and
+its image off one Dunkl chain (dunkl_chain, w_from_chain), since
+nabla_j^s P = K_1j nabla_1^s P for symmetric P.  At a rational beta = a/b
+the chain runs in Z as c_s nabla_1^s P, c_s = D b^s > 0 with D the common
+denominator of P; apply_w divides by c_(t-1).  The Dunkl, Cherednik and
 Sekiguchi operators break symmetry and act on monomials; so do l_m and w on
 ExpandedPoly inputs (_l_expanded, _w_expanded).
 """
 
 import random
+from fractions import Fraction
 
 from .ratfunc import BETA, BetaPoly
 from .report import Report
@@ -30,9 +33,10 @@ def apply_exchange(P, i, j):
     return P.swap(i, j)
 
 
-def apply_dunkl(P, i, beta):
-    """nabla_i = d/dx_i + beta * sum_{j != i} (1 - K_ij)/(x_i - x_j)."""
-    out = P.partial(i)
+def apply_dunkl(P, i, beta, b=1):
+    """nabla_i = d/dx_i + beta * sum_{j != i} (1 - K_ij)/(x_i - x_j); with b,
+    b d/dx_i + beta * sum ... = b nabla_i at coupling beta/b, integral on Z."""
+    out = P.partial(i) if b == 1 else P.partial(i).scale(b)
     acc = None
     for j in range(1, P.n + 1):
         if j != i:
@@ -201,12 +205,15 @@ def _w_expanded(P, t, m, beta):
 
 
 def dunkl_chain(P, smax, beta):
-    """[nabla_1^s P for s = 0..smax] on the expansion of the MSymPoly P."""
-    Q = P.to_expanded()
-    chain = [Q]
+    """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P expanded, in Z
+    at a rational beta = a/b (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1
+    Q_s, c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1)."""
+    rational = isinstance(beta, (int, Fraction))
+    a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
+    D, P = P.cleared() if rational else (1, P)
+    chain = [(D, P.to_expanded())]
     for _ in range(smax):
-        Q = apply_dunkl(Q, 1, beta)
-        chain.append(Q)
+        chain.append((chain[-1][0] * b, apply_dunkl(chain[-1][1], 1, a, b)))
     return chain
 
 
@@ -236,7 +243,8 @@ def apply_w(P, t, m, beta):
     """w^(t)_m on an MSymPoly (through one Dunkl chain) or on an
     ExpandedPoly."""
     if isinstance(P, MSymPoly):
-        return w_from_chain(dunkl_chain(P, t - 1, beta)[-1], t, m)
+        c, Q = dunkl_chain(P, t - 1, beta)[-1]
+        return w_from_chain(Q, t, m).scale(Fraction(1, c))
     return _w_expanded(P, t, m, beta)
 
 

@@ -24,7 +24,7 @@ blocks (partial, mul_var, swap, divided_difference).
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .partitions import as_partition, padded
 
@@ -145,6 +145,8 @@ class _SparsePoly:
         return self + (-other)
 
     def scale(self, c):
+        if isinstance(c, _SparsePoly):
+            raise TypeError("a polynomial is not a scalar")
         if not c:
             return self.zero(self.n)
         return self._raw(self.n, {k: v * c for k, v in self.terms.items()})
@@ -154,8 +156,14 @@ class _SparsePoly:
             return self.multiply(other)
         return self.scale(other)
 
-    def __rmul__(self, other):
-        return self.scale(other)
+    __rmul__ = scale
+
+    def cleared(self):
+        """(D, D * self) for rational coefficients, D > 0 their least common
+        denominator, so D * self has int coefficients."""
+        D = lcm(*(c.denominator for c in self.terms.values()))
+        return D, self._raw(self.n, {k: c.numerator * (D // c.denominator)
+                                     for k, c in self.terms.items()})
 
     def map_coeffs(self, fn):
         return type(self)(self.n, {k: fn(c) for k, c in self.terms.items()})

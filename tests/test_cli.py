@@ -2,8 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import jackideal
 
 from jackideal.cli import main
 
@@ -251,6 +256,25 @@ def test_ideal_basis_and_member(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "ideal", "member", "--k", "1", "--r", "2",
                            "--n", "2", "--dmax", "4", "--input", str(poly))
     assert code == 1 and json.loads(out)["obstruction"] == [1, 1]
+
+
+def test_python_m_runs_the_cli():
+    """`python -m jackideal` is cli.main.  The query is m_(7,5) + m_(5,5,2)
+    at (k, r, n) = (1, 2, 3): clearing (7,5) leaves a normal form whose
+    lex-leading partition is (7,3,2), the obstruction."""
+    src = os.path.dirname(os.path.dirname(jackideal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    poly = {"n": 3, "basis": "msym", "terms": [
+        {"partition": lam, "coeff": {"num": "1", "den": "1"}}
+        for lam in ([7, 5], [5, 5, 2])]}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jackideal", "ideal", "member", "--k", "1",
+         "--r", "2", "--n", "3", "--dmax", "12"], input=json.dumps(poly),
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout) == {"member": False,
+                                       "obstruction": [7, 3, 2]}
 
 
 def test_member_rejects_asymmetric_expanded(capsys, tmp_path):

@@ -7,6 +7,11 @@ expanded product.  The m-basis paths (apply_w through one nabla_1 chain,
 apply_l and apply_p by part shifts) share none of that, so agreement here
 checks the symmetry reduction and the part-shift coefficients from outside.
 
+fraction_dunkl_chain is the Dunkl chain as it was before it ran in Z: plain
+nabla_1 steps over the coefficients of P.  The integer chain must be c_s
+times it, entry by entry, and closure_fraction (the closure loop on that
+chain, with the batch-of-maxima reduction) must give the same verdicts.
+
 The last test keeps the per-tag closure loop that verify_closure ran before
 it built one Dunkl chain per basis element, and compares verdicts.
 """
@@ -20,22 +25,36 @@ from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
                              verify_closure)
 from jackideal.jack import JackCache
 from jackideal.operators import (OperatorTag, _l_expanded, _w_expanded,
-                                 apply_dunkl_power, apply_l, apply_p, apply_w,
-                                 dunkl_chain, w_from_chain)
+                                 apply_dunkl, apply_dunkl_power, apply_l,
+                                 apply_p, apply_w, dunkl_chain, w_from_chain)
 from jackideal.partitions import beta_value, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
 from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
 
+from test_membership_oracle import batch_reduce
+
 GRID = [(n, mu) for n in range(1, 7) for d in range(9)
         for mu in partitions_leq(d, n)]
 SPECIAL = (Fraction(-1, 2), Fraction(-3, 2))
+CHAIN_BETAS = (Fraction(-1, 2), Fraction(-3, 2), Fraction(-2, 3))
 W_TAGS = [(t, m) for t in range(2, 5) for m in range(-t + 1, 5)]
 
 
 def at(P, beta0):
     """P with its BetaPoly coefficients evaluated at beta0."""
     return P.map_coeffs(lambda c: c(beta0) if isinstance(c, BetaPoly) else c)
+
+
+def fraction_dunkl_chain(P, smax, beta):
+    """[nabla_1^s P for s = 0..smax] on the expansion of the MSymPoly P,
+    over the coefficients of P (Fractions at a rational beta)."""
+    Q = P.to_expanded()
+    chain = [Q]
+    for _ in range(smax):
+        Q = apply_dunkl(Q, 1, beta)
+        chain.append(Q)
+    return chain
 
 
 def random_symmetric(rng, n, degree, nterms):
@@ -77,9 +96,34 @@ def test_w_matches_expanded(n):
         for t in range(2, 5):
             for m, want in expanded_w_images(P.to_expanded(), t, BETA).items():
                 for b0, chain in chains.items():
-                    got = w_from_chain(chain[t - 1], t, m)
-                    assert got == (want if b0 is BETA else at(want, b0)), \
-                        (mu, t, m, b0)
+                    c, Q = chain[t - 1]
+                    got = w_from_chain(Q, t, m)
+                    want_b0 = want if b0 is BETA else at(want, b0)
+                    assert got == want_b0.scale(c), (mu, t, m, b0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_integer_chain_matches_fraction_chain(n):
+    """Entry s of the integer chain is c_s = D b^s times nabla_1^s P, with
+    D the common denominator of P and beta = a/b; at a symbolic beta every
+    c_s is 1 and the two chains coincide."""
+    rng = random.Random(n)
+    for nn, mu in GRID:
+        if nn != n:
+            continue
+        P = MSymPoly.monomial_sym(n, mu, Fraction(rng.choice([-3, 1, 2]),
+                                                  rng.choice([1, 2, 6])))
+        for b0 in CHAIN_BETAS:
+            want = fraction_dunkl_chain(P, 3, b0)
+            got = dunkl_chain(P, 3, b0)
+            D = P.terms[mu].denominator
+            for s, ((c, Q), F) in enumerate(zip(got, want)):
+                assert c == D * b0.denominator ** s, (mu, b0, s)
+                assert all(type(x) is int for x in Q.terms.values())
+                assert Q == F.scale(c), (mu, b0, s)
+    P = MSymPoly.monomial_sym(n, (2, 1)[:n], BETA + 1)
+    assert dunkl_chain(P, 2, BETA) == [(1, Q) for Q in
+                                       fraction_dunkl_chain(P, 2, BETA)]
 
 
 def test_l_and_p_match_expanded():
@@ -152,5 +196,52 @@ def test_closure_verdicts_match_per_tag_loop():
     for k, r in ((1, 2), (2, 3), (1, 4)):
         for n in range(1, 5):
             want = closure_per_tag(k, r, n, 10, cache=cache)
+            got = verify_closure(k, r, n, 10, cache=cache)
+            assert got.to_obj() == want.to_obj(), (k, r, n)
+
+
+def closure_fraction(k, r, n, dmax, mmax=4, tmax=4, cache=None):
+    """verify_closure on the Fraction Dunkl chain of the specialized P, with
+    the batch-of-maxima reduction."""
+    b0 = beta_value(k, r)
+    rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
+                             "mmax": mmax, "tmax": tmax})
+    basis = build_basis(k, r, n, dmax, cache)
+    tags = closure_tags(mmax, tmax)
+    for lam in basis.family.all_partitions():
+        P = basis.get(lam).poly
+        chain = fraction_dunkl_chain(P, tmax - 1, b0)
+        d = sum(lam)
+        for tag in tags:
+            if not 0 <= d + tag.degree_shift() <= dmax:
+                continue
+            if tag.kind == "w":
+                img = w_from_chain(chain[tag.t - 1], tag.t, tag.m)
+            else:
+                img = tag.apply(P, b0)
+            cert = batch_reduce(img, basis)
+            detail = {}
+            if not cert.member:
+                detail["obstruction"] = list(cert.obstruction)
+            rep.add("%s@%s" % (tag, list(lam)), cert.member, **detail)
+    return rep
+
+
+@pytest.mark.parametrize("grid", [(2, 2, 4, 12, 4, 4), (2, 3, 3, 14, 4, 4),
+                                  (2, 2, 5, 10, 3, 3)])
+def test_closure_verdicts_match_fraction_chain(grid):
+    k, r, n, dmax, mmax, tmax = grid
+    cache = JackCache()
+    want = closure_fraction(k, r, n, dmax, mmax, tmax, cache=cache)
+    got = verify_closure(k, r, n, dmax, mmax, tmax, cache=cache)
+    assert got.to_obj() == want.to_obj()
+    assert got.all_pass()
+
+
+def test_closure_verdicts_match_fraction_chain_criterion_7():
+    cache = JackCache()
+    for k, r in ((1, 2), (2, 3), (1, 4)):
+        for n in range(1, 5):
+            want = closure_fraction(k, r, n, 10, cache=cache)
             got = verify_closure(k, r, n, 10, cache=cache)
             assert got.to_obj() == want.to_obj(), (k, r, n)

@@ -215,6 +215,13 @@ def test_bases_do_not_mix():
         with pytest.raises(TypeError):
             op(q, e)
     assert (e == q) is False and (q == e) is False and e != q
+    # neither basis is a scalar for the other
+    for op in (lambda a, b: a * b, lambda a, b: a.scale(b)):
+        with pytest.raises(TypeError):
+            op(e, q)
+        with pytest.raises(TypeError):
+            op(q, e)
+    assert e * 2 == 2 * e == e.scale(2) and q * 2 == 2 * q
 
 
 @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1), (1.5, 0),
