@@ -259,6 +259,9 @@ def run(args):
         return 0
 
     if args.command == "jack":
+        if args.symbolic + (args.beta is not None) + (args.k is not None) > 1:
+            raise UsageError("jack takes one of --symbolic, --beta and "
+                             "--k/--r")
         lam = parse_partition(args.lam, args.n)
         if args.k is not None:
             sp = specialize(lam, args.n, args.k, args.r, cache)

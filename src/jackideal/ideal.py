@@ -6,7 +6,6 @@ coefficients and the verification suites for the structural properties
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -121,6 +120,7 @@ def build_basis(k, r, n, dmax, cache=None, workers=None):
     todo = [lam for lam in lams if cache.get(lam, n) is None]
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers > 1 and len(todo) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for jp in pool.map(_jack_worker, [(lam, n) for lam in todo]):
                 cache.put(jp)
@@ -220,8 +220,6 @@ def lassalle_down(mu, i, n):
     """
     mu = as_partition(mu)
     remove_node(mu, i)  # validates the row
-    if len(mu) > n:
-        raise ValueError("partition %r longer than n=%d" % (mu, n))
     mp = padded(mu, n)
     mi = mp[i - 1]
     conj = conjugate(mu)

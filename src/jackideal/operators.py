@@ -143,19 +143,10 @@ def _check_operator(kind, m, t=None):
 def _l_expanded(P, m):
     """l_m = sum_j x_j^(m+1) d/dx_j (m >= -1); beta-free."""
     _check_operator("l", m)
-    out = {}
-    for e, c in P.terms.items():
-        for j, a in enumerate(e):
-            if a:
-                key = e[:j] + (a + m,) + e[j + 1:]
-                add = c * a
-                acc = out.get(key)
-                acc = add if acc is None else acc + add
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-    return ExpandedPoly._raw(P.n, out)
+    out = ExpandedPoly.zero(P.n)
+    for j in range(1, P.n + 1):
+        out = out + P.partial(j).mul_var(j, m + 1)
+    return out
 
 
 def _part_shifts(P, m, weighted):

@@ -55,15 +55,8 @@ def dominance_compare(mu, lam):
     or 'incomparable' (mu relative to lam).  Weights must agree."""
     if sum(mu) != sum(lam):
         raise DegreeMismatch("weights differ: %r vs %r" % (mu, lam))
-    le = ge = True
-    sm = sl = 0
-    for i in range(max(len(mu), len(lam))):
-        sm += mu[i] if i < len(mu) else 0
-        sl += lam[i] if i < len(lam) else 0
-        if sm > sl:
-            le = False
-        if sm < sl:
-            ge = False
+    le = dominated_by(mu, lam)
+    ge = dominated_by(lam, mu)
     if le and ge:
         return "equal"
     if le:
@@ -84,10 +77,9 @@ def dominated_by(mu, lam):
     return True
 
 
-def partitions_of(d, max_len=None, max_part=None):
-    """All partitions of d with the given bounds, in decreasing lex order."""
-    if max_part is None:
-        max_part = d
+def partitions_of(d, max_len=None):
+    """All partitions of d with at most max_len parts (any number when
+    None), in decreasing lex order."""
     if max_len is None:
         max_len = d
 
@@ -108,7 +100,7 @@ def partitions_of(d, max_len=None, max_part=None):
     if d == 0:
         yield ()
         return
-    yield from rec(d, max_part, max_len)
+    yield from rec(d, d, max_len)
 
 
 @lru_cache(maxsize=None)
@@ -173,36 +165,16 @@ class AdmissibleFamily:
 
 
 def enumerate_admissible(k, r, n, dmax):
-    """All admissible partitions of weight <= dmax by pruned descent.
-
-    Parts are chosen left to right under the coupled bound
-    lam[p] <= lam[p-k] - r; positions p <= n-k additionally need
-    lam[p] >= r * floor((n-p)/k) to leave room below, which prunes the
-    search long before the degree budget is spent.
-    """
+    """All admissible partitions of weight <= dmax: for each degree d, the
+    partitions of partitions_leq(d, n) that pass is_admissible, so each
+    degree lists in decreasing lex order."""
     _check_kr(k, r)
     if n < 1 or dmax < 0:
         raise InvalidParameters("need n >= 1 and dmax >= 0")
-    by_degree = {d: [] for d in range(dmax + 1)}
-    mins = [r * ((n - p) // k) for p in range(n + 1)]  # mins[p], 1-indexed pos
-
-    def rec(pos, prefix, total):
-        if pos > n:
-            by_degree[total].append(as_partition(prefix))
-            return
-        lo = mins[pos]
-        hi = prefix[pos - 2] if pos >= 2 else dmax
-        if pos > k:
-            hi = min(hi, prefix[pos - k - 1] - r)
-        hi = min(hi, dmax - total - sum(mins[p] for p in range(pos + 1, n + 1)))
-        if lo > hi:
-            return
-        for v in range(hi, lo - 1, -1):
-            rec(pos + 1, prefix + (v,), total + v)
-
-    rec(1, (), 0)
-    return AdmissibleFamily(k, r, n, dmax,
-                            {d: tuple(ps) for d, ps in by_degree.items()})
+    by_degree = {d: tuple(lam for lam in partitions_leq(d, n)
+                          if is_admissible(lam, k, r, n))
+                 for d in range(dmax + 1)}
+    return AdmissibleFamily(k, r, n, dmax, by_degree)
 
 
 class InvalidNode(ValueError):
@@ -281,8 +253,6 @@ def cs_eigenvalue(lam, n):
 
 def sekiguchi_eigenvalue(lam, n):
     """Coefficients in u (low degree first) of prod_i (u + lam_i + (n-i)beta)."""
-    if len(lam) > n:
-        raise ValueError("partition %r longer than n=%d" % (lam, n))
     lp = padded(lam, n)
     out = [BetaPoly((1,))]
     for i in range(1, n + 1):

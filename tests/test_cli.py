@@ -68,6 +68,18 @@ def test_jack_pole_exit(capsys):
     assert code == 1 and "pole" in err
 
 
+@pytest.mark.parametrize("modes", [
+    ("--k", "1", "--r", "2", "--beta=-1/3"),
+    ("--symbolic", "--beta=-1/2"),
+    ("--symbolic", "--k", "1", "--r", "2"),
+])
+def test_jack_conflicting_modes_exit(capsys, modes):
+    code, out, err = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
+                             *modes)
+    assert code == 2 and out == ""
+    assert err == "error: jack takes one of --symbolic, --beta and --k/--r\n"
+
+
 def test_invalid_parameters_exit(capsys):
     code, _, err = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
                            "--k", "1", "--r", "3")
@@ -198,6 +210,13 @@ GOLDEN_STDOUT = [
     (("verify", "regularity", "--k", "1", "--r", "2", "--n", "3", "--dmax",
       "6"),
      "c25e627c7668780dfe9662e8ebab091d344bed15de871401b246685ab46d9893"),
+    # the other two jack modes, and no mode flag (symbolic)
+    (("jack", "--lambda", "4,2", "--n", "3", "--k", "1", "--r", "2"),
+     "36658f56cf304a212ad2af7dd3c0eb65585ace275aed650cfa2ada96b4e0c22b"),
+    (("jack", "--lambda", "3,1", "--n", "3", "--symbolic"),
+     "b71cfdb52249607cc65d7152e22aaba5ae207f8d6fd7d3c75f07d50c19373887"),
+    (("jack", "--lambda", "3,1", "--n", "3"),
+     "b71cfdb52249607cc65d7152e22aaba5ae207f8d6fd7d3c75f07d50c19373887"),
 ]
 
 
@@ -275,6 +294,19 @@ def test_python_m_runs_the_cli():
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout) == {"member": False,
                                        "obstruction": [7, 3, 2]}
+
+
+def test_cli_import_leaves_process_pool_out():
+    """Only --workers > 1 needs concurrent.futures; a fresh interpreter
+    importing the CLI must not load it."""
+    src = os.path.dirname(os.path.dirname(jackideal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, jackideal.cli; "
+         "print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_member_rejects_asymmetric_expanded(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """Basis construction, membership reduction, transition coefficients, the
 wheel kernel, and the structural verification suites."""
 
+import concurrent.futures
 import json
 import os
 import random
@@ -48,11 +49,22 @@ def test_build_basis_clamps_workers(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(ideal, "ProcessPoolExecutor", RecordingPool)
+    # build_basis imports the pool only when it needs one, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(ideal.os, "cpu_count", lambda: 2)
     basis = build_basis(1, 2, 2, 5, JackCache(), workers=64)
     assert sizes == [2]
     assert basis.character() == [0, 0, 1, 1, 2, 2]
+
+
+def test_build_basis_real_pool_matches_serial(monkeypatch):
+    # two real worker processes, even on a one-core host
+    monkeypatch.setattr(ideal.os, "cpu_count", lambda: 2)
+    pooled = build_basis(2, 2, 5, 12, JackCache(), workers=2)
+    serial = build_basis(2, 2, 5, 12, JackCache())
+    assert len(pooled) == len(serial) > 1
+    for a, b in zip(pooled, serial):
+        assert (a.lam, a.poly) == (b.lam, b.poly)
 
 
 def test_basis_elements_reduce_to_themselves():

@@ -200,3 +200,15 @@ def test_commutator_suite_catches_wrong_relation():
     rep.add("bogus", False, reason="forced")
     assert rep.nfail == 1 and rep.npass == before
     assert not rep.all_pass()
+
+
+@pytest.mark.parametrize("beta", [Fraction(-1, 2), Fraction(-2, 3), BETA])
+def test_w2_equals_l_on_symmetric_input(beta):
+    # nabla_j P = d_j P for symmetric P, so w^(2)_m = l_m; apply_l moves
+    # parts and shares no code with the Dunkl chain behind apply_w
+    for n in range(1, 6):
+        for d in range(8):
+            for mu in partitions_leq(d, n):
+                P = MSymPoly(n, {mu: 1})
+                for m in range(-1, 4):
+                    assert apply_w(P, 2, m, beta) == apply_l(P, m), (mu, m)

@@ -108,6 +108,45 @@ def test_enumerate_admissible_matches_filter():
             assert list(fam.by_degree[d]) == brute
 
 
+def fermionic_character(k, n, dmax):
+    """Feigin-Stoyanovsky character at r = 2, coefficients of q^0..q^dmax:
+    the sum over n_1..n_k >= 0 with sum_i i n_i = n of
+    q^(sum_(i,j<=k) min(i,j) n_i n_j - sum_i i n_i) / prod_i (q)_(n_i).
+    Plain power series in ints; nothing from jackideal."""
+    out = [0] * (dmax + 1)
+
+    def split(i, rest):
+        # (n_i, ..., n_k) with sum_j j n_j = rest
+        if i > k:
+            if rest == 0:
+                yield ()
+            return
+        for ni in range(rest // i + 1):
+            for tail in split(i + 1, rest - i * ni):
+                yield (ni,) + tail
+
+    for ns in split(1, n):
+        shift = sum(min(i, j) * ns[i - 1] * ns[j - 1]
+                    for i in range(1, k + 1) for j in range(1, k + 1)) - n
+        if shift > dmax:
+            continue
+        series = [0] * (dmax + 1)
+        series[shift] = 1
+        for m in ns:
+            for s in range(1, m + 1):  # times 1/(1 - q^s)
+                for d in range(s, dmax + 1):
+                    series[d] += series[d - s]
+        out = [a + b for a, b in zip(out, series)]
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_admissible_character_matches_fermionic_formula(k, n):
+    assert enumerate_admissible(k, 2, n, 16).character() \
+        == fermionic_character(k, n, 16)
+
+
 def test_admissible_character_oracle():
     fam = enumerate_admissible(1, 2, 2, 4)
     assert fam.character() == [0, 0, 1, 1, 2]
