@@ -115,12 +115,10 @@ def build_parser():
     b = isp.add_parser("basis")
     add_common(b, "k", "r", "n", "dmax")
     b.add_argument("--out", help="directory for per-degree JSON files")
-    b.add_argument("--workers", type=int)
     m = isp.add_parser("member")
     add_common(m, "k", "r", "n", "dmax")
     m.add_argument("--input", default="-",
                    help="polynomial JSON file, '-' for stdin")
-    m.add_argument("--workers", type=int)
 
     s = sp.add_parser("verify", help="run a verification suite")
     vsp = s.add_subparsers(dest="suite", required=True)
@@ -143,7 +141,6 @@ def build_parser():
     add_common(v, "k", "r", "n", "dmax")
     v.add_argument("--mmax", type=int, default=4)
     v.add_argument("--tmax", type=int, default=4)
-    v.add_argument("--workers", type=int)
 
     v = vsp.add_parser("restriction")
     add_common(v, "k", "r", "n", "dmax")
@@ -154,7 +151,6 @@ def build_parser():
 
     v = vsp.add_parser("wheel")
     add_common(v, "k", "n", "dmax")
-    v.add_argument("--workers", type=int)
 
     v = vsp.add_parser("phi3")
     add_common(v, "r")
@@ -207,20 +203,19 @@ VERIFY_SUITES = {
     "lassalle": lambda a, cache: verify_lassalle(
         a.n, a.dmax, a.k, a.r, a.symbolic, cache),
     "closure": lambda a, cache: verify_closure(
-        a.k, a.r, a.n, a.dmax, a.mmax, a.tmax, cache, a.workers),
+        a.k, a.r, a.n, a.dmax, a.mmax, a.tmax, cache),
     "restriction": lambda a, cache: verify_restriction(
         a.k, a.r, a.n, a.dmax, a.jmax, cache),
     "regularity": lambda a, cache: verify_regularity(
         a.k, a.r, a.n, a.dmax, cache),
-    "wheel": lambda a, cache: verify_wheel(a.k, a.n, a.dmax, cache, a.workers),
+    "wheel": lambda a, cache: verify_wheel(a.k, a.n, a.dmax, cache),
     "phi3": lambda a, cache: verify_phi3(a.r, cache),
     "sekiguchi": lambda a, cache: verify_eigensystem(a.n, a.dmax, cache),
 }
 
 
-# below these the suites would drop whole case families and pass vacuously,
-# and fewer than one worker would silently run serially
-KNOB_MINIMUMS = {"trials": 1, "jmax": 0, "mmax": 1, "tmax": 2, "workers": 1}
+# below these the suites would drop whole case families and pass vacuously
+KNOB_MINIMUMS = {"trials": 1, "jmax": 0, "mmax": 1, "tmax": 2}
 
 
 def run(args):
@@ -229,7 +224,6 @@ def run(args):
     if opts.get("n", 0) < 0:
         raise UsageError("need --n >= 0")
     for name, low in KNOB_MINIMUMS.items():
-        # an unset --workers is None: serial
         if opts.get(name) is not None and opts[name] < low:
             raise UsageError("need --%s >= %d" % (name, low))
     if "k" in opts and "r" in opts and (args.k is None) != (args.r is None):
@@ -237,6 +231,8 @@ def run(args):
     cache = make_cache(args)
 
     if args.command == "partitions":
+        if args.lam is not None and args.dmax is not None:
+            raise UsageError("partitions takes one of --lambda and --dmax")
         if args.lam is not None:
             lam = parse_partition(args.lam)
             ok = is_admissible(lam, args.k, args.r, args.n)
@@ -294,8 +290,7 @@ def run(args):
 
     if args.command == "ideal":
         if args.ideal_command == "basis":
-            basis = build_basis(args.k, args.r, args.n, args.dmax,
-                                cache, args.workers)
+            basis = build_basis(args.k, args.r, args.n, args.dmax, cache)
             if args.out:
                 basis.to_dir(args.out)
                 emit({"k": args.k, "r": args.r, "n": args.n,
@@ -309,8 +304,7 @@ def run(args):
                      ["%s: %s" % (list(e.lam), e.poly) for e in basis])
             return 0
         P = read_poly(args.input, args.n, args.dmax)
-        basis = build_basis(args.k, args.r, args.n, args.dmax,
-                            cache, args.workers)
+        basis = build_basis(args.k, args.r, args.n, args.dmax, cache)
         cert = reduce_membership(P, basis)
         emit(cert.to_obj(), fmt,
              ["member" if cert.member

@@ -16,7 +16,7 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
                          is_admissible, node_moves, padded, partitions_leq,
                          removable_rows, remove_node)
 from .sympoly import MSymPoly
-from .jack import (default_cache, jack_symbolic, pole_profile, specialize)
+from .jack import jack_symbolic, pole_profile, specialize
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
                         dunkl_chain, w_from_chain)
 from .report import Report
@@ -104,27 +104,13 @@ class IdealBasis:
                 json.dump(obj, fh)
 
 
-def _jack_worker(args):
-    lam, n = args
-    return jack_symbolic(lam, n)
-
-
-def build_basis(k, r, n, dmax, cache=None, workers=None):
-    """Construct the admissible basis; symbolic solves fan out over
-    processes when workers > 1 (at most os.cpu_count()) and merge back
-    into the cache."""
+def build_basis(k, r, n, dmax, cache=None):
+    """The admissible basis: each admissible lam specialized at beta(k, r)
+    from jack_symbolic, which reads the cache or solves into it."""
     b0 = beta_value(k, r)
     fam = enumerate_admissible(k, r, n, dmax)
-    lams = list(fam.all_partitions())
-    cache = cache if cache is not None else default_cache
-    todo = [lam for lam in lams if cache.get(lam, n) is None]
-    workers = min(workers or 1, os.cpu_count() or 1)
-    if workers > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for jp in pool.map(_jack_worker, [(lam, n) for lam in todo]):
-                cache.put(jp)
-    elements = {lam: specialize(lam, n, k, r, cache) for lam in lams}
+    elements = {lam: specialize(lam, n, k, r, cache)
+                for lam in fam.all_partitions()}
     return IdealBasis(k, r, n, dmax, b0, fam, elements)
 
 
@@ -530,7 +516,7 @@ def closure_tags(mmax, tmax):
     return tags
 
 
-def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
+def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     """Ideal property: every operator image of every basis element reduces
     to a member of the span, in every degree the battery can reach.
 
@@ -544,7 +530,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
     b0 = beta_value(k, r)
     rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
                              "mmax": mmax, "tmax": tmax})
-    basis = build_basis(k, r, n, dmax, cache, workers)
+    basis = build_basis(k, r, n, dmax, cache)
     tags = closure_tags(mmax, tmax)
     for lam in basis.family.all_partitions():
         P = basis.integral(lam)[1]
@@ -582,12 +568,12 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
     return rep
 
 
-def verify_wheel(k, n, dmax, cache=None, workers=None):
+def verify_wheel(k, n, dmax, cache=None):
     """Identification with the wheel space at r = 2: the admissible count
     matches the wheel-kernel dimension in every degree, and every basis
     element vanishes when k+1 variables coincide."""
     rep = Report("wheel", {"k": k, "r": 2, "n": n, "dmax": dmax})
-    basis = build_basis(k, 2, n, dmax, cache, workers)
+    basis = build_basis(k, 2, n, dmax, cache)
     for d in range(dmax + 1):
         wd = wheel_dimension(k, n, d)
         ac = len(basis.by_degree(d))

@@ -214,7 +214,7 @@ def w_from_chain(Q, t, m):
     nabla_j^(t-1) P = K_1j Q, so w^(t)_m P = sum_j x_j^(m+t-1) K_1j Q.  That
     image is symmetric, so its m_nu coefficient is its x^nu coefficient:
     swap slots 1 and j of each exponent of Q, add m+t-1 to slot j and keep
-    the non-increasing results.
+    the non-increasing results, trailing zeros stripped.
     """
     _check_operator("w", m, t)
     shift = m + t - 1
@@ -224,10 +224,10 @@ def w_from_chain(Q, t, m):
             f = list(e)
             f[0], f[j] = f[j], f[0] + shift
             if f == sorted(f, reverse=True):
-                key = tuple(f)
+                key = tuple(f[:len(f) - f.count(0)])
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
-    return MSymPoly(Q.n, out)
+    return MSymPoly._raw(Q.n, {key: c for key, c in out.items() if c})
 
 
 def apply_w(P, t, m, beta):

@@ -19,8 +19,8 @@ whose keys may be unnormalized or whose terms may cancel.  Results whose
 keys come from an existing polynomial and whose coefficients cannot be zero
 (the coefficient rings have no zero divisors) are built unchecked by _raw:
 negation, nonzero scaling, sums and products after pruning, homogeneous
-components, restrict_last, to_expanded, to_msym and the Dunkl building
-blocks (partial, mul_var, swap, divided_difference).
+components, restrict_last, to_expanded, to_msym, operators.w_from_chain
+and the Dunkl building blocks (partial, mul_var, swap, divided_difference).
 """
 
 from functools import lru_cache

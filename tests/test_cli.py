@@ -40,6 +40,14 @@ def test_partitions_enumerate_and_single(capsys):
     assert json.loads(out)["admissible"] is False
 
 
+def test_partitions_lambda_and_dmax_exit(capsys):
+    # one --lambda test or one --dmax enumeration, never a silent choice
+    code, out, err = run_cli(capsys, "partitions", "--k", "1", "--r", "2",
+                             "--n", "2", "--lambda", "3,1", "--dmax", "4")
+    assert code == 2 and out == ""
+    assert err == "error: partitions takes one of --lambda and --dmax\n"
+
+
 def test_jack_symbolic_output(capsys):
     code, out, _ = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
                            "--symbolic")
@@ -166,24 +174,6 @@ def test_vacuous_suite_knobs_exit(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv", [
-    ("ideal", "basis", "--k", "1", "--r", "2", "--n", "2", "--dmax", "4",
-     "--workers", "0"),
-    ("ideal", "basis", "--k", "1", "--r", "2", "--n", "2", "--dmax", "4",
-     "--workers", "-3"),
-    ("ideal", "member", "--k", "1", "--r", "2", "--n", "2", "--dmax", "4",
-     "--workers", "0"),
-    ("verify", "closure", "--k", "1", "--r", "2", "--n", "2", "--dmax", "2",
-     "--workers", "-1"),
-    ("verify", "wheel", "--k", "1", "--n", "3", "--dmax", "4",
-     "--workers", "-1"),
-])
-def test_workers_below_one_exit(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2 and out == ""
-    assert err == "error: need --workers >= 1\n"
-
-
-@pytest.mark.parametrize("argv", [
     ("pieri", "--n", "2", "--dmax", "0"),
     ("lassalle", "--n", "2", "--dmax", "0"),
     ("sekiguchi", "--n", "2", "--dmax", "-1"),
@@ -297,8 +287,8 @@ def test_python_m_runs_the_cli():
 
 
 def test_cli_import_leaves_process_pool_out():
-    """Only --workers > 1 needs concurrent.futures; a fresh interpreter
-    importing the CLI must not load it."""
+    """Nothing in the package runs a process pool; a fresh interpreter
+    importing the CLI must not load concurrent.futures."""
     src = os.path.dirname(os.path.dirname(jackideal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -307,6 +297,32 @@ def test_cli_import_leaves_process_pool_out():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_processes_share_one_cache_dir(tmp_path):
+    """Two cold runs at once on one --cache-dir, then a warm one: each
+    prints what a run without a cache prints, and no temporary file is
+    left behind."""
+    src = os.path.dirname(os.path.dirname(jackideal.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    argv = [sys.executable, "-m", "jackideal", "ideal", "basis", "--k", "2",
+            "--r", "2", "--n", "5", "--dmax", "14"]
+    cached = argv + ["--cache-dir", str(tmp_path)]
+    procs = [subprocess.Popen(cached, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env)
+             for _ in range(2)]
+    outs = [proc.communicate(timeout=120) + (proc.returncode,)
+            for proc in procs]
+    for cmd in (cached, argv):
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              timeout=120)
+        outs.append((proc.stdout, proc.stderr, proc.returncode))
+    for out, err, code in outs:
+        assert code == 0 and err == ""
+        assert out == outs[-1][0]
+    names = os.listdir(tmp_path)
+    assert names and not [name for name in names if ".tmp." in name]
 
 
 def test_member_rejects_asymmetric_expanded(capsys, tmp_path):

@@ -169,12 +169,12 @@ def test_argument_checks():
             bad()
 
 
-def closure_per_tag(k, r, n, dmax, mmax=4, tmax=4, cache=None, workers=None):
+def closure_per_tag(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     """verify_closure with every tag applied on its own (no Dunkl chain)."""
     b0 = beta_value(k, r)
     rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
                              "mmax": mmax, "tmax": tmax})
-    basis = build_basis(k, r, n, dmax, cache, workers)
+    basis = build_basis(k, r, n, dmax, cache)
     tags = closure_tags(mmax, tmax)
     for lam in basis.family.all_partitions():
         P = basis.get(lam).poly

@@ -1,7 +1,6 @@
 """Basis construction, membership reduction, transition coefficients, the
 wheel kernel, and the structural verification suites."""
 
-import concurrent.futures
 import json
 import os
 import random
@@ -9,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from jackideal import ideal
 from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              build_basis, certificate_holds,
                              clearing_zero_order, closure_tags,
@@ -18,7 +16,7 @@ from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              verify_lassalle, verify_phi3, verify_pieri,
                              verify_regularity, verify_restriction,
                              verify_wheel, wheel_dimension)
-from jackideal.jack import JackCache, specialize
+from jackideal.jack import specialize
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
@@ -30,41 +28,6 @@ def test_build_basis_character():
     assert basis.by_degree(4) == ((4,), (3, 1))
     assert basis.get((3, 1)).poly.terms[(3, 1)] == 1
     assert len(basis) == 6
-
-
-def test_build_basis_clamps_workers(monkeypatch):
-    # the pool only records its size and maps in-process: no process starts
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # build_basis imports the pool only when it needs one, so patch its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(ideal.os, "cpu_count", lambda: 2)
-    basis = build_basis(1, 2, 2, 5, JackCache(), workers=64)
-    assert sizes == [2]
-    assert basis.character() == [0, 0, 1, 1, 2, 2]
-
-
-def test_build_basis_real_pool_matches_serial(monkeypatch):
-    # two real worker processes, even on a one-core host
-    monkeypatch.setattr(ideal.os, "cpu_count", lambda: 2)
-    pooled = build_basis(2, 2, 5, 12, JackCache(), workers=2)
-    serial = build_basis(2, 2, 5, 12, JackCache())
-    assert len(pooled) == len(serial) > 1
-    for a, b in zip(pooled, serial):
-        assert (a.lam, a.poly) == (b.lam, b.poly)
 
 
 def test_basis_elements_reduce_to_themselves():

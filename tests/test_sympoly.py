@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jackideal.sympoly as sympoly
+from jackideal.operators import w_from_chain
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
@@ -260,6 +261,10 @@ def test_unchecked_results_pass_validation(operands):
                ea - eb, ea.scale(c), ea * eb, ea.partial(n), ea.mul_var(1, 2),
                ea.swap(1, n), ea.substitute_coincident(n)]
     results += [a.restrict_last(j) for j in range(4)]
+    # on m_2 - m_11 in two variables the x1^2 x2 terms of w^(2)_0 cancel
+    cancelling = MSymPoly(2, {(2,): 1, (1, 1): -1}).to_expanded()
+    results += [w_from_chain(q, t, m) for q in (ea - eb, cancelling)
+                for t, m in [(2, -1), (2, 0), (2, 1), (3, 0)]]
     results += list(a.homogeneous_components().values())
     results += list(ea.homogeneous_components().values())
     if n > 1:
