@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success / all suite cases pass; 1 verification failure or
-mathematical obstruction (pole, non-member); 2 usage error.
+mathematical obstruction (pole, non-member); 2 usage error, or an operation
+that would exceed sympoly.TERM_BUDGET terms.
 """
 
 import argparse
@@ -12,7 +13,7 @@ from fractions import Fraction
 from .ratfunc import PoleError, rat_to_obj
 from .partitions import (InvalidParameters, as_partition, beta_value,
                          enumerate_admissible, is_admissible)
-from .sympoly import MSymPoly, ExpandedPoly
+from .sympoly import MSymPoly, ExpandedPoly, TermBudgetExceeded
 from .jack import (JackCache, SpecializationPole, jack_symbolic,
                    principal_specialization, specialize, verify_eigensystem)
 from .ideal import (build_basis, reduce_membership, verify_closure,
@@ -341,6 +342,9 @@ def main(argv=None):
         return 1
     except (OSError, json.JSONDecodeError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
+        return 2
+    except TermBudgetExceeded as exc:
+        print("term budget exceeded: %s" % exc, file=sys.stderr)
         return 2
 
 

@@ -225,35 +225,31 @@ def lassalle_down(mu, i, n):
 # ---------------------------------------------------------------------------
 # exact linear algebra for the wheel space
 
-def bareiss_rank(mat):
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    mat = [list(row) for row in mat]
-    nr = len(mat)
-    nc = len(mat[0]) if nr else 0
-    rank = 0
-    prev = 1
-    for c in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if mat[i][c]:
-                piv = i
+def bareiss_rank(rows):
+    """Rank of an integer matrix given as sparse rows {column: int}, by
+    fraction-free elimination; columns are any mutually comparable keys.
+
+    Each row is reduced on its leading (smallest) column against the pivot
+    that owns it, row <- (p/g) row - (r/g) pivot with p, r the two leading
+    entries and g = gcd(p, r), until it vanishes or reaches a free column,
+    where it is divided by its content and kept as that column's pivot."""
+    pivots = {}
+    for row in rows:
+        row = {j: v for j, v in row.items() if v}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                g = gcd(*row.values())
+                pivots[lead] = {j: v // g for j, v in row.items()}
                 break
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pr = mat[rank]
-        for i in range(rank + 1, nr):
-            ri = mat[i]
-            a = ri[c]
-            for j in range(c + 1, nc):
-                # exact by Sylvester's determinant identity
-                ri[j] = (pr[c] * ri[j] - a * pr[j]) // prev
-            ri[c] = 0
-        prev = pr[c]
-        rank += 1
-        if rank == nr:
-            break
-    return rank
+            g = gcd(piv[lead], row[lead])
+            p, r = piv[lead] // g, row[lead] // g
+            row = {j: p * v for j, v in row.items()}
+            for j, v in piv.items():
+                row[j] = row.get(j, 0) - r * v
+            row = {j: v for j, v in row.items() if v}
+    return len(pivots)
 
 
 def wheel_dimension(k, n, d):
@@ -266,16 +262,9 @@ def wheel_dimension(k, n, d):
     lams = partitions_leq(d, n)
     if n < k + 1:
         return len(lams)
-    cols = {}
-    rows = []
-    for lam in lams:
-        img = MSymPoly.monomial_sym(n, lam).substitute_coincident(k + 1)
-        row = {}
-        for e, c in img.terms.items():
-            row[cols.setdefault(e, len(cols))] = c
-        rows.append(row)
-    mat = [[row.get(j, 0) for j in range(len(cols))] for row in rows]
-    return len(lams) - bareiss_rank(mat)
+    return len(lams) - bareiss_rank(
+        MSymPoly.monomial_sym(n, lam).substitute_coincident(k + 1).terms
+        for lam in lams)
 
 
 # ---------------------------------------------------------------------------

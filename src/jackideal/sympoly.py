@@ -1,10 +1,11 @@
-"""Sparse polynomials in n variables: expanded monomial form and the
-monomial-symmetric basis.
+"""Sparse polynomials in n variables: expanded monomial form, the
+monomial-symmetric basis and the cluster class form.
 
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
-to coefficients (the m-basis).  Both share one sparse-term core
-(_SparsePoly): equality, sums, negation, scaling, grading, repr and the
-JSON form.  Coefficients may live in Q (int/Fraction),
+to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
+of t^a m_nu(x_2, ..., x_n), the image of x_1 = ... = x_c = t.  All share one
+sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
+repr and the JSON form.  Coefficients may live in Q (int/Fraction),
 Q[beta] (BetaPoly) or Q(beta) (BetaRatFunc); all operations here are
 coefficient-ring agnostic and never divide by coefficients.  Symbolic Jack
 polynomials reach this module as integer BetaPoly numerators over a shared
@@ -19,11 +20,14 @@ whose keys may be unnormalized or whose terms may cancel.  Results whose
 keys come from an existing polynomial and whose coefficients cannot be zero
 (the coefficient rings have no zero divisors) are built unchecked by _raw:
 negation, nonzero scaling, sums and products after pruning, homogeneous
-components, restrict_last, to_expanded, to_msym, operators.w_from_chain
-and the Dunkl building blocks (partial, mul_var, swap, divided_difference).
+components, restrict_last, to_expanded, to_msym, the PartSymPoly of
+MSymPoly.substitute_coincident, operators.w_from_chain and the Dunkl
+building blocks (partial, mul_var, swap, divided_difference).
 """
 
+from collections import Counter
 from functools import lru_cache
+from itertools import product
 from math import factorial, lcm
 
 from .partitions import as_partition, padded
@@ -417,7 +421,29 @@ class MSymPoly(_SparsePoly):
         return self._raw(self.n - 1, out)
 
     def substitute_coincident(self, c):
-        return self.to_expanded().substitute_coincident(c)
+        """Set x_1 = ... = x_c = t, as a PartSymPoly in (t, x_{c+1}, ..., x_n).
+
+        Each distinct multiset S of c entries of lam padded to n sends m_lam
+        to t^|S| m_(lam minus S), once per arrangement of S in the c
+        cluster slots: c!/prod mult_S(v)! times.  No orbit is expanded."""
+        if not 1 <= c <= self.n:
+            raise ValueError("need 1 <= c <= n")
+        out = {}
+        for lam, coeff in self.terms.items():
+            groups = sorted(Counter(padded(lam, self.n)).items(), reverse=True)
+            for take in product(*(range(min(m, c) + 1) for _, m in groups)):
+                if sum(take) != c:
+                    continue
+                key, count = [0], factorial(c)
+                for (v, m), s in zip(groups, take):
+                    key[0] += v * s
+                    key += [v] * (m - s) if v else []
+                    count //= factorial(s)
+                key = tuple(key)
+                acc = out.get(key)
+                out[key] = coeff * count if acc is None else acc + coeff * count
+        return PartSymPoly._raw(self.n - c + 1,
+                                {k: v for k, v in out.items() if v})
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -431,6 +457,26 @@ class MSymPoly(_SparsePoly):
             name = "m[%s]" % ",".join(str(p) for p in lam)
             bits.append("(%s)*%s" % (c, name))
         return " + ".join(bits)
+
+
+class PartSymPoly(_SparsePoly):
+    """Polynomial in (t, x_2, ..., x_n) symmetric in the x's, as a dict
+    {(a,) + nu: coefficient} for t^a m_nu(x_2, ..., x_n), nu a partition
+    with at most n - 1 parts.  Treat as frozen."""
+
+    __slots__ = ()
+    BASIS, KEY = "partsym", "class"
+
+    @staticmethod
+    def _key(key, n):
+        key = tuple(key)
+        if (not key or type(key[0]) is not int or key[0] < 0 or len(key) > n
+                or as_partition(key[1:]) != key[1:]):
+            raise ValueError("bad class key %r for n=%r" % (key, n))
+        return key
+
+    def sorted_terms(self):
+        return sorted(self.terms.items(), reverse=True)
 
 
 def power_sum(m, n):

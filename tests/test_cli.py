@@ -70,6 +70,17 @@ def test_jack_specialized_and_evaluated(capsys):
     assert code == 0 and out.strip() == "(1)*m[2] + (-2)*m[1,1]"
 
 
+def test_term_budget_exit(capsys, monkeypatch):
+    # an expansion beyond TERM_BUDGET is a clean exit 2, not a traceback
+    monkeypatch.setattr(jackideal.sympoly, "TERM_BUDGET", 10)
+    code, out, err = run_cli(capsys, "verify", "closure", "--k", "1",
+                             "--r", "2", "--n", "3", "--dmax", "6",
+                             "--mmax", "2", "--tmax", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("term budget exceeded: operation needs ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_jack_pole_exit(capsys):
     code, _, err = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
                            "--beta=-1")

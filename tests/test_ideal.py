@@ -163,9 +163,10 @@ def test_bareiss_rank_matches_fraction_elimination():
         mat = [[rng.randint(-4, 4) for _ in range(nc)] for _ in range(nr)]
         if rng.random() < 0.4 and nr > 1:
             mat[-1] = [2 * x for x in mat[0]]    # force rank deficiency
-        assert bareiss_rank(mat) == frac_rank(mat)
+        rows = [dict(enumerate(row)) for row in mat]
+        assert bareiss_rank(rows) == frac_rank(mat)
     assert bareiss_rank([]) == 0
-    assert bareiss_rank([[0, 0]]) == 0
+    assert bareiss_rank([dict(enumerate([0, 0]))]) == 0
 
 
 def test_wheel_dimension_oracles():

@@ -99,12 +99,18 @@ def test_admissibility_window_pads_with_zeros():
 
 
 def test_enumerate_admissible_matches_filter():
+    # the window is stated here, not read from is_admissible: lam padded
+    # to n has lam_i - lam_(i+k) >= r for every i <= n - k
     for k, r, n, dmax in [(1, 2, 2, 8), (1, 2, 3, 8), (2, 3, 3, 7),
-                          (3, 2, 4, 6), (2, 2, 2, 6)]:
+                          (3, 2, 4, 6), (2, 2, 2, 6), (1, 4, 3, 12),
+                          (2, 5, 4, 12)]:
         fam = enumerate_admissible(k, r, n, dmax)
         for d in range(dmax + 1):
-            brute = [lam for lam in partitions_of(d, max_len=n)
-                     if is_admissible(lam, k, r, n)]
+            brute = []
+            for lam in partitions_of(d, max_len=n):
+                lp = list(lam) + [0] * (n - len(lam))
+                if all(lp[i] - lp[i + k] >= r for i in range(n - k)):
+                    brute.append(lam)
             assert list(fam.by_degree[d]) == brute
 
 

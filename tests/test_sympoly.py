@@ -12,8 +12,9 @@ from jackideal.operators import w_from_chain
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
-                               TermBudgetExceeded, distinct_permutations,
-                               orbit_exponents, orbit_size, power_sum)
+                               PartSymPoly, TermBudgetExceeded,
+                               distinct_permutations, orbit_exponents,
+                               orbit_size, power_sum)
 
 
 def rand_expanded(rng, n, deg, nterms=4):
@@ -157,6 +158,39 @@ def test_substitute_coincident():
         m.substitute_coincident(3)
 
 
+@st.composite
+def msym_and_cluster(draw):
+    n = draw(st.integers(1, 6))
+    parts = [lam for d in range(7) for lam in partitions_leq(d, n)]
+    coeffs = st.one_of(st.integers(-4, 4), st.fractions(
+        min_value=-3, max_value=3, max_denominator=4))
+    terms = draw(st.dictionaries(st.sampled_from(parts), coeffs, max_size=5))
+    return MSymPoly(n, terms), draw(st.integers(1, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(msym_and_cluster())
+def test_substitute_coincident_matches_expanded(case):
+    # the class form is the expanded image read on the exponent vectors
+    # whose tail (x_(c+1), ..., x_n) is non-increasing, zero parts dropped
+    P, c = case
+    got = P.substitute_coincident(c)
+    want = {}
+    for e, v in P.to_expanded().substitute_coincident(c).terms.items():
+        tail = e[1:]
+        if list(tail) == sorted(tail, reverse=True):
+            want[(e[0],) + tuple(x for x in tail if x)] = v
+    assert type(got) is PartSymPoly and got.n == P.n - c + 1
+    assert got.terms == want
+
+
+def test_partsym_constructor_validates():
+    assert PartSymPoly(3, {(2, 1, 1): 5, (0,): 0}).terms == {(2, 1, 1): 5}
+    for key in [(-1, 1), (2, 1, 2), (2, 1, 0), (1, -1), (1, 1, 1, 1), ()]:
+        with pytest.raises(ValueError):
+            PartSymPoly(3, {key: 1})
+
+
 def test_restrict_last():
     q = MSymPoly(3, {(2, 1): 1, (1, 1, 1): 5, (2, 2, 1): 3})
     low = q.restrict_last()
@@ -260,6 +294,7 @@ def test_unchecked_results_pass_validation(operands):
     results = [-a, a + b, a - b, a.scale(c), ea.to_msym(), ea, -ea, ea + eb,
                ea - eb, ea.scale(c), ea * eb, ea.partial(n), ea.mul_var(1, 2),
                ea.swap(1, n), ea.substitute_coincident(n)]
+    results += [a.substitute_coincident(j) for j in range(1, n + 1)]
     results += [a.restrict_last(j) for j in range(4)]
     # on m_2 - m_11 in two variables the x1^2 x2 terms of w^(2)_0 cancel
     cancelling = MSymPoly(2, {(2,): 1, (1, 1): -1}).to_expanded()
