@@ -56,8 +56,7 @@ def emit(obj, fmt, text_lines=None):
 
 
 def make_cache(args):
-    cache_dir = getattr(args, "cache_dir", None)
-    return JackCache(cache_dir) if cache_dir else None
+    return JackCache(getattr(args, "cache_dir", None))
 
 
 def add_common(sub, *names):

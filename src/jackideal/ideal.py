@@ -16,7 +16,7 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
                          is_admissible, node_moves, padded, partitions_leq,
                          removable_rows, remove_node)
 from .sympoly import MSymPoly
-from .jack import jack_symbolic, pole_profile, specialize
+from .jack import JackCache, jack_symbolic, pole_profile, specialize
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
                         dunkl_chain, w_from_chain)
 from .report import Report
@@ -106,8 +106,9 @@ class IdealBasis:
 
 def build_basis(k, r, n, dmax, cache=None):
     """The admissible basis: each admissible lam specialized at beta(k, r)
-    from jack_symbolic, which reads the cache or solves into it."""
+    from jack_symbolic, through one cache (made here when none is given)."""
     b0 = beta_value(k, r)
+    cache = cache if cache is not None else JackCache()
     fam = enumerate_admissible(k, r, n, dmax)
     elements = {lam: specialize(lam, n, k, r, cache)
                 for lam in fam.all_partitions()}
@@ -117,11 +118,11 @@ def build_basis(k, r, n, dmax, cache=None):
 def reduce_membership(P, basis):
     """Reduction of P (over Q) against the basis, one sweep per degree.
 
-    A component is scaled to integers by s > 0 and walked in decreasing lex
-    order, a linear extension of dominance, so each nonzero leading term is
-    dominance-maximal: a non-admissible one is the obstruction, an
-    admissible one records c/s and is cleared fraction-free against the
-    integer row of its Jack (IdealBasis.integral).
+    A component is scaled to integers by s > 0 and reduced on its lex-largest
+    remaining term p, a dominance-maximal one (clearing p adds only terms p
+    dominates): a non-admissible one is the obstruction, an admissible one
+    records c/s and is cleared fraction-free against the integer row of its
+    Jack (IdealBasis.integral).
     """
     if P.n != basis.n:
         raise ValueError("polynomial has n=%d, basis has n=%d" % (P.n, basis.n))
@@ -134,12 +135,9 @@ def reduce_membership(P, basis):
             raise DegreeOverflow("degree %d beyond basis dmax=%d" % (d, basis.dmax))
         s, Q = comp.cleared()
         work = dict(Q.terms)
-        for p in partitions_leq(d, basis.n):
-            if not work:
-                break
-            c = work.get(p)
-            if c is None:
-                continue
+        while work:
+            p = max(work)
+            c = work[p]
             if p not in basis.elements:
                 return MembershipCertificate(False, {}, p)
             combination[p] = Fraction(c, s)
@@ -291,6 +289,7 @@ def verify_regularity(k, r, n, dmax, cache=None):
     clearing product c_lambda has a zero there of the expected order
     (simple for internal violations, none for zero-row violations)."""
     b0 = beta_value(k, r)
+    cache = cache if cache is not None else JackCache()
     rep = Report("regularity", {"k": k, "r": r, "n": n, "dmax": dmax})
     fam = enumerate_admissible(k, r, n, dmax)
     seen = set()
@@ -321,6 +320,7 @@ def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
     """
     if symbolic is None:
         symbolic = k is None
+    cache = cache if cache is not None else JackCache()
     rep = Report("pieri", {"n": n, "dmax": dmax, "k": k, "r": r,
                            "symbolic": symbolic})
     if symbolic:
@@ -433,6 +433,7 @@ def verify_lassalle(n, dmax, k=None, r=None, symbolic=None, cache=None):
     """
     if symbolic is None:
         symbolic = k is None
+    cache = cache if cache is not None else JackCache()
     rep = Report("lassalle", {"n": n, "dmax": dmax, "k": k, "r": r,
                               "symbolic": symbolic})
 

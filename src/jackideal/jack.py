@@ -19,7 +19,6 @@ import json
 import os
 import threading
 from fractions import Fraction
-from functools import lru_cache
 from operator import mul
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc
@@ -163,11 +162,13 @@ class SpecializedJack:
 
 
 class JackCache:
-    """Content-addressed (lam, n) -> JackPoly cache, safe for concurrent
-    readers; optionally backed by a directory of JSON files."""
+    """Memo state shared by the calls it is passed to, safe for concurrent
+    readers: solved Jacks (lam, n) -> JackPoly, optionally backed by a
+    directory of JSON files, and Hamiltonian rows (mu, n), in memory only."""
 
     def __init__(self, directory=None):
         self._mem = {}
+        self._rows = {}
         self._lock = threading.Lock()
         self.directory = directory
         if directory:
@@ -204,6 +205,14 @@ class JackCache:
                 json.dump(jp.to_obj(), fh)
             os.replace(tmp, path)
 
+    def row(self, mu, n):
+        """hamiltonian_matrix_row(mu, n), computed once per cache; a row
+        depends only on (mu, n), so a race at worst computes it twice."""
+        hit = self._rows.get((mu, n))
+        if hit is None:
+            hit = self._rows[(mu, n)] = hamiltonian_matrix_row(mu, n)
+        return hit
+
     def __len__(self):
         with self._lock:
             return len(self._mem)
@@ -211,15 +220,13 @@ class JackCache:
     def clear(self):
         with self._lock:
             self._mem.clear()
+            self._rows.clear()
         if self.directory:
             for name in os.listdir(self.directory):
                 if name.startswith("jack_n") and name.endswith(".json"):
                     os.remove(os.path.join(self.directory, name))
 
 
-default_cache = JackCache()
-
-@lru_cache(maxsize=None)
 def hamiltonian_matrix_row(mu, n):
     """H m_mu in the m-basis with int entries: (euler, diag, off) for
     H m_mu = (euler + diag beta) m_mu + beta sum_nu off[nu] m_nu.
@@ -258,38 +265,39 @@ def jack_symbolic(lam, n, cache=None):
 
     Solves (eps_lam - eps_nu) u_nu = sum_{nu < mu <= lam} u_mu h_{mu,nu}
     downward in dominance order for the numerators N_nu = c_lam u_nu,
-    starting from N_lam = c_lam.  The recursion runs in Z on int
+    starting from N_lam = c_lam.  It walks only the pending nu, those some
+    solved row reaches, lex-largest first.  The recursion runs in Z on int
     coefficient lists: with the int rows of hamiltonian_matrix_row, the gap
     is g0 + g1 beta with g1 > 0 (diag falls strictly down the dominance
     order) and N_nu = beta S_nu / (g0 + g1 beta) for the int combination
     S_nu = sum_mu h_{mu,nu} N_mu, one synthetic division from the top.  A
     remainder raises, so each solve machine-checks that c_lam clears the
-    denominators of P_lam.
+    denominators of P_lam.  Without a cache the call makes its own.
     """
     lam = as_partition(lam)
     if len(lam) > n:
         raise ValueError("partition %r longer than n=%d" % (lam, n))
-    cache = cache if cache is not None else default_cache
+    cache = cache if cache is not None else JackCache()
     hit = cache.get(lam, n)
     if hit is not None:
         return hit
 
-    euler, diag, off = hamiltonian_matrix_row(lam, n)
+    euler, diag, off = cache.row(lam, n)
     den = c_lambda(lam)
     nums = {lam: den}
     sums = {}  # nu -> S_nu over the mu solved so far
     _scatter(sums, off, den.coeffs)
-    # decreasing lex refines dominance, so every mu > nu is already scattered
-    for nu in partitions_leq(sum(lam), n):
-        if nu == lam or not dominated_by(nu, lam):
-            continue
-        e, g, off = hamiltonian_matrix_row(nu, n)
+    # a row reaches only partitions its mu dominates, which are lex-smaller,
+    # so every mu that reaches the lex-largest pending nu is scattered
+    while sums:
+        nu = max(sums)
+        s = sums.pop(nu)
+        e, g, off = cache.row(nu, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             # moving a box from row i down to row j lowers diag by 2(j - i)
             raise AssertionError("eigenvalues of %r and %r do not separate: "
                                  "gap %d + %d beta" % (lam, nu, g0, g1))
-        s = sums.pop(nu, [])
         while s and not s[-1]:
             s.pop()
         if not s:
@@ -339,6 +347,7 @@ def verify_sekiguchi(lam, n, cache=None):
 def verify_eigensystem(n, dmax, cache=None):
     """Both eigen-equations for every partition of weight <= dmax."""
     from .report import Report
+    cache = cache if cache is not None else JackCache()
     rep = Report("eigensystem", {"n": n, "dmax": dmax})
     for d in range(dmax + 1):
         for lam in partitions_leq(d, n):

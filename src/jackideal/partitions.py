@@ -8,7 +8,6 @@ with zeros to length n.
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .ratfunc import BetaPoly
@@ -103,7 +102,6 @@ def partitions_of(d, max_len=None):
     yield from rec(d, d, max_len)
 
 
-@lru_cache(maxsize=None)
 def partitions_leq(d, n):
     """Partitions of d with at most n parts, decreasing lex, as a tuple."""
     return tuple(partitions_of(d, max_len=n))

@@ -26,7 +26,6 @@ building blocks (partial, mul_var, swap, divided_difference).
 """
 
 from collections import Counter
-from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 
@@ -72,13 +71,11 @@ def distinct_permutations(seq):
         a[j + 1:] = a[:j:-1]
 
 
-@lru_cache(maxsize=None)
 def orbit_exponents(lam, n):
     """Exponent vectors of the S_n-orbit of lam padded to n slots."""
     return tuple(distinct_permutations(padded(lam, n)))
 
 
-@lru_cache(maxsize=None)
 def orbit_size(lam, n):
     counts = {}
     for p in padded(lam, n):

@@ -1,13 +1,17 @@
 """The symbolic Jack solver, its eigen-verification, denominator clearing,
 specialization, and the principal (all-ones) evaluation."""
 
+import importlib
 import json
 import os
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import jackideal
+from jackideal import operators
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
                             evaluate_all_ones, jack_symbolic, pole_profile,
                             principal_specialization, specialize,
@@ -182,6 +186,40 @@ def test_cache_rewrites_unreadable_and_old_format_files(tmp_path):
     for lam in planted:
         hit = fresh.get(lam, 3)
         assert hit is not None and hit.coeffs == jack_symbolic(lam, 3).coeffs
+
+
+def test_package_keeps_no_process_wide_memo():
+    # every memo lives in a JackCache that the caller holds
+    for info in pkgutil.walk_packages(jackideal.__path__, "jackideal."):
+        mod = importlib.import_module(info.name)
+        for name, value in vars(mod).items():
+            assert not hasattr(value, "cache_info"), (info.name, name)
+            assert not isinstance(value, JackCache), (info.name, name)
+
+
+def test_rows_are_memoized_per_cache(monkeypatch):
+    computed = []
+    row = operators.hamiltonian_row
+
+    def counted(mu, n):
+        computed.append((mu, n))
+        return row(mu, n)
+    monkeypatch.setattr(operators, "hamiltonian_row", counted)
+    lams = partitions_leq(6, 4)
+    assert len(lams) == 9
+
+    def solve_all(cache):
+        computed.clear()
+        for lam in lams:
+            jack_symbolic(lam, 4, cache)
+        return sorted(computed)
+
+    want = sorted((lam, 4) for lam in lams)
+    cache = JackCache()
+    assert solve_all(cache) == want
+    assert solve_all(JackCache()) == want
+    cache.clear()
+    assert solve_all(cache) == want
 
 
 def test_cache_entry_validation():

@@ -178,12 +178,10 @@ def test_solver_matches_betapoly_solver():
 
 @pytest.fixture
 def patched_rows(monkeypatch):
-    """Lets a test replace operators.hamiltonian_row, with the row cache of
-    jack emptied before and after so no row outlives the patch."""
-    jack.hamiltonian_matrix_row.cache_clear()
+    """Lets a test replace operators.hamiltonian_row.  Each test solves in a
+    fresh JackCache, which holds the rows, so no row outlives the patch."""
     yield monkeypatch
     monkeypatch.undo()
-    jack.hamiltonian_matrix_row.cache_clear()
 
 
 def _perturbed(mu0, n0, change):
