@@ -79,8 +79,9 @@ def add_common(sub, *names):
         elif name == "lambda?":
             sub.add_argument("--lambda", dest="lam",
                              help="partition as comma-separated parts")
+        elif name == "cache":
+            sub.add_argument("--cache-dir", dest="cache_dir")
     sub.add_argument("--format", choices=("json", "text"), default="json")
-    sub.add_argument("--cache-dir", dest="cache_dir")
 
 
 def build_parser():
@@ -99,7 +100,7 @@ def build_parser():
     add_common(s, "k", "r", "n", "dmax")
 
     s = sp.add_parser("jack", help="compute one Jack polynomial")
-    add_common(s, "lambda", "n", "k?", "r?")
+    add_common(s, "lambda", "n", "k?", "r?", "cache")
     s.add_argument("--symbolic", action="store_true")
     s.add_argument("--beta", help="rational evaluation point p/q "
                                   "(write --beta=-1/2 for negatives)")
@@ -113,10 +114,10 @@ def build_parser():
     s = sp.add_parser("ideal", help="basis construction and membership")
     isp = s.add_subparsers(dest="ideal_command", required=True)
     b = isp.add_parser("basis")
-    add_common(b, "k", "r", "n", "dmax")
+    add_common(b, "k", "r", "n", "dmax", "cache")
     b.add_argument("--out", help="directory for per-degree JSON files")
     m = isp.add_parser("member")
-    add_common(m, "k", "r", "n", "dmax")
+    add_common(m, "k", "r", "n", "dmax", "cache")
     m.add_argument("--input", default="-",
                    help="polynomial JSON file, '-' for stdin")
 
@@ -130,33 +131,32 @@ def build_parser():
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tmax", type=int, default=3)
     v.add_argument("--format", choices=("json", "text"), default="json")
-    v.add_argument("--cache-dir", dest="cache_dir")
 
     for name in ("pieri", "lassalle"):
         v = vsp.add_parser(name)
-        add_common(v, "n", "dmax", "k?", "r?")
+        add_common(v, "n", "dmax", "k?", "r?", "cache")
         v.add_argument("--symbolic", action="store_true", default=None)
 
     v = vsp.add_parser("closure")
-    add_common(v, "k", "r", "n", "dmax")
+    add_common(v, "k", "r", "n", "dmax", "cache")
     v.add_argument("--mmax", type=int, default=4)
     v.add_argument("--tmax", type=int, default=4)
 
     v = vsp.add_parser("restriction")
-    add_common(v, "k", "r", "n", "dmax")
+    add_common(v, "k", "r", "n", "dmax", "cache")
     v.add_argument("--jmax", type=int, default=2)
 
     v = vsp.add_parser("regularity")
-    add_common(v, "k", "r", "n", "dmax")
+    add_common(v, "k", "r", "n", "dmax", "cache")
 
     v = vsp.add_parser("wheel")
-    add_common(v, "k", "n", "dmax")
+    add_common(v, "k", "n", "dmax", "cache")
 
     v = vsp.add_parser("phi3")
-    add_common(v, "r")
+    add_common(v, "r", "cache")
 
     v = vsp.add_parser("sekiguchi")
-    add_common(v, "n", "dmax")
+    add_common(v, "n", "dmax", "cache")
     return ap
 
 

@@ -18,7 +18,7 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
 from .sympoly import MSymPoly
 from .jack import JackCache, jack_symbolic, pole_profile, specialize
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
-                        dunkl_chain, w_from_chain)
+                        dunkl_chain)
 from .report import Report
 
 
@@ -510,9 +510,9 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     """Ideal property: every operator image of every basis element reduces
     to a member of the span, in every degree the battery can reach.
 
-    Images are taken of N = D P in Z (IdealBasis.integral); the w images of
-    one element all come from its integer Dunkl chain c_s nabla_1^s N,
-    s < tmax (w_from_chain).  Positive scales change neither membership nor
+    Images are taken of N = D P in Z (IdealBasis.integral), all read off
+    its integer Dunkl chain c_s nabla_1^s N on classes, s < tmax
+    (OperatorTag.chain_step).  Positive scales change neither membership nor
     the obstruction, and the report records only those.
     """
     if mmax < 1 or tmax < 2:
@@ -529,11 +529,8 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
         for tag in tags:
             if not 0 <= d + tag.degree_shift() <= dmax:
                 continue
-            if tag.kind == "w":
-                img = w_from_chain(chain[tag.t - 1][1], tag.t, tag.m)
-            else:
-                img = tag.apply(P, b0)
-            cert = reduce_membership(img, basis)
+            s, shift = tag.chain_step()
+            cert = reduce_membership(chain[s][1].symmetrize(shift), basis)
             rep.add("%s@%s" % (tag, list(lam)), cert.member, **cert.detail())
     return rep
 

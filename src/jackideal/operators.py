@@ -10,13 +10,14 @@ operator ever leaves the coefficient ring.
 The Hamiltonian acts on the m-basis in closed form (hamiltonian_row: pair
 moves on the parts of mu, cost polynomial in n and the degree); symmetric
 ExpandedPoly inputs are collected to the m-basis first.  On the m-basis,
-l_m and p_m move one part of mu by m (apply_l, apply_p), and w^(t)_m reads
-its image off one Dunkl chain (dunkl_chain, w_from_chain), since
-nabla_j^s P = K_1j nabla_1^s P for symmetric P.  At a rational beta = a/b
-the chain runs in Z as c_s nabla_1^s P, c_s = D b^s > 0 with D the common
-denominator of P; apply_w divides by c_(t-1).  The Dunkl, Cherednik and
-Sekiguchi operators break symmetry and act on monomials; so do l_m and w on
-ExpandedPoly inputs (_l_expanded, _w_expanded).
+p_m, l_m and w^(t)_m are sum_j x_j^shift K_1j Q for Q = P, d_1 P and
+nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P for symmetric P), read on
+cluster classes x_1^a m_nu(x_2, ..., x_n) (PartSymPoly.symmetrize).  At a
+rational beta = a/b dunkl_chain runs in Z as c_s nabla_1^s P, c_s = D b^s
+> 0 with D the common denominator of P; apply_w divides by c_(t-1).  The
+Dunkl, Cherednik and Sekiguchi operators break symmetry and act on
+monomials; so do l_m and w on ExpandedPoly inputs (_l_expanded,
+_w_expanded).
 """
 
 import random
@@ -24,7 +25,8 @@ from fractions import Fraction
 
 from .ratfunc import BETA, BetaPoly
 from .report import Report
-from .sympoly import ExpandedPoly, MSymPoly, orbit_size, power_sum
+from .sympoly import (ExpandedPoly, MSymPoly, PartSymPoly, orbit_size,
+                      power_sum)
 from .partitions import as_partition, padded, partitions_leq
 
 
@@ -33,10 +35,9 @@ def apply_exchange(P, i, j):
     return P.swap(i, j)
 
 
-def apply_dunkl(P, i, beta, b=1):
-    """nabla_i = d/dx_i + beta * sum_{j != i} (1 - K_ij)/(x_i - x_j); with b,
-    b d/dx_i + beta * sum ... = b nabla_i at coupling beta/b, integral on Z."""
-    out = P.partial(i) if b == 1 else P.partial(i).scale(b)
+def apply_dunkl(P, i, beta):
+    """nabla_i = d/dx_i + beta * sum_{j != i} (1 - K_ij)/(x_i - x_j)."""
+    out = P.partial(i)
     acc = None
     for j in range(1, P.n + 1):
         if j != i:
@@ -149,41 +150,23 @@ def _l_expanded(P, m):
     return out
 
 
-def _part_shifts(P, m, weighted):
-    """sum_j x_j^m (x_j d_j if weighted else 1) on the m-basis, m >= -1.
-
-    For each distinct part a of mu padded to n slots, moving one a to a + m
-    gives nu, hit from mult_nu(a + m) monomials of m_mu; each hit carries
-    a (weighted) or 1.  No orbit is expanded.
-    """
-    n = P.n
-    out = {}
-    for mu, c in P.terms.items():
-        p = padded(mu, n)
-        for a in set(p):
-            if weighted and not a:
-                continue
-            q = list(p)
-            q[q.index(a)] = a + m
-            nu = tuple(sorted(q, reverse=True))
-            add = c * ((a if weighted else 1) * q.count(a + m))
-            acc = out.get(nu)
-            out[nu] = add if acc is None else acc + add
-    return MSymPoly(n, out)
+def _classes(P):
+    """The MSymPoly P as classes x_1^a m_nu(x_2, ..., x_n)."""
+    return P.substitute_coincident(1) if P.n else PartSymPoly.zero(0)
 
 
 def apply_l(P, m):
-    """l_m on an MSymPoly (by part shifts) or on an ExpandedPoly."""
+    """l_m on an MSymPoly (on classes) or on an ExpandedPoly."""
     if isinstance(P, MSymPoly):
         _check_operator("l", m)
-        return _part_shifts(P, m, True)
+        return _classes(P).partial_t().symmetrize(m + 1)
     return _l_expanded(P, m)
 
 
 def apply_p(P, m):
-    """p_m P for an MSymPoly P (m >= 1), by part shifts."""
+    """p_m P for an MSymPoly P (m >= 1), on classes."""
     _check_operator("p", m)
-    return _part_shifts(P, m, False)
+    return _classes(P).symmetrize(m)
 
 
 def _w_expanded(P, t, m, beta):
@@ -196,46 +179,26 @@ def _w_expanded(P, t, m, beta):
 
 
 def dunkl_chain(P, smax, beta):
-    """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P expanded, in Z
+    """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P on classes, in Z
     at a rational beta = a/b (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1
     Q_s, c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1)."""
     rational = isinstance(beta, (int, Fraction))
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
-    chain = [(D, P.to_expanded())]
+    chain = [(D, _classes(P))]
     for _ in range(smax):
-        chain.append((chain[-1][0] * b, apply_dunkl(chain[-1][1], 1, a, b)))
+        c, Q = chain[-1]
+        chain.append((c * b, Q.partial_t().scale(b) + Q.dunkl_sum().scale(a)))
     return chain
-
-
-def w_from_chain(Q, t, m):
-    """w^(t)_m P on the m-basis from Q = nabla_1^(t-1) P, for symmetric P.
-
-    nabla_j^(t-1) P = K_1j Q, so w^(t)_m P = sum_j x_j^(m+t-1) K_1j Q.  That
-    image is symmetric, so its m_nu coefficient is its x^nu coefficient:
-    swap slots 1 and j of each exponent of Q, add m+t-1 to slot j and keep
-    the non-increasing results, trailing zeros stripped.
-    """
-    _check_operator("w", m, t)
-    shift = m + t - 1
-    out = {}
-    for e, c in Q.terms.items():
-        for j in range(Q.n):
-            f = list(e)
-            f[0], f[j] = f[j], f[0] + shift
-            if f == sorted(f, reverse=True):
-                key = tuple(f[:len(f) - f.count(0)])
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-    return MSymPoly._raw(Q.n, {key: c for key, c in out.items() if c})
 
 
 def apply_w(P, t, m, beta):
     """w^(t)_m on an MSymPoly (through one Dunkl chain) or on an
     ExpandedPoly."""
     if isinstance(P, MSymPoly):
+        _check_operator("w", m, t)
         c, Q = dunkl_chain(P, t - 1, beta)[-1]
-        return w_from_chain(Q, t, m).scale(Fraction(1, c))
+        return Q.symmetrize(m + t - 1).scale(Fraction(1, c))
     return _w_expanded(P, t, m, beta)
 
 
@@ -260,6 +223,15 @@ class OperatorTag:
 
     def degree_shift(self):
         return self.m
+
+    def chain_step(self):
+        """(s, shift) with image dunkl_chain(P)[s][1].symmetrize(shift)
+        = c_s times the image of a symmetric P (nabla_1 P = d_1 P for l)."""
+        if self.kind == "p":
+            return 0, self.m
+        if self.kind == "l":
+            return 1, self.m + 1
+        return self.t - 1, self.m + self.t - 1
 
     def apply(self, P, beta):
         """Apply to an MSymPoly."""

@@ -337,6 +337,11 @@ class BetaRatFunc:
         return BetaRatFunc(other) + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)) and other:
+            # a nonzero rational keeps num, den coprime and den monic
+            out = object.__new__(BetaRatFunc)
+            out.num, out.den = self.num * other, self.den
+            return out
         if isinstance(other, (int, Fraction, BetaPoly)):
             other = BetaRatFunc(other)
         if not isinstance(other, BetaRatFunc):

@@ -3,7 +3,8 @@ monomial-symmetric basis and the cluster class form.
 
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
 to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
-of t^a m_nu(x_2, ..., x_n), the image of x_1 = ... = x_c = t.  All share one
+of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
+t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  All share one
 sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
 repr and the JSON form.  Coefficients may live in Q (int/Fraction),
 Q[beta] (BetaPoly) or Q(beta) (BetaRatFunc); all operations here are
@@ -18,15 +19,13 @@ integers; a partition is normalized by as_partition and has at most n
 parts) and drops zero coefficients.  It serves outside input and results
 whose keys may be unnormalized or whose terms may cancel.  Results whose
 keys come from an existing polynomial and whose coefficients cannot be zero
-(the coefficient rings have no zero divisors) are built unchecked by _raw:
-negation, nonzero scaling, sums and products after pruning, homogeneous
-components, restrict_last, to_expanded, to_msym, the PartSymPoly of
-MSymPoly.substitute_coincident, operators.w_from_chain and the Dunkl
-building blocks (partial, mul_var, swap, divided_difference).
+(the coefficient rings have no zero divisors) are built unchecked by _raw,
+or by _collect where terms may cancel: negation, nonzero scaling, sums and
+products after pruning, homogeneous components, restrict_last,
+to_expanded, to_msym, the four class steps and the Dunkl building blocks
+(partial, mul_var, swap, divided_difference).
 """
 
-from collections import Counter
-from itertools import product
 from math import factorial, lcm
 
 from .partitions import as_partition, padded
@@ -86,6 +85,19 @@ def orbit_size(lam, n):
     return size
 
 
+def _replace_part(nu, slots, old, new):
+    """nu padded with zeros to `slots` parts, with one part old replaced by
+    new: (the resulting partition, how many of its padded slots hold new)."""
+    q = list(nu)
+    if old:
+        q.remove(old)
+    if not new:
+        return tuple(q), slots - len(q)
+    q.append(new)
+    q.sort(reverse=True)
+    return tuple(q), q.count(new)
+
+
 class _SparsePoly:
     """A dict {key: nonzero coefficient} in n variables.  Subclasses set
     BASIS and KEY (the JSON names), _key (validate one key) and
@@ -108,6 +120,15 @@ class _SparsePoly:
         p = cls.__new__(cls)
         p.n, p.terms = n, terms
         return p
+
+    @classmethod
+    def _collect(cls, n, pairs):
+        """Sum (key, coefficient) pairs with valid keys; zero sums drop."""
+        out = {}
+        for key, c in pairs:
+            acc = out.get(key)
+            out[key] = c if acc is None else acc + c
+        return cls._raw(n, {k: c for k, c in out.items() if c})
 
     @classmethod
     def zero(cls, n):
@@ -232,18 +253,10 @@ class ExpandedPoly(_SparsePoly):
         if self.n != other.n:
             raise ValueError("variable counts differ")
         _check_budget(len(self.terms) * len(other.terms))
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                c = ca * cb
-                acc = out.get(e)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[e] = acc
-                elif e in out:
-                    del out[e]
-        return self._raw(self.n, out)
+        return self._collect(self.n, (
+            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+            for ea, ca in self.terms.items()
+            for eb, cb in other.terms.items()))
 
     def mul_var(self, i, power=1):
         """Multiply by x_i**power (power >= 0)."""
@@ -283,26 +296,17 @@ class ExpandedPoly(_SparsePoly):
         if i == j:
             raise ValueError("need distinct variables")
         a_i, a_j = i - 1, j - 1
-        out = {}
-        for e, c in self.terms.items():
-            a, b = e[a_i], e[a_j]
-            if a == b:
-                continue
-            if a < b:
-                a, b = b, a
-                c = -c
-            base = list(e)
-            for t in range(a - b):
-                base[a_i] = b + t
-                base[a_j] = a - 1 - t
-                key = tuple(base)
-                acc = out.get(key)
-                acc = c if acc is None else acc + c
-                if acc:
-                    out[key] = acc
-                elif key in out:
-                    del out[key]
-        return self._raw(self.n, out)
+
+        def moves():
+            for e, c in self.terms.items():
+                a, b = e[a_i], e[a_j]
+                if a < b:
+                    a, b, c = b, a, -c
+                base = list(e)
+                for t in range(a - b):
+                    base[a_i], base[a_j] = b + t, a - 1 - t
+                    yield tuple(base), c
+        return self._collect(self.n, moves())
 
     def evaluate(self, point):
         if len(point) != self.n:
@@ -320,16 +324,8 @@ class ExpandedPoly(_SparsePoly):
         """Set x_1 = ... = x_c = t; result lives in variables (t, x_{c+1}, ..., x_n)."""
         if not 1 <= c <= self.n:
             raise ValueError("need 1 <= c <= n")
-        out = {}
-        for e, coeff in self.terms.items():
-            key = (sum(e[:c]),) + e[c:]
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return self._raw(self.n - c + 1, out)
+        return self._collect(self.n - c + 1, (((sum(e[:c]),) + e[c:], v)
+                                              for e, v in self.terms.items()))
 
     def is_symmetric(self):
         """Full orbit check: every monomial's orbit present with one coefficient."""
@@ -418,29 +414,16 @@ class MSymPoly(_SparsePoly):
         return self._raw(self.n - 1, out)
 
     def substitute_coincident(self, c):
-        """Set x_1 = ... = x_c = t, as a PartSymPoly in (t, x_{c+1}, ..., x_n).
-
-        Each distinct multiset S of c entries of lam padded to n sends m_lam
-        to t^|S| m_(lam minus S), once per arrangement of S in the c
-        cluster slots: c!/prod mult_S(v)! times.  No orbit is expanded."""
+        """Set x_1 = ... = x_c = t, as a PartSymPoly in (t, x_{c+1}, ..., x_n):
+        c cluster() steps from self read in (t, x_1, ..., x_n), free of t.
+        No orbit is expanded."""
         if not 1 <= c <= self.n:
             raise ValueError("need 1 <= c <= n")
-        out = {}
-        for lam, coeff in self.terms.items():
-            groups = sorted(Counter(padded(lam, self.n)).items(), reverse=True)
-            for take in product(*(range(min(m, c) + 1) for _, m in groups)):
-                if sum(take) != c:
-                    continue
-                key, count = [0], factorial(c)
-                for (v, m), s in zip(groups, take):
-                    key[0] += v * s
-                    key += [v] * (m - s) if v else []
-                    count //= factorial(s)
-                key = tuple(key)
-                acc = out.get(key)
-                out[key] = coeff * count if acc is None else acc + coeff * count
-        return PartSymPoly._raw(self.n - c + 1,
-                                {k: v for k, v in out.items() if v})
+        Q = PartSymPoly._raw(self.n + 1, {(0,) + lam: v
+                                          for lam, v in self.terms.items()})
+        for _ in range(c):
+            Q = Q.cluster()
+        return Q
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -471,6 +454,48 @@ class PartSymPoly(_SparsePoly):
                 or as_partition(key[1:]) != key[1:]):
             raise ValueError("bad class key %r for n=%r" % (key, n))
         return key
+
+    def cluster(self):
+        """Set x_2 = t as well: each distinct part v of nu padded to n - 1
+        slots sends t^a m_nu to t^(a+v) m_(nu minus v), once."""
+        if self.n < 2:
+            raise ValueError("no variable left to set equal to t")
+        slots = self.n - 1
+        return self._collect(slots, (
+            ((key[0] + v,) + _replace_part(key[1:], slots, v, 0)[0], c)
+            for key, c in self.terms.items()
+            for v in set(padded(key[1:], slots))))
+
+    def partial_t(self):
+        return self._raw(self.n, {(k[0] - 1,) + k[1:]: c * k[0]
+                                  for k, c in self.terms.items() if k[0]})
+
+    def dunkl_sum(self):
+        """sum_{j > 1} (1 - K_1j)/(t - x_j) by the telescoping identity
+        (x^a y^b - x^b y^a)/(x - y) = sum_{b <= i < a} x^i y^(a+b-1-i): on
+        t^a m_nu each distinct part b != a of nu padded to n - 1 slots gives
+        t^i and a part a+b-1-i (negated when a < b), and each monomial of
+        the image is hit once per slot that holds the new part."""
+        slots = self.n - 1
+
+        def moves():
+            for key, c in self.terms.items():
+                a, nu = key[0], key[1:]
+                for b in set(padded(nu, slots)) - {a}:
+                    lo, hi, s = (b, a, c) if a > b else (a, b, -c)
+                    for i in range(lo, hi):
+                        q, mult = _replace_part(nu, slots, b, lo + hi - 1 - i)
+                        yield (i,) + q, s * mult
+        return self._collect(self.n, moves())
+
+    def symmetrize(self, shift):
+        """sum_j x_j^shift K_1j as an MSymPoly (shift >= 0): t^e m_nu gives
+        m_(nu + (e + shift)) once per slot of it padded to n holding e + shift."""
+        if shift < 0:
+            raise ValueError("symmetrize needs shift >= 0")
+        images = (_replace_part(k[1:], self.n, 0, k[0] + shift) + (c,)
+                  for k, c in self.terms.items())
+        return MSymPoly._collect(self.n, ((mu, c * m) for mu, m, c in images))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)

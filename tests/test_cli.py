@@ -73,12 +73,27 @@ def test_jack_specialized_and_evaluated(capsys):
 def test_term_budget_exit(capsys, monkeypatch):
     # an expansion beyond TERM_BUDGET is a clean exit 2, not a traceback
     monkeypatch.setattr(jackideal.sympoly, "TERM_BUDGET", 10)
-    code, out, err = run_cli(capsys, "verify", "closure", "--k", "1",
-                             "--r", "2", "--n", "3", "--dmax", "6",
-                             "--mmax", "2", "--tmax", "2")
+    code, out, err = run_cli(capsys, "verify", "sekiguchi", "--n", "3",
+                             "--dmax", "4")
     assert code == 2 and out == ""
     assert err.startswith("term budget exceeded: operation needs ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("partitions", "--k", "1", "--r", "2", "--n", "3", "--dmax", "3"),
+    ("character", "--k", "1", "--r", "2", "--n", "3", "--dmax", "3"),
+    ("specialize-principal", "--lambda", "2", "--n", "2"),
+    ("verify", "commutators"),
+])
+def test_no_cache_dir_where_no_jack_is_solved(capsys, tmp_path, argv):
+    # these subcommands solve no Jack, so they take no --cache-dir and
+    # create no directory
+    cache = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--cache-dir", str(cache)])
+    assert exc.value.code == 2 and not cache.exists()
+    assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
 
 
 def test_jack_pole_exit(capsys):

@@ -3,17 +3,21 @@
 The expanded operators stay as the independent references: _w_expanded
 applies nabla_j^(t-1) for every j to the S_n-orbit expansion and sums the
 shifted copies, _l_expanded acts monomial by monomial, and p_m is an
-expanded product.  The m-basis paths (apply_w through one nabla_1 chain,
-apply_l and apply_p by part shifts) share none of that, so agreement here
-checks the symmetry reduction and the part-shift coefficients from outside.
+expanded product.  The m-basis paths (apply_p, apply_l and apply_w read on
+cluster classes x_1^a m_nu(x_2, ..., x_n)) share none of that, so agreement
+here checks the symmetry reduction and the class coefficients from outside.
 
-fraction_dunkl_chain is the Dunkl chain as it was before it ran in Z: plain
-nabla_1 steps over the coefficients of P.  The integer chain must be c_s
-times it, entry by entry, and closure_fraction (the closure loop on that
-chain, with the batch-of-maxima reduction) must give the same verdicts.
+expanded_dunkl_chain is the integer Dunkl chain on the S_n-orbit expansion,
+built from the ExpandedPoly calculus, and w_from_chain reads w^(t)_m off
+it slot by slot; together they were the m-basis w path before the chain
+ran on classes.  fraction_dunkl_chain is plain nabla_1 steps over the
+coefficients of P.  The class chain must equal the expanded one read on
+classes, the expanded one must be c_s times the fraction one, and
+closure_fraction (the closure loop on the fraction chain, with the
+batch-of-maxima reduction) must give the same verdicts as verify_closure.
 
-The last test keeps the per-tag closure loop that verify_closure ran before
-it built one Dunkl chain per basis element, and compares verdicts.
+closure_per_tag keeps the per-tag closure loop that verify_closure ran
+before it read every image off one Dunkl chain per basis element.
 """
 
 import random
@@ -24,13 +28,15 @@ import pytest
 from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
                              verify_closure)
 from jackideal.jack import JackCache
-from jackideal.operators import (OperatorTag, _l_expanded, _w_expanded,
-                                 apply_dunkl, apply_dunkl_power, apply_l,
-                                 apply_p, apply_w, dunkl_chain, w_from_chain)
+from jackideal.operators import (OperatorTag, _check_operator, _l_expanded,
+                                 _w_expanded, apply_dunkl, apply_dunkl_power,
+                                 apply_l, apply_p, apply_w, dunkl_chain)
 from jackideal.partitions import beta_value, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
 from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
+
+from test_sympoly import collect_classes
 
 from test_membership_oracle import batch_reduce
 
@@ -55,6 +61,42 @@ def fraction_dunkl_chain(P, smax, beta):
         Q = apply_dunkl(Q, 1, beta)
         chain.append(Q)
     return chain
+
+
+def expanded_dunkl_chain(P, smax, beta):
+    """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P on the expansion
+    of the MSymPoly P, in Z at a rational beta = a/b (Q_0 = D P,
+    Q_(s+1) = b d_1 Q_s + a sum_j (Q_s - K_1j Q_s)/(x_1 - x_j), c_s = D b^s);
+    a symbolic beta runs it with (a, b, D) = (beta, 1, 1)."""
+    rational = isinstance(beta, (int, Fraction))
+    a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
+    D, P = P.cleared() if rational else (1, P)
+    chain = [(D, P.to_expanded())]
+    for _ in range(smax):
+        c, Q = chain[-1]
+        step = Q.partial(1).scale(b)
+        for j in range(2, Q.n + 1):
+            step = step + Q.divided_difference(1, j).scale(a)
+        chain.append((c * b, step))
+    return chain
+
+
+def w_from_chain(Q, t, m):
+    """w^(t)_m P on the m-basis from Q = nabla_1^(t-1) P expanded, for
+    symmetric P: sum_j x_j^(m+t-1) K_1j Q is symmetric, so its m_nu
+    coefficient is its x^nu coefficient.  Swap slots 1 and j of each
+    exponent of Q, add m+t-1 to slot j and keep the non-increasing results,
+    trailing zeros stripped."""
+    _check_operator("w", m, t)
+    out = {}
+    for e, c in Q.terms.items():
+        for j in range(Q.n):
+            f = list(e)
+            f[0], f[j] = f[j], f[0] + m + t - 1
+            if f == sorted(f, reverse=True):
+                key = tuple(f[:len(f) - f.count(0)])
+                out[key] = out.get(key, 0) + c
+    return MSymPoly(Q.n, out)
 
 
 def random_symmetric(rng, n, degree, nterms):
@@ -82,7 +124,7 @@ def expanded_w_images(E, t, beta):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_w_matches_expanded(n):
     """Every mu with |mu| <= 8 and every (t, m), t <= 4, m <= 4, read off
-    one Dunkl chain per (mu, beta) as apply_w and verify_closure do.
+    one class Dunkl chain per (mu, beta) as apply_w and verify_closure do.
 
     The oracle runs at the symbolic beta; its value at -1/2 and -3/2 is
     that image evaluated there, which is exact because the input has
@@ -97,16 +139,17 @@ def test_w_matches_expanded(n):
             for m, want in expanded_w_images(P.to_expanded(), t, BETA).items():
                 for b0, chain in chains.items():
                     c, Q = chain[t - 1]
-                    got = w_from_chain(Q, t, m)
+                    got = Q.symmetrize(m + t - 1)
                     want_b0 = want if b0 is BETA else at(want, b0)
                     assert got == want_b0.scale(c), (mu, t, m, b0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_integer_chain_matches_fraction_chain(n):
-    """Entry s of the integer chain is c_s = D b^s times nabla_1^s P, with
-    D the common denominator of P and beta = a/b; at a symbolic beta every
-    c_s is 1 and the two chains coincide."""
+    """Entry s of the expanded integer chain is c_s = D b^s times
+    nabla_1^s P, with D the common denominator of P and beta = a/b, and
+    the class chain is that entry read on classes; at a symbolic beta every
+    c_s is 1 and the chains coincide."""
     rng = random.Random(n)
     for nn, mu in GRID:
         if nn != n:
@@ -115,15 +158,50 @@ def test_integer_chain_matches_fraction_chain(n):
                                                   rng.choice([1, 2, 6])))
         for b0 in CHAIN_BETAS:
             want = fraction_dunkl_chain(P, 3, b0)
-            got = dunkl_chain(P, 3, b0)
+            got = expanded_dunkl_chain(P, 3, b0)
             D = P.terms[mu].denominator
             for s, ((c, Q), F) in enumerate(zip(got, want)):
                 assert c == D * b0.denominator ** s, (mu, b0, s)
                 assert all(type(x) is int for x in Q.terms.values())
                 assert Q == F.scale(c), (mu, b0, s)
+            assert dunkl_chain(P, 3, b0) == [(c, collect_classes(Q))
+                                             for c, Q in got], (mu, b0)
     P = MSymPoly.monomial_sym(n, (2, 1)[:n], BETA + 1)
-    assert dunkl_chain(P, 2, BETA) == [(1, Q) for Q in
-                                       fraction_dunkl_chain(P, 2, BETA)]
+    want = fraction_dunkl_chain(P, 2, BETA)
+    assert expanded_dunkl_chain(P, 2, BETA) == [(1, Q) for Q in want]
+    assert dunkl_chain(P, 2, BETA) == [(1, collect_classes(Q)) for Q in want]
+
+
+@pytest.mark.parametrize("grid", [(k, r, n, 10, 4) for k, r in
+                                  ((1, 2), (2, 3), (1, 4))
+                                  for n in range(1, 5)]
+                         + [(2, 2, 5, 14, 3), (2, 3, 6, 20, 3)])
+def test_class_chain_matches_expanded_chain(grid):
+    """verify_closure's chains on every basis element: criterion 7's grid,
+    (2,2,5,14) and (2,3,6,20), the last two at tmax = 3."""
+    k, r, n, dmax, tmax = grid
+    b0 = beta_value(k, r)
+    basis = build_basis(k, r, n, dmax, JackCache())
+    for lam in basis.family.all_partitions():
+        P = basis.integral(lam)[1]
+        want = [(c, collect_classes(Q))
+                for c, Q in expanded_dunkl_chain(P, tmax - 1, b0)]
+        assert dunkl_chain(P, tmax - 1, b0) == want, lam
+
+
+def test_chain_steps_match_apply():
+    """Each closure tag read off the class chain at (s, shift) is c_s times
+    its apply image."""
+    tags = closure_tags(4, 4)
+    for n, mu in GRID:
+        P = MSymPoly.monomial_sym(n, mu, Fraction(3, 2))
+        for b0 in SPECIAL:
+            chain = dunkl_chain(P, 3, b0)
+            for tag in tags:
+                s, shift = tag.chain_step()
+                c, Q = chain[s]
+                assert Q.symmetrize(shift) == tag.apply(P, b0).scale(c), \
+                    (mu, tag, b0)
 
 
 def test_l_and_p_match_expanded():

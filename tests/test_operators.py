@@ -10,8 +10,7 @@ from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
                                  apply_dunkl_power, apply_exchange,
                                  apply_hamiltonian, apply_l, apply_p,
                                  apply_sekiguchi, apply_w,
-                                 expanded_power_sum, verify_commutators,
-                                 w_from_chain)
+                                 expanded_power_sum, verify_commutators)
 from jackideal.partitions import (cs_eigenvalue, partitions_leq,
                                   sekiguchi_eigenvalue)
 from jackideal.ratfunc import BETA, BetaPoly
@@ -169,8 +168,8 @@ def test_operator_tags():
     lambda q: OperatorTag("l", 0, 2),
     lambda q: apply_w(q.to_expanded(), 1, 0, HALF),
     lambda q: apply_w(q.to_expanded(), 2, -2, HALF),
-    lambda q: w_from_chain(q.to_expanded(), 1, 0),
-    lambda q: w_from_chain(q.to_expanded(), 4, -4),
+    lambda q: apply_w(q, 1, 0, HALF),
+    lambda q: apply_w(q, 4, -4, HALF),
     lambda q: OperatorTag("w", 0),
 ])
 def test_operator_ranges_checked_everywhere(call):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jackideal.sympoly as sympoly
-from jackideal.operators import w_from_chain
+from jackideal.operators import apply_w
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
@@ -168,20 +168,83 @@ def msym_and_cluster(draw):
     return MSymPoly(n, terms), draw(st.integers(1, n))
 
 
-@settings(max_examples=80, deadline=None)
-@given(msym_and_cluster())
-def test_substitute_coincident_matches_expanded(case):
-    # the class form is the expanded image read on the exponent vectors
-    # whose tail (x_(c+1), ..., x_n) is non-increasing, zero parts dropped
-    P, c = case
-    got = P.substitute_coincident(c)
+def collect_classes(E):
+    """The ExpandedPoly E, symmetric in every variable but the first, as a
+    PartSymPoly: read on the exponent vectors whose tail is non-increasing,
+    zero parts dropped."""
     want = {}
-    for e, v in P.to_expanded().substitute_coincident(c).terms.items():
+    for e, v in E.terms.items():
         tail = e[1:]
         if list(tail) == sorted(tail, reverse=True):
             want[(e[0],) + tuple(x for x in tail if x)] = v
+    return PartSymPoly(E.n, want)
+
+
+def expand_classes(Q):
+    """The PartSymPoly Q with t = x_1, as an ExpandedPoly in n variables."""
+    out = ExpandedPoly.zero(Q.n)
+    for key, c in Q.terms.items():
+        for e in orbit_exponents(key[1:], Q.n - 1):
+            out = out + ExpandedPoly.monomial(Q.n, (key[0],) + e, c)
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(msym_and_cluster())
+def test_substitute_coincident_matches_expanded(case):
+    P, c = case
+    got = P.substitute_coincident(c)
     assert type(got) is PartSymPoly and got.n == P.n - c + 1
-    assert got.terms == want
+    assert got == collect_classes(P.to_expanded().substitute_coincident(c))
+
+
+def test_substitute_coincident_matches_expanded_exhaustive():
+    for n in range(1, 7):
+        for d in range(9):
+            for lam in partitions_leq(d, n):
+                P = MSymPoly.monomial_sym(n, lam, 3)
+                E = P.to_expanded()
+                for c in range(1, n + 1):
+                    want = collect_classes(E.substitute_coincident(c))
+                    assert P.substitute_coincident(c) == want, (lam, c)
+
+
+@st.composite
+def class_polys(draw):
+    n = draw(st.integers(2, 5))
+    keys = [(a,) + nu for a in range(5) for d in range(5)
+            for nu in partitions_leq(d, n - 1)]
+    terms = draw(st.dictionaries(st.sampled_from(keys),
+                                 st.integers(-4, 4), max_size=5))
+    return PartSymPoly(n, terms), draw(st.integers(0, 3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(class_polys())
+def test_class_steps_match_expanded(case):
+    # each class step against the ExpandedPoly calculus on the expansion
+    # of Q with t = x_1, read back on classes
+    Q, shift = case
+    E = expand_classes(Q)
+    n = Q.n
+    assert expand_classes(Q) == E and collect_classes(E) == Q
+    assert Q.cluster() == collect_classes(E.substitute_coincident(2))
+    assert Q.partial_t() == collect_classes(E.partial(1))
+    dd = ExpandedPoly.zero(n)
+    for j in range(2, n + 1):
+        dd = dd + E.divided_difference(1, j)
+    assert Q.dunkl_sum() == collect_classes(dd)
+    sym = ExpandedPoly.zero(n)
+    for j in range(1, n + 1):
+        sym = sym + E.swap(1, j).mul_var(j, shift)
+    assert Q.symmetrize(shift) == sym.to_msym()
+
+
+def test_class_step_ranges():
+    with pytest.raises(ValueError):
+        PartSymPoly(1, {(2,): 1}).cluster()
+    with pytest.raises(ValueError):
+        PartSymPoly(2, {(2,): 1}).symmetrize(-1)
 
 
 def test_partsym_constructor_validates():
@@ -296,10 +359,18 @@ def test_unchecked_results_pass_validation(operands):
                ea.swap(1, n), ea.substitute_coincident(n)]
     results += [a.substitute_coincident(j) for j in range(1, n + 1)]
     results += [a.restrict_last(j) for j in range(4)]
-    # on m_2 - m_11 in two variables the x1^2 x2 terms of w^(2)_0 cancel
-    cancelling = MSymPoly(2, {(2,): 1, (1, 1): -1}).to_expanded()
-    results += [w_from_chain(q, t, m) for q in (ea - eb, cancelling)
+    # the class steps, where terms meet and cancel: sum_j>1 delta_1j is 0
+    # on a symmetric input, and t - x_2 symmetrizes to 0
+    classes = (a - b).substitute_coincident(1)
+    results += [classes.partial_t(), classes.dunkl_sum(),
+                PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0)]
+    if n > 1:
+        results.append(classes.cluster())
+    results += [classes.symmetrize(s) for s in range(3)]
+    results += [apply_w(q, t, m, BETA) for q in (a - b, a)
                 for t, m in [(2, -1), (2, 0), (2, 1), (3, 0)]]
+    assert classes.dunkl_sum().is_zero()
+    assert PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0).is_zero()
     results += list(a.homogeneous_components().values())
     results += list(ea.homogeneous_components().values())
     if n > 1:
