@@ -12,12 +12,11 @@ moves on the parts of mu, cost polynomial in n and the degree); symmetric
 ExpandedPoly inputs are collected to the m-basis first.  On the m-basis,
 p_m, l_m and w^(t)_m are sum_j x_j^shift K_1j Q for Q = P, d_1 P and
 nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P for symmetric P), read on
-cluster classes x_1^a m_nu(x_2, ..., x_n) (PartSymPoly.symmetrize).  At a
+cluster classes by OperatorTag.apply at OperatorTag.chain_step.  At a
 rational beta = a/b dunkl_chain runs in Z as c_s nabla_1^s P, c_s = D b^s
-> 0 with D the common denominator of P; apply_w divides by c_(t-1).  The
-Dunkl, Cherednik and Sekiguchi operators break symmetry and act on
-monomials; so do l_m and w on ExpandedPoly inputs (_l_expanded,
-_w_expanded).
+> 0 with D the common denominator of P.  The Dunkl, Cherednik and
+Sekiguchi operators break symmetry and act on monomials; so do l_m and w on
+ExpandedPoly inputs (_l_expanded, _w_expanded).
 """
 
 import random
@@ -158,15 +157,13 @@ def _classes(P):
 def apply_l(P, m):
     """l_m on an MSymPoly (on classes) or on an ExpandedPoly."""
     if isinstance(P, MSymPoly):
-        _check_operator("l", m)
-        return _classes(P).partial_t().symmetrize(m + 1)
+        return OperatorTag("l", m).apply(P, None)
     return _l_expanded(P, m)
 
 
 def apply_p(P, m):
     """p_m P for an MSymPoly P (m >= 1), on classes."""
-    _check_operator("p", m)
-    return _classes(P).symmetrize(m)
+    return OperatorTag("p", m).apply(P, None)
 
 
 def _w_expanded(P, t, m, beta):
@@ -196,9 +193,7 @@ def apply_w(P, t, m, beta):
     """w^(t)_m on an MSymPoly (through one Dunkl chain) or on an
     ExpandedPoly."""
     if isinstance(P, MSymPoly):
-        _check_operator("w", m, t)
-        c, Q = dunkl_chain(P, t - 1, beta)[-1]
-        return Q.symmetrize(m + t - 1).scale(Fraction(1, c))
+        return OperatorTag("w", m, t).apply(P, beta)
     return _w_expanded(P, t, m, beta)
 
 
@@ -234,12 +229,13 @@ class OperatorTag:
         return self.t - 1, self.m + self.t - 1
 
     def apply(self, P, beta):
-        """Apply to an MSymPoly."""
-        if self.kind == "p":
-            return apply_p(P, self.m)
-        if self.kind == "l":
-            return apply_l(P, self.m)
-        return apply_w(P, self.t, self.m, beta)
+        """Apply to an MSymPoly at chain_step(); p and l need no beta."""
+        s, shift = self.chain_step()
+        if self.kind != "w":
+            Q = _classes(P)
+            return (Q.partial_t() if s else Q).symmetrize(shift)
+        c, Q = dunkl_chain(P, s, beta)[s]
+        return Q.symmetrize(shift).scale(Fraction(1, c))
 
     def __str__(self):
         if self.kind == "w":

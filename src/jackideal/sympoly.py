@@ -26,6 +26,7 @@ to_expanded, to_msym, the four class steps and the Dunkl building blocks
 (partial, mul_var, swap, divided_difference).
 """
 
+from itertools import combinations
 from math import factorial, lcm
 
 from .partitions import as_partition, padded
@@ -415,15 +416,11 @@ class MSymPoly(_SparsePoly):
 
     def substitute_coincident(self, c):
         """Set x_1 = ... = x_c = t, as a PartSymPoly in (t, x_{c+1}, ..., x_n):
-        c cluster() steps from self read in (t, x_1, ..., x_n), free of t.
-        No orbit is expanded."""
+        cluster(c) of self read in (t, x_1, ..., x_n), free of t."""
         if not 1 <= c <= self.n:
             raise ValueError("need 1 <= c <= n")
-        Q = PartSymPoly._raw(self.n + 1, {(0,) + lam: v
-                                          for lam, v in self.terms.items()})
-        for _ in range(c):
-            Q = Q.cluster()
-        return Q
+        return PartSymPoly._raw(self.n + 1, {(0,) + lam: v for lam, v
+                                             in self.terms.items()}).cluster(c)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -455,27 +452,34 @@ class PartSymPoly(_SparsePoly):
             raise ValueError("bad class key %r for n=%r" % (key, n))
         return key
 
-    def cluster(self):
-        """Set x_2 = t as well: each distinct part v of nu padded to n - 1
-        slots sends t^a m_nu to t^(a+v) m_(nu minus v), once."""
-        if self.n < 2:
-            raise ValueError("no variable left to set equal to t")
-        slots = self.n - 1
-        return self._collect(slots, (
-            ((key[0] + v,) + _replace_part(key[1:], slots, v, 0)[0], c)
-            for key, c in self.terms.items()
-            for v in set(padded(key[1:], slots))))
+    def cluster(self, c=1):
+        """Set x_2 = ... = x_(c+1) = t as well: each multiset S of c entries
+        of nu padded to n - 1 slots sends t^a m_nu to t^(a+|S|) m_(nu minus S),
+        once per arrangement of S in the c slots, c!/prod mult_S(v)! times."""
+        if not 1 <= c < self.n:
+            raise ValueError("need 1 <= c < n")
+
+        def moves():
+            for key, coeff in self.terms.items():
+                for S in set(combinations(padded(key[1:], self.n - 1), c)):
+                    nu = list(key[1:])
+                    for v in S:
+                        if v:
+                            nu.remove(v)
+                    count = factorial(c)
+                    for v in set(S):
+                        count //= factorial(S.count(v))
+                    yield (key[0] + sum(S),) + tuple(nu), coeff * count
+        return self._collect(self.n - c, moves())
 
     def partial_t(self):
         return self._raw(self.n, {(k[0] - 1,) + k[1:]: c * k[0]
                                   for k, c in self.terms.items() if k[0]})
 
     def dunkl_sum(self):
-        """sum_{j > 1} (1 - K_1j)/(t - x_j) by the telescoping identity
-        (x^a y^b - x^b y^a)/(x - y) = sum_{b <= i < a} x^i y^(a+b-1-i): on
-        t^a m_nu each distinct part b != a of nu padded to n - 1 slots gives
-        t^i and a part a+b-1-i (negated when a < b), and each monomial of
-        the image is hit once per slot that holds the new part."""
+        """sum_{j > 1} (1 - K_1j)/(t - x_j), telescoped: on t^a m_nu each
+        distinct part b != a of nu padded to n - 1 slots gives t^i and a part
+        a+b-1-i, b <= i < a (negated when a < b), once per slot holding it."""
         slots = self.n - 1
 
         def moves():

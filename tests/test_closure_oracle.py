@@ -144,12 +144,20 @@ def test_w_matches_expanded(n):
                     assert got == want_b0.scale(c), (mu, t, m, b0)
 
 
+def runs_in_z(chain):
+    """Every scale c_s and every coefficient of the chain is an int, not
+    merely equal to one."""
+    return all(type(c) is int and all(type(x) is int for x in Q.terms.values())
+               for c, Q in chain)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_integer_chain_matches_fraction_chain(n):
     """Entry s of the expanded integer chain is c_s = D b^s times
     nabla_1^s P, with D the common denominator of P and beta = a/b, and
-    the class chain is that entry read on classes; at a symbolic beta every
-    c_s is 1 and the chains coincide."""
+    the class chain is that entry read on classes; both run in Z (every
+    c_s and coefficient an int).  At a symbolic beta every c_s is 1 and
+    the chains coincide."""
     rng = random.Random(n)
     for nn, mu in GRID:
         if nn != n:
@@ -162,10 +170,11 @@ def test_integer_chain_matches_fraction_chain(n):
             D = P.terms[mu].denominator
             for s, ((c, Q), F) in enumerate(zip(got, want)):
                 assert c == D * b0.denominator ** s, (mu, b0, s)
-                assert all(type(x) is int for x in Q.terms.values())
                 assert Q == F.scale(c), (mu, b0, s)
-            assert dunkl_chain(P, 3, b0) == [(c, collect_classes(Q))
-                                             for c, Q in got], (mu, b0)
+            chain = dunkl_chain(P, 3, b0)
+            assert chain == [(c, collect_classes(Q)) for c, Q in got], \
+                (mu, b0)
+            assert runs_in_z(got) and runs_in_z(chain), (mu, b0)
     P = MSymPoly.monomial_sym(n, (2, 1)[:n], BETA + 1)
     want = fraction_dunkl_chain(P, 2, BETA)
     assert expanded_dunkl_chain(P, 2, BETA) == [(1, Q) for Q in want]
@@ -186,7 +195,9 @@ def test_class_chain_matches_expanded_chain(grid):
         P = basis.integral(lam)[1]
         want = [(c, collect_classes(Q))
                 for c, Q in expanded_dunkl_chain(P, tmax - 1, b0)]
-        assert dunkl_chain(P, tmax - 1, b0) == want, lam
+        chain = dunkl_chain(P, tmax - 1, b0)
+        assert chain == want, lam
+        assert runs_in_z(chain), lam
 
 
 def test_chain_steps_match_apply():

@@ -228,7 +228,9 @@ def test_class_steps_match_expanded(case):
     E = expand_classes(Q)
     n = Q.n
     assert expand_classes(Q) == E and collect_classes(E) == Q
-    assert Q.cluster() == collect_classes(E.substitute_coincident(2))
+    for c in range(1, n):
+        assert Q.cluster(c) == collect_classes(E.substitute_coincident(c + 1))
+    assert Q.cluster() == Q.cluster(1)
     assert Q.partial_t() == collect_classes(E.partial(1))
     dd = ExpandedPoly.zero(n)
     for j in range(2, n + 1):
@@ -241,6 +243,9 @@ def test_class_steps_match_expanded(case):
 
 
 def test_class_step_ranges():
+    for c in (0, 3):
+        with pytest.raises(ValueError):
+            PartSymPoly(3, {(2,): 1}).cluster(c)
     with pytest.raises(ValueError):
         PartSymPoly(1, {(2,): 1}).cluster()
     with pytest.raises(ValueError):
@@ -364,8 +369,7 @@ def test_unchecked_results_pass_validation(operands):
     classes = (a - b).substitute_coincident(1)
     results += [classes.partial_t(), classes.dunkl_sum(),
                 PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0)]
-    if n > 1:
-        results.append(classes.cluster())
+    results += [classes.cluster(j) for j in range(1, n)]
     results += [classes.symmetrize(s) for s in range(3)]
     results += [apply_w(q, t, m, BETA) for q in (a - b, a)
                 for t, m in [(2, -1), (2, 0), (2, 1), (3, 0)]]
