@@ -7,7 +7,7 @@ coefficients and the verification suites for the structural properties
 import json
 import os
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc
 from .partitions import (InvalidParameters, add_node, addable_rows,
@@ -168,9 +168,10 @@ def certificate_holds(P, basis, cert):
 # ---------------------------------------------------------------------------
 # transition coefficients
 
-def pieri_coefficient(mu, j):
-    """Transition coefficient for adding one node in row j to mu (1-indexed):
-    product over i < j of
+def _pieri_factors(mu, j):
+    """(num, den), integer BetaPolys, unreduced: the Pieri coefficient for
+    adding one node in row j to mu (1-indexed) is num/den, the product over
+    i < j of
       ((j-i-1)b + mu_i - mu_j) / ((j-i)b + mu_i - mu_j - 1)
       * ((j-i+1)b + mu_i - mu_j - 1) / ((j-i)b + mu_i - mu_j).
     """
@@ -183,20 +184,20 @@ def pieri_coefficient(mu, j):
         d = mu[i - 1] - mj
         num = num * BetaPoly((d, j - i - 1)) * BetaPoly((d - 1, j - i + 1))
         den = den * BetaPoly((d - 1, j - i)) * BetaPoly((d, j - i))
-    return BetaRatFunc(num, den)
+    return num, den
 
 
-def lassalle_up(mu, j):
-    """Coefficient of P_(mu + node in row j) in l_1 P_mu:
-    psi' * (-(j-1) b + mu_j)."""
+def _lassalle_up_factors(mu, j):
+    """(num, den) of lassalle_up: the Pieri factors times -(j-1) b + mu_j."""
     mu = as_partition(mu)
-    psi = pieri_coefficient(mu, j)
+    num, den = _pieri_factors(mu, j)
     mj = mu[j - 1] if j <= len(mu) else 0
-    return psi * BetaPoly((mj, -(j - 1)))
+    return num * BetaPoly((mj, -(j - 1))), den
 
 
-def lassalle_down(mu, i, n):
-    """Coefficient of P_(mu - node in row i) in l_-1 P_mu (ambient n):
+def _lassalle_down_factors(mu, i, n):
+    """(num, den), integer BetaPolys, unreduced: the coefficient of
+    P_(mu - node in row i) in l_-1 P_mu (ambient n) is num/den,
     (1/b) ((n-i)b + mu_i)((n-i+1)b + mu_i - 1)
       * prod_{j=i+1..n} ((j-i-1)b + mu_i - mu_j)/((j-i)b + mu_i - mu_j)
       * prod_{j=1..mu_i-1} ((conj_j - i + 1)b + mu_i - j - 1)
@@ -217,7 +218,25 @@ def lassalle_down(mu, i, n):
         a = conj[j - 1] - i + 1
         num = num * BetaPoly((mi - j - 1, a))
         den = den * BetaPoly((mi - j, a))
-    return BetaRatFunc(num, den)
+    return num, den
+
+
+def pieri_coefficient(mu, j):
+    """Transition coefficient psi' for adding one node in row j to mu
+    (1-indexed), in Q(beta); see _pieri_factors."""
+    return BetaRatFunc(*_pieri_factors(mu, j))
+
+
+def lassalle_up(mu, j):
+    """Coefficient of P_(mu + node in row j) in l_1 P_mu:
+    psi' * (-(j-1) b + mu_j)."""
+    return BetaRatFunc(*_lassalle_up_factors(mu, j))
+
+
+def lassalle_down(mu, i, n):
+    """Coefficient of P_(mu - node in row i) in l_-1 P_mu (ambient n), in
+    Q(beta); see _lassalle_down_factors."""
+    return BetaRatFunc(*_lassalle_down_factors(mu, i, n))
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +328,33 @@ def verify_regularity(k, r, n, dmax, cache=None):
     return rep
 
 
+def _expansion_holds(op, mu, terms, n, cache):
+    """op P_mu == sum_j (A_j / B_j) P_lam_j identically in beta, for terms
+    [(lam_j, (A_j, B_j))] with integer BetaPolys and B_j != 0, checked in
+    Z[beta] with no gcd.  With N_lam = D_lam P_lam the cleared Jacks
+    (JackPoly.cleared()), both sides are multiplied by D_mu prod_j B_j D_lam_j:
+      (prod_j B_j D_lam_j) op N_mu
+        == sum_j A_j D_mu (prod_{i != j} B_i D_lam_i) N_lam_j.
+    Terms with A_j = 0 drop out first."""
+    def cleared(lam):
+        den, nums = jack_symbolic(lam, n, cache).cleared()
+        return den, MSymPoly(n, nums)
+
+    d_mu, N_mu = cleared(mu)
+    terms = [(a, b, cleared(lam)) for lam, (a, b) in terms if a]
+    dens = [b * d for _, b, (d, _) in terms]
+    rhs = MSymPoly.zero(n)
+    for j, (a, _, (_, N)) in enumerate(terms):
+        rhs = rhs + N.scale(prod(dens[:j] + dens[j + 1:], start=a * d_mu))
+    return op(N_mu).scale(prod(dens)) == rhs
+
+
 def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
     """Pieri rule for p_1 on Jack polynomials.
 
-    Symbolic part (over Q(beta)): p_1 P_mu = sum psi' P_lam for every mu of
-    weight < dmax.  Specialized part (needs k, r): for admissible mu, psi'
+    Symbolic part (identically in beta, on cleared integer numerators by
+    _expansion_holds): p_1 P_mu = sum psi' P_lam for every mu of weight
+    < dmax.  Specialized part (needs k, r): for admissible mu, psi'
     toward non-admissible lam vanishes at beta(k, r) and toward admissible
     lam stays regular, the specialized identity holds over Q, and the
     product reduces to exactly that combination under membership.
@@ -326,15 +367,10 @@ def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
     if symbolic:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
-                Pmu = jack_symbolic(mu, n, cache).msym()
-                lhs = apply_p(Pmu, 1)
-                rhs = MSymPoly(n)
-                for j in addable_rows(mu, n):
-                    lam = add_node(mu, j)
-                    term = jack_symbolic(lam, n, cache).msym()
-                    rhs = rhs + term.map_coeffs(
-                        lambda c, psi=pieri_coefficient(mu, j): c * psi)
-                rep.add("symbolic:%s" % (list(mu),), lhs == rhs)
+                terms = [(add_node(mu, j), _pieri_factors(mu, j))
+                         for j in addable_rows(mu, n)]
+                rep.add("symbolic:%s" % (list(mu),), _expansion_holds(
+                    lambda N: apply_p(N, 1), mu, terms, n, cache))
     if k is not None:
         b0 = beta_value(k, r)
         basis = build_basis(k, r, n, dmax, cache)
@@ -426,7 +462,8 @@ def verify_lassalle(n, dmax, k=None, r=None, symbolic=None, cache=None):
     """Raising/lowering expansions l_1 P_mu and l_-1 P_mu in the Jack basis.
 
     Symbolic part checks both expansions identically in beta for all mu with
-    |mu| < dmax; the specialized part (needs k, r) checks, for admissible mu,
+    |mu| < dmax, on cleared integer numerators (_expansion_holds); the
+    specialized part (needs k, r) checks, for admissible mu,
     the per-neighbour vanishing mechanism at beta(k, r) (asserting the
     specific vanishing factor, not just the product) and the specialized
     identities over Q.
@@ -436,30 +473,17 @@ def verify_lassalle(n, dmax, k=None, r=None, symbolic=None, cache=None):
     cache = cache if cache is not None else JackCache()
     rep = Report("lassalle", {"n": n, "dmax": dmax, "k": k, "r": r,
                               "symbolic": symbolic})
-
-    def expansions(msym_of, mu):
-        ups = MSymPoly(n)
-        for j in addable_rows(mu, n):
-            c = lassalle_up(mu, j)
-            if c:
-                ups = ups + msym_of(add_node(mu, j)).scale(c)
-        downs = MSymPoly(n)
-        for i in removable_rows(mu):
-            c = lassalle_down(mu, i, n)
-            if c:
-                downs = downs + msym_of(remove_node(mu, i)).scale(c)
-        return ups, downs
-
     if symbolic:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
-                Pmu = jack_symbolic(mu, n, cache).msym()
-                ups, downs = expansions(
-                    lambda lam: jack_symbolic(lam, n, cache).msym(), mu)
-                rep.add("symbolic-up:%s" % (list(mu),),
-                        apply_l(Pmu, 1) == ups)
-                rep.add("symbolic-down:%s" % (list(mu),),
-                        apply_l(Pmu, -1) == downs)
+                ups = [(add_node(mu, j), _lassalle_up_factors(mu, j))
+                       for j in addable_rows(mu, n)]
+                downs = [(remove_node(mu, i), _lassalle_down_factors(mu, i, n))
+                         for i in removable_rows(mu)]
+                rep.add("symbolic-up:%s" % (list(mu),), _expansion_holds(
+                    lambda N: apply_l(N, 1), mu, ups, n, cache))
+                rep.add("symbolic-down:%s" % (list(mu),), _expansion_holds(
+                    lambda N: apply_l(N, -1), mu, downs, n, cache))
     if k is not None:
         b0 = beta_value(k, r)
         basis = build_basis(k, r, n, dmax, cache)

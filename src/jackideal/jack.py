@@ -325,9 +325,7 @@ def verify_hamiltonian(lam, n, cache=None):
     """Exact check of H P_lam = eps_lam P_lam, identically in beta."""
     Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums)
     lhs = operators.apply_hamiltonian(Q, BETA)
-    eps = cs_eigenvalue(lam, n)
-    rhs = Q.map_coeffs(lambda c: c * eps)
-    return lhs == rhs
+    return lhs == Q.scale(cs_eigenvalue(lam, n))
 
 
 def verify_sekiguchi(lam, n, cache=None):

@@ -1,9 +1,10 @@
 """Operators on polynomials: exchange, Dunkl, Cherednik, Sekiguchi,
 the Sutherland-type Hamiltonian and the degree-shift families l_m, w^(t)_m.
 
-Every operator takes the coupling as an explicit scalar `beta`, which may be
-a Fraction (specialized), a BetaPoly or a BetaRatFunc (symbolic); the
-arithmetic is whatever the coefficients support.  Divisions by (x_i - x_j)
+Every operator takes the coupling as an explicit scalar `beta`, which is a
+Fraction (specialized) or a BetaPoly (symbolic), never a BetaRatFunc (a
+value with no arithmetic); the arithmetic is whatever the coefficients
+support.  Divisions by (x_i - x_j)
 are always performed exactly through the telescoping identity, so no
 operator ever leaves the coefficient ring.
 

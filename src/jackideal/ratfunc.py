@@ -1,9 +1,12 @@
-"""Exact arithmetic in Q(beta): univariate polynomials and rational functions.
+"""Exact univariate polynomials in beta and reduced values in Q(beta).
 
 Coefficients are Python ints or fractions.Fraction (arbitrary precision, always
-exact).  BetaPoly is a dense univariate polynomial in the coupling beta;
-BetaRatFunc is a quotient of two BetaPolys kept fully reduced with a monic
-denominator, so equality is plain structural comparison.
+exact).  BetaPoly is a dense univariate polynomial in the coupling beta and
+carries all the arithmetic (ring operations, division with remainder, gcd).
+BetaRatFunc is a value, not a field: a quotient of two BetaPolys reduced once
+at construction, with a monic denominator, so equality is plain structural
+comparison.  It supports evaluation, pole orders, printing and JSON only;
+computations run on integer numerators and denominators (BetaPoly) instead.
 """
 
 from fractions import Fraction
@@ -165,15 +168,6 @@ class BetaPoly:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    def __truediv__(self, other):
-        # lands in the fraction field
-        if isinstance(other, (int, Fraction)):
-            other = BetaPoly((other,))
-        return BetaRatFunc(self, other)
-
-    def __rtruediv__(self, other):
-        return BetaRatFunc(_coerce_poly(other), self)
-
     def exact_div(self, other):
         q, r = divmod(self, other)
         if not r.is_zero():
@@ -294,9 +288,6 @@ class BetaRatFunc:
     def __bool__(self):
         return bool(self.num)
 
-    def is_polynomial(self):
-        return self.den.degree == 0
-
     def __eq__(self, other):
         if isinstance(other, BetaRatFunc):
             return self.num == other.num and self.den == other.den
@@ -308,59 +299,6 @@ class BetaRatFunc:
         if self.den == ONE:
             return hash(self.num)
         return hash((self.num.coeffs, self.den.coeffs))
-
-    def __neg__(self):
-        out = object.__new__(BetaRatFunc)
-        out.num, out.den = -self.num, self.den
-        return out
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            other = BetaRatFunc(other)
-        if not isinstance(other, BetaRatFunc):
-            return NotImplemented
-        if self.den == other.den:
-            return BetaRatFunc(self.num + other.num, self.den)
-        return BetaRatFunc(self.num * other.den + other.num * self.den,
-                           self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            other = BetaRatFunc(other)
-        if not isinstance(other, BetaRatFunc):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return BetaRatFunc(other) + (-self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other:
-            # a nonzero rational keeps num, den coprime and den monic
-            out = object.__new__(BetaRatFunc)
-            out.num, out.den = self.num * other, self.den
-            return out
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            other = BetaRatFunc(other)
-        if not isinstance(other, BetaRatFunc):
-            return NotImplemented
-        return BetaRatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, BetaPoly)):
-            other = BetaRatFunc(other)
-        if not isinstance(other, BetaRatFunc):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero in Q(beta)")
-        return BetaRatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return BetaRatFunc(other) / self
 
     def pole_order(self, beta0):
         """Order of the pole at beta0 (negative for a zero, None for f = 0).

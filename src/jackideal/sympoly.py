@@ -6,12 +6,13 @@ to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
 of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
 t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  All share one
 sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
-repr and the JSON form.  Coefficients may live in Q (int/Fraction),
-Q[beta] (BetaPoly) or Q(beta) (BetaRatFunc); all operations here are
-coefficient-ring agnostic and never divide by coefficients.  Symbolic Jack
-polynomials reach this module as integer BetaPoly numerators over a shared
-denominator (JackPoly.cleared()) or, at the API boundary, as BetaRatFunc
-coefficients (JackPoly.msym()); specialized ones have coefficients in Q.
+repr and the JSON form.  Coefficients may live in Q (int/Fraction) or
+Q[beta] (BetaPoly); all operations here are coefficient-ring agnostic and
+never divide by coefficients.  Symbolic Jack polynomials reach this module
+as integer BetaPoly numerators over a shared denominator
+(JackPoly.cleared()); specialized ones have coefficients in Q.  Q(beta)
+coefficients (BetaRatFunc, from JackPoly.msym() at the API boundary)
+support equality, JSON and printing only: they have no arithmetic.
 
 Keys are validated at the boundary only.  The public constructor, and with
 it from_obj, checks every key (an exponent vector must be n non-negative

@@ -116,6 +116,42 @@ def test_symbolic_lassalle_identity_small():
     assert rep.all_pass()
 
 
+@pytest.mark.parametrize("builder, suite, case", [
+    ("_pieri_factors", verify_pieri, "symbolic:[2, 1]"),
+    ("_lassalle_down_factors", verify_lassalle, "symbolic-down:[2, 1]"),
+])
+def test_symbolic_check_catches_perturbed_numerator(monkeypatch, builder,
+                                                    suite, case):
+    # the cross-multiplied check in Z[beta] is not vacuous: one numerator
+    # raised by 1 fails exactly the case whose expansion uses it
+    import jackideal.ideal as ideal
+    exact = getattr(ideal, builder)
+
+    def perturbed(mu, row, *rest):
+        num, den = exact(mu, row, *rest)
+        return (num + 1 if (mu, row) == ((2, 1), 1) else num), den
+
+    monkeypatch.setattr(ideal, builder, perturbed)
+    rep = suite(3, 5)
+    assert [c["id"] for c in rep.failures()] == [case]
+
+
+def test_symbolic_checks_build_no_ratfunc(monkeypatch):
+    # the symbolic halves run on integer numerators: no Q(beta) value and
+    # so no gcd is ever formed
+    calls = []
+    init = BetaRatFunc.__init__
+
+    def counting(self, *args):
+        calls.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(BetaRatFunc, "__init__", counting)
+    assert verify_pieri(4, 7, symbolic=True).all_pass()
+    assert verify_lassalle(4, 7, symbolic=True).all_pass()
+    assert calls == []
+
+
 def test_specialized_pieri_and_lassalle():
     for (k, r, n) in [(1, 2, 2), (2, 3, 3), (2, 2, 2)]:
         rp = verify_pieri(n, 6, k, r)

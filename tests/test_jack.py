@@ -71,7 +71,7 @@ def test_cleared_coefficients_are_polynomials():
                 jp = jack_symbolic(lam, n)
                 c = c_lambda(lam)
                 for u in jp.coeffs.values():
-                    assert (u * c).is_polynomial()
+                    assert (c % u.den).is_zero()
 
 
 def test_cleared_returns_integer_polynomials():

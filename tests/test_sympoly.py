@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import jackideal.sympoly as sympoly
 from jackideal.operators import apply_w
 from jackideal.partitions import partitions_leq
-from jackideal.ratfunc import BETA, BetaPoly
+from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
                                PartSymPoly, TermBudgetExceeded,
                                distinct_permutations, orbit_exponents,
@@ -390,7 +390,7 @@ def test_serialization_roundtrip():
         assert MSymPoly.from_obj(q.to_obj()) == q
         e = q.to_expanded()
         assert ExpandedPoly.from_obj(e.to_obj()) == e
-    q = MSymPoly(2, {(1,): BETA / (BETA + 1)})
+    q = MSymPoly(2, {(1,): BetaRatFunc(BETA, BETA + 1)})
     assert MSymPoly.from_obj(q.to_obj()) == q
     for cls, n in [(MSymPoly, "2"), (ExpandedPoly, "2"), (MSymPoly, -1),
                    (ExpandedPoly, 2.0)]:
