@@ -9,7 +9,7 @@ import os
 from fractions import Fraction
 from math import gcd, prod
 
-from .ratfunc import BETA, BetaPoly, BetaRatFunc
+from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (InvalidParameters, add_node, addable_rows,
                          as_partition, beta_value, conjugate, c_lambda,
                          cs_eigenvalue, enumerate_admissible,
@@ -328,9 +328,21 @@ def verify_regularity(k, r, n, dmax, cache=None):
     return rep
 
 
-def _expansion_holds(op, mu, terms, n, cache):
-    """op P_mu == sum_j (A_j / B_j) P_lam_j identically in beta, for terms
-    [(lam_j, (A_j, B_j))] with integer BetaPolys and B_j != 0, checked in
+def _raise_moves(mu, n, factors):
+    """[(j, mu + node in row j, factors(mu, j))] over the addable rows."""
+    return [(j, add_node(mu, j), factors(mu, j)) for j in addable_rows(mu, n)]
+
+
+def _lower_moves(mu, n):
+    """[(i, mu - node in row i, (num, den) of lassalle_down)] over the
+    removable rows."""
+    return [(i, remove_node(mu, i), _lassalle_down_factors(mu, i, n))
+            for i in removable_rows(mu)]
+
+
+def _expansion_holds(op, mu, moves, n, cache):
+    """op P_mu == sum_j (A_j / B_j) P_lam_j identically in beta, for moves
+    [(row, lam_j, (A_j, B_j))] with integer BetaPolys and B_j != 0, checked in
     Z[beta] with no gcd.  With N_lam = D_lam P_lam the cleared Jacks
     (JackPoly.cleared()), both sides are multiplied by D_mu prod_j B_j D_lam_j:
       (prod_j B_j D_lam_j) op N_mu
@@ -341,12 +353,43 @@ def _expansion_holds(op, mu, terms, n, cache):
         return den, MSymPoly(n, nums)
 
     d_mu, N_mu = cleared(mu)
-    terms = [(a, b, cleared(lam)) for lam, (a, b) in terms if a]
+    terms = [(a, b, cleared(lam)) for _, lam, (a, b) in moves if a]
     dens = [b * d for _, b, (d, _) in terms]
     rhs = MSymPoly.zero(n)
     for j, (a, _, (_, N)) in enumerate(terms):
         rhs = rhs + N.scale(prod(dens[:j] + dens[j + 1:], start=a * d_mu))
     return op(N_mu).scale(prod(dens)) == rhs
+
+
+def _neighbour_cases(rep, prefix, mu, moves, basis, mechanism=None):
+    """One case per move (row, lam, (num, den)) of an admissible mu: num/den,
+    unreduced, is regular at basis.beta0 toward an admissible lam and
+    vanishes toward any other, where mechanism(mu, row, basis) -> (ok,
+    detail), when given, also checks the factor that carries the zero.
+    Returns whether every case passed, and {lam: value} over the admissible
+    lam with a nonzero value (a pole fails its case and drops out)."""
+    all_ok, combination = True, {}
+    for row, lam, (num, den) in moves:
+        order, value = order_and_value(num, den, basis.beta0)
+        edge = "%s->%s" % (list(mu), list(lam))
+        if is_admissible(lam, basis.k, basis.r, basis.n):
+            ok = value is not None
+            rep.add("%sregular:%s" % (prefix, edge), ok, pole_order=order)
+            if value:
+                combination[lam] = value
+        else:
+            ok, detail = mechanism(mu, row, basis) if mechanism else (True, {})
+            ok = ok and value == 0
+            rep.add("%svanish:%s" % (prefix, edge), ok, **detail,
+                    pole_order=order)
+        all_ok = all_ok and ok
+    return all_ok, combination
+
+
+def _combine(basis, combination):
+    """sum_lam c_lam P_lam(beta0) over a {lam: c_lam} of basis elements."""
+    return sum((basis.get(lam).poly.scale(c)
+                for lam, c in combination.items()), MSymPoly(basis.n))
 
 
 def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
@@ -367,43 +410,21 @@ def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
     if symbolic:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
-                terms = [(add_node(mu, j), _pieri_factors(mu, j))
-                         for j in addable_rows(mu, n)]
                 rep.add("symbolic:%s" % (list(mu),), _expansion_holds(
-                    lambda N: apply_p(N, 1), mu, terms, n, cache))
+                    lambda N: apply_p(N, 1), mu,
+                    _raise_moves(mu, n, _pieri_factors), n, cache))
     if k is not None:
-        b0 = beta_value(k, r)
         basis = build_basis(k, r, n, dmax, cache)
         for mu in basis.family.all_partitions():
             if sum(mu) + 1 > dmax:
                 continue
-            lhs = apply_p(basis.get(mu).poly, 1)
-            expected = {}
-            ok_factors = True
-            for j in addable_rows(mu, n):
-                lam = add_node(mu, j)
-                psi = pieri_coefficient(mu, j)
-                pole = psi.pole_order(b0)
-                if is_admissible(lam, k, r, n):
-                    ok = pole is not None and pole <= 0
-                    rep.add("regular:%s->%s" % (list(mu), list(lam)), ok,
-                            pole_order=pole)
-                    ok_factors = ok_factors and ok
-                    if ok:
-                        v = psi(b0)
-                        if v:
-                            expected[lam] = v
-                else:
-                    ok = pole is None or pole < 0
-                    rep.add("vanish:%s->%s" % (list(mu), list(lam)), ok,
-                            pole_order=pole)
-                    ok_factors = ok_factors and ok
-            if not ok_factors:
+            ok, expected = _neighbour_cases(
+                rep, "", mu, _raise_moves(mu, n, _pieri_factors), basis)
+            if not ok:
                 continue
-            rhs = MSymPoly(n)
-            for lam, v in expected.items():
-                rhs = rhs + basis.get(lam).poly.scale(v)
-            rep.add("identity:%s" % (list(mu),), lhs == rhs)
+            lhs = apply_p(basis.get(mu).poly, 1)
+            rep.add("identity:%s" % (list(mu),),
+                    lhs == _combine(basis, expected))
             cert = reduce_membership(lhs, basis)
             rep.add("member:%s" % (list(mu),),
                     cert.member and cert.combination == expected,
@@ -411,51 +432,36 @@ def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
     return rep
 
 
-def _lassalle_vanishing_cases(rep, mu, n, k, r, b0):
-    """Per-neighbour mechanism checks at beta(k, r) for an admissible mu."""
+def _up_vanishing_factor(mu, j, basis):
+    """The zero of l_1's coefficient toward mu + node in row j: with
+    i = j - k, the factor (k+1) b + mu_i - mu_j - 1 of the second Pieri
+    product, and mu_i - mu_j = r."""
+    mup = padded(mu, basis.n)
+    i = j - basis.k
+    factor = BetaPoly((mup[i - 1] - mup[j - 1] - 1, basis.k + 1))
+    ok = (i >= 1 and mup[i - 1] - mup[j - 1] == basis.r
+          and factor(basis.beta0) == 0)
+    return ok, {"factor": str(factor)}
+
+
+def _down_vanishing_factor(mu, i, basis):
+    """The zero of l_-1's coefficient toward mu - node in row i: the hook
+    factor of column j = mu_(i+k) when that row is nonempty, else the
+    prefactor."""
+    k, r, n = basis.k, basis.r, basis.n
     mup = padded(mu, n)
-    for j in addable_rows(mu, n):
-        lam = add_node(mu, j)
-        psi2 = lassalle_up(mu, j)
-        if is_admissible(lam, k, r, n):
-            pole = psi2.pole_order(b0)
-            rep.add("up-regular:%s->%s" % (list(mu), list(lam)),
-                    pole is None or pole <= 0, pole_order=pole)
-        else:
-            # the specific factor: i = j - k in the second Pieri product
-            i = j - k
-            factor = BetaPoly((mup[i - 1] - mup[j - 1] - 1, k + 1))
-            ok = i >= 1 and mup[i - 1] - mup[j - 1] == r and factor(b0) == 0
-            pole = psi2.pole_order(b0)
-            ok = ok and (pole is None or pole < 0)
-            rep.add("up-vanish:%s->%s" % (list(mu), list(lam)), ok,
-                    factor=str(factor), pole_order=pole)
-    for i in removable_rows(mu):
-        lam = remove_node(mu, i)
-        psit = lassalle_down(mu, i, n)
-        if is_admissible(lam, k, r, n):
-            pole = psit.pole_order(b0)
-            rep.add("down-regular:%s->%s" % (list(mu), list(lam)),
-                    pole is None or pole <= 0, pole_order=pole)
-        else:
-            mi = mup[i - 1]
-            if i + k <= n and mup[i + k - 1] >= 1:
-                j = mup[i + k - 1]
-                conj = conjugate(mu)
-                a = conj[j - 1] - i + 1
-                ok = (a == k + 1 and mi - j == r
-                      and BetaPoly((mi - j - 1, a))(b0) == 0)
-                which = "hook-factor[j=%d]" % j
-            else:
-                # removed row is the last admissibility window: the
-                # prefactor (n-i+1) b + mu_i - 1 carries the zero
-                ok = (i == n - k and mi == r
-                      and BetaPoly((mi - 1, n - i + 1))(b0) == 0)
-                which = "prefactor"
-            pole = psit.pole_order(b0)
-            ok = ok and (pole is None or pole < 0)
-            rep.add("down-vanish:%s->%s" % (list(mu), list(lam)), ok,
-                    mechanism=which, pole_order=pole)
+    mi = mup[i - 1]
+    if i + k <= n and mup[i + k - 1] >= 1:
+        j = mup[i + k - 1]
+        a = conjugate(mu)[j - 1] - i + 1
+        ok = (a == k + 1 and mi - j == r
+              and BetaPoly((mi - j - 1, a))(basis.beta0) == 0)
+        return ok, {"mechanism": "hook-factor[j=%d]" % j}
+    # removed row is the last admissibility window: the
+    # prefactor (n-i+1) b + mu_i - 1 carries the zero
+    ok = (i == n - k and mi == r
+          and BetaPoly((mi - 1, n - i + 1))(basis.beta0) == 0)
+    return ok, {"mechanism": "prefactor"}
 
 
 def verify_lassalle(n, dmax, k=None, r=None, symbolic=None, cache=None):
@@ -476,48 +482,26 @@ def verify_lassalle(n, dmax, k=None, r=None, symbolic=None, cache=None):
     if symbolic:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
-                ups = [(add_node(mu, j), _lassalle_up_factors(mu, j))
-                       for j in addable_rows(mu, n)]
-                downs = [(remove_node(mu, i), _lassalle_down_factors(mu, i, n))
-                         for i in removable_rows(mu)]
                 rep.add("symbolic-up:%s" % (list(mu),), _expansion_holds(
-                    lambda N: apply_l(N, 1), mu, ups, n, cache))
+                    lambda N: apply_l(N, 1), mu,
+                    _raise_moves(mu, n, _lassalle_up_factors), n, cache))
                 rep.add("symbolic-down:%s" % (list(mu),), _expansion_holds(
-                    lambda N: apply_l(N, -1), mu, downs, n, cache))
+                    lambda N: apply_l(N, -1), mu, _lower_moves(mu, n), n,
+                    cache))
     if k is not None:
-        b0 = beta_value(k, r)
         basis = build_basis(k, r, n, dmax, cache)
-
-        def admissible_sum(mu, rows, coeff_of, move):
-            # only admissible neighbours contribute once the vanishing
-            # cases hold; a pole here means those cases already failed
-            acc = MSymPoly(n)
-            for idx in rows:
-                lam = move(mu, idx)
-                if lam not in basis.elements:
-                    continue
-                c = coeff_of(mu, idx)
-                po = c.pole_order(b0)
-                if po is not None and po > 0:
-                    continue
-                v = c(b0)
-                if v:
-                    acc = acc + basis.get(lam).poly.scale(v)
-            return acc
-
         for mu in basis.family.all_partitions():
-            _lassalle_vanishing_cases(rep, mu, n, k, r, b0)
+            _, ups = _neighbour_cases(
+                rep, "up-", mu, _raise_moves(mu, n, _lassalle_up_factors),
+                basis, _up_vanishing_factor)
+            _, downs = _neighbour_cases(rep, "down-", mu, _lower_moves(mu, n),
+                                        basis, _down_vanishing_factor)
             if sum(mu) + 1 <= dmax:
                 Pmu = basis.get(mu).poly
-                ups = admissible_sum(mu, addable_rows(mu, n),
-                                     lassalle_up, add_node)
-                downs = admissible_sum(mu, removable_rows(mu),
-                                       lambda m, i: lassalle_down(m, i, n),
-                                       remove_node)
                 rep.add("specialized-up:%s" % (list(mu),),
-                        apply_l(Pmu, 1) == ups)
+                        apply_l(Pmu, 1) == _combine(basis, ups))
                 rep.add("specialized-down:%s" % (list(mu),),
-                        apply_l(Pmu, -1) == downs)
+                        apply_l(Pmu, -1) == _combine(basis, downs))
     return rep
 
 

@@ -10,9 +10,10 @@ runs in Z on int coefficient lists and int Hamiltonian rows, with one
 synthetic division by the linear eigenvalue gap per coefficient; each
 numerator becomes a BetaPoly once, at the end.  Evaluation
 at a rational beta0 = a/b stays in Z too: each numerator is a dot product
-with the weights a^i b^(D-i), and one Fraction is built per coefficient.
+with the weights a^i b^(D-i), and one Fraction is built per coefficient
+(where den vanishes, order_and_value reads each unreduced numerator/den).
 Coefficients in Q(beta) (BetaRatFunc) are built only on request, by
-coefficient(), coeffs and msym().
+coefficient(), coeffs and msym(); at() never builds one.
 """
 
 import json
@@ -21,7 +22,7 @@ import threading
 from fractions import Fraction
 from operator import mul
 
-from .ratfunc import BETA, BetaPoly, BetaRatFunc
+from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
                          dominated_by, partitions_leq, sekiguchi_eigenvalue,
                          conjugate)
@@ -82,7 +83,8 @@ class JackPoly:
 
         With beta0 = a/b, every numerator and den are scaled by b^D (D the
         top degree): p(beta0) b^D = sum_i c_i w_i with w_i = a^i b^(D-i),
-        an integer dot product, so each coefficient costs one Fraction."""
+        an integer dot product, so each coefficient costs one Fraction.
+        Where den(beta0) = 0, order_and_value reads each (nums[mu], den)."""
         beta0 = Fraction(beta0)
         a, b = beta0.numerator, beta0.denominator
         top = max(p.degree for p in (self.den, *self.nums.values()))
@@ -93,12 +95,10 @@ class JackPoly:
                 mu: Fraction(sum(map(mul, p.coeffs, w)), dv)
                 for mu, p in self.nums.items()})
         terms = {}
-        for mu in self.nums:
-            u = self.coefficient(mu)
-            order = u.pole_order(beta0)
+        for mu, p in self.nums.items():
+            order, terms[mu] = order_and_value(p, self.den, beta0)
             if order > 0:
                 raise SpecializationPole(self.lam, mu, order, beta0)
-            terms[mu] = u(beta0)
         return MSymPoly(self.n, terms)
 
     def to_obj(self):
@@ -360,8 +360,7 @@ def pole_profile(lam, n, beta0, cache=None):
     """Worst pole order at beta0 over the coefficients of P_lam (0 = regular;
     nums[lam] = den keeps it at >= 0)."""
     jp = jack_symbolic(lam, n, cache)
-    return (jp.den.root_multiplicity(beta0)
-            - min(p.root_multiplicity(beta0) for p in jp.nums.values()))
+    return max(order_and_value(p, jp.den, beta0)[0] for p in jp.nums.values())
 
 
 def specialize(lam, n, k, r, cache=None):

@@ -6,7 +6,8 @@ carries all the arithmetic (ring operations, division with remainder, gcd).
 BetaRatFunc is a value, not a field: a quotient of two BetaPolys reduced once
 at construction, with a monic denominator, so equality is plain structural
 comparison.  It supports evaluation, pole orders, printing and JSON only;
-computations run on integer numerators and denominators (BetaPoly) instead.
+computations run on integer numerators and denominators (BetaPoly) instead,
+and order_and_value reads pole order and value off such an unreduced pair.
 """
 
 from fractions import Fraction
@@ -201,8 +202,9 @@ class BetaPoly:
         inv = Fraction(1, 1) / lead
         return BetaPoly([c * inv for c in self.coeffs])
 
-    def root_multiplicity(self, beta0):
-        """Multiplicity of beta0 as a root, by repeated exact division."""
+    def split_root(self, beta0):
+        """(m, q) with self = (b beta - a)^m q and q(beta0) != 0, for
+        beta0 = a/b, by repeated exact division."""
         if self.is_zero():
             raise ValueError("zero polynomial has no root multiplicity")
         # the primitive factor b*beta - a of beta - a/b: by Gauss's lemma an
@@ -210,10 +212,14 @@ class BetaPoly:
         beta0 = Fraction(beta0)
         lin = BetaPoly((-beta0.numerator, beta0.denominator))
         mult, p = 0, self
-        while not p.is_zero() and p(beta0) == 0:
+        while p(beta0) == 0:
             p = p.exact_div(lin)
             mult += 1
-        return mult
+        return mult, p
+
+    def root_multiplicity(self, beta0):
+        """Multiplicity of beta0 as a root."""
+        return self.split_root(beta0)[0]
 
     def __repr__(self):
         return "BetaPoly(%r)" % (list(self.coeffs),)
@@ -256,6 +262,22 @@ def poly_gcd(a, b):
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def order_and_value(num, den, beta0):
+    """(order, value) of num/den at beta0 for BetaPolys that need not be
+    coprime, den != 0, with no gcd.  The order is the pole order: the root
+    multiplicity of den minus that of num (negative at a zero, None when
+    num = 0).  The value is None at a pole, 0 at a zero, and otherwise the
+    quotient of the cofactors that split_root leaves."""
+    if num.is_zero():
+        return None, Fraction(0)
+    m_num, q_num = num.split_root(beta0)
+    m_den, q_den = den.split_root(beta0)
+    order = m_den - m_num
+    if order:
+        return order, (None if order > 0 else Fraction(0))
+    return 0, q_num(beta0) / q_den(beta0)
 
 
 class BetaRatFunc:
@@ -301,22 +323,15 @@ class BetaRatFunc:
         return hash((self.num.coeffs, self.den.coeffs))
 
     def pole_order(self, beta0):
-        """Order of the pole at beta0 (negative for a zero, None for f = 0).
-
-        Returns root multiplicity of the denominator minus that of the
-        numerator; the stored form is reduced so at most one side is nonzero.
-        """
-        if self.is_zero():
-            return None
-        return (self.den.root_multiplicity(beta0)
-                - self.num.root_multiplicity(beta0))
+        """Order of the pole at beta0 (negative for a zero, None for f = 0)."""
+        return order_and_value(self.num, self.den, beta0)[0]
 
     def __call__(self, beta0):
         """Exact value at beta0; raises PoleError at a pole."""
-        dv = self.den(beta0)
-        if dv == 0:
-            raise PoleError(self.den.root_multiplicity(beta0), beta0)
-        return self.num(beta0) / dv
+        order, value = order_and_value(self.num, self.den, beta0)
+        if value is None:
+            raise PoleError(order, beta0)
+        return value
 
     def __repr__(self):
         return "BetaRatFunc(%r, %r)" % (list(self.num.coeffs), list(self.den.coeffs))

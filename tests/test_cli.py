@@ -233,6 +233,18 @@ GOLDEN_STDOUT = [
      "b71cfdb52249607cc65d7152e22aaba5ae207f8d6fd7d3c75f07d50c19373887"),
     (("jack", "--lambda", "3,1", "--n", "3"),
      "b71cfdb52249607cc65d7152e22aaba5ae207f8d6fd7d3c75f07d50c19373887"),
+    # the specialized Pieri and Lassalle halves: regular, vanish,
+    # hook-factor and prefactor cases with their details
+    (("verify", "pieri", "--k", "1", "--r", "2", "--n", "3", "--dmax", "10"),
+     "0f45977f11e8d1abaa4d256863afb02dca0ae528058740c3db445b8463d32a03"),
+    (("verify", "pieri", "--k", "2", "--r", "3", "--n", "4", "--dmax", "10"),
+     "51ed02b9bc9872d74c41883236b093bbc6c48bb216ead3abf51d376a5030573a"),
+    (("verify", "lassalle", "--k", "1", "--r", "2", "--n", "3", "--dmax",
+      "10"),
+     "43575b433050504cf14b6048d5b7d5344e6209a2dfba63fa339ffba1a47848e5"),
+    (("verify", "lassalle", "--k", "2", "--r", "3", "--n", "4", "--dmax",
+      "10"),
+     "a73f1405718134e4ca1b58b6774c41f3cdcad0ad61b0eca96ba33d4f3be6d9e2"),
 ]
 
 

@@ -16,7 +16,7 @@ from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              verify_lassalle, verify_phi3, verify_pieri,
                              verify_regularity, verify_restriction,
                              verify_wheel, wheel_dimension)
-from jackideal.jack import specialize
+from jackideal.jack import jack_symbolic, specialize
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
@@ -136,9 +136,41 @@ def test_symbolic_check_catches_perturbed_numerator(monkeypatch, builder,
     assert [c["id"] for c in rep.failures()] == [case]
 
 
-def test_symbolic_checks_build_no_ratfunc(monkeypatch):
-    # the symbolic halves run on integer numerators: no Q(beta) value and
-    # so no gcd is ever formed
+@pytest.mark.parametrize("builder, suite, move, cases", [
+    ("_pieri_factors", verify_pieri, ((2,), 2), ["vanish:[2]->[2, 1]"]),
+    ("_lassalle_up_factors", verify_lassalle, ((2,), 2),
+     ["up-vanish:[2]->[2, 1]"]),
+    ("_lassalle_down_factors", verify_lassalle, ((2,), 1, 2),
+     ["down-vanish:[2]->[1]"]),
+    ("_pieri_factors", verify_pieri, ((2,), 1), ["regular:[2]->[3]"]),
+    ("_lassalle_up_factors", verify_lassalle, ((2,), 1),
+     ["up-regular:[2]->[3]", "specialized-up:[2]"]),
+    ("_lassalle_down_factors", verify_lassalle, ((3,), 1, 2),
+     ["down-regular:[3]->[2]", "specialized-down:[3]"]),
+])
+def test_specialized_check_catches_perturbed_denominator(monkeypatch, builder,
+                                                         suite, move, cases):
+    # an extra factor 2 beta + 1 in one denominator cancels the zero at
+    # beta(1, 2) = -1/2 toward a non-admissible neighbour, or makes a pole
+    # toward an admissible one: that neighbour's case fails, Pieri skips
+    # the identity and membership of its mu, and Lassalle's identity,
+    # which the pole drops out of, fails too
+    import jackideal.ideal as ideal
+    exact = getattr(ideal, builder)
+
+    def perturbed(*args):
+        num, den = exact(*args)
+        return num, (den * BetaPoly((1, 2)) if args == move else den)
+
+    monkeypatch.setattr(ideal, builder, perturbed)
+    rep = suite(2, 6, 1, 2)
+    assert [c["id"] for c in rep.failures()] == cases
+
+
+def test_pieri_and_lassalle_build_no_ratfunc(monkeypatch):
+    # both halves of both suites, and JackPoly.at where den vanishes, read
+    # integer numerators and denominators: no Q(beta) value and so no gcd
+    # is ever formed
     calls = []
     init = BetaRatFunc.__init__
 
@@ -149,6 +181,11 @@ def test_symbolic_checks_build_no_ratfunc(monkeypatch):
     monkeypatch.setattr(BetaRatFunc, "__init__", counting)
     assert verify_pieri(4, 7, symbolic=True).all_pass()
     assert verify_lassalle(4, 7, symbolic=True).all_pass()
+    assert verify_pieri(4, 10, 2, 3).all_pass()
+    assert verify_lassalle(4, 10, 2, 3).all_pass()
+    jp = jack_symbolic((2, 2), 3)
+    assert jp.den(Fraction(-1, 2)) == 0   # at takes its pole branch
+    jp.at(Fraction(-1, 2))
     assert calls == []
 
 

@@ -3,12 +3,15 @@ fraction field."""
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jackideal.ratfunc import (BETA, BetaPoly, BetaRatFunc, PoleError,
-                               coeff_from_obj, coeff_to_obj, poly_gcd,
-                               rat_from_obj, rat_to_obj)
+                               coeff_from_obj, coeff_to_obj,
+                               order_and_value, poly_gcd, rat_from_obj,
+                               rat_to_obj)
 
 
 def rand_poly(rng, deg):
@@ -89,6 +92,40 @@ def test_pole_order_and_pole_error():
     v = BetaRatFunc(BetaPoly((1, 1)), BetaPoly((2, 1)))
     assert v.pole_order(Fraction(-1)) == -1
     assert BetaRatFunc(0).pole_order(Fraction(5)) is None
+
+
+# nonzero integer linear factors v + u*beta, and points a/b
+linear_factors = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-3, 3)).filter(any),
+    max_size=4)
+points = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_factors, linear_factors, st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2), points, st.booleans())
+def test_order_and_value_matches_reduced_oracle(num_factors, den_factors,
+                                                 common, num_extra, den_extra,
+                                                 beta0, zero_num):
+    # unreduced pairs with a forced common power of (b beta - a),
+    # beta0 = a/b, on both sides and further powers on either; the
+    # BetaRatFunc reduced by a gcd is the oracle
+    lin = BetaPoly((-beta0.numerator, beta0.denominator))
+    num = prod(map(BetaPoly, num_factors), start=lin ** (common + num_extra))
+    den = prod(map(BetaPoly, den_factors), start=lin ** (common + den_extra))
+    if zero_num:
+        num = BetaPoly()
+    order, value = order_and_value(num, den, beta0)
+    f = BetaRatFunc(num, den)
+    assert order == f.pole_order(beta0)
+    try:
+        assert value == f(beta0)
+    except PoleError:
+        assert value is None
+    # at most one side of the reduced pair vanishes at beta0, so plain
+    # evaluation checks the value independently
+    dv = f.den(beta0)
+    assert value == (f.num(beta0) / dv if dv else None)
 
 
 def test_serialization_roundtrip():
