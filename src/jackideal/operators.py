@@ -15,7 +15,9 @@ p_m, l_m and w^(t)_m are sum_j x_j^shift K_1j Q for Q = P, d_1 P and
 nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P for symmetric P), read on
 cluster classes by OperatorTag.apply at OperatorTag.chain_step.  At a
 rational beta = a/b dunkl_chain runs in Z as c_s nabla_1^s P, c_s = D b^s
-> 0 with D the common denominator of P.  The Dunkl, Cherednik and
+> 0 with D the common denominator of P, one PartSymPoly.nabla_step per
+entry; its class-step rows go into a memo the caller holds and may share
+across chains and symmetrize calls (`rows`).  The Dunkl, Cherednik and
 Sekiguchi operators break symmetry and act on monomials; so do l_m and w on
 ExpandedPoly inputs (_l_expanded, _w_expanded).
 """
@@ -176,17 +178,18 @@ def _w_expanded(P, t, m, beta):
     return out
 
 
-def dunkl_chain(P, smax, beta):
+def dunkl_chain(P, smax, beta, rows=None):
     """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P on classes, in Z
     at a rational beta = a/b (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1
-    Q_s, c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1)."""
+    Q_s, c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1).
+    `rows` is the caller's class-step memo (PartSymPoly.nabla_step)."""
     rational = isinstance(beta, (int, Fraction))
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
     chain = [(D, _classes(P))]
     for _ in range(smax):
         c, Q = chain[-1]
-        chain.append((c * b, Q.partial_t().scale(b) + Q.dunkl_sum().scale(a)))
+        chain.append((c * b, Q.nabla_step(a, b, rows)))
     return chain
 
 

@@ -4,7 +4,10 @@ monomial-symmetric basis and the cluster class form.
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
 to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
 of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
-t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  All share one
+t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  Its Dunkl step
+(nabla_step, dunkl_sum) and symmetrize are sparse linear maps whose row for
+a key depends on the key and n alone; each row is built once into a memo
+dict the caller holds (`rows`) and passes from call to call.  All share one
 sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
 repr and the JSON form.  Coefficients may live in Q (int/Fraction) or
 Q[beta] (BetaPoly); all operations here are coefficient-ring agnostic and
@@ -23,7 +26,7 @@ keys come from an existing polynomial and whose coefficients cannot be zero
 (the coefficient rings have no zero divisors) are built unchecked by _raw,
 or by _collect where terms may cancel: negation, nonzero scaling, sums and
 products after pruning, homogeneous components, restrict_last,
-to_expanded, to_msym, the four class steps and the Dunkl building blocks
+to_expanded, to_msym, the class steps and the Dunkl building blocks
 (partial, mul_var, swap, divided_difference).
 """
 
@@ -477,30 +480,49 @@ class PartSymPoly(_SparsePoly):
         return self._raw(self.n, {(k[0] - 1,) + k[1:]: c * k[0]
                                   for k, c in self.terms.items() if k[0]})
 
-    def dunkl_sum(self):
-        """sum_{j > 1} (1 - K_1j)/(t - x_j), telescoped: on t^a m_nu each
-        distinct part b != a of nu padded to n - 1 slots gives t^i and a part
-        a+b-1-i, b <= i < a (negated when a < b), once per slot holding it."""
-        slots = self.n - 1
+    def _by_rows(self, cls, rows, name, row_of):
+        """sum_key c_key row_of(key) as a cls, for a class step given by its
+        rows ((key', x), ...); each key's row is built once into rows[name],
+        the caller's memo (made here when none is given)."""
+        memo = {} if rows is None else rows.setdefault(name, {})
+        out = {}
+        for key, c in self.terms.items():
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = row_of(key)
+            for q, x in row:
+                out[q] = out.get(q, 0) + c * x
+        return cls._raw(self.n, {q: c for q, c in out.items() if c})
 
-        def moves():
-            for key, c in self.terms.items():
-                a, nu = key[0], key[1:]
-                for b in set(padded(nu, slots)) - {a}:
-                    lo, hi, s = (b, a, c) if a > b else (a, b, -c)
-                    for i in range(lo, hi):
-                        q, mult = _replace_part(nu, slots, b, lo + hi - 1 - i)
-                        yield (i,) + q, s * mult
-        return self._collect(self.n, moves())
+    def dunkl_sum(self, rows=None):
+        """sum_{j > 1} (1 - K_1j)/(t - x_j), on classes as in nabla_step."""
+        return self.nabla_step(1, 0, rows)
 
-    def symmetrize(self, shift):
+    def nabla_step(self, a, b, rows=None):
+        """b d_t + a dunkl_sum, one row per key: b nabla_1 at beta = a/b
+        with t = x_1.  dunkl_sum is telescoped: on t^e m_nu each distinct
+        part v != e of nu padded to n - 1 slots gives t^i and a part
+        e+v-1-i, v <= i < e (negated when e < v), once per slot holding it."""
+        def row_of(key):
+            e, nu, slots = key[0], key[1:], self.n - 1
+            row = [((e - 1,) + nu, b * e)] if b and e else []
+            for v in set(padded(nu, slots)) - {e}:
+                lo, hi, s = (v, e, a) if e > v else (e, v, -a)
+                for i in range(lo, hi):
+                    q, mult = _replace_part(nu, slots, v, lo + hi - 1 - i)
+                    row.append(((i,) + q, s * mult))
+            return row
+        return self._by_rows(PartSymPoly, rows, ("nabla", self.n, a, b),
+                             row_of)
+
+    def symmetrize(self, shift, rows=None):
         """sum_j x_j^shift K_1j as an MSymPoly (shift >= 0): t^e m_nu gives
         m_(nu + (e + shift)) once per slot of it padded to n holding e + shift."""
         if shift < 0:
             raise ValueError("symmetrize needs shift >= 0")
-        images = (_replace_part(k[1:], self.n, 0, k[0] + shift) + (c,)
-                  for k, c in self.terms.items())
-        return MSymPoly._collect(self.n, ((mu, c * m) for mu, m, c in images))
+        return self._by_rows(
+            MSymPoly, rows, ("symmetrize", self.n, shift),
+            lambda key: (_replace_part(key[1:], self.n, 0, key[0] + shift),))
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)

@@ -245,6 +245,13 @@ GOLDEN_STDOUT = [
     (("verify", "lassalle", "--k", "2", "--r", "3", "--n", "4", "--dmax",
       "10"),
      "a73f1405718134e4ca1b58b6774c41f3cdcad0ad61b0eca96ba33d4f3be6d9e2"),
+    # the closure battery: the benchmark's grid, and n = 6 at tmax = 4
+    (("verify", "closure", "--k", "1", "--r", "2", "--n", "3", "--dmax",
+      "14", "--mmax", "4", "--tmax", "4"),
+     "e9d10cafc4b3d15d04a35197c5caabf03f8930cff72cf917b4669c8516e35f3f"),
+    (("verify", "closure", "--k", "3", "--r", "2", "--n", "6", "--dmax",
+      "14", "--mmax", "4", "--tmax", "4"),
+     "0e874095aa8b78f86f53241fb22d4c4e0b87861bcf4b39a0272b502ff1540cff"),
 ]
 
 

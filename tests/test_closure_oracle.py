@@ -17,7 +17,14 @@ closure_fraction (the closure loop on the fraction chain, with the
 batch-of-maxima reduction) must give the same verdicts as verify_closure.
 
 closure_per_tag keeps the per-tag closure loop that verify_closure ran
-before it read every image off one Dunkl chain per basis element.
+before it read every image off one Dunkl chain per basis element, with
+reduce_membership as its verdict; verify_closure now reads each verdict off
+the normal-form table (IdealBasis.obstruction).
+
+moves_dunkl_sum and moves_symmetrize are the class steps as they were
+before their rows were memoized: each visit rebuilds its moves through
+_replace_part.  The memoized steps must equal them on every closure chain
+entry, with a fresh memo and with one memo shared across elements.
 """
 
 import random
@@ -25,21 +32,24 @@ from fractions import Fraction
 
 import pytest
 
+from jackideal import ideal
 from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
                              verify_closure)
-from jackideal.jack import JackCache
+from jackideal.jack import JackCache, SpecializedJack
 from jackideal.operators import (OperatorTag, _check_operator, _l_expanded,
                                  _w_expanded, apply_dunkl, apply_dunkl_power,
                                  apply_l, apply_p, apply_w, dunkl_chain)
-from jackideal.partitions import beta_value, partitions_leq
+from jackideal.partitions import beta_value, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
-from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
+from jackideal.sympoly import (ExpandedPoly, MSymPoly, PartSymPoly,
+                               _replace_part, power_sum)
 
 from test_sympoly import collect_classes
 
 from test_membership_oracle import batch_reduce
 
+CACHE = JackCache()
 GRID = [(n, mu) for n in range(1, 7) for d in range(9)
         for mu in partitions_leq(d, n)]
 SPECIAL = (Fraction(-1, 2), Fraction(-3, 2))
@@ -97,6 +107,45 @@ def w_from_chain(Q, t, m):
                 key = tuple(f[:len(f) - f.count(0)])
                 out[key] = out.get(key, 0) + c
     return MSymPoly(Q.n, out)
+
+
+def moves_dunkl_sum(Q):
+    """sum_{j > 1} (1 - K_1j)/(t - x_j) on the classes Q, telescoped move
+    by move: on t^a m_nu each distinct part b != a of nu padded to n - 1
+    slots gives t^i and a part a+b-1-i, b <= i < a (negated when a < b),
+    once per slot holding it."""
+    slots = Q.n - 1
+
+    def moves():
+        for key, c in Q.terms.items():
+            a, nu = key[0], key[1:]
+            for b in set(padded(nu, slots)) - {a}:
+                lo, hi, s = (b, a, c) if a > b else (a, b, -c)
+                for i in range(lo, hi):
+                    q, mult = _replace_part(nu, slots, b, lo + hi - 1 - i)
+                    yield (i,) + q, s * mult
+    return PartSymPoly._collect(Q.n, moves())
+
+
+def moves_symmetrize(Q, shift):
+    """sum_j x_j^shift K_1j on the classes Q, as an MSymPoly: t^e m_nu
+    gives m_(nu + (e + shift)) once per slot of it padded to n holding
+    e + shift."""
+    images = (_replace_part(k[1:], Q.n, 0, k[0] + shift) + (c,)
+              for k, c in Q.terms.items())
+    return MSymPoly._collect(Q.n, ((mu, c * m) for mu, m, c in images))
+
+
+def moves_chain(P, smax, beta):
+    """dunkl_chain with each step b d_t Q + a moves_dunkl_sum(Q)."""
+    a, b = beta.numerator, beta.denominator
+    D, P = P.cleared()
+    chain = [(D, P.substitute_coincident(1))]
+    for _ in range(smax):
+        c, Q = chain[-1]
+        chain.append((c * b, Q.partial_t().scale(b)
+                      + moves_dunkl_sum(Q).scale(a)))
+    return chain
 
 
 def random_symmetric(rng, n, degree, nterms):
@@ -334,3 +383,66 @@ def test_closure_verdicts_match_fraction_chain_criterion_7():
             want = closure_fraction(k, r, n, 10, cache=cache)
             got = verify_closure(k, r, n, 10, cache=cache)
             assert got.to_obj() == want.to_obj(), (k, r, n)
+
+
+ROW_GRIDS = [(k, r, n, 10, 4, 4) for k, r in ((1, 2), (2, 3), (1, 4))
+             for n in range(1, 5)] + [(3, 2, 6, 14, 4, 4)]
+
+
+@pytest.mark.parametrize("grid", ROW_GRIDS)
+def test_memoized_class_steps_match_moves(grid):
+    """Every chain entry verify_closure builds and every symmetrize it
+    reads, memoized, equal the move-by-move steps: with a fresh memo per
+    call and with one memo shared across the elements of the grid, as
+    verify_closure shares it.  Both chains run in Z."""
+    k, r, n, dmax, mmax, tmax = grid
+    b0 = beta_value(k, r)
+    basis = build_basis(k, r, n, dmax, CACHE)
+    shifts = sorted({tag.chain_step() for tag in closure_tags(mmax, tmax)})
+    shared = {}
+    for lam in basis.family.all_partitions():
+        P = basis.integral(lam)[1]
+        want = moves_chain(P, tmax - 1, b0)
+        for rows in (None, shared):
+            chain = dunkl_chain(P, tmax - 1, b0, rows)
+            assert chain == want and runs_in_z(chain), lam
+        for c, Q in want:
+            assert Q.dunkl_sum() == moves_dunkl_sum(Q), lam
+            assert Q.dunkl_sum(shared) == moves_dunkl_sum(Q), lam
+        for s, shift in shifts:
+            Q = want[s][1]
+            for rows in (None, shared):
+                assert Q.symmetrize(shift, rows) == \
+                    moves_symmetrize(Q, shift), (lam, s, shift)
+
+
+def one_bare_monomial(lam):
+    """A specialize that gives the admissible lam its bare m_lam, which has
+    P_lam's leading term, and every other partition its Jack."""
+    real = ideal.specialize
+
+    def specialize(mu, n, k, r, cache=None):
+        sp = real(mu, n, k, r, cache)
+        if sp.lam != lam:
+            return sp
+        return SpecializedJack(mu, n, k, r, sp.beta0,
+                               MSymPoly.monomial_sym(n, lam))
+    return specialize
+
+
+@pytest.mark.parametrize("grid, lam", [((1, 2, 3, 10), (4, 2)),
+                                       ((2, 3, 4, 10), (4, 3, 1)),
+                                       ((2, 2, 4, 12), (4, 2, 2))])
+def test_closure_with_non_members_matches_per_tag_loop(monkeypatch, grid,
+                                                       lam):
+    """With one Jack replaced by its bare m_lam the span is no longer an
+    ideal: some images fail, and the table's verdicts and obstructions
+    equal reduce_membership's on the per-tag loop, case by case."""
+    monkeypatch.setattr(ideal, "specialize", one_bare_monomial(lam))
+    cache = JackCache()
+    want = closure_per_tag(*grid, cache=cache)
+    got = verify_closure(*grid, cache=cache)
+    assert got.to_obj() == want.to_obj()
+    assert not got.all_pass()
+    assert any("obstruction" in case["detail"]
+               for case in got.to_obj()["cases"])

@@ -52,16 +52,23 @@ def test_membership_obstruction():
     q = MSymPoly(2, {(1, 1): 1})
     cert = reduce_membership(q, basis)
     assert not cert.member and cert.obstruction == (1, 1)
+    assert basis.obstruction(q) == (1, 1)
     # a mixed sum still pins the dominance-maximal culprit
     q = basis.get((2,)).poly + MSymPoly(2, {(2, 2): 3})
     cert = reduce_membership(q, basis)
     assert not cert.member and cert.obstruction == (2, 2)
+    assert basis.obstruction(q) == (2, 2)
+    assert basis.obstruction(basis.get((2,)).poly) is None
 
 
 def test_membership_degree_overflow():
     basis = build_basis(1, 2, 2, 3)
     with pytest.raises(DegreeOverflow):
         reduce_membership(MSymPoly(2, {(4,): 1}), basis)
+    with pytest.raises(DegreeOverflow):
+        basis.obstruction(MSymPoly(2, {(4,): 1}))
+    with pytest.raises(ValueError):
+        basis.obstruction(MSymPoly(3, {(2,): 1}))
     with pytest.raises(TypeError):
         reduce_membership(MSymPoly(2, {(2,): BETA}), basis)
 

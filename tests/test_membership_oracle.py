@@ -12,6 +12,11 @@ and carries on; what it ends with is the normal form (P minus its part in
 the span, supported on non-admissible partitions only, hence unique).  The
 obstruction of reduce_membership must be the lex-largest partition of the
 normal form's lowest nonzero degree.
+
+IdealBasis.obstruction reads the same verdict off the per-degree table of
+normal forms NF(m_mu), with no elimination at all: it must give
+reduce_membership's obstruction (None for a member) and agree with the
+normal form batch_reduce ends with, on inputs that span several degrees.
 """
 
 import random
@@ -63,6 +68,23 @@ def assert_same(P, basis, label=None):
     assert got.member == want.member, label
     if want.member:
         assert got.combination == want.combination, label
+    assert basis.obstruction(P) == got.obstruction, label
+    return got
+
+
+def assert_lex_leading(P, basis, label=None):
+    """reduce_membership and the table both stop at the lex-largest
+    partition of the lowest nonzero degree of the normal form."""
+    got = reduce_membership(P, basis)
+    cert, nf = batch_reduce(P, basis, keep_going=True)
+    assert got.member == nf.is_zero(), label
+    if got.member:
+        assert got.combination == cert.combination, label
+        assert basis.obstruction(P) is None, label
+    else:
+        lowest = min(nf.homogeneous_components().items())[1]
+        assert got.obstruction == max(lowest.terms), label
+        assert basis.obstruction(P) == got.obstruction, label
     return got
 
 
@@ -103,10 +125,18 @@ def test_restriction_images_2_2_4_10():
 
 
 def test_seeded_combinations():
+    """Seeded Q-combinations of basis elements, which span several degrees,
+    and the same plus one to three stray m_mu off the basis, in any degree:
+    members come back with their combination, and every non-member stops
+    at the lex-leading partition of its normal form's lowest degree."""
     rng = random.Random(8)
-    for grid in ((1, 2, 3, 12), (2, 2, 4, 10), (2, 3, 3, 12)):
+    for grid in ((1, 2, 3, 12), (2, 2, 4, 10), (2, 3, 3, 12), (2, 3, 4, 12),
+                 (3, 2, 5, 10)):
         basis = build_basis(*grid, cache=CACHE)
         lams = sorted(basis.elements)
+        outside = [mu for d in range(basis.dmax + 1)
+                   for mu in partitions_leq(d, basis.n)
+                   if mu not in basis.elements]
         for _ in range(40):
             comb = {lam: Fraction(rng.choice([-7, -2, -1, 1, 3, 5]),
                                   rng.randint(1, 6))
@@ -116,6 +146,11 @@ def test_seeded_combinations():
                 P = P + basis.get(lam).poly.scale(c)
             got = assert_same(P, basis, comb)
             assert got.member and got.combination == comb
+            stray = MSymPoly(basis.n, {mu: rng.choice([-3, 1, 2])
+                                       for mu in rng.sample(outside,
+                                                            rng.randint(1, 3))})
+            got = assert_lex_leading(P + stray, basis, (comb, stray))
+            assert not got.member
 
 
 NF_BASIS = build_basis(1, 2, 3, 12, CACHE)
@@ -128,12 +163,4 @@ NF_PARTS = [mu for d in range(13) for mu in partitions_leq(d, 3)]
                                     max_denominator=6),
                        min_size=1, max_size=6))
 def test_obstruction_is_lex_leading_term_of_normal_form(terms):
-    P = MSymPoly(3, terms)
-    got = reduce_membership(P, NF_BASIS)
-    cert, nf = batch_reduce(P, NF_BASIS, keep_going=True)
-    assert got.member == nf.is_zero()
-    if got.member:
-        assert got.combination == cert.combination
-    else:
-        lowest = min(nf.homogeneous_components().items())[1]
-        assert got.obstruction == max(lowest.terms)
+    assert_lex_leading(MSymPoly(3, terms), NF_BASIS)
