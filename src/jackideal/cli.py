@@ -300,7 +300,7 @@ def run(args):
                 obj = {"k": args.k, "r": args.r, "n": args.n,
                        "dmax": args.dmax, "character": basis.character(),
                        "elements": [e.to_obj() for e in basis]}
-                emit(obj, fmt,
+                emit(obj, fmt, None if fmt == "json" else
                      ["%s: %s" % (list(e.lam), e.poly) for e in basis])
             return 0
         P = read_poly(args.input, args.n, args.dmax)

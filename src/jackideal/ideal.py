@@ -107,24 +107,37 @@ class IdealBasis:
         return self._normal_forms[e]
 
     def obstruction(self, P):
-        """reduce_membership(P, self).obstruction, None for a member, read
-        off normal_forms: the lex-largest column of the lowest degree where
-        sum_mu P[mu] E NF(m_mu) is nonzero."""
+        """reduce_membership(P, self).obstruction, None for a member: the
+        first obstruction among P's homogeneous components, lowest degree
+        first (_obstruction_at)."""
         if P.n != self.n:
             raise ValueError("polynomial has n=%d, basis has n=%d"
                              % (P.n, self.n))
         for d, comp in P.homogeneous_components().items():
-            if d > self.dmax:
-                raise DegreeOverflow("degree %d beyond basis dmax=%d"
-                                     % (d, self.dmax))
-            cols, rows = self.normal_forms(d)
-            acc = [0] * len(cols)
-            for mu, c in comp.terms.items():
+            obs = self._obstruction_at(d, comp.terms.items())
+            if obs is not None:
+                return obs
+        return None
+
+    def _obstruction_at(self, d, terms):
+        """The obstruction of sum c m_mu over the (mu, c) of terms, all of
+        degree d: collected per mu, the lex-largest column of normal_forms(d)
+        where sum_mu c_mu E NF(m_mu) is nonzero, None when it vanishes."""
+        if d > self.dmax:
+            raise DegreeOverflow("degree %d beyond basis dmax=%d"
+                                 % (d, self.dmax))
+        coeffs = {}
+        for mu, c in terms:
+            coeffs[mu] = coeffs.get(mu, 0) + c
+        cols, rows = self.normal_forms(d)
+        acc = [0] * len(cols)
+        for mu, c in coeffs.items():
+            if c:
                 for j, y in rows[mu].items():
                     acc[j] += c * y
-            for j, y in enumerate(acc):
-                if y:
-                    return cols[j]
+        for j, y in enumerate(acc):
+            if y:
+                return cols[j]
         return None
 
     def by_degree(self, d):
@@ -318,9 +331,10 @@ def bareiss_rank(rows):
     return len(pivots)
 
 
-def wheel_dimension(k, n, d):
+def wheel_dimension(k, n, d, rows=None):
     """Dimension of the degree-d symmetric polynomials in n variables that
     vanish when k+1 variables coincide (kernel of the coincidence map).
+    `rows` is the caller's class-step memo (PartSymPoly.cluster).
 
     With fewer than k+1 variables the condition is vacuous and the whole
     degree-d component survives.
@@ -329,7 +343,7 @@ def wheel_dimension(k, n, d):
     if n < k + 1:
         return len(lams)
     return len(lams) - bareiss_rank(
-        MSymPoly.monomial_sym(n, lam).substitute_coincident(k + 1).terms
+        MSymPoly.monomial_sym(n, lam).substitute_coincident(k + 1, rows).terms
         for lam in lams)
 
 
@@ -571,9 +585,10 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     its integer Dunkl chain c_s nabla_1^s N on classes, s < tmax
     (OperatorTag.chain_step).  Positive scales change neither membership nor
     the obstruction, and the report records only those.  Tags with one
-    chain step (l_m and w^(2)_m) share one image, whose verdict is read off
-    the normal-form table (IdealBasis.obstruction); one class-step memo
-    serves the whole run.
+    chain step (l_m and w^(2)_m) share one verdict, read off the normal-form
+    table from the uncollected symmetrize terms of the chain entry: the
+    image's degree is known, so no image is built (IdealBasis._obstruction_at).
+    One class-step memo serves the whole run.
     """
     if mmax < 1 or tmax < 2:
         raise ValueError("closure needs mmax >= 1 and tmax >= 2")
@@ -587,11 +602,12 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
         chain = dunkl_chain(basis.integral(lam)[1], tmax - 1, b0, rows)
         found = {}  # (s, shift) -> obstruction, None for a member
         for tag in tags:
-            if 0 <= sum(lam) + tag.degree_shift() <= dmax:
+            d = sum(lam) + tag.degree_shift()
+            if 0 <= d <= dmax:
                 s, shift = step = tag.chain_step()
                 if step not in found:
-                    found[step] = basis.obstruction(
-                        chain[s][1].symmetrize(shift, rows))
+                    found[step] = basis._obstruction_at(
+                        d, chain[s][1].symmetrize_terms(shift, rows))
                 obs = found[step]
                 rep.add("%s@%s" % (tag, list(lam)), obs is None,
                         **({} if obs is None else {"obstruction": list(obs)}))
@@ -621,11 +637,13 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
 def verify_wheel(k, n, dmax, cache=None):
     """Identification with the wheel space at r = 2: the admissible count
     matches the wheel-kernel dimension in every degree, and every basis
-    element vanishes when k+1 variables coincide."""
+    element vanishes when k+1 variables coincide.  One class-step memo
+    serves both halves."""
     rep = Report("wheel", {"k": k, "r": 2, "n": n, "dmax": dmax})
     basis = build_basis(k, 2, n, dmax, cache)
+    rows = {}
     for d in range(dmax + 1):
-        wd = wheel_dimension(k, n, d)
+        wd = wheel_dimension(k, n, d, rows)
         ac = len(basis.by_degree(d))
         rep.add("character[d=%d]" % d, wd == ac,
                 wheel_dim=wd, admissible_count=ac,
@@ -634,7 +652,7 @@ def verify_wheel(k, n, dmax, cache=None):
         rep.add("vanish:vacuous", True, note="fewer than k+1 variables")
     else:
         for lam in basis.family.all_partitions():
-            img = basis.get(lam).poly.substitute_coincident(k + 1)
+            img = basis.get(lam).poly.substitute_coincident(k + 1, rows)
             rep.add("vanish@%s" % (list(lam),), img.is_zero())
     return rep
 

@@ -42,10 +42,6 @@ class SpecializationPole(ArithmeticError):
                          "at beta=%s" % (mu, lam, order, beta0))
 
 
-def _is_integral(p):
-    return all(type(c) is int for c in p.coeffs)
-
-
 class JackPoly:
     """Symbolic Jack polynomial in integral form: P_lam is
     sum_mu (nums[mu] / den) m_mu with den = c_lambda(lam), every numerator
@@ -121,15 +117,17 @@ class JackPoly:
         den = c_lambda(lam)
         nums = {}
         for t in obj["nums"]:
-            mu, p = as_partition(t["partition"]), BetaPoly(t["coeffs"])
-            if not p or not _is_integral(p):
+            mu, coeffs = as_partition(t["partition"]), list(t["coeffs"])
+            while coeffs and isinstance(coeffs[-1], int) and not coeffs[-1]:
+                coeffs.pop()
+            if not coeffs or not all(type(c) is int for c in coeffs):
                 raise ValueError("numerator of m_%r is not a nonzero "
                                  "integer polynomial" % (mu,))
             if (len(mu) > n or sum(mu) != sum(lam)
                     or not dominated_by(mu, lam)):
                 raise ValueError("m_%r outside the support of P_%r"
                                  % (mu, lam))
-            nums[mu] = p
+            nums[mu] = BetaPoly.trusted(tuple(coeffs))
         if BetaPoly(obj["den"]) != den or nums.get(lam) != den:
             raise ValueError("P_%r is not stored over c_lambda" % (lam,))
         return cls(lam, n, den, dict(sorted(nums.items(), reverse=True)))
@@ -164,11 +162,13 @@ class SpecializedJack:
 class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: solved Jacks (lam, n) -> JackPoly, optionally backed by a
-    directory of JSON files, and Hamiltonian rows (mu, n), in memory only."""
+    directory of JSON files, and, in memory only, Hamiltonian rows (mu, n)
+    and specializations (lam, n, k, r) -> SpecializedJack."""
 
     def __init__(self, directory=None):
         self._mem = {}
         self._rows = {}
+        self._specialized = {}
         self._lock = threading.Lock()
         self.directory = directory
         if directory:
@@ -213,6 +213,17 @@ class JackCache:
             hit = self._rows[(mu, n)] = hamiltonian_matrix_row(mu, n)
         return hit
 
+    def specialized(self, lam, n, k, r):
+        """specialize(lam, n, k, r, self), computed once per cache like
+        row(); a pole raises each time and is not kept."""
+        hit = self._specialized.get((lam, n, k, r))
+        if hit is None:
+            b0 = beta_value(k, r)
+            hit = SpecializedJack(lam, n, k, r, b0,
+                                  jack_symbolic(lam, n, self).at(b0))
+            self._specialized[(lam, n, k, r)] = hit
+        return hit
+
     def __len__(self):
         with self._lock:
             return len(self._mem)
@@ -221,6 +232,7 @@ class JackCache:
         with self._lock:
             self._mem.clear()
             self._rows.clear()
+            self._specialized.clear()
         if self.directory:
             for name in os.listdir(self.directory):
                 if name.startswith("jack_n") and name.endswith(".json"):
@@ -364,11 +376,11 @@ def pole_profile(lam, n, beta0, cache=None):
 
 
 def specialize(lam, n, k, r, cache=None):
-    """Evaluate P_lam at beta0 = beta(k, r); raises SpecializationPole
-    naming the first offending coefficient."""
-    b0 = beta_value(k, r)
-    jp = jack_symbolic(lam, n, cache)
-    return SpecializedJack(lam, n, k, r, b0, jp.at(b0))
+    """Evaluate P_lam at beta0 = beta(k, r), through the cache (made here
+    when none is given); raises SpecializationPole naming the first
+    offending coefficient."""
+    cache = cache if cache is not None else JackCache()
+    return cache.specialized(as_partition(lam), n, k, r)
 
 
 def principal_specialization(lam, n):

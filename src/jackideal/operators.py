@@ -152,9 +152,9 @@ def _l_expanded(P, m):
     return out
 
 
-def _classes(P):
+def _classes(P, rows=None):
     """The MSymPoly P as classes x_1^a m_nu(x_2, ..., x_n)."""
-    return P.substitute_coincident(1) if P.n else PartSymPoly.zero(0)
+    return P.substitute_coincident(1, rows) if P.n else PartSymPoly.zero(0)
 
 
 def apply_l(P, m):
@@ -182,11 +182,12 @@ def dunkl_chain(P, smax, beta, rows=None):
     """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P on classes, in Z
     at a rational beta = a/b (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1
     Q_s, c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1).
-    `rows` is the caller's class-step memo (PartSymPoly.nabla_step)."""
+    `rows` is the caller's class-step memo (PartSymPoly.cluster and
+    nabla_step)."""
     rational = isinstance(beta, (int, Fraction))
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
-    chain = [(D, _classes(P))]
+    chain = [(D, _classes(P, rows))]
     for _ in range(smax):
         c, Q = chain[-1]
         chain.append((c * b, Q.nabla_step(a, b, rows)))

@@ -231,13 +231,16 @@ def node_moves(lam, n):
 
 def c_lambda(lam):
     """Denominator-clearing hook product: over nodes (i, j) of lam,
-    the product of (conj(lam)[j] - i + 1) * beta + lam[i] - j."""
+    the product of (conj(lam)[j] - i + 1) * beta + lam[i] - j, on an int
+    coefficient list.  Every beta-coefficient is a leg length plus one,
+    at least 1, so the top entry is nonzero."""
     conj = conjugate(lam)
-    out = BetaPoly((1,))
+    out = [1]
     for i, li in enumerate(lam, start=1):
         for j in range(1, li + 1):
-            out = out * BetaPoly((li - j, conj[j - 1] - i + 1))
-    return out
+            a, b = li - j, conj[j - 1] - i + 1
+            out = [a * x + b * y for x, y in zip(out + [0], [0] + out)]
+    return BetaPoly.trusted(tuple(out))
 
 
 def cs_eigenvalue(lam, n):

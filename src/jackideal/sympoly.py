@@ -4,11 +4,11 @@ monomial-symmetric basis and the cluster class form.
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
 to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
 of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
-t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  Its Dunkl step
-(nabla_step, dunkl_sum) and symmetrize are sparse linear maps whose row for
-a key depends on the key and n alone; each row is built once into a memo
-dict the caller holds (`rows`) and passes from call to call.  All share one
-sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
+t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  Its class steps
+(cluster, nabla_step, dunkl_sum and symmetrize) are sparse linear maps whose
+row for a key depends on the key and n alone; each row is built once into a
+memo dict the caller holds (`rows`) and passes from call to call.  All share
+one sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
 repr and the JSON form.  Coefficients may live in Q (int/Fraction) or
 Q[beta] (BetaPoly); all operations here are coefficient-ring agnostic and
 never divide by coefficients.  Symbolic Jack polynomials reach this module
@@ -418,13 +418,13 @@ class MSymPoly(_SparsePoly):
                 out[mu] = c
         return self._raw(self.n - 1, out)
 
-    def substitute_coincident(self, c):
+    def substitute_coincident(self, c, rows=None):
         """Set x_1 = ... = x_c = t, as a PartSymPoly in (t, x_{c+1}, ..., x_n):
-        cluster(c) of self read in (t, x_1, ..., x_n), free of t."""
+        cluster(c, rows) of self read in (t, x_1, ..., x_n), free of t."""
         if not 1 <= c <= self.n:
             raise ValueError("need 1 <= c <= n")
-        return PartSymPoly._raw(self.n + 1, {(0,) + lam: v for lam, v
-                                             in self.terms.items()}).cluster(c)
+        lifted = {(0,) + lam: v for lam, v in self.terms.items()}
+        return PartSymPoly._raw(self.n + 1, lifted).cluster(c, rows)
 
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -456,43 +456,51 @@ class PartSymPoly(_SparsePoly):
             raise ValueError("bad class key %r for n=%r" % (key, n))
         return key
 
-    def cluster(self, c=1):
+    def cluster(self, c=1, rows=None):
         """Set x_2 = ... = x_(c+1) = t as well: each multiset S of c entries
         of nu padded to n - 1 slots sends t^a m_nu to t^(a+|S|) m_(nu minus S),
-        once per arrangement of S in the c slots, c!/prod mult_S(v)! times."""
+        once per arrangement of S in the c slots, c!/prod mult_S(v)! times.
+        `rows` is the caller's class-step memo, as in nabla_step."""
         if not 1 <= c < self.n:
             raise ValueError("need 1 <= c < n")
 
-        def moves():
-            for key, coeff in self.terms.items():
-                for S in set(combinations(padded(key[1:], self.n - 1), c)):
-                    nu = list(key[1:])
-                    for v in S:
-                        if v:
-                            nu.remove(v)
-                    count = factorial(c)
-                    for v in set(S):
-                        count //= factorial(S.count(v))
-                    yield (key[0] + sum(S),) + tuple(nu), coeff * count
-        return self._collect(self.n - c, moves())
+        def row_of(key):
+            row = []
+            for S in set(combinations(padded(key[1:], self.n - 1), c)):
+                nu = list(key[1:])
+                for v in S:
+                    if v:
+                        nu.remove(v)
+                count = factorial(c)
+                for v in set(S):
+                    count //= factorial(S.count(v))
+                row.append(((key[0] + sum(S),) + tuple(nu), count))
+            return row
+        return self._by_rows(PartSymPoly, self.n - c, rows,
+                             ("cluster", self.n, c), row_of)
 
     def partial_t(self):
         return self._raw(self.n, {(k[0] - 1,) + k[1:]: c * k[0]
                                   for k, c in self.terms.items() if k[0]})
 
-    def _by_rows(self, cls, rows, name, row_of):
-        """sum_key c_key row_of(key) as a cls, for a class step given by its
-        rows ((key', x), ...); each key's row is built once into rows[name],
-        the caller's memo (made here when none is given)."""
+    def _memo(self, rows, name, row_of):
+        """The memo of a class step given by its rows ((key', x), ...), with
+        the row of every key of self in it: rows[name], the caller's memo
+        (made here when none is given), so each row is built once."""
         memo = {} if rows is None else rows.setdefault(name, {})
+        for key in self.terms:
+            if key not in memo:
+                memo[key] = row_of(key)
+        return memo
+
+    def _by_rows(self, cls, n, rows, name, row_of):
+        """sum_key c_key row_of(key) as a cls in n variables."""
+        memo = self._memo(rows, name, row_of)
         out = {}
         for key, c in self.terms.items():
-            row = memo.get(key)
-            if row is None:
-                row = memo[key] = row_of(key)
-            for q, x in row:
+            for q, x in memo[key]:
                 out[q] = out.get(q, 0) + c * x
-        return cls._raw(self.n, {q: c for q, c in out.items() if c})
+        return cls._raw(n, {q: c for q, c in out.items() if c})
 
     def dunkl_sum(self, rows=None):
         """sum_{j > 1} (1 - K_1j)/(t - x_j), on classes as in nabla_step."""
@@ -512,17 +520,24 @@ class PartSymPoly(_SparsePoly):
                     q, mult = _replace_part(nu, slots, v, lo + hi - 1 - i)
                     row.append(((i,) + q, s * mult))
             return row
-        return self._by_rows(PartSymPoly, rows, ("nabla", self.n, a, b),
-                             row_of)
+        return self._by_rows(PartSymPoly, self.n, rows,
+                             ("nabla", self.n, a, b), row_of)
 
     def symmetrize(self, shift, rows=None):
         """sum_j x_j^shift K_1j as an MSymPoly (shift >= 0): t^e m_nu gives
         m_(nu + (e + shift)) once per slot of it padded to n holding e + shift."""
+        return MSymPoly._collect(self.n, self.symmetrize_terms(shift, rows))
+
+    def symmetrize_terms(self, shift, rows=None):
+        """The terms (mu, c x) of symmetrize(shift), one per class key of
+        self and not yet collected per mu, each read off the key's row."""
         if shift < 0:
             raise ValueError("symmetrize needs shift >= 0")
-        return self._by_rows(
-            MSymPoly, rows, ("symmetrize", self.n, shift),
+        memo = self._memo(
+            rows, ("symmetrize", self.n, shift),
             lambda key: (_replace_part(key[1:], self.n, 0, key[0] + shift),))
+        return ((mu, c * x) for key, c in self.terms.items()
+                for mu, x in memo[key])
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)

@@ -18,17 +18,21 @@ batch-of-maxima reduction) must give the same verdicts as verify_closure.
 
 closure_per_tag keeps the per-tag closure loop that verify_closure ran
 before it read every image off one Dunkl chain per basis element, with
-reduce_membership as its verdict; verify_closure now reads each verdict off
-the normal-form table (IdealBasis.obstruction).
+reduce_membership as its verdict.  closure_images keeps the loop that built
+each distinct image chain[s][1].symmetrize(shift) as an MSymPoly and read
+its verdict with IdealBasis.obstruction; verify_closure now feeds the
+uncollected symmetrize terms straight to the normal-form table.
 
-moves_dunkl_sum and moves_symmetrize are the class steps as they were
-before their rows were memoized: each visit rebuilds its moves through
-_replace_part.  The memoized steps must equal them on every closure chain
-entry, with a fresh memo and with one memo shared across elements.
+moves_cluster, moves_dunkl_sum and moves_symmetrize are the class steps as
+they were before their rows were memoized: each visit rebuilds its moves.
+The memoized steps must equal them on every closure chain entry, with a
+fresh memo and with one memo shared across elements.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -109,6 +113,30 @@ def w_from_chain(Q, t, m):
     return MSymPoly(Q.n, out)
 
 
+def moves_cluster(Q, c):
+    """x_2 = ... = x_(c+1) = t on the classes Q, multiset by multiset: each
+    multiset S of c entries of nu padded to n - 1 slots sends t^a m_nu to
+    t^(a+|S|) m_(nu minus S), c!/prod mult_S(v)! times."""
+    def moves():
+        for key, coeff in Q.terms.items():
+            for S in set(combinations(padded(key[1:], Q.n - 1), c)):
+                nu = list(key[1:])
+                for v in S:
+                    if v:
+                        nu.remove(v)
+                count = factorial(c)
+                for v in set(S):
+                    count //= factorial(S.count(v))
+                yield (key[0] + sum(S),) + tuple(nu), coeff * count
+    return PartSymPoly._collect(Q.n - c, moves())
+
+
+def moves_coincident(P, c):
+    """x_1 = ... = x_c = t on the MSymPoly P, by moves_cluster."""
+    return moves_cluster(PartSymPoly._raw(P.n + 1, {(0,) + lam: v for lam, v
+                                                    in P.terms.items()}), c)
+
+
 def moves_dunkl_sum(Q):
     """sum_{j > 1} (1 - K_1j)/(t - x_j) on the classes Q, telescoped move
     by move: on t^a m_nu each distinct part b != a of nu padded to n - 1
@@ -137,10 +165,11 @@ def moves_symmetrize(Q, shift):
 
 
 def moves_chain(P, smax, beta):
-    """dunkl_chain with each step b d_t Q + a moves_dunkl_sum(Q)."""
+    """dunkl_chain with Q_0 from moves_coincident and each step
+    b d_t Q + a moves_dunkl_sum(Q)."""
     a, b = beta.numerator, beta.denominator
     D, P = P.cleared()
-    chain = [(D, P.substitute_coincident(1))]
+    chain = [(D, moves_coincident(P, 1))]
     for _ in range(smax):
         c, Q = chain[-1]
         chain.append((c * b, Q.partial_t().scale(b)
@@ -329,6 +358,47 @@ def closure_per_tag(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     return rep
 
 
+def closure_images(k, r, n, dmax, mmax=4, tmax=4, cache=None):
+    """verify_closure with each distinct chain step built as its image, the
+    MSymPoly chain[s][1].symmetrize(shift), and its verdict read by
+    IdealBasis.obstruction on the image's homogeneous components."""
+    b0 = beta_value(k, r)
+    rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
+                             "mmax": mmax, "tmax": tmax})
+    basis = build_basis(k, r, n, dmax, cache)
+    tags = closure_tags(mmax, tmax)
+    for lam in basis.family.all_partitions():
+        chain = dunkl_chain(basis.integral(lam)[1], tmax - 1, b0)
+        found = {}
+        for tag in tags:
+            if 0 <= sum(lam) + tag.degree_shift() <= dmax:
+                s, shift = step = tag.chain_step()
+                if step not in found:
+                    found[step] = basis.obstruction(
+                        chain[s][1].symmetrize(shift))
+                obs = found[step]
+                rep.add("%s@%s" % (tag, list(lam)), obs is None,
+                        **({} if obs is None else {"obstruction": list(obs)}))
+    return rep
+
+
+CLOSURE_GRIDS = [(k, r, n, 10, 4, 4) for k, r in ((1, 2), (2, 3), (1, 4))
+                 for n in range(1, 5)] + [
+    (1, 2, 3, 14, 4, 4), (2, 2, 5, 14, 3, 3), (2, 3, 6, 20, 3, 3),
+    (3, 2, 6, 14, 3, 3), (2, 2, 6, 16, 3, 3)]
+
+
+@pytest.mark.parametrize("grid", CLOSURE_GRIDS)
+def test_closure_verdicts_match_images(grid):
+    """The verdicts read off the uncollected symmetrize terms equal
+    obstruction() on the built images: criterion 7's grid and five grids
+    up to n = 6."""
+    cache = JackCache()
+    want = closure_images(*grid, cache=cache)
+    got = verify_closure(*grid, cache=cache)
+    assert got.to_obj() == want.to_obj()
+
+
 def test_closure_verdicts_match_per_tag_loop():
     cache = JackCache()
     for k, r in ((1, 2), (2, 3), (1, 4)):
@@ -391,10 +461,11 @@ ROW_GRIDS = [(k, r, n, 10, 4, 4) for k, r in ((1, 2), (2, 3), (1, 4))
 
 @pytest.mark.parametrize("grid", ROW_GRIDS)
 def test_memoized_class_steps_match_moves(grid):
-    """Every chain entry verify_closure builds and every symmetrize it
-    reads, memoized, equal the move-by-move steps: with a fresh memo per
-    call and with one memo shared across the elements of the grid, as
-    verify_closure shares it.  Both chains run in Z."""
+    """Every chain entry verify_closure builds, every symmetrize it reads
+    and every cluster of an element or a chain entry, memoized, equal the
+    move-by-move steps: with a fresh memo per call and with one memo shared
+    across the elements of the grid, as verify_closure and verify_wheel
+    share it.  Both chains run in Z."""
     k, r, n, dmax, mmax, tmax = grid
     b0 = beta_value(k, r)
     basis = build_basis(k, r, n, dmax, CACHE)
@@ -409,6 +480,14 @@ def test_memoized_class_steps_match_moves(grid):
         for c, Q in want:
             assert Q.dunkl_sum() == moves_dunkl_sum(Q), lam
             assert Q.dunkl_sum(shared) == moves_dunkl_sum(Q), lam
+            for cc in range(1, Q.n):
+                for rows in (None, shared):
+                    assert Q.cluster(cc, rows) == moves_cluster(Q, cc), \
+                        (lam, cc)
+        for cc in range(1, n + 1):
+            for rows in (None, shared):
+                assert P.substitute_coincident(cc, rows) == \
+                    moves_coincident(P, cc), (lam, cc)
         for s, shift in shifts:
             Q = want[s][1]
             for rows in (None, shared):
@@ -436,13 +515,15 @@ def one_bare_monomial(lam):
 def test_closure_with_non_members_matches_per_tag_loop(monkeypatch, grid,
                                                        lam):
     """With one Jack replaced by its bare m_lam the span is no longer an
-    ideal: some images fail, and the table's verdicts and obstructions
-    equal reduce_membership's on the per-tag loop, case by case."""
+    ideal: some images fail, and the table's verdicts and obstructions,
+    read off the symmetrize terms or off the built images, equal
+    reduce_membership's on the per-tag loop, case by case."""
     monkeypatch.setattr(ideal, "specialize", one_bare_monomial(lam))
     cache = JackCache()
     want = closure_per_tag(*grid, cache=cache)
     got = verify_closure(*grid, cache=cache)
     assert got.to_obj() == want.to_obj()
+    assert closure_images(*grid, cache=cache).to_obj() == want.to_obj()
     assert not got.all_pass()
     assert any("obstruction" in case["detail"]
                for case in got.to_obj()["cases"])

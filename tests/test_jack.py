@@ -222,6 +222,32 @@ def test_rows_are_memoized_per_cache(monkeypatch):
     assert solve_all(cache) == want
 
 
+def test_specializations_are_memoized_per_cache(monkeypatch):
+    """A second build_basis on a warm cache evaluates no Jack, and clear()
+    forgets the specializations with the Jacks."""
+    from jackideal.ideal import build_basis
+    calls = []
+    at = JackPoly.at
+
+    def counted(self, beta0):
+        calls.append(self.lam)
+        return at(self, beta0)
+    monkeypatch.setattr(JackPoly, "at", counted)
+    cache = JackCache()
+    first = build_basis(2, 3, 4, 12, cache)
+    assert len(calls) == len(first) > 0
+    calls.clear()
+    second = build_basis(2, 3, 4, 12, cache)
+    assert calls == []
+    assert second.elements == first.elements
+    lam = max(first.elements)
+    assert specialize(lam, 4, 2, 3, cache) is first.get(lam)
+    cache.clear()
+    assert not cache._specialized
+    build_basis(2, 3, 4, 12, cache)
+    assert len(calls) == len(first)
+
+
 def test_cache_entry_validation():
     obj = jack_symbolic((2, 1), 3).to_obj()
     assert obj["version"] == 2 and obj["den"] == obj["nums"][0]["coeffs"]

@@ -199,6 +199,27 @@ def test_c_lambda_oracles():
     assert c_lambda((2,))(Fraction(-1, 3)) == Fraction(-2, 9)
 
 
+def hook_product(lam):
+    """c_lambda as the product of one BetaPoly hook factor per node."""
+    conj = conjugate(lam)
+    out = BetaPoly((1,))
+    for i, li in enumerate(lam, start=1):
+        for j in range(1, li + 1):
+            out = out * BetaPoly((li - j, conj[j - 1] - i + 1))
+    return out
+
+
+def test_c_lambda_matches_hook_product():
+    """The int-list c_lambda equals the BetaPoly product, coefficient type
+    and all, on every partition of weight <= 12."""
+    for d in range(13):
+        for lam in partitions_of(d):
+            got = c_lambda(lam)
+            assert got.coeffs == hook_product(lam).coeffs, lam
+            assert all(type(c) is int for c in got.coeffs), lam
+            assert got.coeffs[-1], lam
+
+
 def test_cs_eigenvalue_oracles():
     # sum lam_i^2 + beta sum (n+1-2i) lam_i
     assert cs_eigenvalue((2,), 2) == BetaPoly((4, 2))
