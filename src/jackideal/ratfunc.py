@@ -163,9 +163,6 @@ class BetaPoly:
                     rem[i - db + j] -= q * cb
         return BetaPoly(quo), BetaPoly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

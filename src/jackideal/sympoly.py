@@ -17,17 +17,20 @@ as integer BetaPoly numerators over a shared denominator
 coefficients (BetaRatFunc, from JackPoly.msym() at the API boundary)
 support equality, JSON and printing only: they have no arithmetic.
 
-Keys are validated at the boundary only.  The public constructor, and with
-it from_obj, checks every key (an exponent vector must be n non-negative
+Keys are validated at the boundary only.  The public constructor and
+from_obj check every key (an exponent vector must be n non-negative
 integers; a partition is normalized by as_partition and has at most n
-parts) and drops zero coefficients.  It serves outside input and results
-whose keys may be unnormalized or whose terms may cancel.  Results whose
-keys come from an existing polynomial and whose coefficients cannot be zero
-(the coefficient rings have no zero divisors) are built unchecked by _raw,
-or by _collect where terms may cancel: negation, nonzero scaling, sums and
-products after pruning, homogeneous components, restrict_last,
-to_expanded, to_msym, the class steps and the Dunkl building blocks
-(partial, mul_var, swap, divided_difference).
+parts) and drop zero coefficients; from_obj also rejects a repeated key.
+They serve outside input and results whose keys may be unnormalized or
+whose terms may cancel.  Results whose keys come from an existing
+polynomial and whose coefficients cannot be zero (the coefficient rings
+have no zero divisors) are built unchecked by _raw, or by _collect where
+terms may cancel: negation, nonzero scaling, sums and products after
+pruning, homogeneous components, restrict_last, to_expanded, to_msym, the
+class steps and the Dunkl building blocks (partial, mul_var, swap,
+divided_difference).  Symmetry is decided from orbit sizes in one pass
+over the terms (is_symmetric, to_msym); S_n-orbits are built only where
+monomials are the output (MSymPoly.to_expanded, under TERM_BUDGET).
 """
 
 from itertools import combinations
@@ -219,10 +222,15 @@ class _SparsePoly:
         from .ratfunc import coeff_from_obj
         if obj.get("basis") != cls.BASIS:
             raise ValueError("not an %s-basis polynomial" % cls.BASIS)
-        if type(obj["n"]) is not int or obj["n"] < 0:
-            raise ValueError("bad variable count n=%r" % (obj["n"],))
-        return cls(obj["n"], {tuple(t[cls.KEY]): coeff_from_obj(t["coeff"])
-                              for t in obj["terms"]})
+        n, terms = obj["n"], {}
+        if type(n) is not int or n < 0:
+            raise ValueError("bad variable count n=%r" % (n,))
+        for t in obj["terms"]:
+            key = cls._key(t[cls.KEY], n)
+            if key in terms:
+                raise ValueError("repeated %s %r" % (cls.KEY, list(key)))
+            terms[key] = coeff_from_obj(t["coeff"])
+        return cls._raw(n, {k: c for k, c in terms.items() if c})
 
 
 class ExpandedPoly(_SparsePoly):
@@ -245,14 +253,6 @@ class ExpandedPoly(_SparsePoly):
     @classmethod
     def monomial(cls, n, exps, coeff=1):
         return cls(n, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, n, i):
-        if not 1 <= i <= n:
-            raise IndexError("variable index %d out of 1..%d" % (i, n))
-        e = [0] * n
-        e[i - 1] = 1
-        return cls(n, {tuple(e): 1})
 
     def multiply(self, other):
         if self.n != other.n:
@@ -332,29 +332,31 @@ class ExpandedPoly(_SparsePoly):
         return self._collect(self.n - c + 1, (((sum(e[:c]),) + e[c:], v)
                                               for e, v in self.terms.items()))
 
-    def is_symmetric(self):
-        """Full orbit check: every monomial's orbit present with one coefficient."""
-        seen = set()
+    def _orbit_coeffs(self):
+        """{lam: c} if every S_n-orbit is whole with one coefficient c, else
+        None.  The terms sorting to lam are distinct permutations of it, at
+        most orbit_size(lam, n) of them, so the orbits are whole exactly
+        when the term count is the sum of their sizes."""
+        coeffs = {}
         for e, c in self.terms.items():
-            if e in seen:
-                continue
             lam = tuple(sorted(e, reverse=True))
-            orbit = orbit_exponents(as_partition(lam), self.n)
-            for f in orbit:
-                if self.terms.get(f) != c:
-                    return False
-                seen.add(f)
-        return True
+            if coeffs.setdefault(lam[:len(lam) - lam.count(0)], c) != c:
+                return None
+        if len(self.terms) == sum(orbit_size(lam, self.n) for lam in coeffs):
+            return coeffs
+        return None
 
-    def to_msym(self, validate=True):
-        """Collect into the monomial-symmetric basis."""
-        if validate and not self.is_symmetric():
+    def is_symmetric(self):
+        """Invariant under every exchange of variables, decided in time
+        linear in the number of terms (see _orbit_coeffs)."""
+        return self._orbit_coeffs() is not None
+
+    def to_msym(self):
+        """Collect into the m-basis; NotSymmetric unless is_symmetric()."""
+        coeffs = self._orbit_coeffs()
+        if coeffs is None:
             raise NotSymmetric("polynomial is not symmetric")
-        out = {}
-        for e, c in self.terms.items():
-            if list(e) == sorted(e, reverse=True):
-                out[e[:len(e) - e.count(0)]] = c
-        return MSymPoly._raw(self.n, out)
+        return MSymPoly._raw(self.n, coeffs)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
@@ -386,8 +388,7 @@ class MSymPoly(_SparsePoly):
         """Product via expansion and recollection."""
         if self.n != other.n:
             raise ValueError("variable counts differ")
-        prod = self.to_expanded() * other.to_expanded()
-        return prod.to_msym(validate=False)
+        return (self.to_expanded() * other.to_expanded()).to_msym()
 
     def to_expanded(self):
         _check_budget(sum(orbit_size(lam, self.n) for lam in self.terms))

@@ -252,6 +252,10 @@ GOLDEN_STDOUT = [
     (("verify", "closure", "--k", "3", "--r", "2", "--n", "6", "--dmax",
       "14", "--mmax", "4", "--tmax", "4"),
      "0e874095aa8b78f86f53241fb22d4c4e0b87861bcf4b39a0272b502ff1540cff"),
+    # the span at n = 5 restricted into the span at n = 4, j <= 2
+    (("verify", "restriction", "--k", "2", "--r", "2", "--n", "5", "--dmax",
+      "12"),
+     "5c9a2bf06b93e9d9c50fc9f892dda38a68348483604c34521b95f926afa3d7af"),
 ]
 
 
@@ -378,6 +382,41 @@ def test_member_rejects_asymmetric_expanded(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r", "2",
                            "--n", "2", "--dmax", "4", "--input", str(poly))
     assert code == 2 and "input" in err.lower()
+
+
+def test_member_rejects_asymmetric_without_orbit(capsys, tmp_path):
+    # one term with 12 distinct exponents: its orbit has 12! members, and
+    # symmetry is read off orbit sizes without building any of them
+    poly = tmp_path / "bad.json"
+    poly.write_text(json.dumps({
+        "n": 12, "basis": "expanded",
+        "terms": [{"exponents": list(range(12)),
+                   "coeff": {"num": "1", "den": "1"}}]}))
+    code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
+                             "2", "--n", "12", "--dmax", "66", "--input",
+                             str(poly))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "not symmetric" in err
+
+
+@pytest.mark.parametrize("basis, terms, repeat", [
+    # [2, 0] is m_(2) again once its trailing zero is stripped
+    ("msym", [([2], 1), ([1, 1], -2), ([2, 0], 5)], "partition [2]"),
+    ("expanded", [([2, 0], 1), ([0, 2], 1), ([1, 1], -2), ([1, 1], 3)],
+     "exponents [1, 1]"),
+], ids=["msym", "expanded"])
+def test_member_rejects_repeated_key(capsys, tmp_path, basis, terms, repeat):
+    key = "partition" if basis == "msym" else "exponents"
+    poly = tmp_path / "dup.json"
+    poly.write_text(json.dumps({
+        "n": 2, "basis": basis,
+        "terms": [{key: k, "coeff": {"num": str(c), "den": "1"}}
+                  for k, c in terms]}))
+    code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
+                             "2", "--n", "2", "--dmax", "4", "--input",
+                             str(poly))
+    assert code == 2 and out == ""
+    assert err == "error: bad polynomial input: repeated %s\n" % repeat
 
 
 def test_verify_exit_codes(capsys):

@@ -76,7 +76,7 @@ def int_row_as_betapoly(mu, n):
 
 def expanded_row(mu, n):
     q = MSymPoly.monomial_sym(n, mu).to_expanded()
-    hm = _hamiltonian_expanded(q, BETA, validate=False).to_msym(validate=False)
+    hm = _hamiltonian_expanded(q, BETA, validate=False).to_msym()
     return {nu: c if isinstance(c, BetaPoly) else BetaPoly((c,))
             for nu, c in hm.terms.items()}
 
@@ -99,4 +99,4 @@ def test_apply_matches_orbit_expansion(beta):
         want = _hamiltonian_expanded(P, beta)
         assert apply_hamiltonian(P, beta) == want
         assert apply_hamiltonian(P.to_msym(), beta) == \
-            want.to_msym(validate=False)
+            want.to_msym()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import jackideal.sympoly as sympoly
 from jackideal.operators import apply_w
-from jackideal.partitions import partitions_leq
+from jackideal.partitions import as_partition, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
                                PartSymPoly, TermBudgetExceeded,
@@ -78,6 +78,91 @@ def test_to_msym_rejects_asymmetric():
         p.to_msym()
     assert not p.is_symmetric()
     assert (p + ExpandedPoly.monomial(2, (1, 2))).is_symmetric()
+
+
+def orbit_walk_is_symmetric(p):
+    """The earlier symmetry check, kept as the oracle: build each term's
+    S_n-orbit and look every member up with one coefficient."""
+    seen = set()
+    for e, c in p.terms.items():
+        if e in seen:
+            continue
+        for f in orbit_exponents(as_partition(sorted(e, reverse=True)), p.n):
+            if p.terms.get(f) != c:
+                return False
+            seen.add(f)
+    return True
+
+
+def orbit_walk_to_msym(p):
+    """The earlier collection: NotSymmetric by the orbit walk, else the
+    coefficient of each non-increasing exponent vector."""
+    if not orbit_walk_is_symmetric(p):
+        raise NotSymmetric("polynomial is not symmetric")
+    return MSymPoly(p.n, {e: c for e, c in p.terms.items()
+                          if list(e) == sorted(e, reverse=True)})
+
+
+def symmetry_cases(rng, n):
+    """Full orbits of random partitions, each with three perturbations:
+    one orbit member dropped, one coefficient changed, a stray monomial."""
+    E = rand_symmetric(rng, n, 3).to_expanded()
+    if rng.random() < 0.3:
+        E = E.scale(BETA + rng.randint(-2, 2))
+    yield E
+    keys = sorted(E.terms)
+    if keys:
+        drop = rng.choice(keys)
+        yield ExpandedPoly(n, {e: c for e, c in E.terms.items() if e != drop})
+        bump = rng.choice(keys)
+        yield E + ExpandedPoly.monomial(n, bump, rng.choice((-1, 1)))
+    stray = tuple(rng.randint(0, 3) for _ in range(n))
+    yield E + ExpandedPoly.monomial(n, stray, rng.randint(1, 3))
+
+
+def test_symmetry_matches_orbit_walk():
+    rng = random.Random(61)
+    verdicts = []
+    for _ in range(300):
+        for p in symmetry_cases(rng, rng.randint(0, 5)):
+            want = orbit_walk_is_symmetric(p)
+            verdicts.append(want)
+            assert p.is_symmetric() == want, p.terms
+            if want:
+                assert p.to_msym() == orbit_walk_to_msym(p)
+            else:
+                with pytest.raises(NotSymmetric):
+                    p.to_msym()
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+
+
+def test_symmetry_builds_no_orbit(monkeypatch):
+    q = MSymPoly(4, {(3, 1): 2, (2, 2): -1, (1, 1, 1, 1): 5, (): 7})
+    E = q.to_expanded()
+
+    def refuse(*args):
+        raise AssertionError("an S_n-orbit was built")
+    monkeypatch.setattr(sympoly, "orbit_exponents", refuse)
+    monkeypatch.setattr(sympoly, "distinct_permutations", refuse)
+    # 12! members in the orbit of one term with 12 distinct exponents
+    p = ExpandedPoly.monomial(12, range(12))
+    assert not p.is_symmetric()
+    with pytest.raises(NotSymmetric):
+        p.to_msym()
+    assert E.is_symmetric() and E.to_msym() == q
+
+
+@pytest.mark.parametrize("cls, keys", [
+    (MSymPoly, ([2], [1, 1], [2, 0])),
+    (MSymPoly, ([1], [1])),
+    (ExpandedPoly, ([2, 0], [1, 1], [2, 0])),
+])
+def test_from_obj_rejects_repeated_key(cls, keys):
+    obj = {"n": 2, "basis": cls.BASIS,
+           "terms": [{cls.KEY: k, "coeff": {"num": str(i), "den": "1"}}
+                     for i, k in enumerate(keys)]}
+    with pytest.raises(ValueError, match="repeated %s" % cls.KEY):
+        cls.from_obj(obj)
 
 
 def test_multiplication_against_evaluation():
