@@ -80,18 +80,20 @@ class IdealBasis:
         return self._integral[lam]
 
     def normal_forms(self, e):
-        """(cols, rows) for degree e: the non-admissible partitions in
+        """(cols, rows) for degree e: the partitions not in elements, in
         decreasing lex order, and for every mu of degree e the integer row
         {j: x} with E NF(m_mu) = sum_j x m_cols[j], one E > 0 per degree.
         The normal form NF is m_mu off the basis and -sum_(mu < lam)
-        P_lam[mu] NF(m_mu) at an admissible lam, built in increasing lex
+        P_lam[mu] NF(m_mu) at each lam in elements, built in increasing lex
         order from integral(lam) = (D, D P_lam); E grows by D/g,
-        g = gcd(D, content), when D does not divide the sum."""
+        g = gcd(D, content), when D does not divide the sum.  Rows and
+        columns both come from elements, as in reduce_membership."""
         if e not in self._normal_forms:
-            cols = [mu for mu in partitions_leq(e, self.n)
-                    if mu not in self.elements]
+            cols, lams = [], []
+            for mu in partitions_leq(e, self.n):
+                (lams if mu in self.elements else cols).append(mu)
             rows = {mu: {j: 1} for j, mu in enumerate(cols)}
-            for lam in reversed(self.by_degree(e)):
+            for lam in reversed(lams):
                 D, N = self.integral(lam)
                 acc = {}
                 for mu, x in N.terms.items():  # no row for lam yet

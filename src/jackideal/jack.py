@@ -24,8 +24,7 @@ from operator import mul
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
-                         dominated_by, partitions_leq, sekiguchi_eigenvalue,
-                         conjugate)
+                         dominated_by, partitions_leq, sekiguchi_eigenvalue)
 from .sympoly import MSymPoly, orbit_size
 from . import operators
 
@@ -127,6 +126,8 @@ class JackPoly:
                     or not dominated_by(mu, lam)):
                 raise ValueError("m_%r outside the support of P_%r"
                                  % (mu, lam))
+            if mu in nums:
+                raise ValueError("repeated numerator of m_%r" % (mu,))
             nums[mu] = BetaPoly.trusted(tuple(coeffs))
         if BetaPoly(obj["den"]) != den or nums.get(lam) != den:
             raise ValueError("P_%r is not stored over c_lambda" % (lam,))
@@ -385,18 +386,15 @@ def specialize(lam, n, k, r, cache=None):
 
 def principal_specialization(lam, n):
     """Closed product for P_lam(1, ..., 1): over nodes (i, j),
-    ((n - i + 1) beta + j - 1) / ((conj_j - i + 1) beta + lam_i - j)."""
+    ((n - i + 1) beta + j - 1), over c_lambda(lam)."""
     lam = as_partition(lam)
     if len(lam) > n:
         raise ValueError("partition %r longer than n=%d" % (lam, n))
-    conj = conjugate(lam)
     num = BetaPoly((1,))
-    den = BetaPoly((1,))
     for i, li in enumerate(lam, start=1):
         for j in range(1, li + 1):
             num = num * BetaPoly((j - 1, n - i + 1))
-            den = den * BetaPoly((li - j, conj[j - 1] - i + 1))
-    return BetaRatFunc(num, den)
+    return BetaRatFunc(num, c_lambda(lam))
 
 
 def evaluate_all_ones(lam, n, cache=None):

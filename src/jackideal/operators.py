@@ -8,18 +8,20 @@ support.  Divisions by (x_i - x_j)
 are always performed exactly through the telescoping identity, so no
 operator ever leaves the coefficient ring.
 
-The Hamiltonian acts on the m-basis in closed form (hamiltonian_row: pair
-moves on the parts of mu, cost polynomial in n and the degree); symmetric
-ExpandedPoly inputs are collected to the m-basis first.  On the m-basis,
-p_m, l_m and w^(t)_m are sum_j x_j^shift K_1j Q for Q = P, d_1 P and
-nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P for symmetric P), read on
-cluster classes by OperatorTag.apply at OperatorTag.chain_step.  At a
-rational beta = a/b dunkl_chain runs in Z as c_s nabla_1^s P, c_s = D b^s
-> 0 with D the common denominator of P, one PartSymPoly.nabla_step per
-entry; its class-step rows go into a memo the caller holds and may share
-across chains and symmetrize calls (`rows`).  The Dunkl, Cherednik and
-Sekiguchi operators break symmetry and act on monomials; so do l_m and w on
-ExpandedPoly inputs (_l_expanded, _w_expanded).
+An operator that preserves symmetry takes an MSymPoly (TypeError on anything
+else), and Dunkl, Cherednik and the Sekiguchi product built from them take
+an ExpandedPoly.  The Hamiltonian acts on the m-basis in closed form
+(hamiltonian_row: pair moves on the parts of mu, cost polynomial in n and
+the degree).  p_m, l_m and w^(t)_m are sum_j x_j^shift K_1j Q for Q = P,
+d_1 P and nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P for symmetric
+P), read on cluster classes by OperatorTag.apply at OperatorTag.chain_step.
+At a rational beta = a/b dunkl_chain runs in Z as c_s nabla_1^s P,
+c_s = D b^s > 0 with D the common denominator of P, one
+PartSymPoly.nabla_step per entry;
+its class-step rows go into a memo the caller holds and may share across
+chains and symmetrize calls (`rows`).  On monomials, l_m and w are
+_l_expanded and _w_expanded: the operators of the commutator suite, whose
+inputs need not be symmetric.
 """
 
 import random
@@ -110,11 +112,15 @@ def hamiltonian_row(mu, n):
     return sum(a * a for a in p), row
 
 
+def _check_msym(P):
+    if not isinstance(P, MSymPoly):
+        raise TypeError("operators that preserve symmetry take an MSymPoly, "
+                        "not %s" % type(P).__name__)
+
+
 def apply_hamiltonian(P, beta):
-    """Hamiltonian on an MSymPoly, or on a symmetric ExpandedPoly (raises
-    NotSymmetric otherwise), row by row in the m-basis."""
-    if isinstance(P, ExpandedPoly):
-        return apply_hamiltonian(P.to_msym(), beta).to_expanded()
+    """Hamiltonian on an MSymPoly, row by row in the m-basis."""
+    _check_msym(P)
     euler, cross = {}, {}
     for mu, c in P.terms.items():
         e, row = hamiltonian_row(mu, P.n)
@@ -158,10 +164,8 @@ def _classes(P, rows=None):
 
 
 def apply_l(P, m):
-    """l_m on an MSymPoly (on classes) or on an ExpandedPoly."""
-    if isinstance(P, MSymPoly):
-        return OperatorTag("l", m).apply(P, None)
-    return _l_expanded(P, m)
+    """l_m P for an MSymPoly P (m >= -1), on classes."""
+    return OperatorTag("l", m).apply(P, None)
 
 
 def apply_p(P, m):
@@ -195,11 +199,8 @@ def dunkl_chain(P, smax, beta, rows=None):
 
 
 def apply_w(P, t, m, beta):
-    """w^(t)_m on an MSymPoly (through one Dunkl chain) or on an
-    ExpandedPoly."""
-    if isinstance(P, MSymPoly):
-        return OperatorTag("w", m, t).apply(P, beta)
-    return _w_expanded(P, t, m, beta)
+    """w^(t)_m P for an MSymPoly P, through one Dunkl chain."""
+    return OperatorTag("w", m, t).apply(P, beta)
 
 
 def expanded_power_sum(n, m):
@@ -235,6 +236,7 @@ class OperatorTag:
 
     def apply(self, P, beta):
         """Apply to an MSymPoly at chain_step(); p and l need no beta."""
+        _check_msym(P)
         s, shift = self.chain_step()
         if self.kind != "w":
             Q = _classes(P)

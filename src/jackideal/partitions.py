@@ -268,9 +268,9 @@ def sekiguchi_eigenvalue(lam, n):
 
 def check_nonvanishing(lam, k, r, n):
     """Machine check that the denominator factors stay nonzero at
-    beta0 = beta(k, r) for an admissible lam: pairwise row terms and hook
-    terms, plus the shifted pairwise term avoiding 1 below every strict
-    drop."""
+    beta0 = beta(k, r) for an admissible lam: pairwise row terms and the
+    hook product c_lambda, plus the shifted pairwise term avoiding 1 below
+    every strict drop."""
     if not is_admissible(lam, k, r, n):
         raise InvalidParameters("%r is not (%d,%d,%d)-admissible" % (lam, k, r, n))
     b0 = beta_value(k, r)
@@ -279,11 +279,8 @@ def check_nonvanishing(lam, k, r, n):
         for j in range(i + 1, n + 1):
             if (j - i) * b0 + lp[i - 1] - lp[j - 1] == 0:
                 return False
-    conj = conjugate(lam)
-    for i, li in enumerate(lam, start=1):
-        for j in range(1, li + 1):
-            if (conj[j - 1] - i + 1) * b0 + li - j == 0:
-                return False
+    if c_lambda(lam)(b0) == 0:
+        return False
     for j in range(2, n + 1):
         if lp[j - 1] < lp[j - 2]:
             for i in range(1, j):

@@ -8,29 +8,32 @@ t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  Its class steps
 (cluster, nabla_step, dunkl_sum and symmetrize) are sparse linear maps whose
 row for a key depends on the key and n alone; each row is built once into a
 memo dict the caller holds (`rows`) and passes from call to call.  All share
-one sparse-term core (_SparsePoly): equality, sums, negation, scaling, grading,
-repr and the JSON form.  Coefficients may live in Q (int/Fraction) or
-Q[beta] (BetaPoly); all operations here are coefficient-ring agnostic and
-never divide by coefficients.  Symbolic Jack polynomials reach this module
-as integer BetaPoly numerators over a shared denominator
-(JackPoly.cleared()); specialized ones have coefficients in Q.  Q(beta)
-coefficients (BetaRatFunc, from JackPoly.msym() at the API boundary)
+one sparse-term core (_SparsePoly): equality, sums, negation, scaling,
+grading, repr and the JSON form.  Only ExpandedPoly multiplies polynomials:
+the symmetric forms are scaled by coefficients alone, since the operators
+that preserve symmetry act on the m-basis directly (operators module), and
+MSymPoly * MSymPoly raises TypeError.  Coefficients may live in Q
+(int/Fraction) or Q[beta] (BetaPoly); all operations here are
+coefficient-ring agnostic and never divide by coefficients.  Symbolic Jack
+polynomials reach this module as integer BetaPoly numerators over a shared
+denominator (JackPoly.cleared()); specialized ones have coefficients in Q.
+Q(beta) coefficients (BetaRatFunc, from JackPoly.msym() at the API boundary)
 support equality, JSON and printing only: they have no arithmetic.
 
 Keys are validated at the boundary only.  The public constructor and
 from_obj check every key (an exponent vector must be n non-negative
 integers; a partition is normalized by as_partition and has at most n
-parts) and drop zero coefficients; from_obj also rejects a repeated key.
-They serve outside input and results whose keys may be unnormalized or
-whose terms may cancel.  Results whose keys come from an existing
-polynomial and whose coefficients cannot be zero (the coefficient rings
-have no zero divisors) are built unchecked by _raw, or by _collect where
-terms may cancel: negation, nonzero scaling, sums and products after
+parts), reject a key repeated once normalized and drop zero coefficients
+(_checked).  They serve outside input and results whose keys may be
+unnormalized or whose terms may cancel.  Results whose keys come from an
+existing polynomial and whose coefficients cannot be zero (the coefficient
+rings have no zero divisors) are built unchecked by _raw, or by _collect
+where terms may cancel: negation, nonzero scaling, sums and products after
 pruning, homogeneous components, restrict_last, to_expanded, to_msym, the
 class steps and the Dunkl building blocks (partial, mul_var, swap,
-divided_difference).  Symmetry is decided from orbit sizes in one pass
-over the terms (is_symmetric, to_msym); S_n-orbits are built only where
-monomials are the output (MSymPoly.to_expanded, under TERM_BUDGET).
+divided_difference).  Symmetry is decided from orbit sizes in one pass over
+the terms (is_symmetric, to_msym); S_n-orbits are built only where monomials
+are the output (MSymPoly.to_expanded, under TERM_BUDGET).
 """
 
 from itertools import combinations
@@ -115,12 +118,19 @@ class _SparsePoly:
 
     def __init__(self, n, terms=None):
         self.n = n
-        self.terms = {}
-        if terms:
-            for key, c in terms.items():
-                key = self._key(key, n)
-                if c:
-                    self.terms[key] = c
+        self.terms = self._checked(n, terms.items()) if terms else {}
+
+    @classmethod
+    def _checked(cls, n, pairs):
+        """{key: c} from (key, c) pairs, each key validated by _key: a key
+        repeated once normalized raises ValueError, zero coefficients drop."""
+        out = {}
+        for key, c in pairs:
+            key = cls._key(key, n)
+            if key in out:
+                raise ValueError("repeated %s %r" % (cls.KEY, list(key)))
+            out[key] = c
+        return {k: c for k, c in out.items() if c}
 
     @classmethod
     def _raw(cls, n, terms):
@@ -181,12 +191,7 @@ class _SparsePoly:
             return self.zero(self.n)
         return self._raw(self.n, {k: v * c for k, v in self.terms.items()})
 
-    def __mul__(self, other):
-        if type(other) is type(self):
-            return self.multiply(other)
-        return self.scale(other)
-
-    __rmul__ = scale
+    __mul__ = __rmul__ = scale
 
     def cleared(self):
         """(D, D * self) for rational coefficients, D > 0 their least common
@@ -222,15 +227,11 @@ class _SparsePoly:
         from .ratfunc import coeff_from_obj
         if obj.get("basis") != cls.BASIS:
             raise ValueError("not an %s-basis polynomial" % cls.BASIS)
-        n, terms = obj["n"], {}
+        n = obj["n"]
         if type(n) is not int or n < 0:
             raise ValueError("bad variable count n=%r" % (n,))
-        for t in obj["terms"]:
-            key = cls._key(t[cls.KEY], n)
-            if key in terms:
-                raise ValueError("repeated %s %r" % (cls.KEY, list(key)))
-            terms[key] = coeff_from_obj(t["coeff"])
-        return cls._raw(n, {k: c for k, c in terms.items() if c})
+        return cls._raw(n, cls._checked(n, (
+            (t[cls.KEY], coeff_from_obj(t["coeff"])) for t in obj["terms"])))
 
 
 class ExpandedPoly(_SparsePoly):
@@ -254,7 +255,10 @@ class ExpandedPoly(_SparsePoly):
     def monomial(cls, n, exps, coeff=1):
         return cls(n, {tuple(exps): coeff})
 
-    def multiply(self, other):
+    def __mul__(self, other):
+        """The polynomial product, or scaling by a coefficient."""
+        if type(other) is not ExpandedPoly:
+            return self.scale(other)
         if self.n != other.n:
             raise ValueError("variable counts differ")
         _check_budget(len(self.terms) * len(other.terms))
@@ -377,18 +381,8 @@ class MSymPoly(_SparsePoly):
         return lam
 
     @classmethod
-    def one(cls, n):
-        return cls(n, {(): 1})
-
-    @classmethod
     def monomial_sym(cls, n, lam, coeff=1):
         return cls(n, {as_partition(lam): coeff})
-
-    def multiply(self, other):
-        """Product via expansion and recollection."""
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-        return (self.to_expanded() * other.to_expanded()).to_msym()
 
     def to_expanded(self):
         _check_budget(sum(orbit_size(lam, self.n) for lam in self.terms))
@@ -397,9 +391,6 @@ class MSymPoly(_SparsePoly):
             for e in orbit_exponents(lam, self.n):
                 out[e] = c
         return ExpandedPoly._raw(self.n, out)
-
-    def evaluate(self, point):
-        return self.to_expanded().evaluate(point)
 
     def restrict_last(self, j=0):
         """(d/dx_n)^j, then x_n = 0, in n - 1 variables: j! times the
@@ -472,10 +463,8 @@ class PartSymPoly(_SparsePoly):
                 for v in S:
                     if v:
                         nu.remove(v)
-                count = factorial(c)
-                for v in set(S):
-                    count //= factorial(S.count(v))
-                row.append(((key[0] + sum(S),) + tuple(nu), count))
+                row.append(((key[0] + sum(S),) + tuple(nu),
+                            orbit_size(S, c)))
             return row
         return self._by_rows(PartSymPoly, self.n - c, rows,
                              ("cluster", self.n, c), row_of)

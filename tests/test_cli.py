@@ -256,6 +256,9 @@ GOLDEN_STDOUT = [
     (("verify", "restriction", "--k", "2", "--r", "2", "--n", "5", "--dmax",
       "12"),
      "5c9a2bf06b93e9d9c50fc9f892dda38a68348483604c34521b95f926afa3d7af"),
+    # the commutator suite, the one user of the monomial l and w, at n = 4
+    (("verify", "commutators", "--n", "4", "--dmax", "4", "--trials", "5"),
+     "fb00df024f3fde6de0e51cbdaee8ff055f3c5bf4dc5eea4837e13ceac44a8fc8"),
 ]
 
 
@@ -456,3 +459,20 @@ def test_cache_dir_persists(capsys, tmp_path):
     assert any(f.startswith("jack_n3") for f in files)
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_cache_entry_with_repeated_partition_is_a_miss(capsys, tmp_path):
+    # a second numerator for m_(1,1,1) makes the file inconsistent: it is a
+    # miss, solved again and rewritten, so stdout matches a run without cache
+    args = ("jack", "--lambda", "2,1", "--n", "3")
+    _, want, _ = run_cli(capsys, *args)
+    cached = args + ("--cache-dir", str(tmp_path))
+    run_cli(capsys, *cached)
+    path = tmp_path / "jack_n3_2-1.json"
+    good = json.loads(path.read_text())
+    bad = dict(good, nums=good["nums"] + [{"partition": [1, 1, 1],
+                                           "coeffs": [7]}])
+    path.write_text(json.dumps(bad))
+    code, out, _ = run_cli(capsys, *cached)
+    assert code == 0 and out == want
+    assert json.loads(path.read_text()) == good

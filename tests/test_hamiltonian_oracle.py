@@ -97,6 +97,4 @@ def test_apply_matches_orbit_expansion(beta):
         n = rng.randint(1, 5)
         P = _random_symmetric(rng, n, 6, nterms=4)
         want = _hamiltonian_expanded(P, beta)
-        assert apply_hamiltonian(P, beta) == want
-        assert apply_hamiltonian(P.to_msym(), beta) == \
-            want.to_msym()
+        assert apply_hamiltonian(P.to_msym(), beta) == want.to_msym()

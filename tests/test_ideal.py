@@ -17,9 +17,10 @@ from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              verify_regularity, verify_restriction,
                              verify_wheel, wheel_dimension)
 from jackideal.jack import jack_symbolic, specialize
+from jackideal.operators import apply_p
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
-from jackideal.sympoly import ExpandedPoly, MSymPoly, power_sum
+from jackideal.sympoly import ExpandedPoly, MSymPoly
 
 
 def test_build_basis_character():
@@ -41,7 +42,7 @@ def test_basis_elements_reduce_to_themselves():
 def test_membership_example():
     # p_1 P_(2) at beta(1,2) equals P_(3) exactly
     basis = build_basis(1, 2, 2, 4)
-    prod = basis.get((2,)).poly.multiply(power_sum(1, 2))
+    prod = apply_p(basis.get((2,)).poly, 1)
     cert = reduce_membership(prod, basis)
     assert cert.member and cert.combination == {(3,): Fraction(1)}
     assert certificate_holds(prod, basis, cert)
@@ -342,9 +343,22 @@ def test_closure_catches_missing_element():
     # shrink a basis by hand: reduction against it must fail for p_1 P_(3)
     basis = build_basis(1, 2, 2, 4)
     del basis.elements[(4,)]
-    prod = basis.get((3,)).poly.multiply(power_sum(1, 2))
+    prod = apply_p(basis.get((3,)).poly, 1)
     cert = reduce_membership(prod, basis)
     assert not cert.member and cert.obstruction == (4,)
+
+
+def test_normal_forms_read_the_elements():
+    # both membership engines see the same shrunken basis: (4,) becomes a
+    # column of the degree-4 normal forms, not a row
+    basis = build_basis(1, 2, 2, 4)
+    del basis.elements[(4,)]
+    cols, rows = basis.normal_forms(4)
+    assert (4,) in cols and rows[(4,)] == {cols.index((4,)): 1}
+    P3, P31 = basis.get((3,)).poly, basis.get((3, 1)).poly
+    for P, want in ((apply_p(P3, 1), (4,)), (P31, None), (P31 + P3, None)):
+        assert basis.obstruction(P) == want
+        assert reduce_membership(P, basis).obstruction == want
 
 
 def test_specialized_elements_match_direct_specialization():

@@ -9,12 +9,13 @@ import pytest
 from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
                                  apply_dunkl_power, apply_exchange,
                                  apply_hamiltonian, apply_l, apply_p,
-                                 apply_sekiguchi, apply_w,
-                                 expanded_power_sum, verify_commutators)
+                                 apply_sekiguchi, apply_w, _l_expanded,
+                                 _w_expanded, expanded_power_sum,
+                                 verify_commutators)
 from jackideal.partitions import (cs_eigenvalue, partitions_leq,
                                   sekiguchi_eigenvalue)
 from jackideal.ratfunc import BETA, BetaPoly
-from jackideal.sympoly import ExpandedPoly, MSymPoly, NotSymmetric
+from jackideal.sympoly import ExpandedPoly, MSymPoly
 
 HALF = Fraction(1, 2)
 
@@ -85,8 +86,23 @@ def test_hamiltonian_m2_row_oracle():
 
 def test_hamiltonian_rejects_asymmetric():
     p = ExpandedPoly.monomial(2, (2, 1))
-    with pytest.raises(NotSymmetric):
+    with pytest.raises(TypeError):
         apply_hamiltonian(p, BETA)
+
+
+@pytest.mark.parametrize("call", [
+    lambda E: apply_l(E, 1),
+    lambda E: apply_p(E, 1),
+    lambda E: apply_w(E, 2, 0, HALF),
+    lambda E: OperatorTag("l", 0).apply(E, None),
+    lambda E: OperatorTag("w", 0, 3).apply(E, HALF),
+    lambda E: apply_hamiltonian(E, BETA),
+])
+def test_symmetric_operators_take_msym_only(call):
+    # an operator that preserves symmetry takes an MSymPoly, even when the
+    # expanded input is symmetric
+    with pytest.raises(TypeError, match="MSymPoly"):
+        call(MSymPoly.monomial_sym(2, (2, 1)).to_expanded())
 
 
 def test_hamiltonian_triangular_in_dominance():
@@ -117,20 +133,20 @@ def test_l_operators():
 
 def test_l1_against_hand_expansion():
     # l_1 m_(1,1) = m_(2,1) + ... check by direct expansion at n = 2
-    q = MSymPoly.monomial_sym(2, (1, 1)).to_expanded()
-    got = apply_l(q, 1)
+    q = MSymPoly.monomial_sym(2, (1, 1))
+    got = apply_l(q, 1).to_expanded()
     # sum x_j^2 d_j (xy) = x^2 y + x y^2
     assert got.terms == {(2, 1): 1, (1, 2): 1}
 
 
 def test_w_family():
     # w^(2)_m = sum x^{m+1} nabla: on symmetric input w2_0 acts like l_0
-    q = MSymPoly.monomial_sym(2, (2,)).to_expanded()
-    got = apply_w(q, 2, 0, HALF)
+    q = MSymPoly.monomial_sym(2, (2,))
+    got = apply_w(q, 2, 0, HALF).to_expanded()
     # nabla_j then x_j, summed: compare against direct construction
     direct = ExpandedPoly.zero(2)
     for j in (1, 2):
-        direct = direct + apply_dunkl(q, j, HALF).mul_var(j, 1)
+        direct = direct + apply_dunkl(q.to_expanded(), j, HALF).mul_var(j, 1)
     assert got == direct
     with pytest.raises(ValueError):
         apply_w(q, 1, 0, HALF)
@@ -149,8 +165,9 @@ def test_operator_tags():
     assert str(OperatorTag("p", 2)) == "p(2)"
     assert OperatorTag("l", -1).degree_shift() == -1
     q = MSymPoly.monomial_sym(2, (2,))
-    assert OperatorTag("p", 1).apply(q, HALF) == q.multiply(
-        MSymPoly.monomial_sym(2, (1,)))
+    m1 = MSymPoly.monomial_sym(2, (1,))
+    assert OperatorTag("p", 1).apply(q, HALF) == \
+        (q.to_expanded() * m1.to_expanded()).to_msym()
     with pytest.raises(ValueError):
         OperatorTag("l", -2)
     with pytest.raises(ValueError):
@@ -164,10 +181,10 @@ def test_operator_tags():
     lambda q: OperatorTag("p", 0),
     lambda q: OperatorTag("p", 1, 2),
     lambda q: apply_l(q, -2),
-    lambda q: apply_l(q.to_expanded(), -2),
+    lambda q: _l_expanded(q.to_expanded(), -2),
     lambda q: OperatorTag("l", 0, 2),
-    lambda q: apply_w(q.to_expanded(), 1, 0, HALF),
-    lambda q: apply_w(q.to_expanded(), 2, -2, HALF),
+    lambda q: _w_expanded(q.to_expanded(), 1, 0, HALF),
+    lambda q: _w_expanded(q.to_expanded(), 2, -2, HALF),
     lambda q: apply_w(q, 1, 0, HALF),
     lambda q: apply_w(q, 4, -4, HALF),
     lambda q: OperatorTag("w", 0),

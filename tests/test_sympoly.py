@@ -165,6 +165,17 @@ def test_from_obj_rejects_repeated_key(cls, keys):
         cls.from_obj(obj)
 
 
+@pytest.mark.parametrize("terms", [
+    {(2,): 1, (2, 0): 5},
+    {(1, 1): 0, (1, 1, 0): 3},
+    {(1,): 2, (1, 0, 0): -2},
+])
+def test_constructor_rejects_repeated_key(terms):
+    # two partitions that normalize alike: neither may silently win
+    with pytest.raises(ValueError, match="repeated partition"):
+        MSymPoly(3, terms)
+
+
 def test_multiplication_against_evaluation():
     rng = random.Random(17)
     for _ in range(30):
@@ -177,19 +188,10 @@ def test_multiplication_against_evaluation():
         assert (a + b).evaluate(pt) == a.evaluate(pt) + b.evaluate(pt)
 
 
-def test_msym_multiply_is_symmetric_product():
-    rng = random.Random(23)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = rand_symmetric(rng, n, 3)
-        b = rand_symmetric(rng, n, 3)
-        assert a.multiply(b).to_expanded() == a.to_expanded() * b.to_expanded()
-
-
 def test_m_times_m_oracle():
     # m_(1) * m_(1) = m_(2) + 2 m_(1,1) in any n >= 2
-    a = MSymPoly.monomial_sym(3, (1,))
-    prod = a.multiply(a)
+    a = MSymPoly.monomial_sym(3, (1,)).to_expanded()
+    prod = (a * a).to_msym()
     assert prod == MSymPoly(3, {(2,): 1, (1, 1): 2})
 
 
@@ -369,8 +371,8 @@ def test_homogeneous_components_and_degree():
 
 def test_beta_coefficients_supported():
     # generic-coupling coefficients flow through products unharmed
-    q = MSymPoly(2, {(1,): BETA})
-    prod = q.multiply(q)
+    q = MSymPoly(2, {(1,): BETA}).to_expanded()
+    prod = (q * q).to_msym()
     assert prod == MSymPoly(2, {(2,): BETA * BETA, (1, 1): 2 * BETA * BETA})
     assert prod.map_coeffs(lambda c: c(Fraction(2))) == MSymPoly(
         2, {(2,): 4, (1, 1): 8})
@@ -410,6 +412,15 @@ def test_bases_do_not_mix():
         with pytest.raises(TypeError):
             op(q, e)
     assert e * 2 == 2 * e == e.scale(2) and q * 2 == 2 * q
+
+
+def test_symmetric_forms_have_no_product():
+    # the polynomial product is ExpandedPoly's alone
+    q = MSymPoly.monomial_sym(2, (1,))
+    c = q.substitute_coincident(1)
+    for a in (q, c):
+        with pytest.raises(TypeError):
+            a * a
 
 
 @pytest.mark.parametrize("exps", [(1,), (1, 0, 0), (1, -1), (1.5, 0),
