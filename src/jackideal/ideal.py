@@ -170,7 +170,8 @@ class IdealBasis:
 
 def build_basis(k, r, n, dmax, cache=None):
     """The admissible basis: each admissible lam specialized at beta(k, r)
-    from jack_symbolic, through one cache (made here when none is given)."""
+    by specialize, solved at the point through one cache (made here when
+    none is given)."""
     b0 = beta_value(k, r)
     cache = cache if cache is not None else JackCache()
     fam = enumerate_admissible(k, r, n, dmax)

@@ -4,7 +4,7 @@ P_lam is the unique eigenfunction of the Sutherland-type Hamiltonian that is
 unitriangular on monomial symmetric functions: P_lam = m_lam + lower terms in
 dominance order.  A JackPoly stores the integral form J_lam = c_lam P_lam:
 the shared denominator den = c_lambda(lam) and one integer-coefficient
-numerator per m-basis coefficient, so the solver, specialization, pole
+numerator per m-basis coefficient, so the solver, evaluation, pole
 profiles and the disk cache all work in Z[beta] without a gcd.  The solver
 runs in Z on int coefficient lists and int Hamiltonian rows, with one
 synthetic division by the linear eigenvalue gap per coefficient; each
@@ -14,17 +14,23 @@ with the weights a^i b^(D-i), and one Fraction is built per coefficient
 (where den vanishes, order_and_value reads each unreduced numerator/den).
 Coefficients in Q(beta) (BetaRatFunc) are built only on request, by
 coefficient(), coeffs and msym(); at() never builds one.
+
+A specialization at beta(k, r) skips Z[beta]: _solve_at runs the same walk
+on one integer per coefficient, and only where c_lambda or a visited gap
+vanishes at the point does it fall back to jack_symbolic(...).at(beta0).
 """
 
 import json
 import os
 import threading
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
-                         dominated_by, partitions_leq, sekiguchi_eigenvalue)
+                         dominated_by, hook_factors, partitions_leq,
+                         sekiguchi_eigenvalue)
 from .sympoly import MSymPoly, orbit_size
 from . import operators
 
@@ -162,9 +168,10 @@ class SpecializedJack:
 
 class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
-    readers: solved Jacks (lam, n) -> JackPoly, optionally backed by a
+    readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
     directory of JSON files, and, in memory only, Hamiltonian rows (mu, n)
-    and specializations (lam, n, k, r) -> SpecializedJack."""
+    and specializations (lam, n, k, r) -> SpecializedJack, solved at the
+    point, so only a fallback reads or fills the symbolic Jacks."""
 
     def __init__(self, directory=None):
         self._mem = {}
@@ -197,7 +204,12 @@ class JackCache:
         return jp
 
     def put(self, jp, persist=True):
+        """File a JackPoly under (lam, n), also on disk when persist, or a
+        SpecializedJack under (lam, n, k, r), in memory only."""
         with self._lock:
+            if isinstance(jp, SpecializedJack):
+                self._specialized[(jp.lam, jp.n, jp.k, jp.r)] = jp
+                return
             self._mem[(jp.lam, jp.n)] = jp
         if persist and self.directory:
             path = self._path(jp.lam, jp.n)
@@ -216,13 +228,15 @@ class JackCache:
 
     def specialized(self, lam, n, k, r):
         """specialize(lam, n, k, r, self), computed once per cache like
-        row(); a pole raises each time and is not kept."""
+        row() and filed by put(); a pole raises each time and is not kept."""
         hit = self._specialized.get((lam, n, k, r))
         if hit is None:
             b0 = beta_value(k, r)
-            hit = SpecializedJack(lam, n, k, r, b0,
-                                  jack_symbolic(lam, n, self).at(b0))
-            self._specialized[(lam, n, k, r)] = hit
+            poly = _solve_at(lam, n, self, b0)
+            if poly is None:
+                poly = jack_symbolic(lam, n, self).at(b0)
+            hit = SpecializedJack(lam, n, k, r, b0, poly)
+            self.put(hit)
         return hit
 
     def __len__(self):
@@ -332,6 +346,46 @@ def jack_symbolic(lam, n, cache=None):
     jp = JackPoly(lam, n, den, nums)
     cache.put(jp)
     return jp
+
+
+def _solve_at(lam, n, cache, beta0):
+    """P_lam at beta0 = p/q as an MSymPoly over Q, or None when M_lam or a
+    visited gap is 0 there.
+
+    The walk of jack_symbolic on M_mu = q^|lam| N_mu(beta0) (no numerator
+    has a higher degree): M_lam = q^|lam| c_lam(beta0) and
+    M_nu = p S_nu / (q g0 + p g1) with S_nu = sum_mu h_{mu,nu} M_mu, an
+    exact division in Z whose remainder raises.  A zero M_nu still has its
+    row scattered, so a vanishing gap below it is met.
+    """
+    p, q = beta0.numerator, beta0.denominator
+    m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
+    if not m_lam:
+        return None
+    euler, diag, off = cache.row(lam, n)
+    vals = {lam: m_lam}
+    sums = {nu: h * m_lam for nu, h in off.items()}
+    while sums:
+        nu = max(sums)
+        s = sums.pop(nu)
+        e, g, off = cache.row(nu, n)
+        g0, g1 = euler - e, diag - g
+        if g1 <= 0:
+            raise AssertionError("eigenvalues of %r and %r do not separate: "
+                                 "gap %d + %d beta" % (lam, nu, g0, g1))
+        gap = q * g0 + p * g1
+        if not gap:
+            return None
+        m, rem = divmod(p * s, gap)
+        if rem:
+            raise AssertionError("c_lambda does not clear the coefficient "
+                                 "of m_%r in P_%r" % (nu, lam))
+        if m:
+            vals[nu] = m
+        for mu, h in off.items():
+            sums[mu] = sums.get(mu, 0) + h * m
+    # every key is lam or a row key, so none needs validating again
+    return MSymPoly._raw(n, {nu: Fraction(m, m_lam) for nu, m in vals.items()})
 
 
 def verify_hamiltonian(lam, n, cache=None):

@@ -92,18 +92,23 @@ def hamiltonian_row(mu, n):
     h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves
     to (a - t, b + t) for 0 < t < a - b and adds a - b to S[nu]; the
     off-diagonal h_nu = S[nu] |orbit(mu)| / |orbit(nu)| counts those moves
-    per monomial of m_nu, an exact division.
+    per monomial of m_nu, an exact division.  All mult(a) mult(b) slot
+    pairs holding the values a > b reach the same nu, so each pair of
+    distinct values is moved once, with weight (a - b) mult(a) mult(b).
     """
     p = padded(mu, n)
     moves = {}
-    for i, a in enumerate(p):
-        for j in range(i + 1, n):
-            b = p[j]
+    values = sorted(set(p), reverse=True)
+    for x, a in enumerate(values):
+        i = p.index(a)
+        for b in values[x + 1:]:
+            j = p.index(b)
+            w = (a - b) * p.count(a) * p.count(b)
             for t in range(1, a - b):
                 q = list(p)
                 q[i], q[j] = a - t, b + t
                 nu = as_partition(sorted(q, reverse=True))
-                moves[nu] = moves.get(nu, 0) + a - b
+                moves[nu] = moves.get(nu, 0) + w
     size = orbit_size(mu, n)
     row = {nu: s * size // orbit_size(nu, n) for nu, s in moves.items()}
     diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))

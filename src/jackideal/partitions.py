@@ -229,17 +229,22 @@ def node_moves(lam, n):
     return ups + downs
 
 
-def c_lambda(lam):
-    """Denominator-clearing hook product: over nodes (i, j) of lam,
-    the product of (conj(lam)[j] - i + 1) * beta + lam[i] - j, on an int
-    coefficient list.  Every beta-coefficient is a leg length plus one,
-    at least 1, so the top entry is nonzero."""
+def hook_factors(lam):
+    """(arm, leg + 1) of each node (i, j) of lam: lam[i] - j and
+    conj(lam)[j] - i + 1."""
     conj = conjugate(lam)
+    return [(li - j, conj[j - 1] - i + 1)
+            for i, li in enumerate(lam, start=1) for j in range(1, li + 1)]
+
+
+def c_lambda(lam):
+    """Denominator-clearing hook product: over the nodes of lam, the
+    product of arm + (leg + 1) * beta, on an int coefficient list.  Every
+    beta-coefficient is a leg length plus one, at least 1, so the top
+    entry is nonzero."""
     out = [1]
-    for i, li in enumerate(lam, start=1):
-        for j in range(1, li + 1):
-            a, b = li - j, conj[j - 1] - i + 1
-            out = [a * x + b * y for x, y in zip(out + [0], [0] + out)]
+    for a, b in hook_factors(lam):
+        out = [a * x + b * y for x, y in zip(out + [0], [0] + out)]
     return BetaPoly.trusted(tuple(out))
 
 

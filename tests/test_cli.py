@@ -259,6 +259,9 @@ GOLDEN_STDOUT = [
     # the commutator suite, the one user of the monomial l and w, at n = 4
     (("verify", "commutators", "--n", "4", "--dmax", "4", "--trials", "5"),
      "fb00df024f3fde6de0e51cbdaee8ff055f3c5bf4dc5eea4837e13ceac44a8fc8"),
+    # nine variables, the benchmark's wide grid
+    (("ideal", "basis", "--k", "8", "--r", "2", "--n", "9", "--dmax", "8"),
+     "30f63d28e0a5a36dec3a662a6167362bc5c87118790cd1fe14fcf6ac5797f400"),
 ]
 
 
@@ -353,27 +356,37 @@ def test_cli_import_leaves_process_pool_out():
 
 def test_processes_share_one_cache_dir(tmp_path):
     """Two cold runs at once on one --cache-dir, then a warm one: each
-    prints what a run without a cache prints, and no temporary file is
-    left behind."""
+    prints what a run without a cache prints.  ideal basis solves its Jacks
+    at beta(k, r) and writes no file, so two verify regularity runs, which
+    solve symbolically, check that files are written and that no temporary
+    file is left behind."""
     src = os.path.dirname(os.path.dirname(jackideal.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    argv = [sys.executable, "-m", "jackideal", "ideal", "basis", "--k", "2",
-            "--r", "2", "--n", "5", "--dmax", "14"]
-    cached = argv + ["--cache-dir", str(tmp_path)]
-    procs = [subprocess.Popen(cached, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE, text=True, env=env)
-             for _ in range(2)]
-    outs = [proc.communicate(timeout=120) + (proc.returncode,)
-            for proc in procs]
-    for cmd in (cached, argv):
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                              timeout=120)
-        outs.append((proc.stdout, proc.stderr, proc.returncode))
-    for out, err, code in outs:
-        assert code == 0 and err == ""
-        assert out == outs[-1][0]
-    names = os.listdir(tmp_path)
+
+    def concurrent_runs(argv, cache_dir):
+        cached = argv + ["--cache-dir", str(cache_dir)]
+        procs = [subprocess.Popen(cached, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True, env=env)
+                 for _ in range(2)]
+        outs = [proc.communicate(timeout=120) + (proc.returncode,)
+                for proc in procs]
+        for cmd in (cached, argv):
+            proc = subprocess.run(cmd, capture_output=True, text=True,
+                                  env=env, timeout=120)
+            outs.append((proc.stdout, proc.stderr, proc.returncode))
+        for out, err, code in outs:
+            assert code == 0 and err == ""
+            assert out == outs[-1][0]
+
+    jackideal_cli = [sys.executable, "-m", "jackideal"]
+    concurrent_runs(jackideal_cli + ["ideal", "basis", "--k", "2", "--r",
+                                     "2", "--n", "5", "--dmax", "14"],
+                    tmp_path / "basis")
+    concurrent_runs(jackideal_cli + ["verify", "regularity", "--k", "2",
+                                     "--r", "2", "--n", "5", "--dmax", "12"],
+                    tmp_path / "symbolic")
+    names = os.listdir(tmp_path / "symbolic")
     assert names and not [name for name in names if ".tmp." in name]
 
 

@@ -11,13 +11,13 @@ from fractions import Fraction
 import pytest
 
 import jackideal
-from jackideal import operators
+from jackideal import jack, operators
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
                             evaluate_all_ones, jack_symbolic, pole_profile,
                             principal_specialization, specialize,
                             verify_eigensystem, verify_hamiltonian,
                             verify_sekiguchi)
-from jackideal.partitions import dominated_by, partitions_leq
+from jackideal.partitions import beta_value, dominated_by, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import MSymPoly
 
@@ -106,6 +106,76 @@ def test_specialize_pole_raises():
     with pytest.raises(SpecializationPole) as ei:
         specialize((2, 2), 4, 1, 2)
     assert ei.value.order == 1 and ei.value.mu == (1, 1, 1, 1)
+
+
+# criterion 6's (k, r), and two pairs where more Jacks fall back
+POINT_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 2), (2, 5), (4, 3), (4, 5))
+
+
+def _at_point_or_pole(solve):
+    try:
+        return solve().terms
+    except SpecializationPole as exc:
+        return exc.lam, exc.mu, exc.order
+
+
+def test_specialize_at_the_point_matches_symbolic():
+    # every lam with |lam| <= 10, n <= 4: specialize equals the symbolic
+    # Jack at beta(k, r), term order included, or raises the same pole
+    cache = JackCache()
+    paths = {"point": 0, "regular": 0, "pole": 0}
+    for n in range(1, 5):
+        for d in range(11):
+            for lam in partitions_leq(d, n):
+                for k, r in POINT_PAIRS:
+                    b0 = beta_value(k, r)
+                    want = _at_point_or_pole(
+                        lambda: jack_symbolic(lam, n, cache).at(b0))
+                    got = _at_point_or_pole(
+                        lambda: specialize(lam, n, k, r, cache).poly)
+                    assert got == want and (
+                        type(got) is tuple or list(got) == list(want)), \
+                        (lam, n, k, r)
+                    if jack._solve_at(lam, n, cache, b0) is not None:
+                        paths["point"] += 1
+                    else:
+                        paths["pole" if type(want) is tuple else "regular"] += 1
+    assert min(paths.values()) > 0, paths
+
+
+def test_point_solve_visits_rows_of_vanishing_coefficients():
+    # at beta(2, 3) = -2/3, N_(2,1,1,1) of P_(4,1) vanishes and so does the
+    # gap of (1^5), which only its row reaches: the point solve must meet
+    # that gap and fall back, not drop the m_(1^5) term
+    lam, n, k, r = (4, 1), 5, 2, 3
+    b0 = beta_value(k, r)
+    assert jack_symbolic(lam, n).nums[(2, 1, 1, 1)](b0) == 0
+    assert jack._solve_at(lam, n, JackCache(), b0) is None
+    got = specialize(lam, n, k, r).poly
+    assert got == jack_symbolic(lam, n).at(b0)
+    assert got.terms[(1, 1, 1, 1, 1)] == -48
+
+
+@pytest.mark.parametrize("lam, n, k, r", [
+    ((2, 1), 2, 1, 2),     # c_(2,1) vanishes at -1/2
+    ((4, 2, 1), 4, 4, 5),  # admissible, and a gap vanishes at -4/5
+])
+def test_point_solve_falls_back_to_a_regular_value(lam, n, k, r):
+    b0 = beta_value(k, r)
+    assert jack._solve_at(lam, n, JackCache(), b0) is None
+    assert specialize(lam, n, k, r).poly == jack_symbolic(lam, n).at(b0)
+
+
+def test_point_solve_falls_back_to_the_pole():
+    b0 = beta_value(1, 2)
+    assert jack._solve_at((2, 2), 4, JackCache(), b0) is None
+    with pytest.raises(SpecializationPole) as ei:
+        specialize((2, 2), 4, 1, 2)
+    with pytest.raises(SpecializationPole) as want:
+        jack_symbolic((2, 2), 4).at(b0)
+    assert (ei.value.lam, ei.value.mu, ei.value.order) == \
+        (want.value.lam, want.value.mu, want.value.order) == \
+        ((2, 2), (1, 1, 1, 1), 1)
 
 
 def test_at_removable_singularity():
@@ -223,16 +293,16 @@ def test_rows_are_memoized_per_cache(monkeypatch):
 
 
 def test_specializations_are_memoized_per_cache(monkeypatch):
-    """A second build_basis on a warm cache evaluates no Jack, and clear()
-    forgets the specializations with the Jacks."""
+    """A second build_basis on a warm cache solves no Jack at the point, and
+    clear() forgets the specializations with the Jacks."""
     from jackideal.ideal import build_basis
     calls = []
-    at = JackPoly.at
+    solve_at = jack._solve_at
 
-    def counted(self, beta0):
-        calls.append(self.lam)
-        return at(self, beta0)
-    monkeypatch.setattr(JackPoly, "at", counted)
+    def counted(lam, n, cache, beta0):
+        calls.append(lam)
+        return solve_at(lam, n, cache, beta0)
+    monkeypatch.setattr(jack, "_solve_at", counted)
     cache = JackCache()
     first = build_basis(2, 3, 4, 12, cache)
     assert len(calls) == len(first) > 0

@@ -19,7 +19,7 @@ from functools import lru_cache
 import pytest
 
 from jackideal import jack, operators
-from jackideal.jack import JackCache, jack_symbolic
+from jackideal.jack import JackCache, jack_symbolic, specialize
 from jackideal.partitions import (as_partition, c_lambda, cs_eigenvalue,
                                   dominated_by, enumerate_admissible,
                                   partitions_leq)
@@ -225,6 +225,10 @@ def test_eigenvalue_collision_raises(patched_rows):
                          cs_eigenvalue(mu, m))
     with pytest.raises(AssertionError, match="do not separate"):
         jack_symbolic(lam, n, JackCache())
+    # the point solve makes the same check before it reads the gap at beta0
+    for k, r in [(1, 2), (2, 3)]:
+        with pytest.raises(AssertionError, match="do not separate"):
+            specialize(lam, n, k, r, JackCache())
 
 
 def test_clearing_check_catches_a_short_denominator(monkeypatch):

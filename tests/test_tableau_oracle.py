@@ -9,6 +9,9 @@ lam/rho and in no column that meets it, where
 b_lam(s) = (alpha a(s) + l(s) + 1)/(alpha a(s) + l(s) + alpha), a(s) and
 l(s) are the arm and leg of s in lam, and alpha = 1/beta.  The m_mu
 coefficient of P_lam sums psi_T over the tableaux of content mu.
+
+At beta(k, r) the same formula checks specialize, which solves at the point
+in Z, on every coefficient where the formula is defined there.
 """
 
 from fractions import Fraction
@@ -17,8 +20,10 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 import jackideal.jack as jack
-from jackideal.jack import JackCache, jack_symbolic
-from jackideal.partitions import partitions_leq
+from jackideal.jack import (JackCache, SpecializationPole, jack_symbolic,
+                            specialize)
+from jackideal.partitions import beta_value, partitions_leq
+from test_jack import POINT_PAIRS
 from test_kostka_oracle import _strip_removals
 
 BETAS = [Fraction(3, 7), Fraction(2), Fraction(-5, 11)]
@@ -63,6 +68,27 @@ def mismatches(lam, n, beta):
             if got.get(mu, 0) != want[mu]]
 
 
+def point_mismatches(lam, n, k, r):
+    """(mismatches, compared): the mu where specialize's P_lam at beta(k, r)
+    and the tableau formula at alpha = 1/beta(k, r) disagree, and how many
+    mu the formula is defined at; None at a pole of P_lam."""
+    alpha = 1 / beta_value(k, r)
+    try:
+        got = specialize(lam, n, k, r, JackCache()).poly.terms
+    except SpecializationPole:
+        return None
+    bad, compared = [], 0
+    for mu in partitions_leq(sum(lam), n):
+        try:
+            want = tableau_coefficient(lam, mu, alpha)
+        except ZeroDivisionError:
+            continue
+        compared += 1
+        if got.get(mu, 0) != want:
+            bad.append(mu)
+    return bad, compared
+
+
 def test_two_row_values():
     # P_(2) = m_2 + 2/(1 + alpha) m_11
     assert tableau_coefficient((2,), (1, 1), Fraction(3)) == Fraction(1, 2)
@@ -86,7 +112,9 @@ def test_solver_matches_tableau_formula(case):
 
 
 def test_tableau_oracle_catches_a_wrong_row(monkeypatch):
-    # raise the m_(2,2) entry of H m_(3,1) at n = 3 by one
+    # raise the m_(2,2) entry of H m_(3,1) at n = 3 by one: every division
+    # stays exact, in Z[beta] and, at these four beta(k, r), in the point
+    # solve too, so only the oracle catches it
     original = jack.hamiltonian_matrix_row
 
     def wrong_row(mu, n):
@@ -96,6 +124,25 @@ def test_tableau_oracle_catches_a_wrong_row(monkeypatch):
             off[(2, 2)] = off.get((2, 2), 0) + 1
         return euler, diag, off
 
+    pairs = [(1, 2), (2, 3), (2, 2), (3, 4)]
     assert all(mismatches((3, 1), 3, beta) == [] for beta in BETAS)
+    assert all(point_mismatches((3, 1), 3, k, r)[0] == [] for k, r in pairs)
     monkeypatch.setattr(jack, "hamiltonian_matrix_row", wrong_row)
     assert all(mismatches((3, 1), 3, beta) for beta in BETAS)
+    for k, r in pairs:
+        assert jack._solve_at((3, 1), 3, JackCache(),
+                              beta_value(k, r)) is not None
+        assert (2, 2) in point_mismatches((3, 1), 3, k, r)[0], (k, r)
+
+
+def test_specialize_matches_tableau_formula():
+    compared = 0
+    for n in range(1, 5):
+        for d in range(8):
+            for lam in partitions_leq(d, n):
+                for k, r in POINT_PAIRS:
+                    out = point_mismatches(lam, n, k, r)
+                    if out is not None:
+                        assert out[0] == [], (lam, n, k, r)
+                        compared += out[1]
+    assert compared > 1000
