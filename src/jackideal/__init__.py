@@ -17,7 +17,7 @@ from .operators import (OperatorTag, apply_cherednik, apply_dunkl,
                         apply_exchange, apply_hamiltonian, apply_l,
                         apply_sekiguchi, apply_w, verify_commutators)
 from .jack import (JackCache, JackPoly, SpecializationPole, SpecializedJack,
-                   evaluate_all_ones, jack_symbolic, pole_profile,
+                   evaluate_all_ones, jack_at, jack_symbolic, pole_profile,
                    principal_specialization, specialize,
                    verify_eigensystem, verify_hamiltonian, verify_sekiguchi)
 from .ideal import (DegreeOverflow, IdealBasis, MembershipCertificate,
@@ -45,7 +45,7 @@ __all__ = [
     "apply_hamiltonian", "apply_l", "apply_sekiguchi", "apply_w",
     "verify_commutators",
     "JackCache", "JackPoly", "SpecializationPole", "SpecializedJack",
-    "evaluate_all_ones", "jack_symbolic", "pole_profile",
+    "evaluate_all_ones", "jack_at", "jack_symbolic", "pole_profile",
     "principal_specialization", "specialize", "verify_eigensystem",
     "verify_hamiltonian", "verify_sekiguchi",
     "DegreeOverflow", "IdealBasis", "MembershipCertificate", "build_basis",

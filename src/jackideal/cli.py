@@ -14,7 +14,7 @@ from .ratfunc import PoleError, rat_to_obj
 from .partitions import (InvalidParameters, as_partition, beta_value,
                          enumerate_admissible, is_admissible)
 from .sympoly import MSymPoly, ExpandedPoly, TermBudgetExceeded
-from .jack import (JackCache, SpecializationPole, jack_symbolic,
+from .jack import (JackCache, SpecializationPole, jack_at, jack_symbolic,
                    principal_specialization, specialize, verify_eigensystem)
 from .ideal import (build_basis, reduce_membership, verify_closure,
                     verify_lassalle, verify_phi3, verify_pieri,
@@ -135,7 +135,7 @@ def build_parser():
     for name in ("pieri", "lassalle"):
         v = vsp.add_parser(name)
         add_common(v, "n", "dmax", "k?", "r?", "cache")
-        v.add_argument("--symbolic", action="store_true", default=None)
+        v.add_argument("--symbolic", action="store_true")
 
     v = vsp.add_parser("closure")
     add_common(v, "k", "r", "n", "dmax", "cache")
@@ -263,16 +263,15 @@ def run(args):
             sp = specialize(lam, args.n, args.k, args.r, cache)
             emit(sp.to_obj(), fmt, [str(sp.poly)])
             return 0
-        jp = jack_symbolic(lam, args.n, cache)
         if args.beta is not None:
             b0 = parse_beta(args.beta)
-            P = jp.at(b0)
+            P = jack_at(lam, args.n, b0, cache)
             obj = P.to_obj()
             obj["beta"] = {"num": str(b0.numerator),
                            "den": str(b0.denominator)}
             emit(obj, fmt, [str(P)])
             return 0
-        P = jp.msym()
+        P = jack_symbolic(lam, args.n, cache).msym()
         emit(P.to_obj(), fmt, [str(P)])
         return 0
 

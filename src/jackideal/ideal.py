@@ -222,12 +222,7 @@ def reduce_membership(P, basis):
 
 def certificate_holds(P, basis, cert):
     """Recombine a membership certificate and compare with P exactly."""
-    if not cert.member:
-        return False
-    acc = MSymPoly(basis.n)
-    for lam, c in cert.combination.items():
-        acc = acc + basis.elements[lam].poly.scale(c)
-    return acc == P
+    return cert.member and _combine(basis, cert.combination) == P
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +453,18 @@ def _combine(basis, combination):
                 for lam, c in combination.items()), MSymPoly(basis.n))
 
 
-def verify_pieri(n, dmax, k=None, r=None, symbolic=None, cache=None):
+def verify_pieri(n, dmax, k=None, r=None, symbolic=False, cache=None):
     """Pieri rule for p_1 on Jack polynomials.
 
-    Symbolic part (identically in beta, on cleared integer numerators by
-    _expansion_holds): p_1 P_mu = sum psi' P_lam for every mu of weight
-    < dmax.  Specialized part (needs k, r): for admissible mu, psi'
-    toward non-admissible lam vanishes at beta(k, r) and toward admissible
-    lam stays regular, the specialized identity holds over Q, and the
-    product reduces to exactly that combination under membership.
+    Symbolic part (when symbolic or without k; identically in beta, on
+    cleared integer numerators by _expansion_holds): p_1 P_mu = sum psi'
+    P_lam for every mu of weight < dmax.  Specialized part (needs k, r):
+    for admissible mu, psi' toward non-admissible lam vanishes at
+    beta(k, r) and toward admissible lam stays regular, the specialized
+    identity holds over Q, and the product reduces to exactly that
+    combination under membership.
     """
-    if symbolic is None:
-        symbolic = k is None
+    symbolic = symbolic or k is None
     cache = cache if cache is not None else JackCache()
     rep = Report("pieri", {"n": n, "dmax": dmax, "k": k, "r": r,
                            "symbolic": symbolic})
@@ -530,18 +525,17 @@ def _down_vanishing_factor(mu, i, basis):
     return ok, {"mechanism": "prefactor"}
 
 
-def verify_lassalle(n, dmax, k=None, r=None, symbolic=None, cache=None):
+def verify_lassalle(n, dmax, k=None, r=None, symbolic=False, cache=None):
     """Raising/lowering expansions l_1 P_mu and l_-1 P_mu in the Jack basis.
 
-    Symbolic part checks both expansions identically in beta for all mu with
-    |mu| < dmax, on cleared integer numerators (_expansion_holds); the
-    specialized part (needs k, r) checks, for admissible mu,
-    the per-neighbour vanishing mechanism at beta(k, r) (asserting the
-    specific vanishing factor, not just the product) and the specialized
-    identities over Q.
+    Symbolic part (when symbolic or without k) checks both expansions
+    identically in beta for all mu with |mu| < dmax, on cleared integer
+    numerators (_expansion_holds); the specialized part (needs k, r)
+    checks, for admissible mu, the per-neighbour vanishing mechanism at
+    beta(k, r) (asserting the specific vanishing factor, not just the
+    product) and the specialized identities over Q.
     """
-    if symbolic is None:
-        symbolic = k is None
+    symbolic = symbolic or k is None
     cache = cache if cache is not None else JackCache()
     rep = Report("lassalle", {"n": n, "dmax": dmax, "k": k, "r": r,
                               "symbolic": symbolic})

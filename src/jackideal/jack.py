@@ -15,9 +15,9 @@ with the weights a^i b^(D-i), and one Fraction is built per coefficient
 Coefficients in Q(beta) (BetaRatFunc) are built only on request, by
 coefficient(), coeffs and msym(); at() never builds one.
 
-A specialization at beta(k, r) skips Z[beta]: _solve_at runs the same walk
-on one integer per coefficient, and only where c_lambda or a visited gap
-vanishes at the point does it fall back to jack_symbolic(...).at(beta0).
+A Jack at a rational point (jack_at) skips Z[beta]: _solve_at runs the
+same walk on one integer per coefficient, and only where c_lambda or a
+visited gap vanishes there does it fall back to jack_symbolic(...).at().
 """
 
 import json
@@ -145,12 +145,13 @@ class JackPoly:
 
 
 class SpecializedJack:
-    """Jack polynomial evaluated at beta0 = beta(k, r), over Q."""
+    """Jack polynomial evaluated at beta0 = beta(k, r), over Q; lam is a
+    partition tuple, as JackCache.specialized files it."""
 
     __slots__ = ("lam", "n", "k", "r", "beta0", "poly")
 
     def __init__(self, lam, n, k, r, beta0, poly):
-        self.lam, self.n, self.k, self.r = as_partition(lam), n, k, r
+        self.lam, self.n, self.k, self.r = lam, n, k, r
         self.beta0 = beta0
         self.poly = poly
 
@@ -232,10 +233,7 @@ class JackCache:
         hit = self._specialized.get((lam, n, k, r))
         if hit is None:
             b0 = beta_value(k, r)
-            poly = _solve_at(lam, n, self, b0)
-            if poly is None:
-                poly = jack_symbolic(lam, n, self).at(b0)
-            hit = SpecializedJack(lam, n, k, r, b0, poly)
+            hit = SpecializedJack(lam, n, k, r, b0, jack_at(lam, n, b0, self))
             self.put(hit)
         return hit
 
@@ -386,6 +384,17 @@ def _solve_at(lam, n, cache, beta0):
             sums[mu] = sums.get(mu, 0) + h * m
     # every key is lam or a row key, so none needs validating again
     return MSymPoly._raw(n, {nu: Fraction(m, m_lam) for nu, m in vals.items()})
+
+
+def jack_at(lam, n, beta0, cache=None):
+    """P_lam in n variables at a rational beta0 (a Fraction or int) as an
+    MSymPoly over Q, by _solve_at; only where that stops is it read off
+    jack_symbolic(lam, n, cache).at(beta0), which raises SpecializationPole
+    at a pole.  Without a cache the call makes its own."""
+    lam = as_partition(lam)
+    cache = cache if cache is not None else JackCache()
+    poly = _solve_at(lam, n, cache, beta0)
+    return poly if poly is not None else jack_symbolic(lam, n, cache).at(beta0)
 
 
 def verify_hamiltonian(lam, n, cache=None):

@@ -5,9 +5,9 @@ ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
 to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
 of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
 t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  Its class steps
-(cluster, nabla_step, dunkl_sum and symmetrize) are sparse linear maps whose
-row for a key depends on the key and n alone; each row is built once into a
-memo dict the caller holds (`rows`) and passes from call to call.  All share
+(cluster, nabla_step and symmetrize) are sparse linear maps whose row for a
+key depends on the key and n alone; each row is built once into a memo
+dict the caller holds (`rows`) and passes from call to call.  All share
 one sparse-term core (_SparsePoly): equality, sums, negation, scaling,
 grading, repr and the JSON form.  Only ExpandedPoly multiplies polynomials:
 the symmetric forms are scaled by coefficients alone, since the operators
@@ -492,13 +492,10 @@ class PartSymPoly(_SparsePoly):
                 out[q] = out.get(q, 0) + c * x
         return cls._raw(n, {q: c for q, c in out.items() if c})
 
-    def dunkl_sum(self, rows=None):
-        """sum_{j > 1} (1 - K_1j)/(t - x_j), on classes as in nabla_step."""
-        return self.nabla_step(1, 0, rows)
-
     def nabla_step(self, a, b, rows=None):
-        """b d_t + a dunkl_sum, one row per key: b nabla_1 at beta = a/b
-        with t = x_1.  dunkl_sum is telescoped: on t^e m_nu each distinct
+        """b d_t + a sum_{j > 1} (1 - K_1j)/(t - x_j), one row per key:
+        b nabla_1 at beta = a/b with t = x_1, and at (a, b) = (1, 0) the
+        bare Dunkl sum.  The sum is telescoped: on t^e m_nu each distinct
         part v != e of nu padded to n - 1 slots gives t^i and a part
         e+v-1-i, v <= i < e (negated when e < v), once per slot holding it."""
         def row_of(key):

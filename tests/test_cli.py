@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import jackideal
 
-from jackideal.cli import main
+from jackideal.cli import main, parse_partition
+from jackideal.jack import JackCache, jack_symbolic
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +102,36 @@ def test_jack_pole_exit(capsys):
     code, _, err = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
                            "--beta=-1")
     assert code == 1 and "pole" in err
+    # the point walk stops on c_(2,1)(-1/2) = 0 and the symbolic fallback
+    # names the pole, as the symbolic-then-evaluate route did
+    code, out, err = run_cli(capsys, "jack", "--lambda", "2,1", "--n", "3",
+                             "--beta=-1/2")
+    assert code == 1 and out == ""
+    assert err == ("pole at the requested specialization: coefficient of "
+                   "m_(1, 1, 1) in P_(2, 1) has a pole of order 1 at "
+                   "beta=-1/2\n")
+
+
+@pytest.mark.parametrize("lam, n, beta, walk_solves, exit_code", [
+    ("3,1", 3, "3/2", True, 0),
+    ("4,2,1", 4, "-4/5", False, 0),  # a gap vanishes at -4/5
+    ("2,1", 3, "-1/2", False, 1),    # c_(2,1) vanishes, and a pole
+])
+def test_jack_beta_solves_symbolically_only_where_the_walk_stops(
+        capsys, monkeypatch, lam, n, beta, walk_solves, exit_code):
+    point = (parse_partition(lam), n, JackCache(), Fraction(beta))
+    assert (jackideal.jack._solve_at(*point) is not None) == walk_solves
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return jack_symbolic(*args, **kwargs)
+    monkeypatch.setattr(jackideal.jack, "jack_symbolic", counted)
+    monkeypatch.setattr(jackideal.cli, "jack_symbolic", counted)
+    code, _, _ = run_cli(capsys, "jack", "--lambda", lam, "--n", str(n),
+                         "--beta=" + beta)
+    assert code == exit_code
+    assert len(calls) == (0 if walk_solves else 1)
 
 
 @pytest.mark.parametrize("modes", [
@@ -262,6 +294,12 @@ GOLDEN_STDOUT = [
     # nine variables, the benchmark's wide grid
     (("ideal", "basis", "--k", "8", "--r", "2", "--n", "9", "--dmax", "8"),
      "30f63d28e0a5a36dec3a662a6167362bc5c87118790cd1fe14fcf6ac5797f400"),
+    # a Jack at an explicit beta, recorded on the symbolic-then-evaluate
+    # route: the point walk stops on a gap (a regular value), and solves
+    (("jack", "--lambda", "4,2,1", "--n", "4", "--beta=-4/5"),
+     "bb9443808244881cfd16205d4b51d7b4ef1f739ce7230b487a0014781772e3bc"),
+    (("jack", "--lambda", "3,1", "--n", "3", "--beta=3/2"),
+     "6b9436e0075ebf8445d84cbe4d2bf0fceaca07630616ee6e3a76ae286ed01ab9"),
 ]
 
 

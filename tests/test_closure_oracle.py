@@ -478,8 +478,8 @@ def test_memoized_class_steps_match_moves(grid):
             chain = dunkl_chain(P, tmax - 1, b0, rows)
             assert chain == want and runs_in_z(chain), lam
         for c, Q in want:
-            assert Q.dunkl_sum() == moves_dunkl_sum(Q), lam
-            assert Q.dunkl_sum(shared) == moves_dunkl_sum(Q), lam
+            assert Q.nabla_step(1, 0) == moves_dunkl_sum(Q), lam
+            assert Q.nabla_step(1, 0, shared) == moves_dunkl_sum(Q), lam
             for cc in range(1, Q.n):
                 for rows in (None, shared):
                     assert Q.cluster(cc, rows) == moves_cluster(Q, cc), \

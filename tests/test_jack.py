@@ -13,8 +13,8 @@ import pytest
 import jackideal
 from jackideal import jack, operators
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
-                            evaluate_all_ones, jack_symbolic, pole_profile,
-                            principal_specialization, specialize,
+                            evaluate_all_ones, jack_at, jack_symbolic,
+                            pole_profile, principal_specialization, specialize,
                             verify_eigensystem, verify_hamiltonian,
                             verify_sekiguchi)
 from jackideal.partitions import beta_value, dominated_by, partitions_leq
@@ -119,28 +119,51 @@ def _at_point_or_pole(solve):
         return exc.lam, exc.mu, exc.order
 
 
-def test_specialize_at_the_point_matches_symbolic():
-    # every lam with |lam| <= 10, n <= 4: specialize equals the symbolic
-    # Jack at beta(k, r), term order included, or raises the same pole
+def _route_matches_symbolic(nmax, dmax, points, route):
+    """route(lam, n, b0, cache) equals the symbolic Jack at b0, term order
+    included, or raises the same pole, for every lam with |lam| <= dmax,
+    n <= nmax and b0 in points; where the point walk solves, where it
+    stops on a regular value and where it stops on a pole all occur."""
     cache = JackCache()
     paths = {"point": 0, "regular": 0, "pole": 0}
-    for n in range(1, 5):
-        for d in range(11):
+    for n in range(1, nmax + 1):
+        for d in range(dmax + 1):
             for lam in partitions_leq(d, n):
-                for k, r in POINT_PAIRS:
-                    b0 = beta_value(k, r)
+                for b0 in points:
                     want = _at_point_or_pole(
                         lambda: jack_symbolic(lam, n, cache).at(b0))
                     got = _at_point_or_pole(
-                        lambda: specialize(lam, n, k, r, cache).poly)
+                        lambda: route(lam, n, b0, cache))
                     assert got == want and (
                         type(got) is tuple or list(got) == list(want)), \
-                        (lam, n, k, r)
+                        (lam, n, b0)
                     if jack._solve_at(lam, n, cache, b0) is not None:
                         paths["point"] += 1
                     else:
                         paths["pole" if type(want) is tuple else "regular"] += 1
     assert min(paths.values()) > 0, paths
+
+
+def test_specialize_at_the_point_matches_symbolic():
+    kr = {beta_value(k, r): (k, r) for k, r in POINT_PAIRS}
+    _route_matches_symbolic(4, 10, kr, lambda lam, n, b0, cache: specialize(
+        lam, n, *kr[b0], cache).poly)
+
+
+# zero, +-1 and points with poles or vanishing gaps at small n
+RATIONAL_POINTS = tuple(map(Fraction, (
+    "0", "1", "-1", "1/2", "-1/2", "-2/3", "3/5", "-5/7", "2", "-3")))
+
+
+def test_jack_at_matches_symbolic():
+    _route_matches_symbolic(5, 8, RATIONAL_POINTS, jack_at)
+
+
+@pytest.mark.parametrize("b0", [Fraction(1, 2), Fraction(0)])
+def test_jack_at_rejects_a_partition_longer_than_n(b0):
+    # c_(1,1,1) vanishes at 0, so there the fallback meets the long lam
+    with pytest.raises(ValueError, match="longer than n=2"):
+        jack_at([1, 1, 1], 2, b0)
 
 
 def test_point_solve_visits_rows_of_vanishing_coefficients():

@@ -322,7 +322,7 @@ def test_class_steps_match_expanded(case):
     dd = ExpandedPoly.zero(n)
     for j in range(2, n + 1):
         dd = dd + E.divided_difference(1, j)
-    assert Q.dunkl_sum() == collect_classes(dd)
+    assert Q.nabla_step(1, 0) == collect_classes(dd)
     sym = ExpandedPoly.zero(n)
     for j in range(1, n + 1):
         sym = sym + E.swap(1, j).mul_var(j, shift)
@@ -463,13 +463,13 @@ def test_unchecked_results_pass_validation(operands):
     # the class steps, where terms meet and cancel: sum_j>1 delta_1j is 0
     # on a symmetric input, and t - x_2 symmetrizes to 0
     classes = (a - b).substitute_coincident(1)
-    results += [classes.partial_t(), classes.dunkl_sum(),
+    results += [classes.partial_t(), classes.nabla_step(1, 0),
                 PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0)]
     results += [classes.cluster(j) for j in range(1, n)]
     results += [classes.symmetrize(s) for s in range(3)]
     results += [apply_w(q, t, m, BETA) for q in (a - b, a)
                 for t, m in [(2, -1), (2, 0), (2, 1), (3, 0)]]
-    assert classes.dunkl_sum().is_zero()
+    assert classes.nabla_step(1, 0).is_zero()
     assert PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0).is_zero()
     results += list(a.homogeneous_components().values())
     results += list(ea.homogeneous_components().values())
