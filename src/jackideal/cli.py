@@ -59,28 +59,20 @@ def make_cache(args):
     return JackCache(getattr(args, "cache_dir", None))
 
 
+# add_common's names: a trailing "?" makes the option optional
+COMMON_OPTIONS = {
+    "k": ("--k", {"type": int}), "r": ("--r", {"type": int}),
+    "n": ("--n", {"type": int}), "dmax": ("--dmax", {"type": int}),
+    "lambda": ("--lambda", {"dest": "lam",
+                            "help": "partition as comma-separated parts"}),
+    "cache": ("--cache-dir", {"dest": "cache_dir"}),
+}
+
+
 def add_common(sub, *names):
     for name in names:
-        if name == "k":
-            sub.add_argument("--k", type=int, required=True)
-        elif name == "k?":
-            sub.add_argument("--k", type=int)
-        elif name == "r":
-            sub.add_argument("--r", type=int, required=True)
-        elif name == "r?":
-            sub.add_argument("--r", type=int)
-        elif name == "n":
-            sub.add_argument("--n", type=int, required=True)
-        elif name == "dmax":
-            sub.add_argument("--dmax", type=int, required=True)
-        elif name == "lambda":
-            sub.add_argument("--lambda", dest="lam", required=True,
-                             help="partition as comma-separated parts")
-        elif name == "lambda?":
-            sub.add_argument("--lambda", dest="lam",
-                             help="partition as comma-separated parts")
-        elif name == "cache":
-            sub.add_argument("--cache-dir", dest="cache_dir")
+        flag, kw = COMMON_OPTIONS[name.rstrip("?")]
+        sub.add_argument(flag, required=not name.endswith("?"), **kw)
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
@@ -100,7 +92,7 @@ def build_parser():
     add_common(s, "k", "r", "n", "dmax")
 
     s = sp.add_parser("jack", help="compute one Jack polynomial")
-    add_common(s, "lambda", "n", "k?", "r?", "cache")
+    add_common(s, "lambda", "n", "k?", "r?", "cache?")
     s.add_argument("--symbolic", action="store_true")
     s.add_argument("--beta", help="rational evaluation point p/q "
                                   "(write --beta=-1/2 for negatives)")
@@ -114,10 +106,10 @@ def build_parser():
     s = sp.add_parser("ideal", help="basis construction and membership")
     isp = s.add_subparsers(dest="ideal_command", required=True)
     b = isp.add_parser("basis")
-    add_common(b, "k", "r", "n", "dmax", "cache")
+    add_common(b, "k", "r", "n", "dmax", "cache?")
     b.add_argument("--out", help="directory for per-degree JSON files")
     m = isp.add_parser("member")
-    add_common(m, "k", "r", "n", "dmax", "cache")
+    add_common(m, "k", "r", "n", "dmax", "cache?")
     m.add_argument("--input", default="-",
                    help="polynomial JSON file, '-' for stdin")
 
@@ -134,29 +126,29 @@ def build_parser():
 
     for name in ("pieri", "lassalle"):
         v = vsp.add_parser(name)
-        add_common(v, "n", "dmax", "k?", "r?", "cache")
+        add_common(v, "n", "dmax", "k?", "r?", "cache?")
         v.add_argument("--symbolic", action="store_true")
 
     v = vsp.add_parser("closure")
-    add_common(v, "k", "r", "n", "dmax", "cache")
+    add_common(v, "k", "r", "n", "dmax", "cache?")
     v.add_argument("--mmax", type=int, default=4)
     v.add_argument("--tmax", type=int, default=4)
 
     v = vsp.add_parser("restriction")
-    add_common(v, "k", "r", "n", "dmax", "cache")
+    add_common(v, "k", "r", "n", "dmax", "cache?")
     v.add_argument("--jmax", type=int, default=2)
 
     v = vsp.add_parser("regularity")
-    add_common(v, "k", "r", "n", "dmax", "cache")
+    add_common(v, "k", "r", "n", "dmax", "cache?")
 
     v = vsp.add_parser("wheel")
-    add_common(v, "k", "n", "dmax", "cache")
+    add_common(v, "k", "n", "dmax", "cache?")
 
     v = vsp.add_parser("phi3")
-    add_common(v, "r", "cache")
+    add_common(v, "r", "cache?")
 
     v = vsp.add_parser("sekiguchi")
-    add_common(v, "n", "dmax", "cache")
+    add_common(v, "n", "dmax", "cache?")
     return ap
 
 

@@ -8,7 +8,9 @@ numerator per m-basis coefficient, so the solver, evaluation, pole
 profiles and the disk cache all work in Z[beta] without a gcd.  The solver
 runs in Z on int coefficient lists and int Hamiltonian rows, with one
 synthetic division by the linear eigenvalue gap per coefficient; each
-numerator becomes a BetaPoly once, at the end.  Evaluation
+numerator becomes a BetaPoly once, at the end.  It walks the positions of
+a per-degree JackCache.table in decreasing lex order, which extends
+dominance, and rows and pending sums are keyed by position.  Evaluation
 at a rational beta0 = a/b stays in Z too: each numerator is a dot product
 with the weights a^i b^(D-i), and one Fraction is built per coefficient
 (where den vanishes, order_and_value reads each unreduced numerator/den).
@@ -170,13 +172,14 @@ class SpecializedJack:
 class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
-    directory of JSON files, and, in memory only, Hamiltonian rows (mu, n)
-    and specializations (lam, n, k, r) -> SpecializedJack, solved at the
-    point, so only a fallback reads or fills the symbolic Jacks."""
+    directory of JSON files, and, in memory only, Hamiltonian rows in one
+    table per (degree, n) and specializations (lam, n, k, r) ->
+    SpecializedJack, solved at the point, so only a fallback reads or
+    fills the symbolic Jacks."""
 
     def __init__(self, directory=None):
         self._mem = {}
-        self._rows = {}
+        self._tables = {}
         self._specialized = {}
         self._lock = threading.Lock()
         self.directory = directory
@@ -219,17 +222,20 @@ class JackCache:
                 json.dump(jp.to_obj(), fh)
             os.replace(tmp, path)
 
-    def row(self, mu, n):
-        """hamiltonian_matrix_row(mu, n), computed once per cache; a row
-        depends only on (mu, n), so a race at worst computes it twice."""
-        hit = self._rows.get((mu, n))
+    def table(self, d, n):
+        """(order, pos, rows): order = partitions_leq(d, n), in decreasing
+        lex order, pos[mu] the position of mu in it and rows[i] None until
+        _row fills it; a race at worst computes a row twice."""
+        hit = self._tables.get((d, n))
         if hit is None:
-            hit = self._rows[(mu, n)] = hamiltonian_matrix_row(mu, n)
+            order = partitions_leq(d, n)
+            pos = {mu: i for i, mu in enumerate(order)}
+            hit = self._tables[(d, n)] = order, pos, [None] * len(order)
         return hit
 
     def specialized(self, lam, n, k, r):
-        """specialize(lam, n, k, r, self), computed once per cache like
-        row() and filed by put(); a pole raises each time and is not kept."""
+        """specialize(lam, n, k, r, self), computed once per cache like a
+        row and filed by put(); a pole raises each time and is not kept."""
         hit = self._specialized.get((lam, n, k, r))
         if hit is None:
             b0 = beta_value(k, r)
@@ -244,7 +250,7 @@ class JackCache:
     def clear(self):
         with self._lock:
             self._mem.clear()
-            self._rows.clear()
+            self._tables.clear()
             self._specialized.clear()
         if self.directory:
             for name in os.listdir(self.directory):
@@ -272,12 +278,22 @@ def hamiltonian_matrix_row(mu, n):
     return euler, diag, off
 
 
+def _row(table, i, n):
+    """Row i of a JackCache.table, (euler, diag, ((j, h), ...)) with
+    positions j, filled by hamiltonian_matrix_row on first use."""
+    order, pos, rows = table
+    if rows[i] is None:
+        euler, diag, off = hamiltonian_matrix_row(order[i], n)
+        rows[i] = euler, diag, tuple((pos[nu], h) for nu, h in off.items())
+    return rows[i]
+
+
 def _scatter(sums, off, num):
-    """sums[nu] += off[nu] * num for every nu of a row, on int lists."""
-    for nu, h in off.items():
-        acc = sums.get(nu)
+    """sums[j] += h * num for every (j, h) of a row, on int lists."""
+    for j, h in off:
+        acc = sums[j]
         if acc is None:
-            sums[nu] = [h * c for c in num]
+            sums[j] = [h * c for c in num]
             continue
         if len(acc) < len(num):
             acc.extend([0] * (len(num) - len(acc)))
@@ -290,8 +306,9 @@ def jack_symbolic(lam, n, cache=None):
 
     Solves (eps_lam - eps_nu) u_nu = sum_{nu < mu <= lam} u_mu h_{mu,nu}
     downward in dominance order for the numerators N_nu = c_lam u_nu,
-    starting from N_lam = c_lam.  It walks only the pending nu, those some
-    solved row reaches, lex-largest first.  The recursion runs in Z on int
+    starting from N_lam = c_lam.  It walks the positions below lam in
+    cache.table(|lam|, n) and solves only the pending nu, those some solved
+    row reaches (sums[i] is not None).  The recursion runs in Z on int
     coefficient lists: with the int rows of hamiltonian_matrix_row, the gap
     is g0 + g1 beta with g1 > 0 (diag falls strictly down the dominance
     order) and N_nu = beta S_nu / (g0 + g1 beta) for the int combination
@@ -299,25 +316,28 @@ def jack_symbolic(lam, n, cache=None):
     remainder raises, so each solve machine-checks that c_lam clears the
     denominators of P_lam.  Without a cache the call makes its own.
     """
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise ValueError("partition %r longer than n=%d" % (lam, n))
+    lam = as_partition(lam, n)
     cache = cache if cache is not None else JackCache()
     hit = cache.get(lam, n)
     if hit is not None:
         return hit
 
-    euler, diag, off = cache.row(lam, n)
+    table = cache.table(sum(lam), n)
+    order, i_lam = table[0], table[1][lam]
+    euler, diag, off = _row(table, i_lam, n)
     den = c_lambda(lam)
     nums = {lam: den}
-    sums = {}  # nu -> S_nu over the mu solved so far
+    sums = [None] * len(order)  # S_nu over the mu solved so far, by position
     _scatter(sums, off, den.coeffs)
     # a row reaches only partitions its mu dominates, which are lex-smaller,
-    # so every mu that reaches the lex-largest pending nu is scattered
-    while sums:
-        nu = max(sums)
-        s = sums.pop(nu)
-        e, g, off = cache.row(nu, n)
+    # so every mu that reaches position i is scattered before the walk is there
+    for i in range(i_lam + 1, len(order)):
+        s = sums[i]
+        if s is None:
+            continue
+        sums[i] = None
+        nu = order[i]
+        e, g, off = _row(table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             # moving a box from row i down to row j lowers diag by 2(j - i)
@@ -360,28 +380,33 @@ def _solve_at(lam, n, cache, beta0):
     m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
     if not m_lam:
         return None
-    euler, diag, off = cache.row(lam, n)
+    table = cache.table(sum(lam), n)
+    order, i_lam = table[0], table[1][lam]
+    euler, diag, off = _row(table, i_lam, n)
     vals = {lam: m_lam}
-    sums = {nu: h * m_lam for nu, h in off.items()}
-    while sums:
-        nu = max(sums)
-        s = sums.pop(nu)
-        e, g, off = cache.row(nu, n)
+    sums = [None] * len(order)
+    for j, h in off:
+        sums[j] = h * m_lam
+    for i in range(i_lam + 1, len(order)):
+        s = sums[i]
+        if s is None:
+            continue
+        e, g, off = _row(table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             raise AssertionError("eigenvalues of %r and %r do not separate: "
-                                 "gap %d + %d beta" % (lam, nu, g0, g1))
+                                 "gap %d + %d beta" % (lam, order[i], g0, g1))
         gap = q * g0 + p * g1
         if not gap:
             return None
         m, rem = divmod(p * s, gap)
         if rem:
             raise AssertionError("c_lambda does not clear the coefficient "
-                                 "of m_%r in P_%r" % (nu, lam))
+                                 "of m_%r in P_%r" % (order[i], lam))
         if m:
-            vals[nu] = m
-        for mu, h in off.items():
-            sums[mu] = sums.get(mu, 0) + h * m
+            vals[order[i]] = m
+        for j, h in off:  # None, not reached yet, counts as 0
+            sums[j] = (sums[j] or 0) + h * m
     # every key is lam or a row key, so none needs validating again
     return MSymPoly._raw(n, {nu: Fraction(m, m_lam) for nu, m in vals.items()})
 
@@ -391,7 +416,7 @@ def jack_at(lam, n, beta0, cache=None):
     MSymPoly over Q, by _solve_at; only where that stops is it read off
     jack_symbolic(lam, n, cache).at(beta0), which raises SpecializationPole
     at a pole.  Without a cache the call makes its own."""
-    lam = as_partition(lam)
+    lam = as_partition(lam, n)
     cache = cache if cache is not None else JackCache()
     poly = _solve_at(lam, n, cache, beta0)
     return poly if poly is not None else jack_symbolic(lam, n, cache).at(beta0)
@@ -410,12 +435,8 @@ def verify_sekiguchi(lam, n, cache=None):
     Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums).to_expanded()
     got = operators.apply_sekiguchi(Q, BETA)
     want = sekiguchi_eigenvalue(lam, n)
-    if len(got) != len(want):
-        return False
-    for g, w in zip(got, want):
-        if g != Q * w:
-            return False
-    return True
+    return len(got) == len(want) and all(
+        g == Q * w for g, w in zip(got, want))
 
 
 def verify_eigensystem(n, dmax, cache=None):
@@ -450,20 +471,15 @@ def specialize(lam, n, k, r, cache=None):
 def principal_specialization(lam, n):
     """Closed product for P_lam(1, ..., 1): over nodes (i, j),
     ((n - i + 1) beta + j - 1), over c_lambda(lam)."""
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise ValueError("partition %r longer than n=%d" % (lam, n))
-    num = BetaPoly((1,))
-    for i, li in enumerate(lam, start=1):
-        for j in range(1, li + 1):
-            num = num * BetaPoly((j - 1, n - i + 1))
+    lam = as_partition(lam, n)
+    num = prod((BetaPoly((j - 1, n - i + 1)) for i, li in enumerate(lam, 1)
+                for j in range(1, li + 1)), start=BetaPoly((1,)))
     return BetaRatFunc(num, c_lambda(lam))
 
 
 def evaluate_all_ones(lam, n, cache=None):
     """P_lam at the all-ones point, exactly in Q(beta), from the m-expansion."""
     jp = jack_symbolic(lam, n, cache)
-    total = BetaPoly()
-    for mu, p in jp.nums.items():
-        total = total + p * orbit_size(mu, n)
+    total = sum((p * orbit_size(mu, n) for mu, p in jp.nums.items()),
+                BetaPoly())
     return BetaRatFunc(total, jp.den)

@@ -11,17 +11,16 @@ operator ever leaves the coefficient ring.
 An operator that preserves symmetry takes an MSymPoly (TypeError on anything
 else), and Dunkl, Cherednik and the Sekiguchi product built from them take
 an ExpandedPoly.  The Hamiltonian acts on the m-basis in closed form
-(hamiltonian_row: pair moves on the parts of mu, cost polynomial in n and
-the degree).  p_m, l_m and w^(t)_m are sum_j x_j^shift K_1j Q for Q = P,
-d_1 P and nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P for symmetric
-P), read on cluster classes by OperatorTag.apply at OperatorTag.chain_step.
-At a rational beta = a/b dunkl_chain runs in Z as c_s nabla_1^s P,
-c_s = D b^s > 0 with D the common denominator of P, one
-PartSymPoly.nabla_step per entry;
-its class-step rows go into a memo the caller holds and may share across
-chains and symmetrize calls (`rows`).  On monomials, l_m and w are
-_l_expanded and _w_expanded: the operators of the commutator suite, whose
-inputs need not be symmetric.
+(hamiltonian_row: pair moves on the parts of mu, weighted by multiplicities
+of mu, cost polynomial in n and the degree).  p_m, l_m and w^(t)_m are sum_j
+x_j^shift K_1j Q for Q = P, d_1 P and nabla_1^(t-1) P (nabla_j^s P = K_1j
+nabla_1^s P for symmetric P), read on cluster classes by OperatorTag.apply
+at OperatorTag.chain_step.  At a rational beta = a/b dunkl_chain runs in Z
+as c_s nabla_1^s P, c_s = D b^s > 0 with D the common denominator of P, one
+PartSymPoly.nabla_step per entry; its class-step rows go into a memo the
+caller holds and may share across chains and symmetrize calls (`rows`).  On
+monomials, l_m and w are _l_expanded and _w_expanded: the operators of the
+commutator suite, whose inputs need not be symmetric.
 """
 
 import random
@@ -29,9 +28,8 @@ from fractions import Fraction
 
 from .ratfunc import BETA, BetaPoly
 from .report import Report
-from .sympoly import (ExpandedPoly, MSymPoly, PartSymPoly, orbit_size,
-                      power_sum)
-from .partitions import as_partition, padded, partitions_leq
+from .sympoly import ExpandedPoly, MSymPoly, PartSymPoly, power_sum
+from .partitions import padded, partitions_leq
 
 
 def apply_exchange(P, i, j):
@@ -90,27 +88,31 @@ def hamiltonian_row(mu, n):
 
     With p = mu padded to n slots, euler = sum p_i^2 and the diagonal
     h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves
-    to (a - t, b + t) for 0 < t < a - b and adds a - b to S[nu]; the
-    off-diagonal h_nu = S[nu] |orbit(mu)| / |orbit(nu)| counts those moves
-    per monomial of m_nu, an exact division.  All mult(a) mult(b) slot
-    pairs holding the values a > b reach the same nu, so each pair of
-    distinct values is moved once, with weight (a - b) mult(a) mult(b).
+    to (c1, c2) = (a - t, b + t), 0 < t < a - b, with weight a - b.  Per
+    monomial of m_nu, the m_a m_b pairs holding a > b (m the multiplicities
+    in p) count |orbit(mu)| / |orbit(nu)| = (m_c1 + 1)(m_c2 + 1) / (m_a m_b)
+    times, so a move adds (a - b)(m_c1 + 1)(m_c2 + 1), or
+    (a - b)(m_c + 1)(m_c + 2) when c1 = c2 = c: an integer.  The moves t
+    and a - b - t reach the same nu, so a c1 > c2 is added once, doubled.
     """
     p = padded(mu, n)
-    moves = {}
-    values = sorted(set(p), reverse=True)
+    mult = {}
+    for a in p:
+        mult[a] = mult.get(a, 0) + 1
+    values = sorted(mult, reverse=True)
+    row = {}
     for x, a in enumerate(values):
-        i = p.index(a)
         for b in values[x + 1:]:
-            j = p.index(b)
-            w = (a - b) * p.count(a) * p.count(b)
-            for t in range(1, a - b):
+            i, j = p.index(a), p.index(b)
+            parts = n - mult.get(0, 0) + (b == 0)  # c1, c2 > b >= 0
+            for c2 in range(b + 1, (a + b) // 2 + 1):
+                c1 = a + b - c2
                 q = list(p)
-                q[i], q[j] = a - t, b + t
-                nu = as_partition(sorted(q, reverse=True))
-                moves[nu] = moves.get(nu, 0) + w
-    size = orbit_size(mu, n)
-    row = {nu: s * size // orbit_size(nu, n) for nu, s in moves.items()}
+                q[i], q[j] = c1, c2
+                nu = tuple(sorted(q, reverse=True)[:parts])
+                m1, m2 = mult.get(c1, 0) + 1, mult.get(c2, 0) + 1
+                h = (a - b) * m1 * (m2 + 1 if c1 == c2 else 2 * m2)
+                row[nu] = row.get(nu, 0) + h
     diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))
     if diag:
         row[mu] = diag

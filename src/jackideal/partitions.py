@@ -21,10 +21,11 @@ class DegreeMismatch(ValueError):
     """Dominance comparison of partitions of different weights."""
 
 
-def as_partition(parts):
-    """Normalize to a partition tuple; validates weak decrease.  Parts must
-    be integers (operator.index): floats and strings raise TypeError
-    rather than being truncated or parsed."""
+def as_partition(parts, n=None):
+    """Normalize to a partition tuple; validates weak decrease, and at most
+    n parts when n is given.  Parts must be integers (operator.index):
+    floats and strings raise TypeError rather than being truncated or
+    parsed."""
     parts = tuple(map(operator.index, parts))
     while parts and parts[-1] == 0:
         parts = parts[:-1]
@@ -33,6 +34,8 @@ def as_partition(parts):
             raise ValueError("not weakly decreasing: %r" % (parts,))
     if parts and parts[-1] < 0:
         raise ValueError("negative part in %r" % (parts,))
+    if n is not None and len(parts) > n:
+        raise ValueError("partition %r longer than n=%d" % (parts, n))
     return parts
 
 
@@ -207,19 +210,13 @@ def remove_node(lam, row):
 
 def addable_rows(lam, n):
     """Rows where a node can be added keeping a partition of length <= n."""
-    out = []
-    for row in range(1, min(len(lam) + 1, n) + 1):
-        if row == len(lam) + 1 or lam[row - 1] < (lam[row - 2] if row >= 2 else lam[0] + 1):
-            out.append(row)
-    return out
+    return [row for row in range(1, min(len(lam) + 1, n) + 1)
+            if row in (1, len(lam) + 1) or lam[row - 1] < lam[row - 2]]
 
 
 def removable_rows(lam):
-    out = []
-    for row in range(1, len(lam) + 1):
-        if row == len(lam) or lam[row - 1] > lam[row]:
-            out.append(row)
-    return out
+    return [row for row in range(1, len(lam) + 1)
+            if row == len(lam) or lam[row - 1] > lam[row]]
 
 
 def node_moves(lam, n):

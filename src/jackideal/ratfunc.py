@@ -25,9 +25,7 @@ class PoleError(ArithmeticError):
 def _as_rat(x):
     # accepted scalar coefficient types; ints stay ints so integer
     # polynomials keep native int arithmetic
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return x
     raise TypeError("expected int or Fraction, got %r" % (type(x).__name__,))
 

@@ -373,12 +373,7 @@ class MSymPoly(_SparsePoly):
     __slots__ = ()
     BASIS, KEY = "msym", "partition"
 
-    @staticmethod
-    def _key(lam, n):
-        lam = as_partition(lam)
-        if len(lam) > n:
-            raise ValueError("partition %r longer than n=%d" % (lam, n))
-        return lam
+    _key = staticmethod(as_partition)
 
     @classmethod
     def monomial_sym(cls, n, lam, coeff=1):

@@ -1,10 +1,12 @@
-"""Differential oracle for the closed-form Hamiltonian.
+"""Differential oracles for the closed-form Hamiltonian.
 
-_hamiltonian_expanded is the earlier implementation, kept unchanged as an
+_hamiltonian_expanded is the earliest implementation, kept unchanged as an
 independent reference: it acts on every monomial of an S_n-orbit expansion
 and telescopes each (x_i + x_j)/(x_i - x_j) pair directly.  The m-basis rows
-of hamiltonian_row use pair moves on the parts of mu and orbit-size ratios
-instead, so agreement here checks that closed form from outside it.
+of hamiltonian_row use pair moves on the parts of mu with weights read off
+multiplicities instead, so agreement here checks that closed form from
+outside it.  orbit_ratio_row, the pair-move row that divides by orbit sizes,
+is kept as a second oracle for those weights.
 """
 
 import random
@@ -13,10 +15,12 @@ from fractions import Fraction
 import pytest
 
 from jackideal.jack import hamiltonian_matrix_row
-from jackideal.operators import _random_symmetric, apply_hamiltonian
-from jackideal.partitions import partitions_leq
+from jackideal.operators import (_random_symmetric, apply_hamiltonian,
+                                 hamiltonian_row)
+from jackideal.partitions import as_partition, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
-from jackideal.sympoly import ExpandedPoly, MSymPoly, NotSymmetric
+from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
+                               orbit_size)
 
 
 def _hamiltonian_expanded(P, beta, validate=True):
@@ -81,13 +85,55 @@ def expanded_row(mu, n):
             for nu, c in hm.terms.items()}
 
 
+def orbit_ratio_row(mu, n, kinds=None):
+    """hamiltonian_row by pair moves and orbit sizes: each slot pair
+    a = p_i > b = p_j moves to (a - t, b + t) for 0 < t < a - b and adds
+    (a - b) mult(a) mult(b) to S[nu]; then h_nu = S[nu] |orbit(mu)| /
+    |orbit(nu)|, an exact division.  Adds to `kinds` whether a move had
+    a - t == b + t."""
+    p = padded(mu, n)
+    moves = {}
+    values = sorted(set(p), reverse=True)
+    for x, a in enumerate(values):
+        i = p.index(a)
+        for b in values[x + 1:]:
+            j = p.index(b)
+            w = (a - b) * p.count(a) * p.count(b)
+            for t in range(1, a - b):
+                q = list(p)
+                q[i], q[j] = a - t, b + t
+                nu = as_partition(sorted(q, reverse=True))
+                moves[nu] = moves.get(nu, 0) + w
+                if kinds is not None:
+                    kinds.add(a - t == b + t)
+    size = orbit_size(mu, n)
+    row = {nu: s * size // orbit_size(nu, n) for nu, s in moves.items()}
+    diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))
+    if diag:
+        row[mu] = diag
+    return sum(a * a for a in p), row
+
+
+# the last two are the grids of the basis-deep and basis-wide benchmarks
 @pytest.mark.parametrize("n, dmax", [(1, 10), (2, 10), (3, 10), (4, 10),
-                                     (5, 10), (6, 10), (9, 6)])
+                                     (5, 10), (6, 10), (9, 6), (3, 18),
+                                     (9, 8)])
 def test_rows_match_orbit_expansion(n, dmax):
     for d in range(dmax + 1):
         for mu in partitions_leq(d, n):
             assert int_row_as_betapoly(mu, n) == expanded_row(mu, n), \
                 (mu, n)
+
+
+def test_rows_match_orbit_ratios():
+    # moves to c1 = c2 and to c1 != c2 weigh differently; both occur
+    kinds = set()
+    for n in range(1, 9):
+        for d in range(15):
+            for mu in partitions_leq(d, n):
+                want = orbit_ratio_row(mu, n, kinds)
+                assert hamiltonian_row(mu, n) == want, (mu, n)
+    assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("beta", [BETA, Fraction(-1, 2)])

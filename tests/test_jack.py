@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import jackideal
-from jackideal import jack, operators
+from jackideal import jack
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
                             evaluate_all_ones, jack_at, jack_symbolic,
                             pole_profile, principal_specialization, specialize,
@@ -291,13 +291,17 @@ def test_package_keeps_no_process_wide_memo():
 
 
 def test_rows_are_memoized_per_cache(monkeypatch):
+    """Each cache computes a row once, through jack.hamiltonian_matrix_row,
+    in the symbolic walk and in the point walk alike, and clear() forgets
+    the rows with the Jacks."""
+    from jackideal.ideal import build_basis
     computed = []
-    row = operators.hamiltonian_row
+    row = jack.hamiltonian_matrix_row
 
     def counted(mu, n):
         computed.append((mu, n))
         return row(mu, n)
-    monkeypatch.setattr(operators, "hamiltonian_row", counted)
+    monkeypatch.setattr(jack, "hamiltonian_matrix_row", counted)
     lams = partitions_leq(6, 4)
     assert len(lams) == 9
 
@@ -307,12 +311,24 @@ def test_rows_are_memoized_per_cache(monkeypatch):
             jack_symbolic(lam, 4, cache)
         return sorted(computed)
 
+    def build(cache):
+        computed.clear()
+        build_basis(2, 3, 4, 12, cache)
+        return sorted(computed)
+
     want = sorted((lam, 4) for lam in lams)
     cache = JackCache()
     assert solve_all(cache) == want
     assert solve_all(JackCache()) == want
     cache.clear()
     assert solve_all(cache) == want
+
+    cache = JackCache()
+    rows = build(cache)
+    assert len(rows) > len(want) and len(set(rows)) == len(rows)
+    assert build(JackCache()) == rows
+    cache.clear()
+    assert build(cache) == rows
 
 
 def test_specializations_are_memoized_per_cache(monkeypatch):

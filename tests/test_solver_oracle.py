@@ -12,18 +12,29 @@ BetaPoly rows (betapoly_row, the Hamiltonian rows with BetaPoly entries):
   exact_div by the gap per coefficient.  jack_symbolic runs the same
   recursion on int lists with a synthetic division, so its numerators must be
   equal, and in the same order.
+
+The walks jack_symbolic and jack._solve_at ran before their position table
+are kept too (dict_walk_symbolic, dict_walk_at): pending sums keyed by
+partition, the next one taken by max(sums).  The table walks must return
+the same numerators, the same values at beta(k, r), and None exactly where
+these do.
 """
 
+from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 import pytest
 
 from jackideal import jack, operators
 from jackideal.jack import JackCache, jack_symbolic, specialize
-from jackideal.partitions import (as_partition, c_lambda, cs_eigenvalue,
-                                  dominated_by, enumerate_admissible,
+from jackideal.partitions import (as_partition, beta_value, c_lambda,
+                                  cs_eigenvalue, dominated_by,
+                                  enumerate_admissible, hook_factors,
                                   partitions_leq)
 from jackideal.ratfunc import BetaPoly, BetaRatFunc
+from jackideal.sympoly import MSymPoly
+from test_jack import POINT_PAIRS
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +185,127 @@ def test_solver_matches_betapoly_solver():
         got = jack_symbolic(lam, n, cache).nums
         assert list(got.items()) == list(betapoly_solve(lam, n).items()), \
             (lam, n)
+
+
+def _dict_row(rows, mu, n):
+    hit = rows.get((mu, n))
+    if hit is None:
+        hit = rows[(mu, n)] = jack.hamiltonian_matrix_row(mu, n)
+    return hit
+
+
+def _dict_scatter(sums, off, num):
+    """sums[nu] += off[nu] * num for every nu of a row, on int lists."""
+    for nu, h in off.items():
+        acc = sums.get(nu)
+        if acc is None:
+            sums[nu] = [h * c for c in num]
+            continue
+        if len(acc) < len(num):
+            acc.extend([0] * (len(num) - len(acc)))
+        for i, c in enumerate(num):
+            acc[i] += h * c
+
+
+def dict_walk_symbolic(lam, n, rows):
+    """The numerators of c_lam P_lam, as jack_symbolic found them by
+    walking a dict of pending sums lex-largest first; rows is the memo of
+    hamiltonian_matrix_row the caller holds."""
+    lam = as_partition(lam)
+    euler, diag, off = _dict_row(rows, lam, n)
+    den = c_lambda(lam)
+    nums = {lam: den}
+    sums = {}  # nu -> S_nu over the mu solved so far
+    _dict_scatter(sums, off, den.coeffs)
+    while sums:
+        nu = max(sums)
+        s = sums.pop(nu)
+        e, g, off = _dict_row(rows, nu, n)
+        g0, g1 = euler - e, diag - g
+        if g1 <= 0:
+            raise AssertionError("eigenvalues of %r and %r do not separate: "
+                                 "gap %d + %d beta" % (lam, nu, g0, g1))
+        while s and not s[-1]:
+            s.pop()
+        if not s:
+            continue
+        q, c, r = [], 0, 0
+        for x in reversed(s):
+            c, r = divmod(x - g0 * c, g1)
+            if r:
+                break
+            q.append(c)
+        if r or g0 * c:
+            raise AssertionError("c_lambda does not clear the coefficient "
+                                 "of m_%r in P_%r" % (nu, lam))
+        q.reverse()
+        nums[nu] = BetaPoly.trusted(tuple(q))
+        _dict_scatter(sums, off, q)
+    return nums
+
+
+def dict_walk_at(lam, n, rows, beta0):
+    """P_lam at beta0 as jack._solve_at found it by the dict walk: an
+    MSymPoly, or None where M_lam or a visited gap is 0."""
+    p, q = beta0.numerator, beta0.denominator
+    m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
+    if not m_lam:
+        return None
+    euler, diag, off = _dict_row(rows, lam, n)
+    vals = {lam: m_lam}
+    sums = {nu: h * m_lam for nu, h in off.items()}
+    while sums:
+        nu = max(sums)
+        s = sums.pop(nu)
+        e, g, off = _dict_row(rows, nu, n)
+        g0, g1 = euler - e, diag - g
+        if g1 <= 0:
+            raise AssertionError("eigenvalues of %r and %r do not separate: "
+                                 "gap %d + %d beta" % (lam, nu, g0, g1))
+        gap = q * g0 + p * g1
+        if not gap:
+            return None
+        m, rem = divmod(p * s, gap)
+        if rem:
+            raise AssertionError("c_lambda does not clear the coefficient "
+                                 "of m_%r in P_%r" % (nu, lam))
+        if m:
+            vals[nu] = m
+        for mu, h in off.items():
+            sums[mu] = sums.get(mu, 0) + h * m
+    return MSymPoly(n, {nu: Fraction(m, m_lam) for nu, m in vals.items()})
+
+
+def test_table_walk_matches_dict_walk():
+    cache, rows = JackCache(), {}
+    for lam, n in _solver_grid():
+        got = jack_symbolic(lam, n, cache).nums
+        assert list(got.items()) == \
+            list(dict_walk_symbolic(lam, n, rows).items()), (lam, n)
+
+
+def test_point_walk_matches_dict_walk():
+    # every lam with |lam| <= 10, n <= 5, at criterion 6's (k, r) and two
+    # pairs where more Jacks fall back
+    cache, rows = JackCache(), {}
+    stopped = set()
+    for n in range(1, 6):
+        for d in range(11):
+            for lam in partitions_leq(d, n):
+                for k, r in POINT_PAIRS:
+                    b0 = beta_value(k, r)
+                    got = jack._solve_at(lam, n, cache, b0)
+                    want = dict_walk_at(lam, n, rows, b0)
+                    if want is None:
+                        assert got is None, (lam, n, k, r)
+                        stopped.add((lam, n, k, r))
+                    else:
+                        assert list(got.terms.items()) == \
+                            list(want.terms.items()), (lam, n, k, r)
+    # the vanishing M_(2,1,1,1) above a vanishing gap, and the fallbacks
+    # to a regular value (c_lambda, then a gap, vanishes) and to a pole
+    assert {((4, 1), 5, 2, 3), ((2, 1), 2, 1, 2), ((4, 2, 1), 4, 4, 5),
+            ((2, 2), 4, 1, 2)} <= stopped
 
 
 @pytest.fixture
