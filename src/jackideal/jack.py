@@ -20,14 +20,22 @@ coefficient(), coeffs and msym(); at() never builds one.
 A Jack at a rational point (jack_at) skips Z[beta]: _solve_at runs the
 same walk on one integer per coefficient, and only where c_lambda or a
 visited gap vanishes there does it fall back to jack_symbolic(...).at().
+A lam with n nonzero parts is not walked.  With e_n = x_1...x_n and
+D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so H(e_n f) = e_n (H + 2E + n) f
+(E the Euler operator) and P_lam = e_n^c P_base identically in beta, with
+c = lam_n and base = lam - (c^n): jack_at maps each key mu of P_base at
+beta0, padded to n, to mu + (c^n), which keeps lex order and names a pole
+of P_base as the same pole of P_lam.  Rows are checked by partial sums of
+mu, taken once per row (hamiltonian_matrix_row).
 """
 
 import json
 import os
 import threading
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
-from operator import mul
+from operator import add, le, mul, sub
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
@@ -175,7 +183,7 @@ class JackCache:
     directory of JSON files, and, in memory only, Hamiltonian rows in one
     table per (degree, n) and specializations (lam, n, k, r) ->
     SpecializedJack, solved at the point, so only a fallback reads or
-    fills the symbolic Jacks."""
+    fills the symbolic Jacks; jack_at reads bases there."""
 
     def __init__(self, directory=None):
         self._mem = {}
@@ -235,7 +243,8 @@ class JackCache:
 
     def specialized(self, lam, n, k, r):
         """specialize(lam, n, k, r, self), computed once per cache like a
-        row and filed by put(); a pole raises each time and is not kept."""
+        row and filed by put(); a pole raises each time and is not kept.
+        A family walked by degree files each base before its lams."""
         hit = self._specialized.get((lam, n, k, r))
         if hit is None:
             b0 = beta_value(k, r)
@@ -262,17 +271,21 @@ def hamiltonian_matrix_row(mu, n):
     """H m_mu in the m-basis with int entries: (euler, diag, off) for
     H m_mu = (euler + diag beta) m_mu + beta sum_nu off[nu] m_nu.
 
-    The support is checked to be dominated by mu (upper triangularity) and
-    the diagonal entry to be the closed-form eigenvalue.
+    The support is checked to be dominated by mu (upper triangularity):
+    no partial sum of nu exceeds mu's, which are taken once per row (every
+    nu has mu's weight, so past mu's length none can), and the diagonal
+    entry to be the closed-form eigenvalue.
     """
     mu = as_partition(mu)
     euler, off = operators.hamiltonian_row(mu, n)
     diag = off.pop(mu, 0)
+    pm = list(accumulate(mu))
     for nu in off:
-        if not dominated_by(nu, mu):
+        if not all(map(le, accumulate(nu), pm)):
             raise AssertionError("H m_%r hit %r outside the dominance cone"
                                  % (mu, nu))
-    if BetaPoly((euler, diag)) != cs_eigenvalue(mu, n):
+    eig = cs_eigenvalue(mu, n).coeffs  # trailing zeros stripped
+    if (euler, diag) != eig + (0,) * (2 - len(eig)):
         raise AssertionError("diagonal of H at %r disagrees with the "
                              "closed-form eigenvalue" % (mu,))
     return euler, diag, off
@@ -415,11 +428,32 @@ def jack_at(lam, n, beta0, cache=None):
     """P_lam in n variables at a rational beta0 (a Fraction or int) as an
     MSymPoly over Q, by _solve_at; only where that stops is it read off
     jack_symbolic(lam, n, cache).at(beta0), which raises SpecializationPole
-    at a pole.  Without a cache the call makes its own."""
+    at a pole.  Without a cache the call makes its own.
+
+    A lam with n nonzero parts is P_lam = e_n^c P_base, c = lam_n, with
+    P_base from the cache's specializations or else this route: each key
+    mu, padded to n, becomes mu + (c^n), and so does the mu of a pole."""
     lam = as_partition(lam, n)
     cache = cache if cache is not None else JackCache()
-    poly = _solve_at(lam, n, cache, beta0)
-    return poly if poly is not None else jack_symbolic(lam, n, cache).at(beta0)
+    if not lam or len(lam) < n:
+        poly = _solve_at(lam, n, cache, beta0)
+        return (poly if poly is not None
+                else jack_symbolic(lam, n, cache).at(beta0))
+    cs = (lam[-1],) * n
+
+    def shifted(mu):  # mu + (c^n), mu padded to n
+        return tuple(map(add, mu, cs)) + cs[len(mu):]
+    base = as_partition(map(sub, lam, cs))
+    # beta(k, r) = -(r - 1)/(k + 1) is in lowest terms, as k + 1 and r - 1
+    # are coprime, so a base filed by specialize is under these (k, r)
+    hit = cache._specialized.get((base, n, beta0.denominator - 1,
+                                  1 - beta0.numerator))
+    try:
+        poly = hit.poly if hit is not None else jack_at(base, n, beta0, cache)
+    except SpecializationPole as e:
+        raise SpecializationPole(lam, shifted(e.mu), e.order,
+                                 e.beta0) from None
+    return MSymPoly._raw(n, {shifted(mu): v for mu, v in poly.terms.items()})
 
 
 def verify_hamiltonian(lam, n, cache=None):

@@ -110,28 +110,50 @@ def test_jack_pole_exit(capsys):
     assert err == ("pole at the requested specialization: coefficient of "
                    "m_(1, 1, 1) in P_(2, 1) has a pole of order 1 at "
                    "beta=-1/2\n")
+    # P_(3,2,1) is read off its base (2,1): the base's pole at m_(1,1,1)
+    # is named as the pole at m_(2,2,2), as the symbolic route named it
+    code, out, err = run_cli(capsys, "jack", "--lambda", "3,2,1", "--n", "3",
+                             "--beta=-1/2")
+    assert code == 1 and out == ""
+    assert err == ("pole at the requested specialization: coefficient of "
+                   "m_(2, 2, 2) in P_(3, 2, 1) has a pole of order 1 at "
+                   "beta=-1/2\n")
 
 
-@pytest.mark.parametrize("lam, n, beta, walk_solves, exit_code", [
-    ("3,1", 3, "3/2", True, 0),
-    ("4,2,1", 4, "-4/5", False, 0),  # a gap vanishes at -4/5
-    ("2,1", 3, "-1/2", False, 1),    # c_(2,1) vanishes, and a pole
-])
+@pytest.mark.parametrize("lam, n, beta, walk_solves, solved, exit_code, "
+                         "out_sha", [
+    ("3,1", 3, "3/2", True, [], 0, "6b9436e0075ebf84"),
+    # a gap vanishes at -4/5
+    ("4,2,1", 4, "-4/5", False, [(4, 2, 1)], 0, "bb9443808244881c"),
+    # c_(2,1) vanishes, and a pole
+    ("2,1", 3, "-1/2", False, [(2, 1)], 1, "e3b0c44298fc1c14"),
+    # c_(2,1,1) vanishes at -1/3, but the base (1) walks
+    ("2,1,1", 3, "-1/3", False, [], 0, "57df107907cc3239"),
+    # the pole of P_(3,2,1) is found on its base (2,1)
+    ("3,2,1", 3, "-1/2", False, [(2, 1)], 1, "e3b0c44298fc1c14"),
+], ids=["3,1-3-3/2-True-0", "4,2,1-4--4/5-False-0", "2,1-3--1/2-False-1",
+        "2,1,1-3--1/3-False-0", "3,2,1-3--1/2-False-1"])
 def test_jack_beta_solves_symbolically_only_where_the_walk_stops(
-        capsys, monkeypatch, lam, n, beta, walk_solves, exit_code):
+        capsys, monkeypatch, lam, n, beta, walk_solves, solved, exit_code,
+        out_sha):
+    # walk_solves: whether the point walk on lam itself solves; solved:
+    # the Jacks the route solves symbolically, a lam with n nonzero parts
+    # being read off its base; out_sha: stdout's digest, as it was when
+    # every lam was walked
     point = (parse_partition(lam), n, JackCache(), Fraction(beta))
     assert (jackideal.jack._solve_at(*point) is not None) == walk_solves
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args)
+        calls.append(args[0])
         return jack_symbolic(*args, **kwargs)
     monkeypatch.setattr(jackideal.jack, "jack_symbolic", counted)
     monkeypatch.setattr(jackideal.cli, "jack_symbolic", counted)
-    code, _, _ = run_cli(capsys, "jack", "--lambda", lam, "--n", str(n),
-                         "--beta=" + beta)
+    code, out, _ = run_cli(capsys, "jack", "--lambda", lam, "--n", str(n),
+                           "--beta=" + beta)
     assert code == exit_code
-    assert len(calls) == (0 if walk_solves else 1)
+    assert calls == solved
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == out_sha
 
 
 @pytest.mark.parametrize("modes", [
@@ -510,6 +532,15 @@ def test_cache_dir_persists(capsys, tmp_path):
     assert any(f.startswith("jack_n3") for f in files)
     code, out2, _ = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_fallback_through_the_base_caches_the_base(capsys, tmp_path):
+    # P_(3,2,1) is read off its base (2,1), whose walk stops at -1/2: the
+    # symbolic solve that follows files (2,1), and no file names (3,2,1)
+    code, _, _ = run_cli(capsys, "jack", "--lambda", "3,2,1", "--n", "3",
+                         "--beta=-1/2", "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert os.listdir(tmp_path) == ["jack_n3_2-1.json"]
 
 
 def test_cache_entry_with_repeated_partition_is_a_miss(capsys, tmp_path):

@@ -17,7 +17,8 @@ from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
                             pole_profile, principal_specialization, specialize,
                             verify_eigensystem, verify_hamiltonian,
                             verify_sekiguchi)
-from jackideal.partitions import beta_value, dominated_by, partitions_leq
+from jackideal.partitions import (beta_value, c_lambda, dominated_by,
+                                  partitions_leq)
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import MSymPoly
 
@@ -164,6 +165,52 @@ def test_jack_at_rejects_a_partition_longer_than_n(b0):
     # c_(1,1,1) vanishes at 0, so there the fallback meets the long lam
     with pytest.raises(ValueError, match="longer than n=2"):
         jack_at([1, 1, 1], 2, b0)
+
+
+# POINT_PAIRS' beta(k, r), plus points where more full-length Jacks stop
+SHIFT_POINTS = sorted({beta_value(k, r) for k, r in POINT_PAIRS}
+                      | set(map(Fraction, ("-1/3", "-1/2", "-2/5", "3/2"))))
+
+
+def test_full_length_jacks_match_their_own_walk_and_symbolic():
+    # jack_at reads a lam with n nonzero parts off lam - (lam_n^n); it must
+    # equal the walk on lam itself where that solves, and the symbolic
+    # Jack at b0 everywhere, term order and pole (lam, mu, order) included
+    cache = JackCache()
+    seen = {"own c_lam vanishes": 0, "pole through the base": 0}
+    for n in range(1, 6):
+        for d in range(n, 13):
+            for lam in partitions_leq(d, n):
+                if len(lam) < n:
+                    continue
+                base = tuple(x - lam[-1] for x in lam if x > lam[-1])
+                for b0 in SHIFT_POINTS:
+                    got = _at_point_or_pole(
+                        lambda: jack_at(lam, n, b0, cache))
+                    want = _at_point_or_pole(
+                        lambda: jack_symbolic(lam, n, cache).at(b0))
+                    assert got == want and (
+                        type(got) is tuple or list(got) == list(want)), \
+                        (lam, n, b0)
+                    own = jack._solve_at(lam, n, cache, b0)
+                    if own is not None:
+                        assert list(own.terms.items()) == list(got.items())
+                    if not c_lambda(lam)(b0) and c_lambda(base)(b0):
+                        seen["own c_lam vanishes"] += 1
+                    if type(got) is tuple:
+                        seen["pole through the base"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_rectangles_and_the_empty_partition():
+    # P_(c^n) = e_n^c is the single term m_(c^n) at every beta, and P_()
+    # is 1 in any number of variables
+    for b0 in SHIFT_POINTS:
+        for n in range(7):
+            assert jack_at((), n, b0).terms == {(): 1}
+            for c in range(1, 5) if n else ():
+                got = jack_at((c,) * n, n, b0, JackCache())
+                assert got.terms == {(c,) * n: 1}, (c, n, b0)
 
 
 def test_point_solve_visits_rows_of_vanishing_coefficients():
@@ -332,8 +379,10 @@ def test_rows_are_memoized_per_cache(monkeypatch):
 
 
 def test_specializations_are_memoized_per_cache(monkeypatch):
-    """A second build_basis on a warm cache solves no Jack at the point, and
-    clear() forgets the specializations with the Jacks."""
+    """A cold build_basis walks only the lam with fewer than n nonzero
+    parts (each other lam is read off its base, filed earlier in the
+    family), a second build on a warm cache solves no Jack at the point,
+    and clear() forgets the specializations with the Jacks."""
     from jackideal.ideal import build_basis
     calls = []
     solve_at = jack._solve_at
@@ -344,7 +393,8 @@ def test_specializations_are_memoized_per_cache(monkeypatch):
     monkeypatch.setattr(jack, "_solve_at", counted)
     cache = JackCache()
     first = build_basis(2, 3, 4, 12, cache)
-    assert len(calls) == len(first) > 0
+    walked = [lam for lam in first.elements if len(lam) < 4]
+    assert calls == walked and 0 < len(walked) < len(first)
     calls.clear()
     second = build_basis(2, 3, 4, 12, cache)
     assert calls == []
@@ -354,7 +404,7 @@ def test_specializations_are_memoized_per_cache(monkeypatch):
     cache.clear()
     assert not cache._specialized
     build_basis(2, 3, 4, 12, cache)
-    assert len(calls) == len(first)
+    assert calls == walked
 
 
 def test_cache_entry_validation():

@@ -325,6 +325,39 @@ def _perturbed(mu0, n0, change):
     return row
 
 
+@pytest.mark.parametrize("mu, n, nu", [
+    ((2, 2), 3, (3, 1)),       # the first partial sum exceeds mu's
+    ((2, 2), 3, (4,)),         # shorter than mu
+    ((2, 1, 1), 3, (2, 2)),    # the second partial sum exceeds mu's
+    ((1, 1), 4, (2,)),         # mu shorter than n
+])
+def test_row_check_catches_an_entry_outside_the_cone(patched_rows, mu, n,
+                                                     nu):
+    # H m_mu reaches only partitions mu dominates: a row that reaches nu
+    # is not triangular, and hamiltonian_matrix_row must say so
+    def reach(euler, h):
+        h[nu] = 1
+        return euler, h
+    patched_rows.setattr(operators, "hamiltonian_row",
+                         _perturbed(mu, n, reach))
+    with pytest.raises(AssertionError, match="outside the dominance cone"):
+        jack.hamiltonian_matrix_row(mu, n)
+    assert jack.hamiltonian_matrix_row(mu, n + 1)  # the unpatched row passes
+
+
+def test_row_check_catches_a_wrong_diagonal(patched_rows):
+    mu, n = (2, 2), 3
+
+    def bump(euler, h):
+        h[mu] = h.get(mu, 0) + 1
+        return euler, h
+    patched_rows.setattr(operators, "hamiltonian_row",
+                         _perturbed(mu, n, bump))
+    with pytest.raises(AssertionError,
+                       match="disagrees with the closed-form eigenvalue"):
+        jack.hamiltonian_matrix_row(mu, n)
+
+
 @pytest.mark.parametrize("lam, n, nu", [
     ((2,), 2, (1, 1)),         # the quotient is in Q[beta], not Z[beta]
     ((4, 1), 3, (2, 2, 1)),    # the division leaves a remainder over Q
