@@ -257,7 +257,7 @@ def run(args):
             return 0
         if args.beta is not None:
             b0 = parse_beta(args.beta)
-            P = jack_at(lam, args.n, b0, cache)
+            P = jack_at(lam, args.n, b0, cache).poly
             obj = P.to_obj()
             obj["beta"] = {"num": str(b0.numerator),
                            "den": str(b0.denominator)}

@@ -70,14 +70,7 @@ class IdealBasis:
         self.beta0 = beta0
         self.family = family
         self.elements = elements  # dict lam -> SpecializedJack
-        self._integral = {}  # lam -> P_lam.cleared(), filled on first use
-        self._normal_forms = {}  # degree -> normal_forms(degree), likewise
-
-    def integral(self, lam):
-        """(D, N = D P_lam) with int coefficients, so N[lam] == D."""
-        if lam not in self._integral:
-            self._integral[lam] = self.elements[lam].poly.cleared()
-        return self._integral[lam]
+        self._normal_forms = {}  # degree -> normal_forms(degree), on first use
 
     def normal_forms(self, e):
         """(cols, rows) for degree e: the partitions not in elements, in
@@ -85,16 +78,16 @@ class IdealBasis:
         {j: x} with E NF(m_mu) = sum_j x m_cols[j], one E > 0 per degree.
         The normal form NF is m_mu off the basis and -sum_(mu < lam)
         P_lam[mu] NF(m_mu) at each lam in elements, built in increasing lex
-        order from integral(lam) = (D, D P_lam); E grows by D/g,
-        g = gcd(D, content), when D does not divide the sum.  Rows and
-        columns both come from elements, as in reduce_membership."""
+        order from (D, N) = (den, num), N = D P_lam, of its SpecializedJack;
+        E grows by D/g, g = gcd(D, content), when D does not divide the sum.
+        Rows and columns both come from elements, as in reduce_membership."""
         if e not in self._normal_forms:
             cols, lams = [], []
             for mu in partitions_leq(e, self.n):
                 (lams if mu in self.elements else cols).append(mu)
             rows = {mu: {j: 1} for j, mu in enumerate(cols)}
             for lam in reversed(lams):
-                D, N = self.integral(lam)
+                D, N = self.elements[lam].cleared()
                 acc = {}
                 for mu, x in N.terms.items():  # no row for lam yet
                     for j, y in rows.get(mu, {}).items():
@@ -170,8 +163,8 @@ class IdealBasis:
 
 def build_basis(k, r, n, dmax, cache=None):
     """The admissible basis: each admissible lam specialized at beta(k, r)
-    by specialize, solved at the point through one cache (made here when
-    none is given)."""
+    by specialize, which is jack_at at that point, solved at the point
+    through one cache (made here when none is given)."""
     b0 = beta_value(k, r)
     cache = cache if cache is not None else JackCache()
     fam = enumerate_admissible(k, r, n, dmax)
@@ -187,7 +180,7 @@ def reduce_membership(P, basis):
     remaining term p, a dominance-maximal one (clearing p adds only terms p
     dominates): a non-admissible one is the obstruction, an admissible one
     records c/s and is cleared fraction-free against the integer row of its
-    Jack (IdealBasis.integral).
+    Jack, its integral form (den, num).
     """
     if P.n != basis.n:
         raise ValueError("polynomial has n=%d, basis has n=%d" % (P.n, basis.n))
@@ -206,7 +199,7 @@ def reduce_membership(P, basis):
             if p not in basis.elements:
                 return MembershipCertificate(False, {}, p)
             combination[p] = Fraction(c, s)
-            D, N = basis.integral(p)
+            D, N = basis.elements[p].cleared()
             g = gcd(c, D)
             u, v = D // g, c // g
             s *= u
@@ -578,7 +571,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     """Ideal property: every operator image of every basis element reduces
     to a member of the span, in every degree the battery can reach.
 
-    Images are taken of N = D P in Z (IdealBasis.integral), all read off
+    Images are taken of N = D P in Z (SpecializedJack.num), all read off
     its integer Dunkl chain c_s nabla_1^s N on classes, s < tmax
     (OperatorTag.chain_step).  Positive scales change neither membership nor
     the obstruction, and the report records only those.  Tags with one
@@ -596,7 +589,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     tags = closure_tags(mmax, tmax)
     rows = {}
     for lam in basis.family.all_partitions():
-        chain = dunkl_chain(basis.integral(lam)[1], tmax - 1, b0, rows)
+        chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
         found = {}  # (s, shift) -> obstruction, None for a member
         for tag in tags:
             d = sum(lam) + tag.degree_shift()
@@ -613,7 +606,8 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
 
 def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
     """Setting x_n = 0 after j-fold d/dx_n maps the span at n into the span
-    at n-1, exactly.  The image is read on the m-basis (restrict_last)."""
+    at n-1, exactly.  The image of N = D P is read on the m-basis
+    (restrict_last); D > 0 changes no verdict or obstruction."""
     if n < 2:
         raise InvalidParameters("restriction needs n >= 2")
     if jmax < 0:
@@ -623,7 +617,7 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
     basis_n = build_basis(k, r, n, dmax, cache)
     basis_m = build_basis(k, r, n - 1, dmax, cache)
     for lam in basis_n.family.all_partitions():
-        P = basis_n.get(lam).poly
+        P = basis_n.get(lam).num
         for j in range(jmax + 1):
             cert = reduce_membership(P.restrict_last(j), basis_m)
             rep.add("restrict[j=%d]@%s" % (j, list(lam)), cert.member,
@@ -634,8 +628,8 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
 def verify_wheel(k, n, dmax, cache=None):
     """Identification with the wheel space at r = 2: the admissible count
     matches the wheel-kernel dimension in every degree, and every basis
-    element vanishes when k+1 variables coincide.  One class-step memo
-    serves both halves."""
+    element vanishes when k+1 variables coincide, read on its integral
+    form N = D P.  One class-step memo serves both halves."""
     rep = Report("wheel", {"k": k, "r": 2, "n": n, "dmax": dmax})
     basis = build_basis(k, 2, n, dmax, cache)
     rows = {}
@@ -649,7 +643,7 @@ def verify_wheel(k, n, dmax, cache=None):
         rep.add("vanish:vacuous", True, note="fewer than k+1 variables")
     else:
         for lam in basis.family.all_partitions():
-            img = basis.get(lam).poly.substitute_coincident(k + 1, rows)
+            img = basis.get(lam).num.substitute_coincident(k + 1, rows)
             rep.add("vanish@%s" % (list(lam),), img.is_zero())
     return rep
 

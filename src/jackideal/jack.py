@@ -20,6 +20,8 @@ coefficient(), coeffs and msym(); at() never builds one.
 A Jack at a rational point (jack_at) skips Z[beta]: _solve_at runs the
 same walk on one integer per coefficient, and only where c_lambda or a
 visited gap vanishes there does it fall back to jack_symbolic(...).at().
+The result stays integral (SpecializedJack: den and an int num): the walk
+and the shift build no Fraction.  jack_at is the one memo of Jacks at a point.
 A lam with n nonzero parts is not walked.  With e_n = x_1...x_n and
 D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so H(e_n f) = e_n (H + 2E + n) f
 (E the Euler operator) and P_lam = e_n^c P_base identically in beta, with
@@ -34,7 +36,7 @@ import os
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import prod
+from math import gcd, prod
 from operator import add, le, mul, sub
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
@@ -155,21 +157,38 @@ class JackPoly:
 
 
 class SpecializedJack:
-    """Jack polynomial evaluated at beta0 = beta(k, r), over Q; lam is a
-    partition tuple, as JackCache.specialized files it."""
+    """P_lam at a rational beta0 in integral form, num / den: den > 0 is the
+    least common denominator and num an MSymPoly with int coefficients, so
+    num[lam] = den; lam is a partition tuple, as jack_at files it."""
 
-    __slots__ = ("lam", "n", "k", "r", "beta0", "poly")
+    __slots__ = ("lam", "n", "beta0", "den", "num")
 
-    def __init__(self, lam, n, k, r, beta0, poly):
-        self.lam, self.n, self.k, self.r = lam, n, k, r
-        self.beta0 = beta0
-        self.poly = poly
+    def __init__(self, lam, n, beta0, den, num):
+        self.lam, self.n, self.beta0 = lam, n, beta0
+        self.den, self.num = den, num
+
+    # beta(k, r) = -(r - 1)/(k + 1) is in lowest terms: k + 1, r - 1 coprime
+    k = property(lambda self: self.beta0.denominator - 1)
+    r = property(lambda self: 1 - self.beta0.numerator)
+
+    @property
+    def poly(self):
+        """P_lam at beta0 over Q, one Fraction per coefficient."""
+        return MSymPoly._raw(self.n, {mu: Fraction(x, self.den)
+                                      for mu, x in self.num.terms.items()})
+
+    @poly.setter
+    def poly(self, P):
+        self.den, self.num = P.cleared()
+
+    def cleared(self):
+        """(den, num), as JackPoly.cleared() is in Z[beta]."""
+        return self.den, self.num
 
     def to_obj(self):
         obj = self.poly.to_obj()
-        obj["k"] = self.k
-        obj["r"] = self.r
-        obj["beta"] = {"num": -(self.r - 1), "den": self.k + 1}
+        obj.update(k=self.k, r=self.r, beta={"num": self.beta0.numerator,
+                                             "den": self.beta0.denominator})
         return obj
 
     def __repr__(self):
@@ -181,14 +200,14 @@ class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
     directory of JSON files, and, in memory only, Hamiltonian rows in one
-    table per (degree, n) and specializations (lam, n, k, r) ->
-    SpecializedJack, solved at the point, so only a fallback reads or
-    fills the symbolic Jacks; jack_at reads bases there."""
+    table per (degree, n) and Jacks at a point (lam, n, p, q) ->
+    SpecializedJack at beta0 = p/q, which jack_at files and reads, solved
+    at the point, so only a fallback reads or fills the symbolic Jacks."""
 
     def __init__(self, directory=None):
         self._mem = {}
         self._tables = {}
-        self._specialized = {}
+        self._at = {}
         self._lock = threading.Lock()
         self.directory = directory
         if directory:
@@ -217,10 +236,11 @@ class JackCache:
 
     def put(self, jp, persist=True):
         """File a JackPoly under (lam, n), also on disk when persist, or a
-        SpecializedJack under (lam, n, k, r), in memory only."""
+        SpecializedJack under (lam, n, p, q), beta0 = p/q, in memory only."""
         with self._lock:
             if isinstance(jp, SpecializedJack):
-                self._specialized[(jp.lam, jp.n, jp.k, jp.r)] = jp
+                b0 = jp.beta0
+                self._at[(jp.lam, jp.n, b0.numerator, b0.denominator)] = jp
                 return
             self._mem[(jp.lam, jp.n)] = jp
         if persist and self.directory:
@@ -241,17 +261,6 @@ class JackCache:
             hit = self._tables[(d, n)] = order, pos, [None] * len(order)
         return hit
 
-    def specialized(self, lam, n, k, r):
-        """specialize(lam, n, k, r, self), computed once per cache like a
-        row and filed by put(); a pole raises each time and is not kept.
-        A family walked by degree files each base before its lams."""
-        hit = self._specialized.get((lam, n, k, r))
-        if hit is None:
-            b0 = beta_value(k, r)
-            hit = SpecializedJack(lam, n, k, r, b0, jack_at(lam, n, b0, self))
-            self.put(hit)
-        return hit
-
     def __len__(self):
         with self._lock:
             return len(self._mem)
@@ -260,7 +269,7 @@ class JackCache:
         with self._lock:
             self._mem.clear()
             self._tables.clear()
-            self._specialized.clear()
+            self._at.clear()
         if self.directory:
             for name in os.listdir(self.directory):
                 if name.startswith("jack_n") and name.endswith(".json"):
@@ -380,8 +389,9 @@ def jack_symbolic(lam, n, cache=None):
 
 
 def _solve_at(lam, n, cache, beta0):
-    """P_lam at beta0 = p/q as an MSymPoly over Q, or None when M_lam or a
-    visited gap is 0 there.
+    """P_lam at beta0 = p/q in integral form, (M_lam/g, M/g) with M the
+    int MSymPoly of the M_nu and g their gcd, signed like M_lam, or None
+    when M_lam or a visited gap is 0 there.
 
     The walk of jack_symbolic on M_mu = q^|lam| N_mu(beta0) (no numerator
     has a higher degree): M_lam = q^|lam| c_lam(beta0) and
@@ -420,40 +430,49 @@ def _solve_at(lam, n, cache, beta0):
             vals[order[i]] = m
         for j, h in off:  # None, not reached yet, counts as 0
             sums[j] = (sums[j] or 0) + h * m
+    g = gcd(*vals.values()) * (1 if m_lam > 0 else -1)
     # every key is lam or a row key, so none needs validating again
-    return MSymPoly._raw(n, {nu: Fraction(m, m_lam) for nu, m in vals.items()})
+    return m_lam // g, MSymPoly._raw(n, {nu: m // g for nu, m in vals.items()})
 
 
 def jack_at(lam, n, beta0, cache=None):
-    """P_lam in n variables at a rational beta0 (a Fraction or int) as an
-    MSymPoly over Q, by _solve_at; only where that stops is it read off
-    jack_symbolic(lam, n, cache).at(beta0), which raises SpecializationPole
-    at a pole.  Without a cache the call makes its own.
+    """P_lam in n variables at a rational beta0 = p/q (a Fraction or int)
+    as a SpecializedJack, solved once per cache and filed under
+    (lam, n, p, q): an int pair hashes faster than a Fraction.  Where
+    _solve_at stops it is read off jack_symbolic(...).at(beta0), which
+    raises SpecializationPole at a pole, each time.  Without a cache the
+    call makes its own.
 
     A lam with n nonzero parts is P_lam = e_n^c P_base, c = lam_n, with
-    P_base from the cache's specializations or else this route: each key
-    mu, padded to n, becomes mu + (c^n), and so does the mu of a pole."""
+    P_base = jack_at(base, ...), filed before lam in a family walked by
+    degree: each key mu of its num, padded to n, becomes mu + (c^n), and so
+    does the mu of a pole.  num[lam] = den is checked once per Jack, as the
+    membership sweep clears lam by that entry and never ends without it."""
     lam = as_partition(lam, n)
     cache = cache if cache is not None else JackCache()
+    hit = cache._at.get((lam, n, beta0.numerator, beta0.denominator))
+    if hit is not None:
+        return hit
     if not lam or len(lam) < n:
-        poly = _solve_at(lam, n, cache, beta0)
-        return (poly if poly is not None
-                else jack_symbolic(lam, n, cache).at(beta0))
-    cs = (lam[-1],) * n
+        den, num = (_solve_at(lam, n, cache, beta0)
+                    or jack_symbolic(lam, n, cache).at(beta0).cleared())
+    else:
+        cs = (lam[-1],) * n
 
-    def shifted(mu):  # mu + (c^n), mu padded to n
-        return tuple(map(add, mu, cs)) + cs[len(mu):]
-    base = as_partition(map(sub, lam, cs))
-    # beta(k, r) = -(r - 1)/(k + 1) is in lowest terms, as k + 1 and r - 1
-    # are coprime, so a base filed by specialize is under these (k, r)
-    hit = cache._specialized.get((base, n, beta0.denominator - 1,
-                                  1 - beta0.numerator))
-    try:
-        poly = hit.poly if hit is not None else jack_at(base, n, beta0, cache)
-    except SpecializationPole as e:
-        raise SpecializationPole(lam, shifted(e.mu), e.order,
-                                 e.beta0) from None
-    return MSymPoly._raw(n, {shifted(mu): v for mu, v in poly.terms.items()})
+        def shifted(mu):  # mu + (c^n), mu padded to n
+            return tuple(map(add, mu, cs)) + cs[len(mu):]
+        try:
+            base = jack_at(as_partition(map(sub, lam, cs)), n, beta0, cache)
+        except SpecializationPole as e:
+            raise SpecializationPole(lam, shifted(e.mu), e.order,
+                                     e.beta0) from None
+        den, num = base.den, MSymPoly._raw(n, {
+            shifted(mu): x for mu, x in base.num.terms.items()})
+    if num.terms.get(lam) != den:
+        raise AssertionError("P_%r at %s: num[lam] != den" % (lam, beta0))
+    hit = SpecializedJack(lam, n, beta0, den, num)
+    cache.put(hit)
+    return hit
 
 
 def verify_hamiltonian(lam, n, cache=None):
@@ -495,11 +514,8 @@ def pole_profile(lam, n, beta0, cache=None):
 
 
 def specialize(lam, n, k, r, cache=None):
-    """Evaluate P_lam at beta0 = beta(k, r), through the cache (made here
-    when none is given); raises SpecializationPole naming the first
-    offending coefficient."""
-    cache = cache if cache is not None else JackCache()
-    return cache.specialized(as_partition(lam), n, k, r)
+    """P_lam at beta(k, r), as jack_at(lam, n, beta_value(k, r), cache)."""
+    return jack_at(lam, n, beta_value(k, r), cache)
 
 
 def principal_specialization(lam, n):

@@ -124,18 +124,6 @@ class BetaPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = BetaPoly((1,))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __divmod__(self, other):
         """Polynomial long division over Q.  A quotient coefficient stays an
         int when the leading coefficient divides it exactly, so division in

@@ -14,9 +14,10 @@ the symmetric forms are scaled by coefficients alone, since the operators
 that preserve symmetry act on the m-basis directly (operators module), and
 MSymPoly * MSymPoly raises TypeError.  Coefficients may live in Q
 (int/Fraction) or Q[beta] (BetaPoly); all operations here are
-coefficient-ring agnostic and never divide by coefficients.  Symbolic Jack
-polynomials reach this module as integer BetaPoly numerators over a shared
-denominator (JackPoly.cleared()); specialized ones have coefficients in Q.
+coefficient-ring agnostic and never divide by coefficients.  Jacks reach
+this module in integral form: symbolic ones as integer BetaPoly numerators
+over a shared denominator (JackPoly.cleared()), specialized ones as an int
+MSymPoly over one int den (SpecializedJack.num), in Q only as its .poly.
 Q(beta) coefficients (BetaRatFunc, from JackPoly.msym() at the API boundary)
 support equality, JSON and printing only: they have no arithmetic.
 

@@ -270,7 +270,7 @@ def test_class_chain_matches_expanded_chain(grid):
     b0 = beta_value(k, r)
     basis = build_basis(k, r, n, dmax, JackCache())
     for lam in basis.family.all_partitions():
-        P = basis.integral(lam)[1]
+        P = basis.elements[lam].num
         want = [(c, collect_classes(Q))
                 for c, Q in expanded_dunkl_chain(P, tmax - 1, b0)]
         chain = dunkl_chain(P, tmax - 1, b0)
@@ -368,7 +368,7 @@ def closure_images(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     basis = build_basis(k, r, n, dmax, cache)
     tags = closure_tags(mmax, tmax)
     for lam in basis.family.all_partitions():
-        chain = dunkl_chain(basis.integral(lam)[1], tmax - 1, b0)
+        chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0)
         found = {}
         for tag in tags:
             if 0 <= sum(lam) + tag.degree_shift() <= dmax:
@@ -472,7 +472,7 @@ def test_memoized_class_steps_match_moves(grid):
     shifts = sorted({tag.chain_step() for tag in closure_tags(mmax, tmax)})
     shared = {}
     for lam in basis.family.all_partitions():
-        P = basis.integral(lam)[1]
+        P = basis.elements[lam].num
         want = moves_chain(P, tmax - 1, b0)
         for rows in (None, shared):
             chain = dunkl_chain(P, tmax - 1, b0, rows)
@@ -504,7 +504,7 @@ def one_bare_monomial(lam):
         sp = real(mu, n, k, r, cache)
         if sp.lam != lam:
             return sp
-        return SpecializedJack(mu, n, k, r, sp.beta0,
+        return SpecializedJack(mu, n, sp.beta0, 1,
                                MSymPoly.monomial_sym(n, lam))
     return specialize
 

@@ -10,6 +10,7 @@ random polynomials and on every Jack of the benchmark and acceptance grids.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,7 +104,7 @@ def test_root_multiplicity_matches(coeffs, m, beta0):
     if q.is_zero():
         q = BetaPoly((1,))
     b0 = Fraction(beta0)
-    p = q * BetaPoly((-b0.numerator, b0.denominator)) ** m
+    p = prod([BetaPoly((-b0.numerator, b0.denominator))] * m, start=q)
     got = p.root_multiplicity(beta0)
     assert got == root_multiplicity(p, beta0)
     assert got == m + root_multiplicity(q, beta0)

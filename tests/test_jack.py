@@ -114,19 +114,23 @@ POINT_PAIRS = ((1, 2), (2, 2), (2, 3), (3, 2), (2, 5), (4, 3), (4, 5))
 
 
 def _at_point_or_pole(solve):
+    """("value", den, num's terms in order) of solve().cleared(), or
+    ("pole", lam, mu, order) of the pole it raises."""
     try:
-        return solve().terms
+        den, num = solve().cleared()
     except SpecializationPole as exc:
-        return exc.lam, exc.mu, exc.order
+        return "pole", exc.lam, exc.mu, exc.order
+    return "value", den, list(num.terms.items())
 
 
 def _route_matches_symbolic(nmax, dmax, points, route):
-    """route(lam, n, b0, cache) equals the symbolic Jack at b0, term order
-    included, or raises the same pole, for every lam with |lam| <= dmax,
-    n <= nmax and b0 in points; where the point walk solves, where it
-    stops on a regular value and where it stops on a pole all occur."""
+    """route(lam, n, b0, cache).cleared() equals the symbolic Jack at b0,
+    cleared, term order included, or raises the same pole, for every lam
+    with |lam| <= dmax, n <= nmax and b0 in points; where a lam with n
+    nonzero parts is read off its base, where the point walk solves, where
+    it stops on a regular value and where it stops on a pole all occur."""
     cache = JackCache()
-    paths = {"point": 0, "regular": 0, "pole": 0}
+    paths = {"shift": 0, "point": 0, "regular": 0, "pole": 0}
     for n in range(1, nmax + 1):
         for d in range(dmax + 1):
             for lam in partitions_leq(d, n):
@@ -135,13 +139,13 @@ def _route_matches_symbolic(nmax, dmax, points, route):
                         lambda: jack_symbolic(lam, n, cache).at(b0))
                     got = _at_point_or_pole(
                         lambda: route(lam, n, b0, cache))
-                    assert got == want and (
-                        type(got) is tuple or list(got) == list(want)), \
-                        (lam, n, b0)
-                    if jack._solve_at(lam, n, cache, b0) is not None:
+                    assert got == want, (lam, n, b0)
+                    if lam and len(lam) == n:
+                        paths["shift"] += 1
+                    elif jack._solve_at(lam, n, cache, b0) is not None:
                         paths["point"] += 1
                     else:
-                        paths["pole" if type(want) is tuple else "regular"] += 1
+                        paths[want[0] if want[0] == "pole" else "regular"] += 1
     assert min(paths.values()) > 0, paths
 
 
@@ -155,9 +159,59 @@ def test_specialize_at_the_point_matches_symbolic():
 RATIONAL_POINTS = tuple(map(Fraction, (
     "0", "1", "-1", "1/2", "-1/2", "-2/3", "3/5", "-5/7", "2", "-3")))
 
+# POINT_PAIRS' beta(k, r), plus points where more full-length Jacks stop
+SHIFT_POINTS = sorted({beta_value(k, r) for k, r in POINT_PAIRS}
+                      | set(map(Fraction, ("-1/3", "-1/2", "-2/5", "3/2"))))
+
 
 def test_jack_at_matches_symbolic():
     _route_matches_symbolic(5, 8, RATIONAL_POINTS, jack_at)
+
+
+def test_jack_at_is_the_symbolic_jack_cleared():
+    # the integral form (den, num) of every route, walk, shift and
+    # fallback, against jack_symbolic(...).at(b0).cleared()
+    _route_matches_symbolic(5, 10, SHIFT_POINTS, jack_at)
+
+
+def test_specialize_is_jack_at_beta_k_r():
+    cache = JackCache()
+    for k, r in POINT_PAIRS:
+        for lam, n in (((3, 1), 3), ((4, 2, 1), 3), ((2, 1), 2)):
+            sp = specialize(lam, n, k, r, cache)
+            assert sp is jack_at(lam, n, beta_value(k, r), cache)
+            assert (sp.k, sp.r, sp.beta0) == (k, r, beta_value(k, r))
+
+
+@pytest.mark.parametrize("grid, puts", [((1, 2, 3, 18), 102),
+                                        ((8, 2, 9, 8), 58)])
+def test_cold_build_files_one_jack_per_element(grid, puts):
+    from jackideal.ideal import build_basis
+    cache = JackCache()
+    filed = []
+    put = cache.put
+    cache.put = lambda jp, *args: filed.append(jp) or put(jp, *args)
+    basis = build_basis(*grid, cache)
+    assert len(filed) == len(basis) == puts
+    build_basis(*grid, cache)
+    assert len(filed) == puts
+
+
+def test_jack_at_checks_the_leading_term(monkeypatch):
+    # a point solve that loses lam's own term must raise, not reach the
+    # membership sweep, which clears lam by num[lam] = den
+    solve_at = jack._solve_at
+
+    def dropped(lam, n, cache, beta0):
+        den, num = solve_at(lam, n, cache, beta0)
+        del num.terms[lam]
+        return den, num
+    monkeypatch.setattr(jack, "_solve_at", dropped)
+    with pytest.raises(AssertionError, match="num\\[lam\\] != den"):
+        jack_at((3, 1), 3, Fraction(3, 2))
+    # (2,1,1) is read off its base (1), which the point walk solves
+    with pytest.raises(AssertionError):
+        jack_at((2, 1, 1), 3, Fraction(-1, 3))
 
 
 @pytest.mark.parametrize("b0", [Fraction(1, 2), Fraction(0)])
@@ -165,11 +219,6 @@ def test_jack_at_rejects_a_partition_longer_than_n(b0):
     # c_(1,1,1) vanishes at 0, so there the fallback meets the long lam
     with pytest.raises(ValueError, match="longer than n=2"):
         jack_at([1, 1, 1], 2, b0)
-
-
-# POINT_PAIRS' beta(k, r), plus points where more full-length Jacks stop
-SHIFT_POINTS = sorted({beta_value(k, r) for k, r in POINT_PAIRS}
-                      | set(map(Fraction, ("-1/3", "-1/2", "-2/5", "3/2"))))
 
 
 def test_full_length_jacks_match_their_own_walk_and_symbolic():
@@ -189,15 +238,14 @@ def test_full_length_jacks_match_their_own_walk_and_symbolic():
                         lambda: jack_at(lam, n, b0, cache))
                     want = _at_point_or_pole(
                         lambda: jack_symbolic(lam, n, cache).at(b0))
-                    assert got == want and (
-                        type(got) is tuple or list(got) == list(want)), \
-                        (lam, n, b0)
+                    assert got == want, (lam, n, b0)
                     own = jack._solve_at(lam, n, cache, b0)
                     if own is not None:
-                        assert list(own.terms.items()) == list(got.items())
+                        assert ("value", own[0],
+                                list(own[1].terms.items())) == got
                     if not c_lambda(lam)(b0) and c_lambda(base)(b0):
                         seen["own c_lam vanishes"] += 1
-                    if type(got) is tuple:
+                    if got[0] == "pole":
                         seen["pole through the base"] += 1
     assert min(seen.values()) > 0, seen
 
@@ -207,10 +255,10 @@ def test_rectangles_and_the_empty_partition():
     # is 1 in any number of variables
     for b0 in SHIFT_POINTS:
         for n in range(7):
-            assert jack_at((), n, b0).terms == {(): 1}
+            assert jack_at((), n, b0).cleared() == (1, MSymPoly(n, {(): 1}))
             for c in range(1, 5) if n else ():
                 got = jack_at((c,) * n, n, b0, JackCache())
-                assert got.terms == {(c,) * n: 1}, (c, n, b0)
+                assert got.poly.terms == {(c,) * n: 1}, (c, n, b0)
 
 
 def test_point_solve_visits_rows_of_vanishing_coefficients():
@@ -402,7 +450,7 @@ def test_specializations_are_memoized_per_cache(monkeypatch):
     lam = max(first.elements)
     assert specialize(lam, 4, 2, 3, cache) is first.get(lam)
     cache.clear()
-    assert not cache._specialized
+    assert not cache._at
     build_basis(2, 3, 4, 12, cache)
     assert calls == walked
 

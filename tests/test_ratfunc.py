@@ -38,7 +38,7 @@ def test_poly_arithmetic_matches_evaluation():
             assert (a + b)(x) == a(x) + b(x)
             assert (a - b)(x) == a(x) - b(x)
             assert (a * b)(x) == a(x) * b(x)
-        assert (a ** 3)(points[1]) == a(points[1]) ** 3
+        assert (a * a * a)(points[1]) == a(points[1]) ** 3
 
 
 def test_poly_divmod_roundtrip():
@@ -111,8 +111,11 @@ def test_order_and_value_matches_reduced_oracle(num_factors, den_factors,
     # beta0 = a/b, on both sides and further powers on either; the
     # BetaRatFunc reduced by a gcd is the oracle
     lin = BetaPoly((-beta0.numerator, beta0.denominator))
-    num = prod(map(BetaPoly, num_factors), start=lin ** (common + num_extra))
-    den = prod(map(BetaPoly, den_factors), start=lin ** (common + den_extra))
+    one = BetaPoly((1,))
+    num = prod([lin] * (common + num_extra) + list(map(BetaPoly, num_factors)),
+               start=one)
+    den = prod([lin] * (common + den_extra) + list(map(BetaPoly, den_factors)),
+               start=one)
     if zero_num:
         num = BetaPoly()
     order, value = order_and_value(num, den, beta0)
