@@ -15,7 +15,7 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
                          cs_eigenvalue, enumerate_admissible,
                          is_admissible, node_moves, padded, partitions_leq,
                          removable_rows, remove_node)
-from .sympoly import MSymPoly
+from .sympoly import MSymPoly, _replace_part
 from .jack import JackCache, jack_symbolic, pole_profile, specialize
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
                         dunkl_chain)
@@ -73,32 +73,41 @@ class IdealBasis:
         self._normal_forms = {}  # degree -> normal_forms(degree), on first use
 
     def normal_forms(self, e):
-        """(cols, rows) for degree e: the partitions not in elements, in
-        decreasing lex order, and for every mu of degree e the integer row
-        {j: x} with E NF(m_mu) = sum_j x m_cols[j], one E > 0 per degree.
-        The normal form NF is m_mu off the basis and -sum_(mu < lam)
+        """(cols, pos, rows) for degree e <= dmax: pos[mu] is the position of
+        mu in partitions_leq(e, n), cols the partitions not in elements in
+        that decreasing lex order, and rows[pos[mu]] the integer row
+        ((j, x), ...) with E NF(m_mu) = sum_j x m_cols[j], one E > 0 per
+        degree.  The normal form NF is m_mu off the basis and -sum_(mu < lam)
         P_lam[mu] NF(m_mu) at each lam in elements, built in increasing lex
         order from (D, N) = (den, num), N = D P_lam, of its SpecializedJack;
         E grows by D/g, g = gcd(D, content), when D does not divide the sum.
         Rows and columns both come from elements, as in reduce_membership."""
+        if e > self.dmax:
+            raise DegreeOverflow("degree %d beyond basis dmax=%d"
+                                 % (e, self.dmax))
         if e not in self._normal_forms:
-            cols, lams = [], []
-            for mu in partitions_leq(e, self.n):
-                (lams if mu in self.elements else cols).append(mu)
-            rows = {mu: {j: 1} for j, mu in enumerate(cols)}
-            for lam in reversed(lams):
-                D, N = self.elements[lam].cleared()
+            order = partitions_leq(e, self.n)
+            pos = {mu: i for i, mu in enumerate(order)}
+            cols = [mu for mu in order if mu not in self.elements]
+            rows = [None] * len(order)
+            for j, mu in enumerate(cols):
+                rows[pos[mu]] = {j: 1}
+            for i in reversed(range(len(order))):
+                if rows[i] is not None:
+                    continue
+                D, N = self.elements[order[i]].cleared()
                 acc = {}
                 for mu, x in N.terms.items():  # no row for lam yet
-                    for j, y in rows.get(mu, {}).items():
+                    for j, y in (rows[pos[mu]] or {}).items():
                         acc[j] = acc.get(j, 0) - x * y
                 g = gcd(D, *acc.values())
                 if g != D:
-                    for row in rows.values():
+                    for row in filter(None, rows):
                         for j in row:
                             row[j] *= D // g
-                rows[lam] = {j: y // g for j, y in acc.items() if y}
-            self._normal_forms[e] = cols, rows
+                rows[i] = {j: y // g for j, y in acc.items() if y}
+            self._normal_forms[e] = (cols, pos,
+                                     [tuple(row.items()) for row in rows])
         return self._normal_forms[e]
 
     def obstruction(self, P):
@@ -109,26 +118,24 @@ class IdealBasis:
             raise ValueError("polynomial has n=%d, basis has n=%d"
                              % (P.n, self.n))
         for d, comp in P.homogeneous_components().items():
-            obs = self._obstruction_at(d, comp.terms.items())
+            pos = self.normal_forms(d)[1]
+            coeffs = [0] * len(pos)
+            for mu, c in comp.terms.items():
+                coeffs[pos[mu]] = c
+            obs = self._obstruction_at(d, coeffs)
             if obs is not None:
                 return obs
         return None
 
-    def _obstruction_at(self, d, terms):
-        """The obstruction of sum c m_mu over the (mu, c) of terms, all of
-        degree d: collected per mu, the lex-largest column of normal_forms(d)
-        where sum_mu c_mu E NF(m_mu) is nonzero, None when it vanishes."""
-        if d > self.dmax:
-            raise DegreeOverflow("degree %d beyond basis dmax=%d"
-                                 % (d, self.dmax))
-        coeffs = {}
-        for mu, c in terms:
-            coeffs[mu] = coeffs.get(mu, 0) + c
-        cols, rows = self.normal_forms(d)
+    def _obstruction_at(self, d, coeffs):
+        """The obstruction of sum_i coeffs[i] m_mu_i over the positions i of
+        normal_forms(d): the lex-largest column where sum_i coeffs[i] E
+        NF(m_mu_i) is nonzero, None when it vanishes."""
+        cols, _, rows = self.normal_forms(d)
         acc = [0] * len(cols)
-        for mu, c in coeffs.items():
+        for c, row in zip(coeffs, rows):
             if c:
-                for j, y in rows[mu].items():
+                for j, y in row:
                     acc[j] += c * y
         for j, y in enumerate(acc):
             if y:
@@ -442,8 +449,9 @@ def _neighbour_cases(rep, prefix, mu, moves, basis, mechanism=None):
 
 def _combine(basis, combination):
     """sum_lam c_lam P_lam(beta0) over a {lam: c_lam} of basis elements."""
-    return sum((basis.get(lam).poly.scale(c)
-                for lam, c in combination.items()), MSymPoly(basis.n))
+    sps = [(basis.get(lam), c) for lam, c in combination.items()]
+    return sum((sp.num.scale(Fraction(c, sp.den)) for sp, c in sps),
+               MSymPoly(basis.n))
 
 
 def verify_pieri(n, dmax, k=None, r=None, symbolic=False, cache=None):
@@ -575,10 +583,14 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     its integer Dunkl chain c_s nabla_1^s N on classes, s < tmax
     (OperatorTag.chain_step).  Positive scales change neither membership nor
     the obstruction, and the report records only those.  Tags with one
-    chain step (l_m and w^(2)_m) share one verdict, read off the normal-form
-    table from the uncollected symmetrize terms of the chain entry: the
-    image's degree is known, so no image is built (IdealBasis._obstruction_at).
-    One class-step memo serves the whole run.
+    chain step (l_m and w^(2)_m) share one verdict, computed at the first
+    tag that needs it and read in one pass: each class key (e, nu) of the
+    chain entry goes to the position of nu + (e + shift) in the image's
+    degree's normal-form table, with its multiplicity, the coefficients are
+    summed by position and the nonzero ones scatter their rows
+    (IdealBasis._obstruction_at), so no image is built.  One memo serves the
+    whole run: the class-step rows and, under ("position", n, shift), each
+    key's (position, multiplicity).
     """
     if mmax < 1 or tmax < 2:
         raise ValueError("closure needs mmax >= 1 and tmax >= 2")
@@ -596,8 +608,17 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
             if 0 <= d <= dmax:
                 s, shift = step = tag.chain_step()
                 if step not in found:
-                    found[step] = basis._obstruction_at(
-                        d, chain[s][1].symmetrize_terms(shift, rows))
+                    pos = basis.normal_forms(d)[1]
+                    memo = rows.setdefault(("position", n, shift), {})
+                    coeffs = [0] * len(pos)
+                    for key, c in chain[s][1].terms.items():
+                        hit = memo.get(key)
+                        if hit is None:
+                            mu, x = _replace_part(key[1:], n, 0,
+                                                  key[0] + shift)
+                            hit = memo[key] = pos[mu], x
+                        coeffs[hit[0]] += c * hit[1]
+                    found[step] = basis._obstruction_at(d, coeffs)
                 obs = found[step]
                 rep.add("%s@%s" % (tag, list(lam)), obs is None,
                         **({} if obs is None else {"obstruction": list(obs)}))

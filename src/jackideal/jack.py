@@ -186,10 +186,16 @@ class SpecializedJack:
         return self.den, self.num
 
     def to_obj(self):
-        obj = self.poly.to_obj()
-        obj.update(k=self.k, r=self.r, beta={"num": self.beta0.numerator,
-                                             "den": self.beta0.denominator})
-        return obj
+        """The JSON form of .poly: each x/den reduced by one gcd."""
+        terms = []
+        for mu, x in self.num.sorted_terms():
+            g = gcd(x, self.den)
+            terms.append({MSymPoly.KEY: list(mu), "coeff": {
+                "num": str(x // g), "den": str(self.den // g)}})
+        return {"n": self.n, "basis": MSymPoly.BASIS, "terms": terms,
+                "k": self.k, "r": self.r, "beta": {
+                    "num": self.beta0.numerator,
+                    "den": self.beta0.denominator}}
 
     def __repr__(self):
         return "SpecializedJack(lam=%r, n=%d, beta0=%s)" % (self.lam, self.n,

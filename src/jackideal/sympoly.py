@@ -509,18 +509,11 @@ class PartSymPoly(_SparsePoly):
     def symmetrize(self, shift, rows=None):
         """sum_j x_j^shift K_1j as an MSymPoly (shift >= 0): t^e m_nu gives
         m_(nu + (e + shift)) once per slot of it padded to n holding e + shift."""
-        return MSymPoly._collect(self.n, self.symmetrize_terms(shift, rows))
-
-    def symmetrize_terms(self, shift, rows=None):
-        """The terms (mu, c x) of symmetrize(shift), one per class key of
-        self and not yet collected per mu, each read off the key's row."""
         if shift < 0:
             raise ValueError("symmetrize needs shift >= 0")
-        memo = self._memo(
-            rows, ("symmetrize", self.n, shift),
+        return self._by_rows(
+            MSymPoly, self.n, rows, ("symmetrize", self.n, shift),
             lambda key: (_replace_part(key[1:], self.n, 0, key[0] + shift),))
-        return ((mu, c * x) for key, c in self.terms.items()
-                for mu, x in memo[key])
 
     def sorted_terms(self):
         return sorted(self.terms.items(), reverse=True)

@@ -20,8 +20,11 @@ closure_per_tag keeps the per-tag closure loop that verify_closure ran
 before it read every image off one Dunkl chain per basis element, with
 reduce_membership as its verdict.  closure_images keeps the loop that built
 each distinct image chain[s][1].symmetrize(shift) as an MSymPoly and read
-its verdict with IdealBasis.obstruction; verify_closure now feeds the
-uncollected symmetrize terms straight to the normal-form table.
+its verdict with IdealBasis.obstruction.  closure_dict_rows keeps the route
+that fed the uncollected symmetrize terms of the chain entry, collected in
+a dict keyed by partition, to a normal-form table with dict rows keyed by
+partition (dict_normal_forms); verify_closure now sums the coefficients by
+position in the table and scatters rows keyed by position.
 
 moves_cluster, moves_dunkl_sum and moves_symmetrize are the class steps as
 they were before their rows were memoized: each visit rebuilds its moves.
@@ -32,7 +35,7 @@ fresh memo and with one memo shared across elements.
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -390,7 +393,7 @@ CLOSURE_GRIDS = [(k, r, n, 10, 4, 4) for k, r in ((1, 2), (2, 3), (1, 4))
 
 @pytest.mark.parametrize("grid", CLOSURE_GRIDS)
 def test_closure_verdicts_match_images(grid):
-    """The verdicts read off the uncollected symmetrize terms equal
+    """The verdicts read off the chain entries by position equal
     obstruction() on the built images: criterion 7's grid and five grids
     up to n = 6."""
     cache = JackCache()
@@ -495,6 +498,101 @@ def test_memoized_class_steps_match_moves(grid):
                     moves_symmetrize(Q, shift), (lam, s, shift)
 
 
+def dict_normal_forms(basis, e):
+    """(cols, rows): normal_forms(e) with its rows as dicts keyed by
+    partition, rows[mu] = {j: x}, built the same way over the same
+    elements."""
+    cols, lams = [], []
+    for mu in partitions_leq(e, basis.n):
+        (lams if mu in basis.elements else cols).append(mu)
+    rows = {mu: {j: 1} for j, mu in enumerate(cols)}
+    for lam in reversed(lams):
+        D, N = basis.elements[lam].cleared()
+        acc = {}
+        for mu, x in N.terms.items():
+            for j, y in rows.get(mu, {}).items():
+                acc[j] = acc.get(j, 0) - x * y
+        g = gcd(D, *acc.values())
+        if g != D:
+            for row in rows.values():
+                for j in row:
+                    row[j] *= D // g
+        rows[lam] = {j: y // g for j, y in acc.items() if y}
+    return cols, rows
+
+
+def symmetrize_terms(Q, shift):
+    """The terms (mu, c x) of Q.symmetrize(shift), one per class key of Q
+    and not yet collected per mu."""
+    for key, c in Q.terms.items():
+        mu, x = _replace_part(key[1:], Q.n, 0, key[0] + shift)
+        yield mu, c * x
+
+
+def dict_obstruction(table, terms):
+    """The obstruction of sum c m_mu over the (mu, c) of terms: collected
+    per mu in a dict, the lex-largest column of the dict-row table where
+    sum_mu c_mu E NF(m_mu) is nonzero, None when it vanishes."""
+    cols, rows = table
+    coeffs = {}
+    for mu, c in terms:
+        coeffs[mu] = coeffs.get(mu, 0) + c
+    acc = [0] * len(cols)
+    for mu, c in coeffs.items():
+        if c:
+            for j, y in rows[mu].items():
+                acc[j] += c * y
+    for j, y in enumerate(acc):
+        if y:
+            return cols[j]
+    return None
+
+
+def closure_dict_rows(k, r, n, dmax, mmax=4, tmax=4, cache=None):
+    """verify_closure with each verdict read by dict_obstruction off the
+    symmetrize terms of the chain entry and the dict-row table."""
+    b0 = beta_value(k, r)
+    rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
+                             "mmax": mmax, "tmax": tmax})
+    basis = build_basis(k, r, n, dmax, cache)
+    tags = closure_tags(mmax, tmax)
+    tables, rows = {}, {}
+    for lam in basis.family.all_partitions():
+        chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
+        found = {}
+        for tag in tags:
+            d = sum(lam) + tag.degree_shift()
+            if 0 <= d <= dmax:
+                s, shift = step = tag.chain_step()
+                if step not in found:
+                    if d not in tables:
+                        tables[d] = dict_normal_forms(basis, d)
+                    found[step] = dict_obstruction(
+                        tables[d], symmetrize_terms(chain[s][1], shift))
+                obs = found[step]
+                rep.add("%s@%s" % (tag, list(lam)), obs is None,
+                        **({} if obs is None else {"obstruction": list(obs)}))
+    return rep
+
+
+@pytest.mark.parametrize("grid", CLOSURE_GRIDS)
+def test_closure_verdicts_match_dict_rows(grid):
+    """The verdicts summed by position and scattered over rows keyed by
+    position equal the dict-row route's, and each degree's position table
+    holds the dict table's rows: the grids of
+    test_closure_verdicts_match_images."""
+    cache = JackCache()
+    want = closure_dict_rows(*grid, cache=cache)
+    got = verify_closure(*grid, cache=cache)
+    assert got.to_obj() == want.to_obj()
+    basis = build_basis(*grid[:4], cache=cache)
+    for d in range(grid[3] + 1):
+        cols, pos, rows = basis.normal_forms(d)
+        want_cols, want_rows = dict_normal_forms(basis, d)
+        assert cols == want_cols, d
+        assert {mu: dict(rows[i]) for mu, i in pos.items()} == want_rows, d
+
+
 def one_bare_monomial(lam):
     """A specialize that gives the admissible lam its bare m_lam, which has
     P_lam's leading term, and every other partition its Jack."""
@@ -516,14 +614,32 @@ def test_closure_with_non_members_matches_per_tag_loop(monkeypatch, grid,
                                                        lam):
     """With one Jack replaced by its bare m_lam the span is no longer an
     ideal: some images fail, and the table's verdicts and obstructions,
-    read off the symmetrize terms or off the built images, equal
-    reduce_membership's on the per-tag loop, case by case."""
+    read off the chain entries by position, off the built images or by the
+    dict-row route, equal reduce_membership's on the per-tag loop, case by
+    case."""
     monkeypatch.setattr(ideal, "specialize", one_bare_monomial(lam))
     cache = JackCache()
     want = closure_per_tag(*grid, cache=cache)
     got = verify_closure(*grid, cache=cache)
     assert got.to_obj() == want.to_obj()
     assert closure_images(*grid, cache=cache).to_obj() == want.to_obj()
+    assert closure_dict_rows(*grid, cache=cache).to_obj() == want.to_obj()
     assert not got.all_pass()
     assert any("obstruction" in case["detail"]
+               for case in got.to_obj()["cases"])
+
+
+def test_closure_with_non_members_at_n_5(monkeypatch):
+    """The bare-monomial mutation at n = 5 with mmax = tmax = 4: the
+    position-indexed verdicts and obstructions equal those of the built
+    images and of the dict-row route, and some case fails with an
+    obstruction."""
+    grid = (3, 2, 5, 12, 4, 4)
+    monkeypatch.setattr(ideal, "specialize", one_bare_monomial((3, 3, 1)))
+    cache = JackCache()
+    want = closure_images(*grid, cache=cache)
+    got = verify_closure(*grid, cache=cache)
+    assert got.to_obj() == want.to_obj()
+    assert closure_dict_rows(*grid, cache=cache).to_obj() == want.to_obj()
+    assert any(case["status"] == "fail" and "obstruction" in case["detail"]
                for case in got.to_obj()["cases"])

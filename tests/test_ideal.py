@@ -353,8 +353,8 @@ def test_normal_forms_read_the_elements():
     # column of the degree-4 normal forms, not a row
     basis = build_basis(1, 2, 2, 4)
     del basis.elements[(4,)]
-    cols, rows = basis.normal_forms(4)
-    assert (4,) in cols and rows[(4,)] == {cols.index((4,)): 1}
+    cols, pos, rows = basis.normal_forms(4)
+    assert (4,) in cols and rows[pos[(4,)]] == ((cols.index((4,)), 1),)
     P3, P31 = basis.get((3,)).poly, basis.get((3, 1)).poly
     for P, want in ((apply_p(P3, 1), (4,)), (P31, None), (P31 + P3, None)):
         assert basis.obstruction(P) == want
