@@ -18,7 +18,7 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
 from .sympoly import MSymPoly, _replace_part
 from .jack import JackCache, jack_symbolic, pole_profile, specialize
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
-                        dunkl_chain)
+                        class_table, dunkl_chain)
 from .report import Report
 
 
@@ -584,13 +584,13 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     (OperatorTag.chain_step).  Positive scales change neither membership nor
     the obstruction, and the report records only those.  Tags with one
     chain step (l_m and w^(2)_m) share one verdict, computed at the first
-    tag that needs it and read in one pass: each class key (e, nu) of the
-    chain entry goes to the position of nu + (e + shift) in the image's
-    degree's normal-form table, with its multiplicity, the coefficients are
-    summed by position and the nonzero ones scatter their rows
-    (IdealBasis._obstruction_at), so no image is built.  One memo serves the
-    whole run: the class-step rows and, under ("position", n, shift), each
-    key's (position, multiplicity).
+    tag that needs it and read in one pass over the entry's (position,
+    coefficient) pairs: per (image degree, shift) a list, filled on first
+    use, sends each class position, key (a,) + nu, to the position of
+    nu + (a + shift) in that degree's normal-form table and its
+    multiplicity.  The coefficients are summed by position and the nonzero
+    ones scatter their rows (IdealBasis._obstruction_at), so no image is
+    built.  One memo (`rows`) serves the chains for the whole run.
     """
     if mmax < 1 or tmax < 2:
         raise ValueError("closure needs mmax >= 1 and tmax >= 2")
@@ -599,7 +599,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
                              "mmax": mmax, "tmax": tmax})
     basis = build_basis(k, r, n, dmax, cache)
     tags = closure_tags(mmax, tmax)
-    rows = {}
+    rows, positions = {}, {}
     for lam in basis.family.all_partitions():
         chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
         found = {}  # (s, shift) -> obstruction, None for a member
@@ -609,14 +609,16 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
                 s, shift = step = tag.chain_step()
                 if step not in found:
                     pos = basis.normal_forms(d)[1]
-                    memo = rows.setdefault(("position", n, shift), {})
+                    order = class_table(n, d - shift, rows)[0]
+                    memo = positions.get((d, shift)) or positions.setdefault(
+                        (d, shift), [None] * len(order))
                     coeffs = [0] * len(pos)
-                    for key, c in chain[s][1].terms.items():
-                        hit = memo.get(key)
+                    for p, c in chain[s][1]:
+                        hit = memo[p]
                         if hit is None:
-                            mu, x = _replace_part(key[1:], n, 0,
-                                                  key[0] + shift)
-                            hit = memo[key] = pos[mu], x
+                            mu, x = _replace_part(order[p][1:], n, 0,
+                                                  order[p][0] + shift)
+                            hit = memo[p] = pos[mu], x
                         coeffs[hit[0]] += c * hit[1]
                     found[step] = basis._obstruction_at(d, coeffs)
                 obs = found[step]

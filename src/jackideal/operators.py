@@ -16,9 +16,10 @@ of mu, cost polynomial in n and the degree).  p_m, l_m and w^(t)_m are sum_j
 x_j^shift K_1j Q for Q = P, d_1 P and nabla_1^(t-1) P (nabla_j^s P = K_1j
 nabla_1^s P for symmetric P), read on cluster classes by OperatorTag.apply
 at OperatorTag.chain_step.  At a rational beta = a/b dunkl_chain runs in Z
-as c_s nabla_1^s P, c_s = D b^s > 0 with D the common denominator of P, one
-PartSymPoly.nabla_step per entry; its class-step rows go into a memo the
-caller holds and may share across chains and symmetrize calls (`rows`).  On
+as c_s nabla_1^s P, c_s = D b^s > 0 with D the common denominator of P:
+sparse (position, coefficient) lists over the class table of each degree
+(class_table), one nabla_positions per entry, with rows by position in a
+memo the caller holds and may share across chains (`rows`).  On
 monomials, l_m and w are _l_expanded and _w_expanded: the operators of the
 commutator suite, whose inputs need not be symmetric.
 """
@@ -28,7 +29,8 @@ from fractions import Fraction
 
 from .ratfunc import BETA, BetaPoly
 from .report import Report
-from .sympoly import ExpandedPoly, MSymPoly, PartSymPoly, power_sum
+from .sympoly import (ExpandedPoly, MSymPoly, PartSymPoly, _replace_part,
+                      power_sum)
 from .partitions import padded, partitions_leq
 
 
@@ -165,11 +167,6 @@ def _l_expanded(P, m):
     return out
 
 
-def _classes(P, rows=None):
-    """The MSymPoly P as classes x_1^a m_nu(x_2, ..., x_n)."""
-    return P.substitute_coincident(1, rows) if P.n else PartSymPoly.zero(0)
-
-
 def apply_l(P, m):
     """l_m P for an MSymPoly P (m >= -1), on classes."""
     return OperatorTag("l", m).apply(P, None)
@@ -189,19 +186,78 @@ def _w_expanded(P, t, m, beta):
     return out
 
 
+def class_table(n, e, rows):
+    """(order, pos) for class degree e in n variables: order the keys
+    (a,) + nu, a + |nu| = e and nu with at most n - 1 parts, in decreasing
+    lex order, pos[key] its position; built once into `rows`."""
+    name = ("classes", n, e)
+    if name not in rows:
+        order = [(a,) + nu for a in range(e, -1, -1)
+                 for nu in partitions_leq(e - a, n - 1)]
+        rows[name] = order, {key: i for i, key in enumerate(order)}
+    return rows[name]
+
+
+def nabla_positions(Q, n, e, a, b, rows):
+    """b d_t + a sum_{j > 1} (1 - K_1j)/(t - x_j) on Q, a sparse list of
+    (position, coefficient) over class_table(n, e), as one over
+    class_table(n, e - 1): b nabla_1 at beta = a/b, and at (a, b) = (1, 0)
+    the bare Dunkl sum.  Each row goes into `rows` by position on first
+    use, each target once.  The sum is telescoped: on t^e m_nu each
+    distinct part v != e of nu padded to n - 1 slots gives t^i and a part
+    e+v-1-i, v <= i < e (negated when e < v), once per slot holding it."""
+    order = class_table(n, e, rows)[0]
+    below = class_table(n, e - 1, rows)[1]
+    memo = rows.get(("nabla", n, a, b, e)) or rows.setdefault(
+        ("nabla", n, a, b, e), [None] * len(order))
+
+    def row_of(key):
+        f, nu, slots = key[0], key[1:], n - 1
+        row = {below[(f - 1,) + nu]: b * f} if b and f else {}
+        for v in set(padded(nu, slots)) - {f}:
+            lo, hi, s = (v, f, a) if f > v else (f, v, -a)
+            for i in range(lo, hi):
+                q, mult = _replace_part(nu, slots, v, lo + hi - 1 - i)
+                j = below[(i,) + q]
+                row[j] = row.get(j, 0) + s * mult
+        return tuple((j, x) for j, x in row.items() if x)
+    acc = [0] * len(below)
+    for p, c in Q:
+        row = memo[p]
+        if row is None:
+            row = memo[p] = row_of(order[p])
+        for q, x in row:
+            acc[q] += c * x
+    return [(q, x) for q, x in enumerate(acc) if x]
+
+
 def dunkl_chain(P, smax, beta, rows=None):
-    """[(c_s, Q_s) for s = 0..smax]: Q_s = c_s nabla_1^s P on classes, in Z
-    at a rational beta = a/b (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1
-    Q_s, c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1).
-    `rows` is the caller's class-step memo (PartSymPoly.cluster and
-    nabla_step)."""
+    """[(c_s, Q_s) for s = 0..smax], P a homogeneous MSymPoly of degree e:
+    Q_s = c_s nabla_1^s P on classes, a sparse list of (position, nonzero
+    coefficient) over class_table(n, e - s).  In Z at a rational beta = a/b
+    (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1 Q_s, c_s = D b^s); a
+    symbolic beta runs it with (a, b, D) = (beta, 1, 1).  `rows` is the
+    caller's memo (made here when none is given) of class tables, step rows
+    and each partition's class positions at x_1 = t."""
     rational = isinstance(beta, (int, Fraction))
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
-    chain = [(D, _classes(P, rows))]
-    for _ in range(smax):
-        c, Q = chain[-1]
-        chain.append((c * b, Q.nabla_step(a, b, rows)))
+    rows = {} if rows is None else rows
+    n, e = P.n, sum(next(iter(P.terms), ()))
+    if any(sum(lam) != e for lam in P.terms):
+        raise ValueError("dunkl_chain needs a homogeneous polynomial")
+    coincident, Q = rows.setdefault(("coincident", n), {}), []
+    for lam, c in P.terms.items() if n else ():
+        hit = coincident.get(lam)
+        if hit is None:  # m_lam = sum_v t^v m_(lam minus v), v in lam padded
+            pos = class_table(n, e, rows)[1]
+            hit = coincident[lam] = [pos[(v,) + _replace_part(lam, n, v, 0)[0]]
+                                     for v in set(padded(lam, n))]
+        Q.extend((p, c) for p in hit)
+    chain = [(D, Q)]
+    for s in range(smax):
+        Q = nabla_positions(Q, n, e - s, a, b, rows)
+        chain.append((chain[-1][0] * b, Q))
     return chain
 
 
@@ -233,8 +289,8 @@ class OperatorTag:
         return self.m
 
     def chain_step(self):
-        """(s, shift) with image dunkl_chain(P)[s][1].symmetrize(shift)
-        = c_s times the image of a symmetric P (nabla_1 P = d_1 P for l)."""
+        """(s, shift): entry s of dunkl_chain(P), symmetrized with shift, is
+        c_s times the image of a symmetric P (nabla_1 P = d_1 P for l)."""
         if self.kind == "p":
             return 0, self.m
         if self.kind == "l":
@@ -246,10 +302,15 @@ class OperatorTag:
         _check_msym(P)
         s, shift = self.chain_step()
         if self.kind != "w":
-            Q = _classes(P)
+            Q = P.substitute_coincident(1) if P.n else PartSymPoly.zero(0)
             return (Q.partial_t() if s else Q).symmetrize(shift)
-        c, Q = dunkl_chain(P, s, beta)[s]
-        return Q.symmetrize(shift).scale(Fraction(1, c))
+        out, rows = MSymPoly.zero(P.n), {}
+        for e, comp in P.homogeneous_components().items():
+            c, entry = dunkl_chain(comp, s, beta, rows)[s]
+            order = class_table(P.n, e - s, rows)[0]
+            Q = PartSymPoly._raw(P.n, {order[p]: x for p, x in entry})
+            out = out + Q.symmetrize(shift).scale(Fraction(1, c))
+        return out
 
     def __str__(self):
         if self.kind == "w":

@@ -4,10 +4,10 @@ monomial-symmetric basis and the cluster class form.
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
 to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
 of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
-t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P.  Its class steps
-(cluster, nabla_step and symmetrize) are sparse linear maps whose row for a
-key depends on the key and n alone; each row is built once into a memo
-dict the caller holds (`rows`) and passes from call to call.  All share
+t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P on class keys.
+Its class steps (cluster and symmetrize) are sparse linear maps whose row
+for a key depends on the key and n alone; each row is built once into a
+memo dict the caller holds (`rows`) and passes from call to call.  All share
 one sparse-term core (_SparsePoly): equality, sums, negation, scaling,
 grading, repr and the JSON form.  Only ExpandedPoly multiplies polynomials:
 the symmetric forms are scaled by coefficients alone, since the operators
@@ -448,7 +448,7 @@ class PartSymPoly(_SparsePoly):
         """Set x_2 = ... = x_(c+1) = t as well: each multiset S of c entries
         of nu padded to n - 1 slots sends t^a m_nu to t^(a+|S|) m_(nu minus S),
         once per arrangement of S in the c slots, c!/prod mult_S(v)! times.
-        `rows` is the caller's class-step memo, as in nabla_step."""
+        `rows` is the caller's class-step memo, as in symmetrize."""
         if not 1 <= c < self.n:
             raise ValueError("need 1 <= c < n")
 
@@ -469,42 +469,19 @@ class PartSymPoly(_SparsePoly):
         return self._raw(self.n, {(k[0] - 1,) + k[1:]: c * k[0]
                                   for k, c in self.terms.items() if k[0]})
 
-    def _memo(self, rows, name, row_of):
-        """The memo of a class step given by its rows ((key', x), ...), with
-        the row of every key of self in it: rows[name], the caller's memo
-        (made here when none is given), so each row is built once."""
-        memo = {} if rows is None else rows.setdefault(name, {})
-        for key in self.terms:
-            if key not in memo:
-                memo[key] = row_of(key)
-        return memo
-
     def _by_rows(self, cls, n, rows, name, row_of):
-        """sum_key c_key row_of(key) as a cls in n variables."""
-        memo = self._memo(rows, name, row_of)
+        """sum_key c_key row_of(key) as a cls in n variables, each row
+        ((key', x), ...) built once into rows[name], the caller's memo
+        (made here when none is given)."""
+        memo = {} if rows is None else rows.setdefault(name, {})
         out = {}
         for key, c in self.terms.items():
-            for q, x in memo[key]:
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = row_of(key)
+            for q, x in row:
                 out[q] = out.get(q, 0) + c * x
         return cls._raw(n, {q: c for q, c in out.items() if c})
-
-    def nabla_step(self, a, b, rows=None):
-        """b d_t + a sum_{j > 1} (1 - K_1j)/(t - x_j), one row per key:
-        b nabla_1 at beta = a/b with t = x_1, and at (a, b) = (1, 0) the
-        bare Dunkl sum.  The sum is telescoped: on t^e m_nu each distinct
-        part v != e of nu padded to n - 1 slots gives t^i and a part
-        e+v-1-i, v <= i < e (negated when e < v), once per slot holding it."""
-        def row_of(key):
-            e, nu, slots = key[0], key[1:], self.n - 1
-            row = [((e - 1,) + nu, b * e)] if b and e else []
-            for v in set(padded(nu, slots)) - {e}:
-                lo, hi, s = (v, e, a) if e > v else (e, v, -a)
-                for i in range(lo, hi):
-                    q, mult = _replace_part(nu, slots, v, lo + hi - 1 - i)
-                    row.append(((i,) + q, s * mult))
-            return row
-        return self._by_rows(PartSymPoly, self.n, rows,
-                             ("nabla", self.n, a, b), row_of)
 
     def symmetrize(self, shift, rows=None):
         """sum_j x_j^shift K_1j as an MSymPoly (shift >= 0): t^e m_nu gives

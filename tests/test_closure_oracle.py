@@ -30,6 +30,13 @@ moves_cluster, moves_dunkl_sum and moves_symmetrize are the class steps as
 they were before their rows were memoized: each visit rebuilds its moves.
 The memoized steps must equal them on every closure chain entry, with a
 fresh memo and with one memo shared across elements.
+
+nabla_step is the chain's class step as it was before dunkl_chain ran on
+per-degree class position tables: one dict row per class key, summed into
+a dict keyed by class tuple.  dict_chain runs the chain on it, and the
+image and dict-row closure routes read their verdicts off that chain, so
+they share no step with verify_closure.  on_classes reads the position
+chain back on class keys for comparison.
 """
 
 import random
@@ -45,14 +52,15 @@ from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
 from jackideal.jack import JackCache, SpecializedJack
 from jackideal.operators import (OperatorTag, _check_operator, _l_expanded,
                                  _w_expanded, apply_dunkl, apply_dunkl_power,
-                                 apply_l, apply_p, apply_w, dunkl_chain)
+                                 apply_l, apply_p, apply_w, class_table,
+                                 dunkl_chain)
 from jackideal.partitions import beta_value, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, PartSymPoly,
                                _replace_part, power_sum)
 
-from test_sympoly import collect_classes
+from test_sympoly import collect_classes, position_nabla
 
 from test_membership_oracle import batch_reduce
 
@@ -180,6 +188,50 @@ def moves_chain(P, smax, beta):
     return chain
 
 
+def nabla_step(Q, a, b, rows=None):
+    """b d_t + a sum_{j > 1} (1 - K_1j)/(t - x_j) on the classes Q, one
+    dict row per class key, memoized in rows[("nabla", n, a, b)]: the
+    class step dunkl_chain ran before its entries were position lists.
+    On t^e m_nu each distinct part v != e of nu padded to n - 1 slots
+    gives t^i and a part e+v-1-i, v <= i < e (negated when e < v), once per
+    slot holding it."""
+    def row_of(key):
+        e, nu, slots = key[0], key[1:], Q.n - 1
+        row = [((e - 1,) + nu, b * e)] if b and e else []
+        for v in set(padded(nu, slots)) - {e}:
+            lo, hi, s = (v, e, a) if e > v else (e, v, -a)
+            for i in range(lo, hi):
+                q, mult = _replace_part(nu, slots, v, lo + hi - 1 - i)
+                row.append(((i,) + q, s * mult))
+        return row
+    return Q._by_rows(PartSymPoly, Q.n, rows, ("nabla", Q.n, a, b), row_of)
+
+
+def dict_chain(P, smax, beta, rows=None):
+    """dunkl_chain on PartSymPoly entries: Q_0 = D P read on classes by
+    substitute_coincident(1) and each step nabla_step."""
+    rational = isinstance(beta, Fraction)
+    a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
+    D, P = P.cleared() if rational else (1, P)
+    chain = [(D, P.substitute_coincident(1, rows))]
+    for _ in range(smax):
+        c, Q = chain[-1]
+        chain.append((c * b, nabla_step(Q, a, b, rows)))
+    return chain
+
+
+def on_classes(P, chain):
+    """The dunkl_chain of P with each entry's positions read back on the
+    class keys of its degree, as a PartSymPoly; every entry holds each
+    position once, with a nonzero coefficient."""
+    out = []
+    for s, (c, Q) in enumerate(chain):
+        order = class_table(P.n, P.degree() - s, {})[0]
+        assert len({p for p, _ in Q}) == len(Q) and all(x for _, x in Q)
+        out.append((c, PartSymPoly(P.n, {order[p]: x for p, x in Q})))
+    return out
+
+
 def random_symmetric(rng, n, degree, nterms):
     """Sum of m_mu with random nonzero coefficients, mu of weight <= degree."""
     parts = [mu for d in range(degree + 1) for mu in partitions_leq(d, n)]
@@ -215,7 +267,8 @@ def test_w_matches_expanded(n):
         if nn != n:
             continue
         P = MSymPoly.monomial_sym(n, mu)
-        chains = {b0: dunkl_chain(P, 3, b0) for b0 in (BETA,) + SPECIAL}
+        chains = {b0: on_classes(P, dunkl_chain(P, 3, b0))
+                  for b0 in (BETA,) + SPECIAL}
         for t in range(2, 5):
             for m, want in expanded_w_images(P.to_expanded(), t, BETA).items():
                 for b0, chain in chains.items():
@@ -226,20 +279,25 @@ def test_w_matches_expanded(n):
 
 
 def runs_in_z(chain):
-    """Every scale c_s and every coefficient of the chain is an int, not
-    merely equal to one."""
-    return all(type(c) is int and all(type(x) is int for x in Q.terms.values())
-               for c, Q in chain)
+    """Every scale c_s and every coefficient of the chain (position lists
+    or polynomials) is an int, not merely equal to one."""
+    return all(type(c) is int and all(
+        type(x) is int for _, x in (Q if isinstance(Q, list)
+                                    else Q.terms.items()))
+        for c, Q in chain)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_integer_chain_matches_fraction_chain(n):
     """Entry s of the expanded integer chain is c_s = D b^s times
     nabla_1^s P, with D the common denominator of P and beta = a/b, and
-    the class chain is that entry read on classes; both run in Z (every
-    c_s and coefficient an int).  At a symbolic beta every c_s is 1 and
-    the chains coincide."""
+    the class chain is that entry read on classes, as are the dict-row
+    chain and the move-by-move chain, each with a fresh memo and with one
+    shared across the grid; both run in Z (every c_s and coefficient an
+    int).  At a symbolic beta every c_s is 1 and the chains coincide, and
+    apply_w reads w^(t)_m off the class chain."""
     rng = random.Random(n)
+    shared = {}
     for nn, mu in GRID:
         if nn != n:
             continue
@@ -252,14 +310,24 @@ def test_integer_chain_matches_fraction_chain(n):
             for s, ((c, Q), F) in enumerate(zip(got, want)):
                 assert c == D * b0.denominator ** s, (mu, b0, s)
                 assert Q == F.scale(c), (mu, b0, s)
-            chain = dunkl_chain(P, 3, b0)
-            assert chain == [(c, collect_classes(Q)) for c, Q in got], \
-                (mu, b0)
-            assert runs_in_z(got) and runs_in_z(chain), (mu, b0)
+            classes = [(c, collect_classes(Q)) for c, Q in got]
+            assert moves_chain(P, 3, b0) == classes, (mu, b0)
+            assert runs_in_z(got), (mu, b0)
+            for rows in (None, shared):
+                chain = dunkl_chain(P, 3, b0, rows)
+                assert on_classes(P, chain) == classes, (mu, b0)
+                assert runs_in_z(chain), (mu, b0)
+                assert dict_chain(P, 3, b0, rows) == classes, (mu, b0)
     P = MSymPoly.monomial_sym(n, (2, 1)[:n], BETA + 1)
     want = fraction_dunkl_chain(P, 2, BETA)
     assert expanded_dunkl_chain(P, 2, BETA) == [(1, Q) for Q in want]
-    assert dunkl_chain(P, 2, BETA) == [(1, collect_classes(Q)) for Q in want]
+    for rows in (None, shared):
+        classes = [(1, collect_classes(Q)) for Q in want]
+        assert on_classes(P, dunkl_chain(P, 2, BETA, rows)) == classes
+        assert dict_chain(P, 2, BETA, rows) == classes
+    for t in (2, 3):
+        for m in range(-t + 1, 3):
+            assert apply_w(P, t, m, BETA) == w_from_chain(want[t - 1], t, m)
 
 
 @pytest.mark.parametrize("grid", [(k, r, n, 10, 4) for k, r in
@@ -267,18 +335,24 @@ def test_integer_chain_matches_fraction_chain(n):
                                   for n in range(1, 5)]
                          + [(2, 2, 5, 14, 3), (2, 3, 6, 20, 3)])
 def test_class_chain_matches_expanded_chain(grid):
-    """verify_closure's chains on every basis element: criterion 7's grid,
-    (2,2,5,14) and (2,3,6,20), the last two at tmax = 3."""
+    """verify_closure's chains on every basis element, read back on class
+    keys, equal the expanded chain, the dict-row chain and the move-by-move
+    chain, with a fresh memo and with one shared across the elements:
+    criterion 7's grid, (2,2,5,14) and (2,3,6,20), the last two at
+    tmax = 3."""
     k, r, n, dmax, tmax = grid
     b0 = beta_value(k, r)
     basis = build_basis(k, r, n, dmax, JackCache())
+    shared = {}
     for lam in basis.family.all_partitions():
         P = basis.elements[lam].num
         want = [(c, collect_classes(Q))
                 for c, Q in expanded_dunkl_chain(P, tmax - 1, b0)]
-        chain = dunkl_chain(P, tmax - 1, b0)
-        assert chain == want, lam
-        assert runs_in_z(chain), lam
+        assert moves_chain(P, tmax - 1, b0) == want, lam
+        for rows in (None, shared):
+            chain = dunkl_chain(P, tmax - 1, b0, rows)
+            assert on_classes(P, chain) == want and runs_in_z(chain), lam
+            assert dict_chain(P, tmax - 1, b0, rows) == want, lam
 
 
 def test_chain_steps_match_apply():
@@ -288,7 +362,7 @@ def test_chain_steps_match_apply():
     for n, mu in GRID:
         P = MSymPoly.monomial_sym(n, mu, Fraction(3, 2))
         for b0 in SPECIAL:
-            chain = dunkl_chain(P, 3, b0)
+            chain = on_classes(P, dunkl_chain(P, 3, b0))
             for tag in tags:
                 s, shift = tag.chain_step()
                 c, Q = chain[s]
@@ -363,15 +437,16 @@ def closure_per_tag(k, r, n, dmax, mmax=4, tmax=4, cache=None):
 
 def closure_images(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     """verify_closure with each distinct chain step built as its image, the
-    MSymPoly chain[s][1].symmetrize(shift), and its verdict read by
-    IdealBasis.obstruction on the image's homogeneous components."""
+    MSymPoly chain[s][1].symmetrize(shift) of the dict-row chain, and its
+    verdict read by IdealBasis.obstruction on the image's homogeneous
+    components."""
     b0 = beta_value(k, r)
     rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
                              "mmax": mmax, "tmax": tmax})
     basis = build_basis(k, r, n, dmax, cache)
     tags = closure_tags(mmax, tmax)
     for lam in basis.family.all_partitions():
-        chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0)
+        chain = dict_chain(basis.elements[lam].num, tmax - 1, b0)
         found = {}
         for tag in tags:
             if 0 <= sum(lam) + tag.degree_shift() <= dmax:
@@ -464,11 +539,13 @@ ROW_GRIDS = [(k, r, n, 10, 4, 4) for k, r in ((1, 2), (2, 3), (1, 4))
 
 @pytest.mark.parametrize("grid", ROW_GRIDS)
 def test_memoized_class_steps_match_moves(grid):
-    """Every chain entry verify_closure builds, every symmetrize it reads
-    and every cluster of an element or a chain entry, memoized, equal the
-    move-by-move steps: with a fresh memo per call and with one memo shared
-    across the elements of the grid, as verify_closure and verify_wheel
-    share it.  Both chains run in Z."""
+    """Every chain entry verify_closure builds, read back on class keys,
+    every symmetrize it reads and every cluster of an element or a chain
+    entry, memoized, equal the move-by-move steps and the dict-row chain:
+    with a fresh memo per call and with one memo shared across the
+    elements of the grid, as verify_closure and verify_wheel share it.
+    The bare Dunkl sum, (a, b) = (1, 0), of every entry by position equals
+    the dict-row step's and the moves'.  Both chains run in Z."""
     k, r, n, dmax, mmax, tmax = grid
     b0 = beta_value(k, r)
     basis = build_basis(k, r, n, dmax, CACHE)
@@ -479,10 +556,13 @@ def test_memoized_class_steps_match_moves(grid):
         want = moves_chain(P, tmax - 1, b0)
         for rows in (None, shared):
             chain = dunkl_chain(P, tmax - 1, b0, rows)
-            assert chain == want and runs_in_z(chain), lam
+            assert on_classes(P, chain) == want and runs_in_z(chain), lam
+            assert dict_chain(P, tmax - 1, b0, rows) == want, lam
         for c, Q in want:
-            assert Q.nabla_step(1, 0) == moves_dunkl_sum(Q), lam
-            assert Q.nabla_step(1, 0, shared) == moves_dunkl_sum(Q), lam
+            for rows in (None, shared):
+                assert position_nabla(Q, 1, 0, rows) == moves_dunkl_sum(Q), \
+                    lam
+                assert nabla_step(Q, 1, 0, rows) == moves_dunkl_sum(Q), lam
             for cc in range(1, Q.n):
                 for rows in (None, shared):
                     assert Q.cluster(cc, rows) == moves_cluster(Q, cc), \
@@ -550,7 +630,7 @@ def dict_obstruction(table, terms):
 
 def closure_dict_rows(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     """verify_closure with each verdict read by dict_obstruction off the
-    symmetrize terms of the chain entry and the dict-row table."""
+    symmetrize terms of the dict-row chain entry and the dict-row table."""
     b0 = beta_value(k, r)
     rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
                              "mmax": mmax, "tmax": tmax})
@@ -558,7 +638,7 @@ def closure_dict_rows(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     tags = closure_tags(mmax, tmax)
     tables, rows = {}, {}
     for lam in basis.family.all_partitions():
-        chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
+        chain = dict_chain(basis.elements[lam].num, tmax - 1, b0, rows)
         found = {}
         for tag in tags:
             d = sum(lam) + tag.degree_shift()
