@@ -11,7 +11,7 @@ from .partitions import (AdmissibleFamily, DegreeMismatch, InvalidNode,
                          enumerate_admissible, is_admissible, node_moves,
                          partitions_leq, partitions_of, removable_rows,
                          remove_node, sekiguchi_eigenvalue)
-from .sympoly import (ExpandedPoly, MSymPoly, NotSymmetric, PartSymPoly,
+from .sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
                       TermBudgetExceeded, orbit_size, power_sum)
 from .operators import (OperatorTag, apply_cherednik, apply_dunkl,
                         apply_exchange, apply_hamiltonian, apply_l,
@@ -40,7 +40,7 @@ __all__ = [
     "partitions_leq", "partitions_of", "removable_rows", "remove_node",
     "sekiguchi_eigenvalue",
     "ExpandedPoly", "MSymPoly", "NotSymmetric", "TermBudgetExceeded",
-    "PartSymPoly", "orbit_size", "power_sum",
+    "orbit_size", "power_sum",
     "OperatorTag", "apply_cherednik", "apply_dunkl", "apply_exchange",
     "apply_hamiltonian", "apply_l", "apply_sekiguchi", "apply_w",
     "verify_commutators",

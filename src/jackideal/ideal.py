@@ -18,7 +18,7 @@ from .partitions import (InvalidParameters, add_node, addable_rows,
 from .sympoly import MSymPoly, _replace_part
 from .jack import JackCache, jack_symbolic, pole_profile, specialize
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
-                        class_table, dunkl_chain)
+                        class_table, coincident_row, dunkl_chain)
 from .report import Report
 
 
@@ -38,10 +38,6 @@ class MembershipCertificate:
         self.member = member
         self.combination = combination
         self.obstruction = obstruction
-
-    def detail(self):
-        """Report details: the obstruction of a non-member."""
-        return {} if self.member else {"obstruction": list(self.obstruction)}
 
     def to_obj(self):
         from .ratfunc import rat_to_obj
@@ -332,7 +328,9 @@ def bareiss_rank(rows):
 def wheel_dimension(k, n, d, rows=None):
     """Dimension of the degree-d symmetric polynomials in n variables that
     vanish when k+1 variables coincide (kernel of the coincidence map).
-    `rows` is the caller's class-step memo (PartSymPoly.cluster).
+    The rank runs over the rows coincident_row(lam, n, k + 1), built once
+    into `rows`, the caller's memo; a row's columns are its negated class
+    positions, so elimination takes the lex-smallest class key first.
 
     With fewer than k+1 variables the condition is vacuous and the whole
     degree-d component survives.
@@ -340,8 +338,9 @@ def wheel_dimension(k, n, d, rows=None):
     lams = partitions_leq(d, n)
     if n < k + 1:
         return len(lams)
+    rows = {} if rows is None else rows
     return len(lams) - bareiss_rank(
-        MSymPoly.monomial_sym(n, lam).substitute_coincident(k + 1, rows).terms
+        {-p: x for p, x in coincident_row(lam, n, k + 1, rows)}
         for lam in lams)
 
 
@@ -630,7 +629,8 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
 def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
     """Setting x_n = 0 after j-fold d/dx_n maps the span at n into the span
     at n-1, exactly.  The image of N = D P is read on the m-basis
-    (restrict_last); D > 0 changes no verdict or obstruction."""
+    (restrict_last) and its verdict off the normal-form table at n-1
+    (IdealBasis.obstruction); D > 0 changes no verdict or obstruction."""
     if n < 2:
         raise InvalidParameters("restriction needs n >= 2")
     if jmax < 0:
@@ -642,9 +642,9 @@ def verify_restriction(k, r, n, dmax, jmax=2, cache=None):
     for lam in basis_n.family.all_partitions():
         P = basis_n.get(lam).num
         for j in range(jmax + 1):
-            cert = reduce_membership(P.restrict_last(j), basis_m)
-            rep.add("restrict[j=%d]@%s" % (j, list(lam)), cert.member,
-                    **cert.detail())
+            obs = basis_m.obstruction(P.restrict_last(j))
+            rep.add("restrict[j=%d]@%s" % (j, list(lam)), obs is None,
+                    **({} if obs is None else {"obstruction": list(obs)}))
     return rep
 
 
@@ -652,7 +652,7 @@ def verify_wheel(k, n, dmax, cache=None):
     """Identification with the wheel space at r = 2: the admissible count
     matches the wheel-kernel dimension in every degree, and every basis
     element vanishes when k+1 variables coincide, read on its integral
-    form N = D P.  One class-step memo serves both halves."""
+    form N = D P.  One coincident_row memo serves both halves."""
     rep = Report("wheel", {"k": k, "r": 2, "n": n, "dmax": dmax})
     basis = build_basis(k, 2, n, dmax, cache)
     rows = {}
@@ -666,8 +666,11 @@ def verify_wheel(k, n, dmax, cache=None):
         rep.add("vanish:vacuous", True, note="fewer than k+1 variables")
     else:
         for lam in basis.family.all_partitions():
-            img = basis.get(lam).num.substitute_coincident(k + 1, rows)
-            rep.add("vanish@%s" % (list(lam),), img.is_zero())
+            img = {}
+            for mu, c in basis.get(lam).num.terms.items():
+                for p, x in coincident_row(mu, n, k + 1, rows):
+                    img[p] = img.get(p, 0) + c * x
+            rep.add("vanish@%s" % (list(lam),), not any(img.values()))
     return rep
 
 

@@ -12,24 +12,28 @@ An operator that preserves symmetry takes an MSymPoly (TypeError on anything
 else), and Dunkl, Cherednik and the Sekiguchi product built from them take
 an ExpandedPoly.  The Hamiltonian acts on the m-basis in closed form
 (hamiltonian_row: pair moves on the parts of mu, weighted by multiplicities
-of mu, cost polynomial in n and the degree).  p_m, l_m and w^(t)_m are sum_j
-x_j^shift K_1j Q for Q = P, d_1 P and nabla_1^(t-1) P (nabla_j^s P = K_1j
-nabla_1^s P for symmetric P), read on cluster classes by OperatorTag.apply
-at OperatorTag.chain_step.  At a rational beta = a/b dunkl_chain runs in Z
-as c_s nabla_1^s P, c_s = D b^s > 0 with D the common denominator of P:
-sparse (position, coefficient) lists over the class table of each degree
-(class_table), one nabla_positions per entry, with rows by position in a
-memo the caller holds and may share across chains (`rows`).  On
-monomials, l_m and w are _l_expanded and _w_expanded: the operators of the
-commutator suite, whose inputs need not be symmetric.
+of mu, cost polynomial in n and the degree), and so do p_m and l_m
+(OperatorTag.apply).  w^(t)_m is sum_j x_j^(m+t-1) K_1j nabla_1^(t-1) P
+(nabla_j^s P = K_1j nabla_1^s P for symmetric P), read off dunkl_chain.
+
+The class form t^a m_nu(x_2, ..., x_n) is positions over class_table
+alone.  coincident_row states x_1 = ... = x_c = t on m_lam once, for the
+chain at c = 1 and the wheel at c = k + 1.  At a rational beta = a/b
+dunkl_chain runs in Z as c_s nabla_1^s P, c_s = D b^s > 0 with D the
+common denominator of P: sparse (position, coefficient) lists, one
+nabla_positions per entry.  Every row is built once into a memo the
+caller holds and may share across calls (`rows`).  On monomials, l_m and
+w are _l_expanded and _w_expanded: the operators of the commutator suite,
+whose inputs need not be symmetric.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from .ratfunc import BETA, BetaPoly
 from .report import Report
-from .sympoly import (ExpandedPoly, MSymPoly, PartSymPoly, _replace_part,
+from .sympoly import (ExpandedPoly, MSymPoly, _replace_part, orbit_size,
                       power_sum)
 from .partitions import padded, partitions_leq
 
@@ -168,12 +172,12 @@ def _l_expanded(P, m):
 
 
 def apply_l(P, m):
-    """l_m P for an MSymPoly P (m >= -1), on classes."""
+    """l_m P for an MSymPoly P (m >= -1), on the m-basis."""
     return OperatorTag("l", m).apply(P, None)
 
 
 def apply_p(P, m):
-    """p_m P for an MSymPoly P (m >= 1), on classes."""
+    """p_m P for an MSymPoly P (m >= 1), on the m-basis."""
     return OperatorTag("p", m).apply(P, None)
 
 
@@ -231,14 +235,37 @@ def nabla_positions(Q, n, e, a, b, rows):
     return [(q, x) for q, x in enumerate(acc) if x]
 
 
+def coincident_row(lam, n, c, rows):
+    """m_lam at x_1 = ... = x_c = t, 1 <= c <= n, as ((position,
+    multiplicity), ...) over class_table(n - c + 1, |lam|): each multiset S
+    of c entries of lam padded to n sends m_lam to t^|S| m_(lam minus S),
+    once per arrangement of S in the c slots, orbit_size(S, c) times.
+    Each lam's row is built once into `rows`."""
+    memo = rows.setdefault(("coincident", n, c), {})
+    row = memo.get(lam)
+    if row is None:
+        if not 1 <= c <= n:
+            raise ValueError("need 1 <= c <= n")
+        pos = class_table(n - c + 1, sum(lam), rows)[1]
+        row = []
+        for S in set(combinations(padded(lam, n), c)):
+            nu = list(lam)
+            for v in S:
+                if v:
+                    nu.remove(v)
+            row.append((pos[(sum(S),) + tuple(nu)], orbit_size(S, c)))
+        row = memo[lam] = tuple(row)
+    return row
+
+
 def dunkl_chain(P, smax, beta, rows=None):
     """[(c_s, Q_s) for s = 0..smax], P a homogeneous MSymPoly of degree e:
     Q_s = c_s nabla_1^s P on classes, a sparse list of (position, nonzero
     coefficient) over class_table(n, e - s).  In Z at a rational beta = a/b
-    (Q_0 = D P = P.cleared(), Q_(s+1) = b nabla_1 Q_s, c_s = D b^s); a
-    symbolic beta runs it with (a, b, D) = (beta, 1, 1).  `rows` is the
-    caller's memo (made here when none is given) of class tables, step rows
-    and each partition's class positions at x_1 = t."""
+    (Q_0 = D P = P.cleared() at x_1 = t, Q_(s+1) = b nabla_1 Q_s,
+    c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1).
+    `rows` is the caller's memo (made here when none is given) of class
+    tables, step rows and coincident_row rows."""
     rational = isinstance(beta, (int, Fraction))
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
@@ -246,14 +273,8 @@ def dunkl_chain(P, smax, beta, rows=None):
     n, e = P.n, sum(next(iter(P.terms), ()))
     if any(sum(lam) != e for lam in P.terms):
         raise ValueError("dunkl_chain needs a homogeneous polynomial")
-    coincident, Q = rows.setdefault(("coincident", n), {}), []
-    for lam, c in P.terms.items() if n else ():
-        hit = coincident.get(lam)
-        if hit is None:  # m_lam = sum_v t^v m_(lam minus v), v in lam padded
-            pos = class_table(n, e, rows)[1]
-            hit = coincident[lam] = [pos[(v,) + _replace_part(lam, n, v, 0)[0]]
-                                     for v in set(padded(lam, n))]
-        Q.extend((p, c) for p in hit)
+    Q = [(p, c * x) for lam, c in (P.terms.items() if n else ())
+         for p, x in coincident_row(lam, n, 1, rows)]
     chain = [(D, Q)]
     for s in range(smax):
         Q = nabla_positions(Q, n, e - s, a, b, rows)
@@ -298,19 +319,31 @@ class OperatorTag:
         return self.t - 1, self.m + self.t - 1
 
     def apply(self, P, beta):
-        """Apply to an MSymPoly at chain_step(); p and l need no beta."""
+        """Apply to an MSymPoly; p and l need no beta.  On m_lam, p_m and
+        l_m move one distinct part v of lam padded to n to v + m, weighted
+        1 and v; w reads dunkl_chain at chain_step()."""
         _check_msym(P)
-        s, shift = self.chain_step()
+        n, out = P.n, {}
         if self.kind != "w":
-            Q = P.substitute_coincident(1) if P.n else PartSymPoly.zero(0)
-            return (Q.partial_t() if s else Q).symmetrize(shift)
-        out, rows = MSymPoly.zero(P.n), {}
+            for lam, c in P.terms.items():
+                for v in set(padded(lam, n)):
+                    x = 1 if self.kind == "p" else v
+                    if x:
+                        mu, mult = _replace_part(lam, n, v, v + self.m)
+                        out[mu] = out.get(mu, 0) + c * (x * mult)
+            return MSymPoly._raw(n, {mu: c for mu, c in out.items() if c})
+        s, shift = self.chain_step()
+        rows = {}
         for e, comp in P.homogeneous_components().items():
             c, entry = dunkl_chain(comp, s, beta, rows)[s]
-            order = class_table(P.n, e - s, rows)[0]
-            Q = PartSymPoly._raw(P.n, {order[p]: x for p, x in entry})
-            out = out + Q.symmetrize(shift).scale(Fraction(1, c))
-        return out
+            order = class_table(n, e - s, rows)[0]
+            acc = {}
+            for p, x in entry:
+                key = order[p]
+                mu, mult = _replace_part(key[1:], n, 0, key[0] + shift)
+                acc[mu] = acc.get(mu, 0) + x * mult
+            out.update((mu, y * Fraction(1, c)) for mu, y in acc.items() if y)
+        return MSymPoly._raw(n, out)
 
     def __str__(self):
         if self.kind == "w":

@@ -1,17 +1,14 @@
-"""Sparse polynomials in n variables: expanded monomial form, the
-monomial-symmetric basis and the cluster class form.
+"""Sparse polynomials in n variables: expanded monomial form and the
+monomial-symmetric basis.
 
 ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
-to coefficients (the m-basis); PartSymPoly maps (a,) + nu to the coefficient
-of t^a m_nu(x_2, ..., x_n): the image of x_1 = ... = x_c = t or, with
-t = x_1, a Dunkl chain entry nabla_1^s P of a symmetric P on class keys.
-Its class steps (cluster and symmetrize) are sparse linear maps whose row
-for a key depends on the key and n alone; each row is built once into a
-memo dict the caller holds (`rows`) and passes from call to call.  All share
-one sparse-term core (_SparsePoly): equality, sums, negation, scaling,
+to coefficients (the m-basis).  The class form t^a m_nu(x_2, ..., x_n) of a
+coincidence x_1 = ... = x_c = t or a Dunkl chain entry lives as positions
+in the operators module (class_table), not here.  Both share one
+sparse-term core (_SparsePoly): equality, sums, negation, scaling,
 grading, repr and the JSON form.  Only ExpandedPoly multiplies polynomials:
-the symmetric forms are scaled by coefficients alone, since the operators
-that preserve symmetry act on the m-basis directly (operators module), and
+MSymPoly is scaled by coefficients alone, since the operators that
+preserve symmetry act on the m-basis directly (operators module), and
 MSymPoly * MSymPoly raises TypeError.  Coefficients may live in Q
 (int/Fraction) or Q[beta] (BetaPoly); all operations here are
 coefficient-ring agnostic and never divide by coefficients.  Jacks reach
@@ -31,13 +28,13 @@ existing polynomial and whose coefficients cannot be zero (the coefficient
 rings have no zero divisors) are built unchecked by _raw, or by _collect
 where terms may cancel: negation, nonzero scaling, sums and products after
 pruning, homogeneous components, restrict_last, to_expanded, to_msym, the
-class steps and the Dunkl building blocks (partial, mul_var, swap,
-divided_difference).  Symmetry is decided from orbit sizes in one pass over
-the terms (is_symmetric, to_msym); S_n-orbits are built only where monomials
-are the output (MSymPoly.to_expanded, under TERM_BUDGET).
+m-basis images of p_m, l_m and w^(t)_m (OperatorTag.apply) and the Dunkl
+building blocks (partial, mul_var, swap, divided_difference).  Symmetry is
+decided from orbit sizes in one pass over the terms (is_symmetric,
+to_msym); S_n-orbits are built only where monomials are the output
+(MSymPoly.to_expanded, under TERM_BUDGET).
 """
 
-from itertools import combinations
 from math import factorial, lcm
 
 from .partitions import as_partition, padded
@@ -406,14 +403,6 @@ class MSymPoly(_SparsePoly):
                 out[mu] = c
         return self._raw(self.n - 1, out)
 
-    def substitute_coincident(self, c, rows=None):
-        """Set x_1 = ... = x_c = t, as a PartSymPoly in (t, x_{c+1}, ..., x_n):
-        cluster(c, rows) of self read in (t, x_1, ..., x_n), free of t."""
-        if not 1 <= c <= self.n:
-            raise ValueError("need 1 <= c <= n")
-        lifted = {(0,) + lam: v for lam, v in self.terms.items()}
-        return PartSymPoly._raw(self.n + 1, lifted).cluster(c, rows)
-
     def sorted_terms(self):
         return sorted(self.terms.items(),
                       key=lambda t: (sum(t[0]), t[0]), reverse=True)
@@ -426,74 +415,6 @@ class MSymPoly(_SparsePoly):
             name = "m[%s]" % ",".join(str(p) for p in lam)
             bits.append("(%s)*%s" % (c, name))
         return " + ".join(bits)
-
-
-class PartSymPoly(_SparsePoly):
-    """Polynomial in (t, x_2, ..., x_n) symmetric in the x's, as a dict
-    {(a,) + nu: coefficient} for t^a m_nu(x_2, ..., x_n), nu a partition
-    with at most n - 1 parts.  Treat as frozen."""
-
-    __slots__ = ()
-    BASIS, KEY = "partsym", "class"
-
-    @staticmethod
-    def _key(key, n):
-        key = tuple(key)
-        if (not key or type(key[0]) is not int or key[0] < 0 or len(key) > n
-                or as_partition(key[1:]) != key[1:]):
-            raise ValueError("bad class key %r for n=%r" % (key, n))
-        return key
-
-    def cluster(self, c=1, rows=None):
-        """Set x_2 = ... = x_(c+1) = t as well: each multiset S of c entries
-        of nu padded to n - 1 slots sends t^a m_nu to t^(a+|S|) m_(nu minus S),
-        once per arrangement of S in the c slots, c!/prod mult_S(v)! times.
-        `rows` is the caller's class-step memo, as in symmetrize."""
-        if not 1 <= c < self.n:
-            raise ValueError("need 1 <= c < n")
-
-        def row_of(key):
-            row = []
-            for S in set(combinations(padded(key[1:], self.n - 1), c)):
-                nu = list(key[1:])
-                for v in S:
-                    if v:
-                        nu.remove(v)
-                row.append(((key[0] + sum(S),) + tuple(nu),
-                            orbit_size(S, c)))
-            return row
-        return self._by_rows(PartSymPoly, self.n - c, rows,
-                             ("cluster", self.n, c), row_of)
-
-    def partial_t(self):
-        return self._raw(self.n, {(k[0] - 1,) + k[1:]: c * k[0]
-                                  for k, c in self.terms.items() if k[0]})
-
-    def _by_rows(self, cls, n, rows, name, row_of):
-        """sum_key c_key row_of(key) as a cls in n variables, each row
-        ((key', x), ...) built once into rows[name], the caller's memo
-        (made here when none is given)."""
-        memo = {} if rows is None else rows.setdefault(name, {})
-        out = {}
-        for key, c in self.terms.items():
-            row = memo.get(key)
-            if row is None:
-                row = memo[key] = row_of(key)
-            for q, x in row:
-                out[q] = out.get(q, 0) + c * x
-        return cls._raw(n, {q: c for q, c in out.items() if c})
-
-    def symmetrize(self, shift, rows=None):
-        """sum_j x_j^shift K_1j as an MSymPoly (shift >= 0): t^e m_nu gives
-        m_(nu + (e + shift)) once per slot of it padded to n holding e + shift."""
-        if shift < 0:
-            raise ValueError("symmetrize needs shift >= 0")
-        return self._by_rows(
-            MSymPoly, self.n, rows, ("symmetrize", self.n, shift),
-            lambda key: (_replace_part(key[1:], self.n, 0, key[0] + shift),))
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), reverse=True)
 
 
 def power_sum(m, n):

@@ -3,9 +3,10 @@
 The expanded operators stay as the independent references: _w_expanded
 applies nabla_j^(t-1) for every j to the S_n-orbit expansion and sums the
 shifted copies, _l_expanded acts monomial by monomial, and p_m is an
-expanded product.  The m-basis paths (apply_p, apply_l and apply_w read on
-cluster classes x_1^a m_nu(x_2, ..., x_n)) share none of that, so agreement
-here checks the symmetry reduction and the class coefficients from outside.
+expanded product.  The m-basis paths (apply_p and apply_l in closed form,
+apply_w read on class positions x_1^a m_nu(x_2, ..., x_n)) share none of
+that, so agreement here checks the symmetry reduction and the class
+coefficients from outside.
 
 expanded_dunkl_chain is the integer Dunkl chain on the S_n-orbit expansion,
 built from the ExpandedPoly calculus, and w_from_chain reads w^(t)_m off
@@ -26,17 +27,19 @@ a dict keyed by partition, to a normal-form table with dict rows keyed by
 partition (dict_normal_forms); verify_closure now sums the coefficients by
 position in the table and scatters rows keyed by position.
 
-moves_cluster, moves_dunkl_sum and moves_symmetrize are the class steps as
-they were before their rows were memoized: each visit rebuilds its moves.
-The memoized steps must equal them on every closure chain entry, with a
-fresh memo and with one memo shared across elements.
+moves_cluster and moves_dunkl_sum are the class steps as they were before
+their rows were memoized: each visit rebuilds its moves.  coincident_row
+and the memoized chain steps must equal them on every basis element and
+every closure chain entry, with a fresh memo and with one memo shared
+across elements.
 
 nabla_step is the chain's class step as it was before dunkl_chain ran on
 per-degree class position tables: one dict row per class key, summed into
 a dict keyed by class tuple.  dict_chain runs the chain on it, and the
 image and dict-row closure routes read their verdicts off that chain, so
 they share no step with verify_closure.  on_classes reads the position
-chain back on class keys for comparison.
+chain back on class keys for comparison.  The dict class form they run on
+(PartSymPoly, with cluster, partial_t and symmetrize) is class_oracle's.
 """
 
 import random
@@ -57,10 +60,10 @@ from jackideal.operators import (OperatorTag, _check_operator, _l_expanded,
 from jackideal.partitions import beta_value, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
-from jackideal.sympoly import (ExpandedPoly, MSymPoly, PartSymPoly,
-                               _replace_part, power_sum)
+from jackideal.sympoly import ExpandedPoly, MSymPoly, _replace_part, power_sum
 
-from test_sympoly import collect_classes, position_nabla
+from class_oracle import PartSymPoly, substitute_coincident
+from test_sympoly import coincident_classes, collect_classes, position_nabla
 
 from test_membership_oracle import batch_reduce
 
@@ -166,15 +169,6 @@ def moves_dunkl_sum(Q):
     return PartSymPoly._collect(Q.n, moves())
 
 
-def moves_symmetrize(Q, shift):
-    """sum_j x_j^shift K_1j on the classes Q, as an MSymPoly: t^e m_nu
-    gives m_(nu + (e + shift)) once per slot of it padded to n holding
-    e + shift."""
-    images = (_replace_part(k[1:], Q.n, 0, k[0] + shift) + (c,)
-              for k, c in Q.terms.items())
-    return MSymPoly._collect(Q.n, ((mu, c * m) for mu, m, c in images))
-
-
 def moves_chain(P, smax, beta):
     """dunkl_chain with Q_0 from moves_coincident and each step
     b d_t Q + a moves_dunkl_sum(Q)."""
@@ -213,7 +207,7 @@ def dict_chain(P, smax, beta, rows=None):
     rational = isinstance(beta, Fraction)
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
-    chain = [(D, P.substitute_coincident(1, rows))]
+    chain = [(D, substitute_coincident(P, 1, rows))]
     for _ in range(smax):
         c, Q = chain[-1]
         chain.append((c * b, nabla_step(Q, a, b, rows)))
@@ -539,9 +533,9 @@ ROW_GRIDS = [(k, r, n, 10, 4, 4) for k, r in ((1, 2), (2, 3), (1, 4))
 
 @pytest.mark.parametrize("grid", ROW_GRIDS)
 def test_memoized_class_steps_match_moves(grid):
-    """Every chain entry verify_closure builds, read back on class keys,
-    every symmetrize it reads and every cluster of an element or a chain
-    entry, memoized, equal the move-by-move steps and the dict-row chain:
+    """Every chain entry verify_closure builds and every coincidence
+    x_1 = ... = x_c = t of an element by coincident_row, c <= n, read back
+    on class keys, equal the move-by-move steps and the dict-row chain:
     with a fresh memo per call and with one memo shared across the
     elements of the grid, as verify_closure and verify_wheel share it.
     The bare Dunkl sum, (a, b) = (1, 0), of every entry by position equals
@@ -549,7 +543,6 @@ def test_memoized_class_steps_match_moves(grid):
     k, r, n, dmax, mmax, tmax = grid
     b0 = beta_value(k, r)
     basis = build_basis(k, r, n, dmax, CACHE)
-    shifts = sorted({tag.chain_step() for tag in closure_tags(mmax, tmax)})
     shared = {}
     for lam in basis.family.all_partitions():
         P = basis.elements[lam].num
@@ -563,19 +556,10 @@ def test_memoized_class_steps_match_moves(grid):
                 assert position_nabla(Q, 1, 0, rows) == moves_dunkl_sum(Q), \
                     lam
                 assert nabla_step(Q, 1, 0, rows) == moves_dunkl_sum(Q), lam
-            for cc in range(1, Q.n):
-                for rows in (None, shared):
-                    assert Q.cluster(cc, rows) == moves_cluster(Q, cc), \
-                        (lam, cc)
         for cc in range(1, n + 1):
             for rows in (None, shared):
-                assert P.substitute_coincident(cc, rows) == \
+                assert coincident_classes(P, cc, rows) == \
                     moves_coincident(P, cc), (lam, cc)
-        for s, shift in shifts:
-            Q = want[s][1]
-            for rows in (None, shared):
-                assert Q.symmetrize(shift, rows) == \
-                    moves_symmetrize(Q, shift), (lam, s, shift)
 
 
 def dict_normal_forms(basis, e):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from jackideal import ideal
 from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              build_basis, certificate_holds,
                              clearing_zero_order, closure_tags,
@@ -16,10 +17,12 @@ from jackideal.ideal import (DegreeOverflow, bareiss_rank,
                              verify_lassalle, verify_phi3, verify_pieri,
                              verify_regularity, verify_restriction,
                              verify_wheel, wheel_dimension)
-from jackideal.jack import jack_symbolic, specialize
+from jackideal.jack import (JackCache, SpecializedJack, jack_symbolic,
+                            specialize)
 from jackideal.operators import apply_p
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
+from jackideal.report import Report
 from jackideal.sympoly import ExpandedPoly, MSymPoly
 
 
@@ -319,6 +322,48 @@ def test_restriction_suite_small():
         verify_restriction(1, 2, 1, 4)
     with pytest.raises(ValueError):
         verify_restriction(1, 2, 3, 8, jmax=-1)
+
+
+def restriction_by_reduce(k, r, n, dmax, jmax=2, cache=None):
+    """verify_restriction with each verdict read by reduce_membership."""
+    rep = Report("restriction", {"k": k, "r": r, "n": n, "dmax": dmax,
+                                 "jmax": jmax})
+    basis_n = build_basis(k, r, n, dmax, cache)
+    basis_m = build_basis(k, r, n - 1, dmax, cache)
+    for lam in basis_n.family.all_partitions():
+        for j in range(jmax + 1):
+            cert = reduce_membership(basis_n.get(lam).num.restrict_last(j),
+                                     basis_m)
+            rep.add("restrict[j=%d]@%s" % (j, list(lam)), cert.member,
+                    **({} if cert.member
+                       else {"obstruction": list(cert.obstruction)}))
+    return rep
+
+
+@pytest.mark.parametrize("grid, lam", [((2, 2, 4, 10), (2, 2)),
+                                       ((1, 2, 3, 10), (5, 1)),
+                                       ((2, 3, 4, 10), (3, 2))])
+def test_restriction_with_a_non_member_matches_reduce(monkeypatch, grid,
+                                                      lam):
+    """With the element lam of the basis at n - 1 swapped for its bare m_lam
+    (same leading term), some restriction images leave the span: the
+    verdicts and obstructions read off the normal-form table equal
+    reduce_membership's, case by case."""
+    k, r, n, dmax = grid
+    real = ideal.specialize
+
+    def one_bare_monomial(mu, nn, kk, rr, cache=None):
+        sp = real(mu, nn, kk, rr, cache)
+        if (sp.lam, nn) != (lam, n - 1):
+            return sp
+        return SpecializedJack(mu, nn, sp.beta0, 1,
+                               MSymPoly.monomial_sym(nn, lam))
+    monkeypatch.setattr(ideal, "specialize", one_bare_monomial)
+    cache = JackCache()
+    got = verify_restriction(*grid, cache=cache)
+    assert got.to_obj() == restriction_by_reduce(*grid, cache=cache).to_obj()
+    assert any(case["status"] == "fail" and "obstruction" in case["detail"]
+               for case in got.to_obj()["cases"])
 
 
 def test_regularity_suite_small():

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import jackideal.sympoly as sympoly
-from jackideal.operators import apply_w, class_table, nabla_positions
+from jackideal.operators import (apply_l, apply_p, apply_w, class_table,
+                                 coincident_row, nabla_positions)
 from jackideal.partitions import as_partition, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
-                               PartSymPoly, TermBudgetExceeded,
-                               distinct_permutations, orbit_exponents,
-                               orbit_size, power_sum)
+                               TermBudgetExceeded, distinct_permutations,
+                               orbit_exponents, orbit_size, power_sum)
+
+from class_oracle import PartSymPoly, substitute_coincident
 
 
 def rand_expanded(rng, n, deg, nterms=4):
@@ -236,13 +238,15 @@ def test_divided_difference_matches_rational_quotient():
 def test_substitute_coincident():
     # m_(1,1) in 2 vars under x1 = x2 = t becomes t^2
     m = MSymPoly.monomial_sym(2, (1, 1))
-    sub = m.substitute_coincident(2)
+    sub = coincident_classes(m, 2)
     assert sub.n == 1 and sub.terms == {(2,): 1}
     # power sums survive with multiplicity
     p2 = power_sum(2, 3).to_expanded().substitute_coincident(2)
     assert p2.terms == {(2, 0): 2, (0, 2): 1}
-    with pytest.raises(ValueError):
-        m.substitute_coincident(3)
+    assert coincident_classes(power_sum(2, 3), 2).terms == {(2,): 2, (0, 2): 1}
+    for c in (0, 3):
+        with pytest.raises(ValueError):
+            coincident_row((1, 1), 2, c, {})
 
 
 @st.composite
@@ -276,6 +280,20 @@ def expand_classes(Q):
     return out
 
 
+def coincident_classes(P, c, rows=None):
+    """coincident_row(., n, c) summed over the terms of the MSymPoly P and
+    read back on class keys, as a PartSymPoly in n - c + 1 variables; each
+    row holds each position once."""
+    rows = {} if rows is None else rows
+    pairs = []
+    for lam, v in P.terms.items():
+        order = class_table(P.n - c + 1, sum(lam), rows)[0]
+        row = coincident_row(lam, P.n, c, rows)
+        assert len({p for p, _ in row}) == len(row)
+        pairs += [(order[p], v * x) for p, x in row]
+    return PartSymPoly._collect(P.n - c + 1, pairs)
+
+
 def position_nabla(Q, a, b, rows=None):
     """nabla_positions(., a, b) on the PartSymPoly Q, one homogeneous
     component at a time, read back on class keys."""
@@ -294,12 +312,14 @@ def position_nabla(Q, a, b, rows=None):
 @given(msym_and_cluster())
 def test_substitute_coincident_matches_expanded(case):
     P, c = case
-    got = P.substitute_coincident(c)
-    assert type(got) is PartSymPoly and got.n == P.n - c + 1
+    got = coincident_classes(P, c)
+    assert got.n == P.n - c + 1
     assert got == collect_classes(P.to_expanded().substitute_coincident(c))
 
 
 def test_substitute_coincident_matches_expanded_exhaustive():
+    # one memo for every (n, c): rows and class tables are keyed apart
+    rows = {}
     for n in range(1, 7):
         for d in range(9):
             for lam in partitions_leq(d, n):
@@ -307,7 +327,7 @@ def test_substitute_coincident_matches_expanded_exhaustive():
                 E = P.to_expanded()
                 for c in range(1, n + 1):
                     want = collect_classes(E.substitute_coincident(c))
-                    assert P.substitute_coincident(c) == want, (lam, c)
+                    assert coincident_classes(P, c, rows) == want, (lam, c)
 
 
 @st.composite
@@ -431,7 +451,7 @@ def test_bases_do_not_mix():
 def test_symmetric_forms_have_no_product():
     # the polynomial product is ExpandedPoly's alone
     q = MSymPoly.monomial_sym(2, (1,))
-    c = q.substitute_coincident(1)
+    c = substitute_coincident(q, 1)
     for a in (q, c):
         with pytest.raises(TypeError):
             a * a
@@ -472,19 +492,20 @@ def test_unchecked_results_pass_validation(operands):
     results = [-a, a + b, a - b, a.scale(c), ea.to_msym(), ea, -ea, ea + eb,
                ea - eb, ea.scale(c), ea * eb, ea.partial(n), ea.mul_var(1, 2),
                ea.swap(1, n), ea.substitute_coincident(n)]
-    results += [a.substitute_coincident(j) for j in range(1, n + 1)]
     results += [a.restrict_last(j) for j in range(4)]
-    # the class steps, where terms meet and cancel: sum_j>1 delta_1j is 0
-    # on a symmetric input, and t - x_2 symmetrizes to 0
-    classes = (a - b).substitute_coincident(1)
-    results += [classes.partial_t(),
-                PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0)]
-    results += [classes.cluster(j) for j in range(1, n)]
-    results += [classes.symmetrize(s) for s in range(3)]
+    # the m-basis images, where terms of different m_lam meet and cancel
+    results += [op(q, m) for q in (a - b, a) for op, m in
+                [(apply_p, 1), (apply_p, 2), (apply_l, -1), (apply_l, 0),
+                 (apply_l, 1), (apply_l, 2)]]
     results += [apply_w(q, t, m, BETA) for q in (a - b, a)
                 for t, m in [(2, -1), (2, 0), (2, 1), (3, 0)]]
-    assert position_nabla(classes, 1, 0).is_zero()
-    assert PartSymPoly(2, {(1,): 1, (0, 1): -1}).symmetrize(0).is_zero()
+    # l_-1 (2 m_11 - m_2) = 0, and m_21 cancels in p_1 (m_2 - m_11)
+    cancel = [apply_l(MSymPoly(2, {(1, 1): 2, (2,): -1}), -1),
+              apply_p(MSymPoly(2, {(2,): 1, (1, 1): -1}), 1)]
+    assert cancel == [MSymPoly(2), MSymPoly(2, {(3,): 1})]
+    results += cancel
+    # sum_j>1 delta_1j is 0 on a symmetric input
+    assert position_nabla(substitute_coincident(a - b, 1), 1, 0).is_zero()
     results += list(a.homogeneous_components().values())
     results += list(ea.homogeneous_components().values())
     if n > 1:

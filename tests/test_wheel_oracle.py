@@ -1,13 +1,15 @@
 """Differential oracles for the wheel kernel: a dense Bareiss rank and the
 coincidence map on full S_n orbits, one column per exponent vector, against
-which `bareiss_rank` (sparse, fraction-free) and `wheel_dimension` (on
-cluster classes t^a m_nu) are checked."""
+which `bareiss_rank` (sparse, fraction-free) and `wheel_dimension` (on the
+class positions of t^a m_nu, by coincident_row) are checked."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from jackideal.ideal import bareiss_rank, wheel_dimension
+from jackideal import ideal
+from jackideal.ideal import bareiss_rank, verify_wheel, wheel_dimension
+from jackideal.jack import JackCache, SpecializedJack
 from jackideal.partitions import partitions_leq
 from jackideal.sympoly import MSymPoly
 
@@ -80,6 +82,32 @@ def test_wheel_dimension_matches_expanded_oracle():
     for k, n, d in cases:
         assert wheel_dimension(k, n, d) == expanded_wheel_dimension(k, n, d), \
             (k, n, d)
+
+
+def test_vanishing_matches_expanded_with_a_stray_term(monkeypatch):
+    """With den m_mu added to the element P_lam (integral form), its image
+    under the coincidence no longer vanishes, though most of P_lam's class
+    positions still cancel: each vanish case of verify_wheel equals the
+    coincidence on the element's S_n orbits, and only lam's fails."""
+    k, n, dmax, lam, mu = 2, 4, 8, (4, 2, 1), (2, 2, 2, 1)
+    real = ideal.specialize
+
+    def with_stray_term(nu, nn, kk, rr, cache=None):
+        sp = real(nu, nn, kk, rr, cache)
+        if sp.lam != lam:
+            return sp
+        stray = MSymPoly.monomial_sym(nn, mu, sp.den)
+        return SpecializedJack(nu, nn, sp.beta0, sp.den, sp.num + stray)
+    monkeypatch.setattr(ideal, "specialize", with_stray_term)
+    cache = JackCache()
+    basis = ideal.build_basis(k, 2, n, dmax, cache)
+    cases = {case["id"]: case["status"] for case
+             in verify_wheel(k, n, dmax, cache).to_obj()["cases"]}
+    for nu in basis.family.all_partitions():
+        E = basis.get(nu).num.to_expanded().substitute_coincident(k + 1)
+        want = "pass" if E.is_zero() else "fail"
+        assert cases["vanish@%s" % (list(nu),)] == want, nu
+        assert (want == "fail") == (nu == lam), nu
 
 
 @st.composite
