@@ -14,8 +14,8 @@ from .partitions import (AdmissibleFamily, DegreeMismatch, InvalidNode,
 from .sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
                       TermBudgetExceeded, orbit_size, power_sum)
 from .operators import (OperatorTag, apply_cherednik, apply_dunkl,
-                        apply_exchange, apply_hamiltonian, apply_l,
-                        apply_sekiguchi, apply_w, verify_commutators)
+                        apply_hamiltonian, apply_l, apply_sekiguchi,
+                        apply_w, verify_commutators)
 from .jack import (JackCache, JackPoly, SpecializationPole, SpecializedJack,
                    evaluate_all_ones, jack_at, jack_symbolic, pole_profile,
                    principal_specialization, specialize,
@@ -41,9 +41,8 @@ __all__ = [
     "sekiguchi_eigenvalue",
     "ExpandedPoly", "MSymPoly", "NotSymmetric", "TermBudgetExceeded",
     "orbit_size", "power_sum",
-    "OperatorTag", "apply_cherednik", "apply_dunkl", "apply_exchange",
-    "apply_hamiltonian", "apply_l", "apply_sekiguchi", "apply_w",
-    "verify_commutators",
+    "OperatorTag", "apply_cherednik", "apply_dunkl", "apply_hamiltonian",
+    "apply_l", "apply_sekiguchi", "apply_w", "verify_commutators",
     "JackCache", "JackPoly", "SpecializationPole", "SpecializedJack",
     "evaluate_all_ones", "jack_at", "jack_symbolic", "pole_profile",
     "principal_specialization", "specialize", "verify_eigensystem",

@@ -55,10 +55,6 @@ def emit(obj, fmt, text_lines=None):
             print(line)
 
 
-def make_cache(args):
-    return JackCache(getattr(args, "cache_dir", None))
-
-
 # add_common's names: a trailing "?" makes the option optional
 COMMON_OPTIONS = {
     "k": ("--k", {"type": int}), "r": ("--r", {"type": int}),
@@ -220,7 +216,7 @@ def run(args):
             raise UsageError("need --%s >= %d" % (name, low))
     if "k" in opts and "r" in opts and (args.k is None) != (args.r is None):
         raise UsageError("--k and --r go together")
-    cache = make_cache(args)
+    cache = JackCache(getattr(args, "cache_dir", None))
 
     if args.command == "partitions":
         if args.lam is not None and args.dmax is not None:

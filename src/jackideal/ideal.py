@@ -216,11 +216,6 @@ def reduce_membership(P, basis):
     return MembershipCertificate(True, combination, None)
 
 
-def certificate_holds(P, basis, cert):
-    """Recombine a membership certificate and compare with P exactly."""
-    return cert.member and _combine(basis, cert.combination) == P
-
-
 # ---------------------------------------------------------------------------
 # transition coefficients
 
@@ -603,7 +598,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
         chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
         found = {}  # (s, shift) -> obstruction, None for a member
         for tag in tags:
-            d = sum(lam) + tag.degree_shift()
+            d = sum(lam) + tag.m
             if 0 <= d <= dmax:
                 s, shift = step = tag.chain_step()
                 if step not in found:

@@ -1,5 +1,6 @@
-"""Operators on polynomials: exchange, Dunkl, Cherednik, Sekiguchi,
-the Sutherland-type Hamiltonian and the degree-shift families l_m, w^(t)_m.
+"""Operators on polynomials: Dunkl, Cherednik, Sekiguchi, the
+Sutherland-type Hamiltonian and the degree-shift families l_m, w^(t)_m.
+The exchange K_ij is ExpandedPoly.swap.
 
 Every operator takes the coupling as an explicit scalar `beta`, which is a
 Fraction (specialized) or a BetaPoly (symbolic), never a BetaRatFunc (a
@@ -36,11 +37,6 @@ from .report import Report
 from .sympoly import (ExpandedPoly, MSymPoly, _replace_part, orbit_size,
                       power_sum)
 from .partitions import padded, partitions_leq
-
-
-def apply_exchange(P, i, j):
-    """K_ij: swap the variables x_i and x_j."""
-    return P.swap(i, j)
 
 
 def apply_dunkl(P, i, beta):
@@ -305,9 +301,6 @@ class OperatorTag:
         if kind != "w" and t is not None:
             raise ValueError("%s_m takes no t" % kind)
         self.kind, self.m, self.t = kind, m, t
-
-    def degree_shift(self):
-        return self.m
 
     def chain_step(self):
         """(s, shift): entry s of dunkl_chain(P), symmetrized with shift, is

@@ -148,10 +148,6 @@ class AdmissibleFamily:
         """Number of admissible partitions per degree 0..dmax."""
         return [len(self.by_degree.get(d, ())) for d in range(self.dmax + 1)]
 
-    def __contains__(self, lam):
-        lam = tuple(lam)
-        return lam in self.by_degree.get(sum(lam), ())
-
     def all_partitions(self):
         for d in range(self.dmax + 1):
             yield from self.by_degree.get(d, ())

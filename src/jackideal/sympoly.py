@@ -198,12 +198,6 @@ class _SparsePoly:
         return D, self._raw(self.n, {k: c.numerator * (D // c.denominator)
                                      for k, c in self.terms.items()})
 
-    def map_coeffs(self, fn):
-        return type(self)(self.n, {k: fn(c) for k, c in self.terms.items()})
-
-    def degree(self):
-        return max((sum(k) for k in self.terms), default=-1)
-
     def homogeneous_components(self):
         comps = {}
         for k, c in self.terms.items():
@@ -244,14 +238,6 @@ class ExpandedPoly(_SparsePoly):
         if len(e) != n or not all(type(a) is int and a >= 0 for a in e):
             raise ValueError("bad exponent vector %r for n=%r" % (e, n))
         return e
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, {(0,) * n: 1})
-
-    @classmethod
-    def monomial(cls, n, exps, coeff=1):
-        return cls(n, {tuple(exps): coeff})
 
     def __mul__(self, other):
         """The polynomial product, or scaling by a coefficient."""
@@ -327,13 +313,6 @@ class ExpandedPoly(_SparsePoly):
             total = total + v
         return total
 
-    def substitute_coincident(self, c):
-        """Set x_1 = ... = x_c = t; result lives in variables (t, x_{c+1}, ..., x_n)."""
-        if not 1 <= c <= self.n:
-            raise ValueError("need 1 <= c <= n")
-        return self._collect(self.n - c + 1, (((sum(e[:c]),) + e[c:], v)
-                                              for e, v in self.terms.items()))
-
     def _orbit_coeffs(self):
         """{lam: c} if every S_n-orbit is whole with one coefficient c, else
         None.  The terms sorting to lam are distinct permutations of it, at
@@ -372,10 +351,6 @@ class MSymPoly(_SparsePoly):
     BASIS, KEY = "msym", "partition"
 
     _key = staticmethod(as_partition)
-
-    @classmethod
-    def monomial_sym(cls, n, lam, coeff=1):
-        return cls(n, {as_partition(lam): coeff})
 
     def to_expanded(self):
         _check_budget(sum(orbit_size(lam, self.n) for lam in self.terms))

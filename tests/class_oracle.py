@@ -7,12 +7,14 @@ nabla_1^s P of a symmetric P on class keys.  Its class steps (cluster and
 symmetrize) are sparse linear maps whose row for a key depends on the key
 and n alone; each row is built once into a memo dict the caller holds
 (`rows`).  substitute_coincident(P, c, rows) is x_1 = ... = x_c = t on an
-MSymPoly P, one cluster(c)."""
+MSymPoly P, one cluster(c); expanded_coincident(E, c) is the same
+coincidence on the monomials of an ExpandedPoly E."""
 
 from itertools import combinations
 
 from jackideal.partitions import as_partition, padded
-from jackideal.sympoly import MSymPoly, _SparsePoly, _replace_part, orbit_size
+from jackideal.sympoly import (ExpandedPoly, MSymPoly, _SparsePoly,
+                              _replace_part, orbit_size)
 
 
 class PartSymPoly(_SparsePoly):
@@ -91,3 +93,12 @@ def substitute_coincident(P, c, rows=None):
         raise ValueError("need 1 <= c <= n")
     lifted = {(0,) + lam: v for lam, v in P.terms.items()}
     return PartSymPoly._raw(P.n + 1, lifted).cluster(c, rows)
+
+
+def expanded_coincident(E, c):
+    """Set x_1 = ... = x_c = t in the ExpandedPoly E; the result lives in
+    variables (t, x_{c+1}, ..., x_n)."""
+    if not 1 <= c <= E.n:
+        raise ValueError("need 1 <= c <= n")
+    return ExpandedPoly._collect(E.n - c + 1, (((sum(e[:c]),) + e[c:], v)
+                                               for e, v in E.terms.items()))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -185,6 +186,21 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["no-such-command"])
     assert ei.value.code == 2
+
+
+def test_member_rejects_rational_function_coefficients(capsys, tmp_path):
+    # 1/beta on m_(2) is a Q(beta) coefficient: membership is decided over Q
+    poly = tmp_path / "beta.json"
+    poly.write_text(json.dumps({
+        "n": 2, "basis": "msym",
+        "terms": [{"partition": [2], "coeff": {
+            "num": [{"num": "1", "den": "1"}],
+            "den": [{"num": "0", "den": "1"}, {"num": "1", "den": "1"}]}}]}))
+    code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
+                             "2", "--n", "2", "--dmax", "4", "--input",
+                             str(poly))
+    assert code == 2 and out == ""
+    assert err == "error: input polynomial needs rational coefficients\n"
 
 
 def test_member_above_dmax_exit(capsys, tmp_path):
@@ -558,3 +574,33 @@ def test_cache_entry_with_repeated_partition_is_a_miss(capsys, tmp_path):
     code, out, _ = run_cli(capsys, *cached)
     assert code == 0 and out == want
     assert json.loads(path.read_text()) == good
+
+
+def readme_command_lines():
+    """The `jackideal ...` lines of the README's Command line block, with
+    trailing comments dropped."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("jackideal ")]
+
+
+def test_readme_command_lines_exit_zero(capsys, tmp_path, monkeypatch):
+    # every example runs as printed; poly.json holds P_(2) at beta(1, 2),
+    # a member of the ideal
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
+                           "--k", "1", "--r", "2")
+    assert code == 0
+    (tmp_path / "poly.json").write_text(out)
+    lines = readme_command_lines()
+    assert len(lines) == 18
+    failed = []
+    for argv in lines:
+        code, _, err = run_cli(capsys, *argv)
+        if code:
+            failed.append((" ".join(argv), code, err))
+    assert failed == []

@@ -79,7 +79,7 @@ def int_row_as_betapoly(mu, n):
 
 
 def expanded_row(mu, n):
-    q = MSymPoly.monomial_sym(n, mu).to_expanded()
+    q = MSymPoly(n, {mu: 1}).to_expanded()
     hm = _hamiltonian_expanded(q, BETA, validate=False).to_msym()
     return {nu: c if isinstance(c, BetaPoly) else BetaPoly((c,))
             for nu, c in hm.terms.items()}

@@ -95,7 +95,7 @@ def closure_images(k, r, n, dmax, mmax, tmax):
     images = []
     for lam in basis.family.all_partitions():
         for tag in closure_tags(mmax, tmax):
-            if 0 <= sum(lam) + tag.degree_shift() <= dmax:
+            if 0 <= sum(lam) + tag.m <= dmax:
                 images.append(("%s@%s" % (tag, list(lam)),
                                tag.apply(basis.get(lam).poly, b0)))
     return basis, images

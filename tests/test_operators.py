@@ -7,10 +7,9 @@ from fractions import Fraction
 import pytest
 
 from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
-                                 apply_dunkl_power, apply_exchange,
-                                 apply_hamiltonian, apply_l, apply_p,
-                                 apply_sekiguchi, apply_w, _l_expanded,
-                                 _w_expanded, expanded_power_sum,
+                                 apply_dunkl_power, apply_hamiltonian,
+                                 apply_l, apply_p, apply_sekiguchi, apply_w,
+                                 _l_expanded, _w_expanded, expanded_power_sum,
                                  verify_commutators)
 from jackideal.partitions import (cs_eigenvalue, partitions_leq,
                                   sekiguchi_eigenvalue)
@@ -24,18 +23,18 @@ def rand_expanded(rng, n, deg, nterms=4):
     p = ExpandedPoly.zero(n)
     for _ in range(nterms):
         e = tuple(rng.randint(0, deg) for _ in range(n))
-        p = p + ExpandedPoly.monomial(n, e, rng.randint(-5, 5))
+        p = p + ExpandedPoly(n, {e: rng.randint(-5, 5)})
     return p
 
 
 def test_dunkl_on_monomial():
     # nabla_1 x^2 = 2x + beta (x^2 - y^2)/(x - y) = 2x + beta (x + y)
-    p = ExpandedPoly.monomial(2, (2, 0))
+    p = ExpandedPoly(2, {(2, 0): 1})
     got = apply_dunkl(p, 1, BETA)
     want = {(1, 0): BetaPoly((2, 1)), (0, 1): BETA}
     assert got == ExpandedPoly(2, want)
     # and on a symmetric input at a rational coupling
-    q = MSymPoly.monomial_sym(2, (1, 1)).to_expanded()
+    q = MSymPoly(2, {(1, 1): 1}).to_expanded()
     got = apply_dunkl(q, 1, HALF)
     assert got.terms == {(0, 1): 1}
 
@@ -67,25 +66,25 @@ def test_cherednik_alternative_form():
         i = rng.randint(1, n)
         direct = apply_dunkl(p, i, BETA).mul_var(i)
         for j in range(i + 1, n + 1):
-            direct = direct + BETA * apply_exchange(p, i, j)
+            direct = direct + BETA * p.swap(i, j)
         assert apply_cherednik(p, i, BETA) == direct
 
 
 def test_hamiltonian_m2_row_oracle():
     # H m_(2) = (4 + 2 beta) m_(2) + 4 beta m_(1,1) at n = 2
-    q = MSymPoly.monomial_sym(2, (2,))
+    q = MSymPoly(2, {(2,): 1})
     got = apply_hamiltonian(q, BETA)
     assert got == MSymPoly(2, {(2,): BetaPoly((4, 2)),
                                (1, 1): BetaPoly((0, 4))})
     # diagonal entries are the CS eigenvalues
     for n in (2, 3):
         for lam in [(1,), (2,), (2, 1)]:
-            row = apply_hamiltonian(MSymPoly.monomial_sym(n, lam), BETA)
+            row = apply_hamiltonian(MSymPoly(n, {lam: 1}), BETA)
             assert row.terms[lam] == cs_eigenvalue(lam, n)
 
 
 def test_hamiltonian_rejects_asymmetric():
-    p = ExpandedPoly.monomial(2, (2, 1))
+    p = ExpandedPoly(2, {(2, 1): 1})
     with pytest.raises(TypeError):
         apply_hamiltonian(p, BETA)
 
@@ -102,19 +101,19 @@ def test_symmetric_operators_take_msym_only(call):
     # an operator that preserves symmetry takes an MSymPoly, even when the
     # expanded input is symmetric
     with pytest.raises(TypeError, match="MSymPoly"):
-        call(MSymPoly.monomial_sym(2, (2, 1)).to_expanded())
+        call(MSymPoly(2, {(2, 1): 1}).to_expanded())
 
 
 def test_hamiltonian_triangular_in_dominance():
     from jackideal.partitions import dominated_by
     for lam in partitions_leq(5, 3):
-        row = apply_hamiltonian(MSymPoly.monomial_sym(3, lam), BETA)
+        row = apply_hamiltonian(MSymPoly(3, {lam: 1}), BETA)
         assert all(dominated_by(mu, lam) for mu in row.terms)
 
 
 def test_sekiguchi_on_constants():
     # S(u) 1 = prod_i (u + (n-i) beta) for the empty partition
-    one = ExpandedPoly.one(3)
+    one = ExpandedPoly(3, {(0, 0, 0): 1})
     got = apply_sekiguchi(one, BETA)
     want = sekiguchi_eigenvalue((), 3)
     assert [g.terms.get((0, 0, 0), BetaPoly(())) for g in got] == want
@@ -125,7 +124,7 @@ def test_l_operators():
     q = MSymPoly(3, {(2, 1): 5})
     assert apply_l(q, 0) == q.scale(3)
     # l_{-1} on m_(1) gives n
-    assert apply_l(MSymPoly.monomial_sym(3, (1,)), -1) == MSymPoly(
+    assert apply_l(MSymPoly(3, {(1,): 1}), -1) == MSymPoly(
         3, {(): 3})
     with pytest.raises(ValueError):
         apply_l(q, -2)
@@ -133,7 +132,7 @@ def test_l_operators():
 
 def test_l1_against_hand_expansion():
     # l_1 m_(1,1) = m_(2,1) + ... check by direct expansion at n = 2
-    q = MSymPoly.monomial_sym(2, (1, 1))
+    q = MSymPoly(2, {(1, 1): 1})
     got = apply_l(q, 1).to_expanded()
     # sum x_j^2 d_j (xy) = x^2 y + x y^2
     assert got.terms == {(2, 1): 1, (1, 2): 1}
@@ -141,7 +140,7 @@ def test_l1_against_hand_expansion():
 
 def test_w_family():
     # w^(2)_m = sum x^{m+1} nabla: on symmetric input w2_0 acts like l_0
-    q = MSymPoly.monomial_sym(2, (2,))
+    q = MSymPoly(2, {(2,): 1})
     got = apply_w(q, 2, 0, HALF).to_expanded()
     # nabla_j then x_j, summed: compare against direct construction
     direct = ExpandedPoly.zero(2)
@@ -161,11 +160,11 @@ def test_expanded_power_sum():
 
 def test_operator_tags():
     t = OperatorTag("w", -2, 3)
-    assert str(t) == "w3(-2)" and t.degree_shift() == -2
+    assert str(t) == "w3(-2)" and t.m == -2
     assert str(OperatorTag("p", 2)) == "p(2)"
-    assert OperatorTag("l", -1).degree_shift() == -1
-    q = MSymPoly.monomial_sym(2, (2,))
-    m1 = MSymPoly.monomial_sym(2, (1,))
+    assert OperatorTag("l", -1).m == -1
+    q = MSymPoly(2, {(2,): 1})
+    m1 = MSymPoly(2, {(1,): 1})
     assert OperatorTag("p", 1).apply(q, HALF) == \
         (q.to_expanded() * m1.to_expanded()).to_msym()
     with pytest.raises(ValueError):
@@ -192,7 +191,7 @@ def test_operator_tags():
 def test_operator_ranges_checked_everywhere(call):
     # one rule set: p_m (m >= 1), l_m (m >= -1), w^(t)_m (t >= 2, m >= -t+1)
     with pytest.raises(ValueError):
-        call(MSymPoly.monomial_sym(2, (2, 1)))
+        call(MSymPoly(2, {(2, 1): 1}))
 
 
 def test_commutator_suite_passes():

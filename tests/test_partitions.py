@@ -157,7 +157,7 @@ def test_admissible_character_oracle():
     fam = enumerate_admissible(1, 2, 2, 4)
     assert fam.character() == [0, 0, 1, 1, 2]
     assert fam.by_degree[4] == ((4,), (3, 1))
-    assert (3, 1) in fam and (2, 2) not in fam
+    assert (3, 1) in fam.by_degree[4] and (2, 2) not in fam.by_degree[4]
     # with n <= k everything of length <= n is admissible
     fam = enumerate_admissible(2, 2, 2, 5)
     assert fam.character() == [len(partitions_leq(d, 2)) for d in range(6)]

@@ -13,6 +13,8 @@ from jackideal.jack import JackCache, SpecializedJack
 from jackideal.partitions import partitions_leq
 from jackideal.sympoly import MSymPoly
 
+from class_oracle import expanded_coincident
+
 
 def dense_bareiss_rank(mat):
     """Rank of a dense integer matrix by Bareiss elimination."""
@@ -66,9 +68,9 @@ def expanded_wheel_dimension(k, n, d):
     cols = {}
     rows = []
     for lam in lams:
-        img = MSymPoly.monomial_sym(n, lam).to_expanded()
+        img = MSymPoly(n, {lam: 1}).to_expanded()
         row = {}
-        for e, c in img.substitute_coincident(k + 1).terms.items():
+        for e, c in expanded_coincident(img, k + 1).terms.items():
             row[cols.setdefault(e, len(cols))] = c
         rows.append(row)
     mat = [[row.get(j, 0) for j in range(len(cols))] for row in rows]
@@ -96,7 +98,7 @@ def test_vanishing_matches_expanded_with_a_stray_term(monkeypatch):
         sp = real(nu, nn, kk, rr, cache)
         if sp.lam != lam:
             return sp
-        stray = MSymPoly.monomial_sym(nn, mu, sp.den)
+        stray = MSymPoly(nn, {mu: sp.den})
         return SpecializedJack(nu, nn, sp.beta0, sp.den, sp.num + stray)
     monkeypatch.setattr(ideal, "specialize", with_stray_term)
     cache = JackCache()
@@ -104,7 +106,7 @@ def test_vanishing_matches_expanded_with_a_stray_term(monkeypatch):
     cases = {case["id"]: case["status"] for case
              in verify_wheel(k, n, dmax, cache).to_obj()["cases"]}
     for nu in basis.family.all_partitions():
-        E = basis.get(nu).num.to_expanded().substitute_coincident(k + 1)
+        E = expanded_coincident(basis.get(nu).num.to_expanded(), k + 1)
         want = "pass" if E.is_zero() else "fail"
         assert cases["vanish@%s" % (list(nu),)] == want, nu
         assert (want == "fail") == (nu == lam), nu
