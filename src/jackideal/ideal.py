@@ -167,13 +167,22 @@ class IdealBasis:
 def build_basis(k, r, n, dmax, cache=None):
     """The admissible basis: each admissible lam specialized at beta(k, r)
     by specialize, which is jack_at at that point, solved at the point
-    through one cache (made here when none is given)."""
+    through one cache (made here when none is given).  The basis is filed
+    in that cache under (k, r, n, dmax), so the next call on the same cache
+    returns the same object, normal-form tables included: treat it as
+    frozen, and build a basis to tamper with on a cache of its own."""
     b0 = beta_value(k, r)
     cache = cache if cache is not None else JackCache()
-    fam = enumerate_admissible(k, r, n, dmax)
-    elements = {lam: specialize(lam, n, k, r, cache)
-                for lam in fam.all_partitions()}
-    return IdealBasis(k, r, n, dmax, b0, fam, elements)
+    with cache._lock:
+        hit = cache._bases.get((k, r, n, dmax))
+    if hit is None:  # built outside the lock, which specialize takes
+        fam = enumerate_admissible(k, r, n, dmax)
+        elements = {lam: specialize(lam, n, k, r, cache)
+                    for lam in fam.all_partitions()}
+        with cache._lock:  # a racing build files first and both return it
+            hit = cache._bases.setdefault((k, r, n, dmax), IdealBasis(
+                k, r, n, dmax, b0, fam, elements))
+    return hit
 
 
 def reduce_membership(P, basis):
@@ -592,16 +601,18 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     rep = Report("closure", {"k": k, "r": r, "n": n, "dmax": dmax,
                              "mmax": mmax, "tmax": tmax})
     basis = build_basis(k, r, n, dmax, cache)
-    tags = closure_tags(mmax, tmax)
+    tags = [(tag.m, tag.chain_step(), "%s@" % tag)
+            for tag in closure_tags(mmax, tmax)]
     rows, positions = {}, {}
     for lam in basis.family.all_partitions():
         chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
         found = {}  # (s, shift) -> obstruction, None for a member
-        for tag in tags:
-            d = sum(lam) + tag.m
+        e, label = sum(lam), str(list(lam))
+        for m, step, name in tags:
+            d = e + m
             if 0 <= d <= dmax:
-                s, shift = step = tag.chain_step()
                 if step not in found:
+                    s, shift = step
                     pos = basis.normal_forms(d)[1]
                     order = class_table(n, d - shift, rows)[0]
                     memo = positions.get((d, shift)) or positions.setdefault(
@@ -616,7 +627,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
                         coeffs[hit[0]] += c * hit[1]
                     found[step] = basis._obstruction_at(d, coeffs)
                 obs = found[step]
-                rep.add("%s@%s" % (tag, list(lam)), obs is None,
+                rep.add(name + label, obs is None,
                         **({} if obs is None else {"obstruction": list(obs)}))
     return rep
 

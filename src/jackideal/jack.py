@@ -206,14 +206,17 @@ class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
     directory of JSON files, and, in memory only, Hamiltonian rows in one
-    table per (degree, n) and Jacks at a point (lam, n, p, q) ->
+    table per (degree, n), Jacks at a point (lam, n, p, q) ->
     SpecializedJack at beta0 = p/q, which jack_at files and reads, solved
-    at the point, so only a fallback reads or fills the symbolic Jacks."""
+    at the point, so only a fallback reads or fills the symbolic Jacks,
+    and the bases (k, r, n, dmax) -> IdealBasis that ideal.build_basis
+    files with their normal-form tables."""
 
     def __init__(self, directory=None):
         self._mem = {}
         self._tables = {}
         self._at = {}
+        self._bases = {}
         self._lock = threading.Lock()
         self.directory = directory
         if directory:
@@ -276,6 +279,7 @@ class JackCache:
             self._mem.clear()
             self._tables.clear()
             self._at.clear()
+            self._bases.clear()
         if self.directory:
             for name in os.listdir(self.directory):
                 if name.startswith("jack_n") and name.endswith(".json"):

@@ -189,11 +189,13 @@ def _w_expanded(P, t, m, beta):
 def class_table(n, e, rows):
     """(order, pos) for class degree e in n variables: order the keys
     (a,) + nu, a + |nu| = e and nu with at most n - 1 parts, in decreasing
-    lex order, pos[key] its position; built once into `rows`."""
+    lex order, pos[key] its position; built once into `rows`: the keys of
+    degree e - 1 with a raised by one, then the a = 0 keys (none if e < 0)."""
     name = ("classes", n, e)
     if name not in rows:
-        order = [(a,) + nu for a in range(e, -1, -1)
-                 for nu in partitions_leq(e - a, n - 1)]
+        order = [] if e < 0 else [
+            (key[0] + 1,) + key[1:] for key in class_table(n, e - 1, rows)[0]
+        ] + [(0,) + nu for nu in partitions_leq(e, n - 1)]
         rows[name] = order, {key: i for i, key in enumerate(order)}
     return rows[name]
 
@@ -236,20 +238,22 @@ def coincident_row(lam, n, c, rows):
     multiplicity), ...) over class_table(n - c + 1, |lam|): each multiset S
     of c entries of lam padded to n sends m_lam to t^|S| m_(lam minus S),
     once per arrangement of S in the c slots, orbit_size(S, c) times.
-    Each lam's row is built once into `rows`."""
+    Each lam's row and each orbit size per (S, c) is built once into `rows`."""
     memo = rows.setdefault(("coincident", n, c), {})
     row = memo.get(lam)
     if row is None:
         if not 1 <= c <= n:
             raise ValueError("need 1 <= c <= n")
         pos = class_table(n - c + 1, sum(lam), rows)[1]
+        orbits = rows.setdefault(("orbits", c), {})
         row = []
         for S in set(combinations(padded(lam, n), c)):
             nu = list(lam)
             for v in S:
                 if v:
                     nu.remove(v)
-            row.append((pos[(sum(S),) + tuple(nu)], orbit_size(S, c)))
+            size = orbits.get(S) or orbits.setdefault(S, orbit_size(S, c))
+            row.append((pos[(sum(S),) + tuple(nu)], size))
         row = memo[lam] = tuple(row)
     return row
 

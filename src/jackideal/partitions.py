@@ -81,28 +81,28 @@ def dominated_by(mu, lam):
 
 def partitions_of(d, max_len=None):
     """All partitions of d with at most max_len parts (any number when
-    None), in decreasing lex order."""
-    if max_len is None:
-        max_len = d
-
-    def rec(rest, cap, slots):
-        if rest == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        top = min(cap, rest)
-        # need rest <= top * slots to finish
-        for p in range(top, 0, -1):
-            if p * slots < rest:
-                break
-            for tail in rec(rest - p, p, slots - 1):
-                yield (p,) + tail
-
+    None), in decreasing lex order, by one loop: from (d,), lower the
+    rightmost part p_i that can drop by one to v = p_i - 1 with the rest
+    of its tail, sum_(j >= i) p_j - v, fitting in the slots after i as
+    parts at most v, and refill the tail from i greedily with parts v."""
+    slots = d if max_len is None else max_len
     if d == 0:
         yield ()
+    if d <= 0 or slots <= 0:
         return
-    yield from rec(d, d, max_len)
+    p = [d]
+    while True:
+        yield tuple(p)
+        tail = 0
+        for i in range(len(p) - 1, -1, -1):
+            tail += p[i]
+            v = p[i] - 1
+            if v and tail - v <= v * (slots - 1 - i):
+                break
+        else:
+            return
+        q, rem = divmod(tail, v)
+        p[i:] = [v] * q + ([rem] if rem else [])
 
 
 def partitions_leq(d, n):

@@ -4,6 +4,8 @@ wheel kernel, and the structural verification suites."""
 import json
 import os
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -415,3 +417,55 @@ def test_specialized_elements_match_direct_specialization():
     for sp in basis:
         direct = specialize(sp.lam, 3, 2, 3)
         assert direct.poly == sp.poly
+
+
+def test_bases_are_memoized_per_cache():
+    """build_basis files its basis in the cache under (k, r, n, dmax): the
+    same key on the same cache gives the same object, another dmax or
+    another cache a new one, and clear() drops it."""
+    cache, other = JackCache(), JackCache()
+    basis = build_basis(2, 3, 4, 10, cache)
+    assert build_basis(2, 3, 4, 10, cache) is basis
+    assert build_basis(2, 3, 4, 11, cache) is not basis
+    assert build_basis(2, 3, 4, 10, other) is not basis
+    assert build_basis(2, 3, 4, 10) is not basis
+    cache.clear()
+    fresh = build_basis(2, 3, 4, 10, cache)
+    assert fresh is not basis
+    assert fresh.elements.keys() == basis.elements.keys()
+
+
+def test_racing_builds_return_one_basis():
+    """Threads that build one key on one cache at once all get the basis
+    filed first, and the cache holds that one."""
+    cache, got = JackCache(), []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: got.append(
+            build_basis(2, 2, 4, 10, cache))) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads) and len(got) == 6
+    assert all(b is got[0] for b in got)
+    assert build_basis(2, 2, 4, 10, cache) is got[0]
+
+
+@pytest.mark.parametrize("suite, grid", [(verify_restriction, (2, 2, 5, 12)),
+                                         (verify_closure, (1, 2, 3, 12))])
+def test_warm_rerun_builds_no_table(monkeypatch, suite, grid):
+    """A rerun on a warm cache reads the bases and normal-form tables the
+    first run filed: it specializes no Jack and enumerates no degree for a
+    normal-form table, and its report is the same."""
+    cache = JackCache()
+    first = suite(*grid, cache=cache)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rebuilt on a warm cache")
+    monkeypatch.setattr(ideal, "specialize", refuse)
+    monkeypatch.setattr(ideal, "partitions_leq", refuse)
+    assert suite(*grid, cache=cache).to_obj() == first.to_obj()

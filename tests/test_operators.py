@@ -9,8 +9,8 @@ import pytest
 from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
                                  apply_dunkl_power, apply_hamiltonian,
                                  apply_l, apply_p, apply_sekiguchi, apply_w,
-                                 _l_expanded, _w_expanded, expanded_power_sum,
-                                 verify_commutators)
+                                 class_table, _l_expanded, _w_expanded,
+                                 expanded_power_sum, verify_commutators)
 from jackideal.partitions import (cs_eigenvalue, partitions_leq,
                                   sekiguchi_eigenvalue)
 from jackideal.ratfunc import BETA, BetaPoly
@@ -227,3 +227,25 @@ def test_w2_equals_l_on_symmetric_input(beta):
                 P = MSymPoly(n, {mu: 1})
                 for m in range(-1, 4):
                     assert apply_w(P, 2, m, beta) == apply_l(P, m), (mu, m)
+
+
+def direct_class_table(n, e):
+    """class_table(n, e)'s keys by the direct per-a enumeration."""
+    return [(a,) + nu for a in range(e, -1, -1)
+            for nu in partitions_leq(e - a, n - 1)]
+
+
+def test_class_tables_match_the_direct_enumeration():
+    """class_table grows degree e from degree e - 1: its keys and positions
+    equal the per-a enumeration with a fresh memo, with one memo shared
+    across every (n, e), and with first use out of order (e = 10 before
+    e = 3); below degree 0 the table is empty."""
+    shared, unordered = {}, {}
+    for n in range(1, 8):
+        class_table(n, 10, unordered)
+        for e in range(-2, 21):
+            want = direct_class_table(n, e)
+            for rows in ({}, shared, unordered):
+                order, pos = class_table(n, e, rows)
+                assert order == want, (n, e)
+                assert pos == {key: i for i, key in enumerate(want)}, (n, e)

@@ -74,6 +74,40 @@ def test_partitions_of_bounds_and_order():
     assert len(partitions_leq(10, 4)) == 23
 
 
+def recursive_partitions_of(d, max_len=None):
+    """The nested recursive generator that partitions_of replaced, kept as
+    its differential oracle: the largest part first, then the partitions
+    of the rest with parts at most that large and one slot fewer."""
+    if max_len is None:
+        max_len = d
+
+    def rec(rest, cap, slots):
+        if rest == 0:
+            yield ()
+            return
+        if slots == 0:
+            return
+        top = min(cap, rest)
+        # need rest <= top * slots to finish
+        for p in range(top, 0, -1):
+            if p * slots < rest:
+                break
+            for tail in rec(rest - p, p, slots - 1):
+                yield (p,) + tail
+
+    if d == 0:
+        yield ()
+        return
+    yield from rec(d, d, max_len)
+
+
+def test_partitions_of_matches_the_recursive_generator():
+    for d in range(-3, 31):
+        for max_len in [None] + list(range(-1, d + 2)):
+            assert list(partitions_of(d, max_len)) == \
+                list(recursive_partitions_of(d, max_len)), (d, max_len)
+
+
 def test_beta_value_and_parameter_validation():
     assert beta_value(1, 2) == Fraction(-1, 2)
     assert beta_value(2, 3) == Fraction(-2, 3)

@@ -319,7 +319,8 @@ def test_substitute_coincident_matches_expanded(case):
 
 
 def test_substitute_coincident_matches_expanded_exhaustive():
-    # one memo for every (n, c): rows and class tables are keyed apart
+    # one memo for every (n, c): rows and class tables are keyed apart, and
+    # each orbit size, filed per c, is read again at every larger n
     rows = {}
     for n in range(1, 7):
         for d in range(9):
@@ -329,6 +330,9 @@ def test_substitute_coincident_matches_expanded_exhaustive():
                 for c in range(1, n + 1):
                     want = collect_classes(expanded_coincident(E, c))
                     assert coincident_classes(P, c, rows) == want, (lam, c)
+    for c in range(1, 7):
+        assert all(size == orbit_size(S, c)
+                   for S, size in rows[("orbits", c)].items()), c
 
 
 @st.composite
