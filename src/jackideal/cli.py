@@ -3,23 +3,24 @@
 Exit codes: 0 success / all suite cases pass; 1 verification failure or
 mathematical obstruction (pole, non-member); 2 usage error, or an operation
 that would exceed sympoly.TERM_BUDGET terms.
+
+Only the core (ratfunc, partitions, sympoly, jack, basis) is imported
+here; `verify` imports its suite's module on use (VERIFY_SUITES).
 """
 
 import argparse
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 from .ratfunc import PoleError, rat_to_obj
-from .partitions import (InvalidParameters, as_partition, beta_value,
+from .partitions import (InvalidParameters, as_partition,
                          enumerate_admissible, is_admissible)
 from .sympoly import MSymPoly, ExpandedPoly, TermBudgetExceeded
 from .jack import (JackCache, SpecializationPole, jack_at, jack_symbolic,
-                   principal_specialization, specialize, verify_eigensystem)
-from .ideal import (build_basis, reduce_membership, verify_closure,
-                    verify_lassalle, verify_phi3, verify_pieri,
-                    verify_regularity, verify_restriction, verify_wheel)
-from .operators import verify_commutators
+                   principal_specialization, specialize)
+from .basis import build_basis, reduce_membership
 
 
 class UsageError(Exception):
@@ -183,22 +184,18 @@ def run_report(suite, rep, fmt):
     return 0 if rep.all_pass() else 1
 
 
+# suite -> (module, function, its arguments: option names and the cache)
 VERIFY_SUITES = {
-    "commutators": lambda a, cache: verify_commutators(
-        a.n, a.dmax, a.trials, a.seed, a.tmax),
-    "pieri": lambda a, cache: verify_pieri(
-        a.n, a.dmax, a.k, a.r, a.symbolic, cache),
-    "lassalle": lambda a, cache: verify_lassalle(
-        a.n, a.dmax, a.k, a.r, a.symbolic, cache),
-    "closure": lambda a, cache: verify_closure(
-        a.k, a.r, a.n, a.dmax, a.mmax, a.tmax, cache),
-    "restriction": lambda a, cache: verify_restriction(
-        a.k, a.r, a.n, a.dmax, a.jmax, cache),
-    "regularity": lambda a, cache: verify_regularity(
-        a.k, a.r, a.n, a.dmax, cache),
-    "wheel": lambda a, cache: verify_wheel(a.k, a.n, a.dmax, cache),
-    "phi3": lambda a, cache: verify_phi3(a.r, cache),
-    "sekiguchi": lambda a, cache: verify_eigensystem(a.n, a.dmax, cache),
+    "commutators": ("operators", "verify_commutators",
+                    "n dmax trials seed tmax"),
+    "pieri": ("ideal", "verify_pieri", "n dmax k r symbolic cache"),
+    "lassalle": ("ideal", "verify_lassalle", "n dmax k r symbolic cache"),
+    "closure": ("ideal", "verify_closure", "k r n dmax mmax tmax cache"),
+    "restriction": ("ideal", "verify_restriction", "k r n dmax jmax cache"),
+    "regularity": ("ideal", "verify_regularity", "k r n dmax cache"),
+    "wheel": ("ideal", "verify_wheel", "k n dmax cache"),
+    "phi3": ("ideal", "verify_phi3", "r cache"),
+    "sekiguchi": ("ideal", "verify_eigensystem", "n dmax cache"),
 }
 
 
@@ -301,8 +298,10 @@ def run(args):
     if args.command == "verify":
         if args.suite == "commutators" and (args.n < 1 or args.dmax < 0):
             raise UsageError("commutators need --n >= 1 and --dmax >= 0")
-        return run_report(args.suite,
-                          VERIFY_SUITES[args.suite](args, cache), fmt)
+        module, name, params = VERIFY_SUITES[args.suite]
+        suite = getattr(import_module("." + module, __package__), name)
+        return run_report(args.suite, suite(*(
+            cache if p == "cache" else opts[p] for p in params.split())), fmt)
 
     raise UsageError("unknown command %r" % args.command)
 

@@ -27,8 +27,8 @@ D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so H(e_n f) = e_n (H + 2E + n) f
 (E the Euler operator) and P_lam = e_n^c P_base identically in beta, with
 c = lam_n and base = lam - (c^n): jack_at maps each key mu of P_base at
 beta0, padded to n, to mu + (c^n), which keeps lex order and names a pole
-of P_base as the same pole of P_lam.  Rows are checked by partial sums of
-mu, taken once per row (hamiltonian_matrix_row).
+of P_base as the same pole of P_lam.  Rows of H (hamiltonian_row) are checked
+by partial sums of mu, taken once per row (hamiltonian_matrix_row).
 """
 
 import json
@@ -39,12 +39,10 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import add, le, mul, sub
 
-from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
+from .ratfunc import BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
-                         dominated_by, hook_factors, partitions_leq,
-                         sekiguchi_eigenvalue)
+                         dominated_by, hook_factors, padded, partitions_leq)
 from .sympoly import MSymPoly, orbit_size
-from . import operators
 
 # format of the JackPoly.to_obj() files that JackCache writes
 CACHE_VERSION = 2
@@ -209,7 +207,7 @@ class JackCache:
     table per (degree, n), Jacks at a point (lam, n, p, q) ->
     SpecializedJack at beta0 = p/q, which jack_at files and reads, solved
     at the point, so only a fallback reads or fills the symbolic Jacks,
-    and the bases (k, r, n, dmax) -> IdealBasis that ideal.build_basis
+    and the bases (k, r, n, dmax) -> IdealBasis that basis.build_basis
     files with their normal-form tables."""
 
     def __init__(self, directory=None):
@@ -286,6 +284,44 @@ class JackCache:
                     os.remove(os.path.join(self.directory, name))
 
 
+def hamiltonian_row(mu, n):
+    """H m_mu = euler m_mu + beta sum_nu h_nu m_nu in closed form, for
+    H = sum_i (x_i d_i)^2 + beta sum_{i<j} (x_i + x_j)/(x_i - x_j)
+    (x_i d_i - x_j d_j); returns (euler, {nu: h_nu}) with integer entries.
+
+    With p = mu padded to n slots, euler = sum p_i^2 and the diagonal
+    h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves
+    to (c1, c2) = (a - t, b + t), 0 < t < a - b, with weight a - b.  Per
+    monomial of m_nu, the m_a m_b pairs holding a > b (m the multiplicities
+    in p) count |orbit(mu)| / |orbit(nu)| = (m_c1 + 1)(m_c2 + 1) / (m_a m_b)
+    times, so a move adds (a - b)(m_c1 + 1)(m_c2 + 1), or
+    (a - b)(m_c + 1)(m_c + 2) when c1 = c2 = c: an integer.  The moves t
+    and a - b - t reach the same nu, so a c1 > c2 is added once, doubled.
+    """
+    p = padded(mu, n)
+    mult = {}
+    for a in p:
+        mult[a] = mult.get(a, 0) + 1
+    values = sorted(mult, reverse=True)
+    row = {}
+    for x, a in enumerate(values):
+        for b in values[x + 1:]:
+            i, j = p.index(a), p.index(b)
+            parts = n - mult.get(0, 0) + (b == 0)  # c1, c2 > b >= 0
+            for c2 in range(b + 1, (a + b) // 2 + 1):
+                c1 = a + b - c2
+                q = list(p)
+                q[i], q[j] = c1, c2
+                nu = tuple(sorted(q, reverse=True)[:parts])
+                m1, m2 = mult.get(c1, 0) + 1, mult.get(c2, 0) + 1
+                h = (a - b) * m1 * (m2 + 1 if c1 == c2 else 2 * m2)
+                row[nu] = row.get(nu, 0) + h
+    diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))
+    if diag:
+        row[mu] = diag
+    return sum(a * a for a in p), row
+
+
 def hamiltonian_matrix_row(mu, n):
     """H m_mu in the m-basis with int entries: (euler, diag, off) for
     H m_mu = (euler + diag beta) m_mu + beta sum_nu off[nu] m_nu.
@@ -296,7 +332,7 @@ def hamiltonian_matrix_row(mu, n):
     entry to be the closed-form eigenvalue.
     """
     mu = as_partition(mu)
-    euler, off = operators.hamiltonian_row(mu, n)
+    euler, off = hamiltonian_row(mu, n)
     diag = off.pop(mu, 0)
     pm = list(accumulate(mu))
     for nu in off:
@@ -483,37 +519,6 @@ def jack_at(lam, n, beta0, cache=None):
     hit = SpecializedJack(lam, n, beta0, den, num)
     cache.put(hit)
     return hit
-
-
-def verify_hamiltonian(lam, n, cache=None):
-    """Exact check of H P_lam = eps_lam P_lam, identically in beta."""
-    Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums)
-    lhs = operators.apply_hamiltonian(Q, BETA)
-    return lhs == Q.scale(cs_eigenvalue(lam, n))
-
-
-def verify_sekiguchi(lam, n, cache=None):
-    """Exact check of the full Sekiguchi eigen-equation
-    S(u, beta) P_lam = prod_i (u + lam_i + (n-i) beta) P_lam in Q[beta][u]."""
-    Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums).to_expanded()
-    got = operators.apply_sekiguchi(Q, BETA)
-    want = sekiguchi_eigenvalue(lam, n)
-    return len(got) == len(want) and all(
-        g == Q * w for g, w in zip(got, want))
-
-
-def verify_eigensystem(n, dmax, cache=None):
-    """Both eigen-equations for every partition of weight <= dmax."""
-    from .report import Report
-    cache = cache if cache is not None else JackCache()
-    rep = Report("eigensystem", {"n": n, "dmax": dmax})
-    for d in range(dmax + 1):
-        for lam in partitions_leq(d, n):
-            rep.add("hamiltonian:%s" % (list(lam),),
-                    verify_hamiltonian(lam, n, cache))
-            rep.add("sekiguchi:%s" % (list(lam),),
-                    verify_sekiguchi(lam, n, cache))
-    return rep
 
 
 def pole_profile(lam, n, beta0, cache=None):

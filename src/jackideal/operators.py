@@ -5,17 +5,16 @@ The exchange K_ij is ExpandedPoly.swap.
 Every operator takes the coupling as an explicit scalar `beta`, which is a
 Fraction (specialized) or a BetaPoly (symbolic), never a BetaRatFunc (a
 value with no arithmetic); the arithmetic is whatever the coefficients
-support.  Divisions by (x_i - x_j)
-are always performed exactly through the telescoping identity, so no
-operator ever leaves the coefficient ring.
+support.  Divisions by (x_i - x_j) are always performed exactly through
+the telescoping identity, so no operator ever leaves the coefficient ring.
 
 An operator that preserves symmetry takes an MSymPoly (TypeError on anything
 else), and Dunkl, Cherednik and the Sekiguchi product built from them take
-an ExpandedPoly.  The Hamiltonian acts on the m-basis in closed form
-(hamiltonian_row: pair moves on the parts of mu, weighted by multiplicities
-of mu, cost polynomial in n and the degree), and so do p_m and l_m
-(OperatorTag.apply).  w^(t)_m is sum_j x_j^(m+t-1) K_1j nabla_1^(t-1) P
-(nabla_j^s P = K_1j nabla_1^s P for symmetric P), read off dunkl_chain.
+an ExpandedPoly.  The Hamiltonian acts on the m-basis in closed form, row
+by row (jack.hamiltonian_row, which the Jack solve reads, so jack imports
+no operator), and so do p_m and l_m (OperatorTag.apply).  w^(t)_m is
+sum_j x_j^(m+t-1) K_1j nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P
+for symmetric P), read off dunkl_chain.
 
 The class form t^a m_nu(x_2, ..., x_n) is positions over class_table
 alone.  coincident_row states x_1 = ... = x_c = t on m_lam once, for the
@@ -32,11 +31,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .ratfunc import BETA, BetaPoly
+from .ratfunc import BETA
 from .report import Report
 from .sympoly import (ExpandedPoly, MSymPoly, _replace_part, orbit_size,
                       power_sum)
 from .partitions import padded, partitions_leq
+from .jack import hamiltonian_row
 
 
 def apply_dunkl(P, i, beta):
@@ -81,44 +81,6 @@ def apply_sekiguchi(P, beta):
             nxt[m + 1] = nxt[m + 1] + coeffs[m]
         coeffs = nxt
     return coeffs
-
-
-def hamiltonian_row(mu, n):
-    """H m_mu = euler m_mu + beta sum_nu h_nu m_nu in closed form, for
-    H = sum_i (x_i d_i)^2 + beta sum_{i<j} (x_i + x_j)/(x_i - x_j)
-    (x_i d_i - x_j d_j); returns (euler, {nu: h_nu}) with integer entries.
-
-    With p = mu padded to n slots, euler = sum p_i^2 and the diagonal
-    h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves
-    to (c1, c2) = (a - t, b + t), 0 < t < a - b, with weight a - b.  Per
-    monomial of m_nu, the m_a m_b pairs holding a > b (m the multiplicities
-    in p) count |orbit(mu)| / |orbit(nu)| = (m_c1 + 1)(m_c2 + 1) / (m_a m_b)
-    times, so a move adds (a - b)(m_c1 + 1)(m_c2 + 1), or
-    (a - b)(m_c + 1)(m_c + 2) when c1 = c2 = c: an integer.  The moves t
-    and a - b - t reach the same nu, so a c1 > c2 is added once, doubled.
-    """
-    p = padded(mu, n)
-    mult = {}
-    for a in p:
-        mult[a] = mult.get(a, 0) + 1
-    values = sorted(mult, reverse=True)
-    row = {}
-    for x, a in enumerate(values):
-        for b in values[x + 1:]:
-            i, j = p.index(a), p.index(b)
-            parts = n - mult.get(0, 0) + (b == 0)  # c1, c2 > b >= 0
-            for c2 in range(b + 1, (a + b) // 2 + 1):
-                c1 = a + b - c2
-                q = list(p)
-                q[i], q[j] = c1, c2
-                nu = tuple(sorted(q, reverse=True)[:parts])
-                m1, m2 = mult.get(c1, 0) + 1, mult.get(c2, 0) + 1
-                h = (a - b) * m1 * (m2 + 1 if c1 == c2 else 2 * m2)
-                row[nu] = row.get(nu, 0) + h
-    diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))
-    if diag:
-        row[mu] = diag
-    return sum(a * a for a in p), row
 
 
 def _check_msym(P):

@@ -430,6 +430,46 @@ def test_cli_import_leaves_process_pool_out():
     assert proc.stdout == "False\n"
 
 
+SUITE_MODULES = ["jackideal.ideal", "jackideal.operators", "jackideal.report"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("ideal basis --k 1 --r 2 --n 3 --dmax 8", []),
+    ("ideal member --k 1 --r 2 --n 2 --dmax 4 --input {poly}", []),
+    ("jack --lambda 2,1 --n 3 --symbolic", []),
+    ("jack --lambda 2,1 --n 3 --beta=-2/5", []),
+    ("jack --lambda 4,2 --n 3 --k 1 --r 2", []),
+    ("partitions --k 1 --r 2 --n 3 --dmax 8", []),
+    ("partitions --k 1 --r 2 --n 3 --lambda 3,1", []),
+    ("character --k 1 --r 2 --n 3 --dmax 8", []),
+    ("specialize-principal --lambda 2,1 --n 3", []),
+    ("specialize-principal --lambda 2,1 --n 3 --beta=-2/5", []),
+    ("verify phi3 --r 3", SUITE_MODULES),
+])
+def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
+    """The core (ratfunc, partitions, sympoly, jack, basis) answers every
+    command but verify, so a fresh interpreter running one of them leaves
+    the suites, the Dunkl-type operators and the reports unloaded; a verify
+    suite loads them."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps({"n": 2, "basis": "msym", "terms": [  # P_(2)
+        {"partition": [2], "coeff": {"num": "1", "den": "1"}},
+        {"partition": [1, 1], "coeff": {"num": "-2", "den": "1"}}]}))
+    src = os.path.dirname(os.path.dirname(jackideal.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import contextlib, io, json, sys\n"
+         "from jackideal.cli import main\n"
+         "with contextlib.redirect_stdout(io.StringIO()):\n"
+         "    code = main(sys.argv[1:])\n"
+         "print(json.dumps([code, sorted(m for m in sys.modules\n"
+         "                               if m in %r)]))" % SUITE_MODULES]
+        + shlex.split(argv.format(poly=poly)),
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loaded]
+
+
 def test_processes_share_one_cache_dir(tmp_path):
     """Two cold runs at once on one --cache-dir, then a warm one: each
     prints what a run without a cache prints.  ideal basis solves its Jacks

@@ -49,7 +49,7 @@ from math import factorial, gcd
 
 import pytest
 
-from jackideal import ideal
+import jackideal.basis
 from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
                              verify_closure)
 from jackideal.jack import JackCache, SpecializedJack
@@ -662,7 +662,7 @@ def test_closure_verdicts_match_dict_rows(grid):
 def one_bare_monomial(lam):
     """A specialize that gives the admissible lam its bare m_lam, which has
     P_lam's leading term, and every other partition its Jack."""
-    real = ideal.specialize
+    real = jackideal.basis.specialize
 
     def specialize(mu, n, k, r, cache=None):
         sp = real(mu, n, k, r, cache)
@@ -683,7 +683,7 @@ def test_closure_with_non_members_matches_per_tag_loop(monkeypatch, grid,
     read off the chain entries by position, off the built images or by the
     dict-row route, equal reduce_membership's on the per-tag loop, case by
     case."""
-    monkeypatch.setattr(ideal, "specialize", one_bare_monomial(lam))
+    monkeypatch.setattr(jackideal.basis, "specialize", one_bare_monomial(lam))
     cache = JackCache()
     want = closure_per_tag(*grid, cache=cache)
     got = verify_closure(*grid, cache=cache)
@@ -701,7 +701,8 @@ def test_closure_with_non_members_at_n_5(monkeypatch):
     images and of the dict-row route, and some case fails with an
     obstruction."""
     grid = (3, 2, 5, 12, 4, 4)
-    monkeypatch.setattr(ideal, "specialize", one_bare_monomial((3, 3, 1)))
+    monkeypatch.setattr(jackideal.basis, "specialize",
+                        one_bare_monomial((3, 3, 1)))
     cache = JackCache()
     want = closure_images(*grid, cache=cache)
     got = verify_closure(*grid, cache=cache)

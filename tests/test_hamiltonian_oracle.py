@@ -14,9 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from jackideal.jack import hamiltonian_matrix_row
-from jackideal.operators import (_random_symmetric, apply_hamiltonian,
-                                 hamiltonian_row)
+from jackideal.jack import hamiltonian_matrix_row, hamiltonian_row
+from jackideal.operators import _random_symmetric, apply_hamiltonian
 from jackideal.partitions import as_partition, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,

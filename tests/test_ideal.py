@@ -10,9 +10,10 @@ from fractions import Fraction
 
 import pytest
 
-from jackideal import ideal
-from jackideal.ideal import (DegreeOverflow, _combine, bareiss_rank,
-                             build_basis, clearing_zero_order, closure_tags,
+import jackideal.basis
+from jackideal.basis import DegreeOverflow
+from jackideal.ideal import (_combine, bareiss_rank, build_basis,
+                             clearing_zero_order, closure_tags,
                              lassalle_down, lassalle_up, pieri_coefficient,
                              reduce_membership, verify_closure,
                              verify_lassalle, verify_phi3, verify_pieri,
@@ -356,7 +357,7 @@ def test_restriction_with_a_non_member_matches_reduce(monkeypatch, grid,
     verdicts and obstructions read off the normal-form table equal
     reduce_membership's, case by case."""
     k, r, n, dmax = grid
-    real = ideal.specialize
+    real = jackideal.basis.specialize
 
     def one_bare_monomial(mu, nn, kk, rr, cache=None):
         sp = real(mu, nn, kk, rr, cache)
@@ -364,7 +365,7 @@ def test_restriction_with_a_non_member_matches_reduce(monkeypatch, grid,
             return sp
         return SpecializedJack(mu, nn, sp.beta0, 1,
                                MSymPoly(nn, {lam: 1}))
-    monkeypatch.setattr(ideal, "specialize", one_bare_monomial)
+    monkeypatch.setattr(jackideal.basis, "specialize", one_bare_monomial)
     cache = JackCache()
     got = verify_restriction(*grid, cache=cache)
     assert got.to_obj() == restriction_by_reduce(*grid, cache=cache).to_obj()
@@ -466,6 +467,6 @@ def test_warm_rerun_builds_no_table(monkeypatch, suite, grid):
 
     def refuse(*args, **kwargs):
         raise AssertionError("rebuilt on a warm cache")
-    monkeypatch.setattr(ideal, "specialize", refuse)
-    monkeypatch.setattr(ideal, "partitions_leq", refuse)
+    monkeypatch.setattr(jackideal.basis, "specialize", refuse)
+    monkeypatch.setattr(jackideal.basis, "partitions_leq", refuse)
     assert suite(*grid, cache=cache).to_obj() == first.to_obj()

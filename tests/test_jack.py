@@ -14,9 +14,9 @@ import jackideal
 from jackideal import jack
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
                             evaluate_all_ones, jack_at, jack_symbolic,
-                            pole_profile, principal_specialization, specialize,
-                            verify_eigensystem, verify_hamiltonian,
-                            verify_sekiguchi)
+                            pole_profile, principal_specialization, specialize)
+from jackideal.ideal import (verify_eigensystem, verify_hamiltonian,
+                             verify_sekiguchi)
 from jackideal.partitions import (beta_value, c_lambda, dominated_by,
                                   partitions_leq)
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc

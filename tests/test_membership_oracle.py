@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from jackideal.ideal import (MembershipCertificate, build_basis,
-                             closure_tags, reduce_membership)
+from jackideal.basis import MembershipCertificate
+from jackideal.ideal import build_basis, closure_tags, reduce_membership
 from jackideal.jack import JackCache
 from jackideal.partitions import beta_value, dominated_by, partitions_leq
 from jackideal.sympoly import MSymPoly

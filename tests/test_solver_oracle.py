@@ -26,7 +26,7 @@ from math import prod
 
 import pytest
 
-from jackideal import jack, operators
+from jackideal import jack
 from jackideal.jack import JackCache, jack_symbolic, specialize
 from jackideal.partitions import (as_partition, beta_value, c_lambda,
                                   cs_eigenvalue, dominated_by,
@@ -45,7 +45,7 @@ def betapoly_row(mu, n):
     the diagonal entry to be the closed-form eigenvalue.
     """
     mu = as_partition(mu)
-    euler, h = operators.hamiltonian_row(mu, n)
+    euler, h = jack.hamiltonian_row(mu, n)
     row = {nu: BetaPoly((0, c)) for nu, c in h.items()}
     diag = BetaPoly((euler, h.get(mu, 0)))
     if diag:
@@ -311,14 +311,14 @@ def test_point_walk_matches_dict_walk():
 
 @pytest.fixture
 def patched_rows(monkeypatch):
-    """Lets a test replace operators.hamiltonian_row.  Each test solves in a
+    """Lets a test replace jack.hamiltonian_row.  Each test solves in a
     fresh JackCache, which holds the rows, so no row outlives the patch."""
     yield monkeypatch
     monkeypatch.undo()
 
 
 def _perturbed(mu0, n0, change):
-    orig = operators.hamiltonian_row
+    orig = jack.hamiltonian_row
 
     def row(mu, n):
         euler, h = orig(mu, n)
@@ -339,7 +339,7 @@ def test_row_check_catches_an_entry_outside_the_cone(patched_rows, mu, n,
     def reach(euler, h):
         h[nu] = 1
         return euler, h
-    patched_rows.setattr(operators, "hamiltonian_row",
+    patched_rows.setattr(jack, "hamiltonian_row",
                          _perturbed(mu, n, reach))
     with pytest.raises(AssertionError, match="outside the dominance cone"):
         jack.hamiltonian_matrix_row(mu, n)
@@ -352,7 +352,7 @@ def test_row_check_catches_a_wrong_diagonal(patched_rows):
     def bump(euler, h):
         h[mu] = h.get(mu, 0) + 1
         return euler, h
-    patched_rows.setattr(operators, "hamiltonian_row",
+    patched_rows.setattr(jack, "hamiltonian_row",
                          _perturbed(mu, n, bump))
     with pytest.raises(AssertionError,
                        match="disagrees with the closed-form eigenvalue"):
@@ -369,7 +369,7 @@ def test_clearing_check_catches_a_wrong_row(patched_rows, lam, n, nu):
     def bump(euler, h):
         h[nu] += 1
         return euler, h
-    patched_rows.setattr(operators, "hamiltonian_row",
+    patched_rows.setattr(jack, "hamiltonian_row",
                          _perturbed(lam, n, bump))
     with pytest.raises(AssertionError, match="does not clear"):
         jack_symbolic(lam, n, JackCache())
@@ -384,7 +384,7 @@ def test_eigenvalue_collision_raises(patched_rows):
     def collide(euler, h):
         h[nu] = eps.coeffs[1]
         return eps.coeffs[0], h
-    patched_rows.setattr(operators, "hamiltonian_row",
+    patched_rows.setattr(jack, "hamiltonian_row",
                          _perturbed(nu, n, collide))
     patched_rows.setattr(jack, "cs_eigenvalue",
                          lambda mu, m: eps if mu == nu else

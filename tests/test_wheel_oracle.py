@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import jackideal.basis
 from jackideal import ideal
 from jackideal.ideal import bareiss_rank, verify_wheel, wheel_dimension
 from jackideal.jack import JackCache, SpecializedJack
@@ -92,7 +93,7 @@ def test_vanishing_matches_expanded_with_a_stray_term(monkeypatch):
     positions still cancel: each vanish case of verify_wheel equals the
     coincidence on the element's S_n orbits, and only lam's fails."""
     k, n, dmax, lam, mu = 2, 4, 8, (4, 2, 1), (2, 2, 2, 1)
-    real = ideal.specialize
+    real = jackideal.basis.specialize
 
     def with_stray_term(nu, nn, kk, rr, cache=None):
         sp = real(nu, nn, kk, rr, cache)
@@ -100,7 +101,7 @@ def test_vanishing_matches_expanded_with_a_stray_term(monkeypatch):
             return sp
         stray = MSymPoly(nn, {mu: sp.den})
         return SpecializedJack(nu, nn, sp.beta0, sp.den, sp.num + stray)
-    monkeypatch.setattr(ideal, "specialize", with_stray_term)
+    monkeypatch.setattr(jackideal.basis, "specialize", with_stray_term)
     cache = JackCache()
     basis = ideal.build_basis(k, 2, n, dmax, cache)
     cases = {case["id"]: case["status"] for case
