@@ -27,8 +27,8 @@ D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so H(e_n f) = e_n (H + 2E + n) f
 (E the Euler operator) and P_lam = e_n^c P_base identically in beta, with
 c = lam_n and base = lam - (c^n): jack_at maps each key mu of P_base at
 beta0, padded to n, to mu + (c^n), which keeps lex order and names a pole
-of P_base as the same pole of P_lam.  Rows of H (hamiltonian_row) are checked
-by partial sums of mu, taken once per row (hamiltonian_matrix_row).
+of P_base as the same pole of P_lam.  Rows of H (hamiltonian_row) are built
+from mu's parts and checked by mu's partial sums (hamiltonian_matrix_row).
 """
 
 import json
@@ -41,7 +41,7 @@ from operator import add, le, mul, sub
 
 from .ratfunc import BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
-                         dominated_by, hook_factors, padded, partitions_leq)
+                         dominated_by, hook_factors, partitions_leq)
 from .sympoly import MSymPoly, orbit_size
 
 # format of the JackPoly.to_obj() files that JackCache writes
@@ -268,10 +268,6 @@ class JackCache:
             hit = self._tables[(d, n)] = order, pos, [None] * len(order)
         return hit
 
-    def __len__(self):
-        with self._lock:
-            return len(self._mem)
-
     def clear(self):
         with self._lock:
             self._mem.clear()
@@ -287,51 +283,52 @@ class JackCache:
 def hamiltonian_row(mu, n):
     """H m_mu = euler m_mu + beta sum_nu h_nu m_nu in closed form, for
     H = sum_i (x_i d_i)^2 + beta sum_{i<j} (x_i + x_j)/(x_i - x_j)
-    (x_i d_i - x_j d_j); returns (euler, {nu: h_nu}) with integer entries.
+    (x_i d_i - x_j d_j); returns (euler, {nu: h_nu}) with integer entries,
+    for a partition tuple mu (decreasing, no zero parts) of at most n parts.
 
     With p = mu padded to n slots, euler = sum p_i^2 and the diagonal
-    h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves
-    to (c1, c2) = (a - t, b + t), 0 < t < a - b, with weight a - b.  Per
-    monomial of m_nu, the m_a m_b pairs holding a > b (m the multiplicities
-    in p) count |orbit(mu)| / |orbit(nu)| = (m_c1 + 1)(m_c2 + 1) / (m_a m_b)
-    times, so a move adds (a - b)(m_c1 + 1)(m_c2 + 1), or
-    (a - b)(m_c + 1)(m_c + 2) when c1 = c2 = c: an integer.  The moves t
-    and a - b - t reach the same nu, so a c1 > c2 is added once, doubled.
+    h_mu = sum_{i<j} (p_i - p_j).  Each slot pair a = p_i > b = p_j moves to
+    (c1, c2) = (a - t, b + t), 0 < t < a - b, weight a - b; nu is mu less one
+    a (and one b > 0) plus c1, c2, sorted.  Per monomial of m_nu, the m_a m_b
+    pairs holding a > b (m the multiplicities in p) count |orbit(mu)| /
+    |orbit(nu)| = (m_c1 + 1)(m_c2 + 1) / (m_a m_b) times, so a move adds
+    (a - b)(m_c1 + 1)(m_c2 + 1), or (a - b)(m_c + 1)(m_c + 2) if c1 = c2 = c.
+    The moves t and a - b - t reach the same nu: a c1 > c2 is added doubled.
     """
-    p = padded(mu, n)
     mult = {}
-    for a in p:
+    for a in mu:
         mult[a] = mult.get(a, 0) + 1
-    values = sorted(mult, reverse=True)
+    values = list(mult) + [0] * (len(mu) < n)  # decreasing
     row = {}
     for x, a in enumerate(values):
         for b in values[x + 1:]:
-            i, j = p.index(a), p.index(b)
-            parts = n - mult.get(0, 0) + (b == 0)  # c1, c2 > b >= 0
+            rest = list(mu)  # c1, c2 > b >= 0 take the slots of a and b
+            rest.remove(a)
+            if b:
+                rest.remove(b)
             for c2 in range(b + 1, (a + b) // 2 + 1):
                 c1 = a + b - c2
-                q = list(p)
-                q[i], q[j] = c1, c2
-                nu = tuple(sorted(q, reverse=True)[:parts])
+                q = rest + [c1, c2]
+                q.sort(reverse=True)
+                nu = tuple(q)
                 m1, m2 = mult.get(c1, 0) + 1, mult.get(c2, 0) + 1
                 h = (a - b) * m1 * (m2 + 1 if c1 == c2 else 2 * m2)
                 row[nu] = row.get(nu, 0) + h
-    diag = sum((n - 1 - 2 * i) * a for i, a in enumerate(p))
+    diag = sum(map(mul, range(n - 1, -n, -2), mu))
     if diag:
         row[mu] = diag
-    return sum(a * a for a in p), row
+    return sum(map(mul, mu, mu)), row
 
 
 def hamiltonian_matrix_row(mu, n):
     """H m_mu in the m-basis with int entries: (euler, diag, off) for
     H m_mu = (euler + diag beta) m_mu + beta sum_nu off[nu] m_nu.
 
-    The support is checked to be dominated by mu (upper triangularity):
-    no partial sum of nu exceeds mu's, which are taken once per row (every
-    nu has mu's weight, so past mu's length none can), and the diagonal
-    entry to be the closed-form eigenvalue.
+    mu, a table key, is not validated again; every entry of the row is
+    checked to be dominated by mu: no partial sum of nu exceeds mu's, taken
+    once per row (every nu has mu's weight, so past mu's length none can),
+    and the diagonal entry to be the closed-form eigenvalue.
     """
-    mu = as_partition(mu)
     euler, off = hamiltonian_row(mu, n)
     diag = off.pop(mu, 0)
     pm = list(accumulate(mu))
@@ -347,13 +344,12 @@ def hamiltonian_matrix_row(mu, n):
 
 
 def _row(table, i, n):
-    """Row i of a JackCache.table, (euler, diag, ((j, h), ...)) with
-    positions j, filled by hamiltonian_matrix_row on first use."""
+    """Fill row i of a JackCache.table, where rows[i] is None, with
+    (euler, diag, ((j, h), ...)), positions j, from hamiltonian_matrix_row."""
     order, pos, rows = table
-    if rows[i] is None:
-        euler, diag, off = hamiltonian_matrix_row(order[i], n)
-        rows[i] = euler, diag, tuple((pos[nu], h) for nu, h in off.items())
-    return rows[i]
+    euler, diag, off = hamiltonian_matrix_row(order[i], n)
+    rows[i] = row = euler, diag, tuple([(pos[nu], h) for nu, h in off.items()])
+    return row
 
 
 def _scatter(sums, off, num):
@@ -390,9 +386,9 @@ def jack_symbolic(lam, n, cache=None):
     if hit is not None:
         return hit
 
-    table = cache.table(sum(lam), n)
-    order, i_lam = table[0], table[1][lam]
-    euler, diag, off = _row(table, i_lam, n)
+    order, pos, rows = table = cache.table(sum(lam), n)
+    i_lam = pos[lam]
+    euler, diag, off = rows[i_lam] or _row(table, i_lam, n)
     den = c_lambda(lam)
     nums = {lam: den}
     sums = [None] * len(order)  # S_nu over the mu solved so far, by position
@@ -405,7 +401,7 @@ def jack_symbolic(lam, n, cache=None):
             continue
         sums[i] = None
         nu = order[i]
-        e, g, off = _row(table, i, n)
+        e, g, off = rows[i] or _row(table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             # moving a box from row i down to row j lowers diag by 2(j - i)
@@ -449,9 +445,9 @@ def _solve_at(lam, n, cache, beta0):
     m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
     if not m_lam:
         return None
-    table = cache.table(sum(lam), n)
-    order, i_lam = table[0], table[1][lam]
-    euler, diag, off = _row(table, i_lam, n)
+    order, pos, rows = table = cache.table(sum(lam), n)
+    i_lam = pos[lam]
+    euler, diag, off = rows[i_lam] or _row(table, i_lam, n)
     vals = {lam: m_lam}
     sums = [None] * len(order)
     for j, h in off:
@@ -460,7 +456,7 @@ def _solve_at(lam, n, cache, beta0):
         s = sums[i]
         if s is None:
             continue
-        e, g, off = _row(table, i, n)
+        e, g, off = rows[i] or _row(table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             raise AssertionError("eigenvalues of %r and %r do not separate: "

@@ -8,6 +8,7 @@ with zeros to length n.
 
 import operator
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .ratfunc import BetaPoly
@@ -124,17 +125,21 @@ def beta_value(k, r):
     return Fraction(-(r - 1), k + 1)
 
 
+def _in_window(lam, k, r, n):
+    """lam[i] - lam[i+k] >= r for a partition tuple lam padded to n."""
+    lp = lam + (0,) * (n - len(lam))
+    return all(map(operator.ge, map(operator.sub, lp, lp[k:]), repeat(r)))
+
+
 def is_admissible(lam, k, r, n):
-    """Admissibility: padded to length n, lam[i] - lam[i+k] >= r for all
-    1 <= i <= n-k.  Zero parts count, so the empty partition is admissible
-    only when n <= k."""
+    """Whether lam is (k, r, n)-admissible: _in_window, after checking k, r, n
+    and the length.  Zero parts count: () is admissible only when n <= k."""
     _check_kr(k, r)
     if n < 1:
         raise InvalidParameters("need n >= 1, got n=%d" % n)
     if len(lam) > n:
         raise InvalidParameters("partition %r longer than n=%d" % (lam, n))
-    lp = padded(lam, n)
-    return all(lp[i] - lp[i + k] >= r for i in range(n - k))
+    return _in_window(tuple(lam), k, r, n)
 
 
 class AdmissibleFamily:
@@ -162,14 +167,14 @@ class AdmissibleFamily:
 
 
 def enumerate_admissible(k, r, n, dmax):
-    """All admissible partitions of weight <= dmax: for each degree d, the
-    partitions of partitions_leq(d, n) that pass is_admissible, so each
-    degree lists in decreasing lex order."""
+    """All admissible partitions of weight <= dmax: for each degree d, those
+    of partitions_leq(d, n) in _in_window, in decreasing lex order, with the
+    checks of is_admissible run once for (k, r, n, dmax)."""
     _check_kr(k, r)
     if n < 1 or dmax < 0:
         raise InvalidParameters("need n >= 1 and dmax >= 0")
     by_degree = {d: tuple(lam for lam in partitions_leq(d, n)
-                          if is_admissible(lam, k, r, n))
+                          if _in_window(lam, k, r, n))
                  for d in range(dmax + 1)}
     return AdmissibleFamily(k, r, n, dmax, by_degree)
 
@@ -245,9 +250,8 @@ def cs_eigenvalue(lam, n):
     """Sutherland-type eigenvalue: sum over rows of (lam_i + beta(n+1-2i)) lam_i."""
     if len(lam) > n:
         raise ValueError("partition %r longer than n=%d" % (lam, n))
-    c0 = sum(li * li for li in lam)
-    c1 = sum((n + 1 - 2 * i) * li for i, li in enumerate(lam, start=1))
-    return BetaPoly((c0, c1))
+    return BetaPoly((sum(map(operator.mul, lam, lam)),
+                     sum(map(operator.mul, range(n - 1, -n, -2), lam))))
 
 
 def sekiguchi_eigenvalue(lam, n):

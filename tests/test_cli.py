@@ -121,6 +121,17 @@ def test_jack_pole_exit(capsys):
                    "beta=-1/2\n")
 
 
+def test_principal_specialization_pole_exit(capsys):
+    # P_(2)(1, 1) = (4 beta + 2)/(beta + 1) in lowest terms has a simple
+    # pole at beta = -1, which reaches the user as a PoleError: exit 1,
+    # with nothing on stdout
+    code, out, err = run_cli(capsys, "specialize-principal", "--lambda", "2",
+                             "--n", "2", "--beta=-1")
+    assert code == 1 and out == ""
+    assert err == ("pole at the requested evaluation point: pole of order 1 "
+                   "at beta=-1\n")
+
+
 @pytest.mark.parametrize("lam, n, beta, walk_solves, solved, exit_code, "
                          "out_sha", [
     ("3,1", 3, "3/2", True, [], 0, "6b9436e0075ebf84"),
@@ -213,6 +224,15 @@ def test_member_above_dmax_exit(capsys, tmp_path):
                              str(poly))
     assert code == 2 and out == ""
     assert "degree 5" in err and "Traceback" not in err
+
+
+def test_member_missing_input_exit(capsys, tmp_path):
+    # an unreadable --input is an OSError, reported as an input error
+    code, out, err = run_cli(capsys, "ideal", "member", "--k", "1", "--r",
+                             "2", "--n", "2", "--dmax", "4", "--input",
+                             str(tmp_path / "missing.json"))
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("term", [

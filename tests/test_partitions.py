@@ -3,6 +3,7 @@ eigenvalue/clearing-product formulas attached to a partition."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -148,6 +149,30 @@ def test_enumerate_admissible_matches_filter():
             assert list(fam.by_degree[d]) == brute
 
 
+def test_enumerate_admissible_matches_the_public_filter():
+    # enumerate_admissible checks (k, r, n, dmax) once and tests the window
+    # per partition; over every coprime (k, r) with k <= 4, 2 <= r <= 6 and
+    # n <= 7 its family must equal the filter through the public
+    # is_admissible, which checks (k, r, n) and the length every time, and
+    # the window as stated here on lam padded to n.  dmax = 16 holds every
+    # smaller dmax as a prefix of its degrees.
+    pairs = [(k, r) for k in range(1, 5) for r in range(2, 7)
+             if gcd(k + 1, r - 1) == 1]
+    assert len(pairs) == 14
+    for k, r in pairs:
+        for n in range(1, 8):
+            fam = enumerate_admissible(k, r, n, 16)
+            assert sorted(fam.by_degree) == list(range(17))
+            for d in range(17):
+                lams = partitions_leq(d, n)
+                public = tuple(lam for lam in lams
+                               if is_admissible(lam, k, r, n))
+                stated = tuple(lam for lam in lams
+                               if all(padded(lam, n)[i] - padded(lam, n)[i + k]
+                                      >= r for i in range(n - k)))
+                assert fam.by_degree[d] == public == stated, (k, r, n, d)
+
+
 def fermionic_character(k, n, dmax):
     """Feigin-Stoyanovsky character at r = 2, coefficients of q^0..q^dmax:
     the sum over n_1..n_k >= 0 with sum_i i n_i = n of
@@ -260,6 +285,20 @@ def test_cs_eigenvalue_oracles():
     assert cs_eigenvalue((1, 1), 2) == BetaPoly((2, 0))
     assert cs_eigenvalue((3, 1), 3) == BetaPoly((10, 6))
     assert cs_eigenvalue((), 3) == BetaPoly(())
+
+
+def test_cs_eigenvalue_matches_the_formula_by_rows():
+    # cs_eigenvalue, which the Hamiltonian row check reads, against the
+    # formula as stated here, row by row, padded to (c0, c1):
+    # sum_i lam_i^2 + beta sum_i (n + 1 - 2i) lam_i
+    for n in range(1, 10):
+        for d in range(13):
+            for mu in partitions_leq(d, n):
+                eig = cs_eigenvalue(mu, n).coeffs
+                assert eig + (0,) * (2 - len(eig)) == (
+                    sum(li * li for li in mu),
+                    sum((n + 1 - 2 * i) * li
+                        for i, li in enumerate(mu, start=1))), (mu, n)
 
 
 def test_sekiguchi_eigenvalue_is_product():
