@@ -9,7 +9,7 @@ from math import gcd
 
 from .partitions import (as_partition, beta_value, enumerate_admissible,
                          partitions_leq)
-from .jack import JackCache, specialize
+from .jack import JackCache, jack_at_key
 
 
 class DegreeOverflow(ValueError):
@@ -155,19 +155,19 @@ class IdealBasis:
 
 
 def build_basis(k, r, n, dmax, cache=None):
-    """The admissible basis: each admissible lam specialized at beta(k, r)
-    by specialize, which is jack_at at that point, solved at the point
-    through one cache (made here when none is given).  The basis is filed
-    in that cache under (k, r, n, dmax), so the next call on the same cache
-    returns the same object, normal-form tables included: treat it as
+    """The admissible basis: each admissible lam at beta0 = beta(k, r),
+    taken once here, by jack_at_key on the family's own keys, solved at the
+    point through one cache (made here when none is given).  The basis is
+    filed in that cache under (k, r, n, dmax), so the next call on the same
+    cache returns the same object, normal-form tables included: treat it as
     frozen, and build a basis to tamper with on a cache of its own."""
     b0 = beta_value(k, r)
     cache = cache if cache is not None else JackCache()
     with cache._lock:
         hit = cache._bases.get((k, r, n, dmax))
-    if hit is None:  # built outside the lock, which specialize takes
+    if hit is None:  # built outside the lock, which cache.put takes
         fam = enumerate_admissible(k, r, n, dmax)
-        elements = {lam: specialize(lam, n, k, r, cache)
+        elements = {lam: jack_at_key(lam, n, b0, cache)
                     for lam in fam.all_partitions()}
         with cache._lock:  # a racing build files first and both return it
             hit = cache._bases.setdefault((k, r, n, dmax), IdealBasis(

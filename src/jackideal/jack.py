@@ -21,14 +21,17 @@ A Jack at a rational point (jack_at) skips Z[beta]: _solve_at runs the
 same walk on one integer per coefficient, and only where c_lambda or a
 visited gap vanishes there does it fall back to jack_symbolic(...).at().
 The result stays integral (SpecializedJack: den and an int num): the walk
-and the shift build no Fraction.  jack_at is the one memo of Jacks at a point.
-A lam with n nonzero parts is not walked.  With e_n = x_1...x_n and
-D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so H(e_n f) = e_n (H + 2E + n) f
-(E the Euler operator) and P_lam = e_n^c P_base identically in beta, with
-c = lam_n and base = lam - (c^n): jack_at maps each key mu of P_base at
-beta0, padded to n, to mu + (c^n), which keeps lex order and names a pole
-of P_base as the same pole of P_lam.  Rows of H (hamiltonian_row) are built
-from mu's parts and checked by mu's partial sums (hamiltonian_matrix_row).
+and the shift build no Fraction.  jack_at validates lam and hands it to
+jack_at_key, which takes partition keys as they are and is the one memo of
+Jacks at a point.  A lam with n nonzero parts is not walked.  With
+e_n = x_1...x_n and D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so
+H(e_n f) = e_n (H + 2E + n) f (E the Euler operator) and
+P_lam = e_n^c P_base identically in beta, with
+c = lam_n and base = lam - (c^n): jack_at_key maps each key mu of P_base
+at beta0, padded to n, to mu + (c^n), which keeps lex order and names a
+pole of P_base as the same pole of P_lam.  Rows of H (hamiltonian_row) are
+built from mu's parts, and hamiltonian_matrix_row checks each entry by mu's
+partial sums in the loop that places it in the table.
 """
 
 import json
@@ -37,7 +40,7 @@ import threading
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
-from operator import add, le, mul, sub
+from operator import add, le, mul
 
 from .ratfunc import BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
@@ -157,7 +160,7 @@ class JackPoly:
 class SpecializedJack:
     """P_lam at a rational beta0 in integral form, num / den: den > 0 is the
     least common denominator and num an MSymPoly with int coefficients, so
-    num[lam] = den; lam is a partition tuple, as jack_at files it."""
+    num[lam] = den; lam is a partition tuple, as jack_at_key files it."""
 
     __slots__ = ("lam", "n", "beta0", "den", "num")
 
@@ -205,7 +208,7 @@ class JackCache:
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
     directory of JSON files, and, in memory only, Hamiltonian rows in one
     table per (degree, n), Jacks at a point (lam, n, p, q) ->
-    SpecializedJack at beta0 = p/q, which jack_at files and reads, solved
+    SpecializedJack at beta0 = p/q, which jack_at_key files and reads, solved
     at the point, so only a fallback reads or fills the symbolic Jacks,
     and the bases (k, r, n, dmax) -> IdealBasis that basis.build_basis
     files with their normal-form tables."""
@@ -320,35 +323,40 @@ def hamiltonian_row(mu, n):
     return sum(map(mul, mu, mu)), row
 
 
-def hamiltonian_matrix_row(mu, n):
-    """H m_mu in the m-basis with int entries: (euler, diag, off) for
-    H m_mu = (euler + diag beta) m_mu + beta sum_nu off[nu] m_nu.
+def hamiltonian_matrix_row(mu, n, pos):
+    """H m_mu in the m-basis with int entries, placed in mu's table:
+    (euler, diag, ((pos[nu], h_nu), ...)) for
+    H m_mu = (euler + diag beta) m_mu + beta sum_nu h_nu m_nu, with pos the
+    positions of JackCache.table(|mu|, n).
 
-    mu, a table key, is not validated again; every entry of the row is
-    checked to be dominated by mu: no partial sum of nu exceeds mu's, taken
-    once per row (every nu has mu's weight, so past mu's length none can),
-    and the diagonal entry to be the closed-form eigenvalue.
+    mu, a table key, is not validated again.  The diagonal entry is checked
+    to be the closed-form eigenvalue, and each other entry, in the loop
+    that places it, to be in the table (mu's weight, at most n parts) and
+    dominated by mu: no partial sum of nu exceeds mu's, taken once per row
+    (past mu's length none can, as the weights agree).
     """
     euler, off = hamiltonian_row(mu, n)
     diag = off.pop(mu, 0)
-    pm = list(accumulate(mu))
-    for nu in off:
-        if not all(map(le, accumulate(nu), pm)):
-            raise AssertionError("H m_%r hit %r outside the dominance cone"
-                                 % (mu, nu))
     eig = cs_eigenvalue(mu, n).coeffs  # trailing zeros stripped
     if (euler, diag) != eig + (0,) * (2 - len(eig)):
         raise AssertionError("diagonal of H at %r disagrees with the "
                              "closed-form eigenvalue" % (mu,))
-    return euler, diag, off
+    pm = list(accumulate(mu))
+    placed = []
+    for nu, h in off.items():
+        j = pos.get(nu)
+        if j is None or not all(map(le, accumulate(nu), pm)):
+            raise AssertionError("H m_%r at n=%d hit %r outside the "
+                                 "dominance cone" % (mu, n, nu))
+        placed.append((j, h))
+    return euler, diag, tuple(placed)
 
 
 def _row(table, i, n):
     """Fill row i of a JackCache.table, where rows[i] is None, with
-    (euler, diag, ((j, h), ...)), positions j, from hamiltonian_matrix_row."""
+    hamiltonian_matrix_row at its key."""
     order, pos, rows = table
-    euler, diag, off = hamiltonian_matrix_row(order[i], n)
-    rows[i] = row = euler, diag, tuple([(pos[nu], h) for nu, h in off.items()])
+    rows[i] = row = hamiltonian_matrix_row(order[i], n, pos)
     return row
 
 
@@ -479,19 +487,24 @@ def _solve_at(lam, n, cache, beta0):
 
 def jack_at(lam, n, beta0, cache=None):
     """P_lam in n variables at a rational beta0 = p/q (a Fraction or int)
-    as a SpecializedJack, solved once per cache and filed under
-    (lam, n, p, q): an int pair hashes faster than a Fraction.  Where
-    _solve_at stops it is read off jack_symbolic(...).at(beta0), which
-    raises SpecializationPole at a pole, each time.  Without a cache the
-    call makes its own.
+    as a SpecializedJack: jack_at_key on lam validated as a partition of at
+    most n parts.  Without a cache the call makes its own."""
+    return jack_at_key(as_partition(lam, n), n, beta0,
+                       cache if cache is not None else JackCache())
+
+
+def jack_at_key(lam, n, beta0, cache):
+    """jack_at for a partition key lam of at most n parts, taken as it is
+    (build_basis hands it its family's keys), solved once per cache and
+    filed under (lam, n, p, q): an int pair hashes faster than a Fraction.
+    Where _solve_at stops it is read off jack_symbolic(...).at(beta0),
+    which raises SpecializationPole at a pole, each time.
 
     A lam with n nonzero parts is P_lam = e_n^c P_base, c = lam_n, with
-    P_base = jack_at(base, ...), filed before lam in a family walked by
+    P_base = jack_at_key(base, ...), filed before lam in a family walked by
     degree: each key mu of its num, padded to n, becomes mu + (c^n), and so
     does the mu of a pole.  num[lam] = den is checked once per Jack, as the
     membership sweep clears lam by that entry and never ends without it."""
-    lam = as_partition(lam, n)
-    cache = cache if cache is not None else JackCache()
     hit = cache._at.get((lam, n, beta0.numerator, beta0.denominator))
     if hit is not None:
         return hit
@@ -499,12 +512,14 @@ def jack_at(lam, n, beta0, cache=None):
         den, num = (_solve_at(lam, n, cache, beta0)
                     or jack_symbolic(lam, n, cache).at(beta0).cleared())
     else:
-        cs = (lam[-1],) * n
+        c = lam[-1]
+        cs = (c,) * n
 
         def shifted(mu):  # mu + (c^n), mu padded to n
             return tuple(map(add, mu, cs)) + cs[len(mu):]
-        try:
-            base = jack_at(as_partition(map(sub, lam, cs)), n, beta0, cache)
+        try:  # lam - (c^n), its zero parts dropped
+            base = jack_at_key(tuple([x - c for x in lam if x != c]), n,
+                               beta0, cache)
         except SpecializationPole as e:
             raise SpecializationPole(lam, shifted(e.mu), e.order,
                                      e.beta0) from None

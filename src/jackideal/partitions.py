@@ -47,10 +47,13 @@ def padded(lam, n):
 
 
 def conjugate(lam):
-    """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p >= j) for j in range(1, lam[0] + 1))
+    """Transpose of the Young diagram: from the last row up, each row i
+    (1-indexed) adds lam_i - lam_(i+1) columns of height i."""
+    out, below = [], 0
+    for i in range(len(lam), 0, -1):
+        out += [i] * (lam[i - 1] - below)
+        below = lam[i - 1]
+    return tuple(out)
 
 
 def dominance_compare(mu, lam):
@@ -167,16 +170,31 @@ class AdmissibleFamily:
 
 
 def enumerate_admissible(k, r, n, dmax):
-    """All admissible partitions of weight <= dmax: for each degree d, those
-    of partitions_leq(d, n) in _in_window, in decreasing lex order, with the
-    checks of is_admissible run once for (k, r, n, dmax)."""
+    """All admissible partitions of weight <= dmax, each degree in
+    decreasing lex order, with the checks of is_admissible run once for
+    (k, r, n, dmax).  Each lam, padded to n, is grown from its last row up:
+    a suffix (lam_i, ..., lam_n) is dropped as soon as it fails _in_window
+    on its own slots, which no row above can mend, or when its least
+    completion, every row above equal to lam_i, passes dmax."""
     _check_kr(k, r)
     if n < 1 or dmax < 0:
         raise InvalidParameters("need n >= 1 and dmax >= 0")
-    by_degree = {d: tuple(lam for lam in partitions_leq(d, n)
-                          if _in_window(lam, k, r, n))
-                 for d in range(dmax + 1)}
-    return AdmissibleFamily(k, r, n, dmax, by_degree)
+    by_degree = {d: [] for d in range(dmax + 1)}
+    stack = [((), 0)]  # (suffix, its total)
+    while stack:
+        suffix, total = stack.pop()
+        left = n - len(suffix)  # rows above the suffix
+        if not left:
+            by_degree[total].append(tuple(filter(None, suffix)))
+            continue
+        v = suffix[0] if suffix else 0
+        while total + v * left <= dmax:
+            grown = (v,) + suffix
+            if _in_window(grown, k, r, len(grown)):
+                stack.append((grown, total + v))
+            v += 1
+    return AdmissibleFamily(k, r, n, dmax, {
+        d: tuple(sorted(lams, reverse=True)) for d, lams in by_degree.items()})
 
 
 class InvalidNode(ValueError):
@@ -250,8 +268,11 @@ def cs_eigenvalue(lam, n):
     """Sutherland-type eigenvalue: sum over rows of (lam_i + beta(n+1-2i)) lam_i."""
     if len(lam) > n:
         raise ValueError("partition %r longer than n=%d" % (lam, n))
-    return BetaPoly((sum(map(operator.mul, lam, lam)),
-                     sum(map(operator.mul, range(n - 1, -n, -2), lam))))
+    euler = sum(map(operator.mul, lam, lam))
+    diag = sum(map(operator.mul, range(n - 1, -n, -2), lam))
+    # euler > 0 unless lam = (), where diag = 0 too
+    return BetaPoly.trusted((euler, diag) if diag else (euler,) if euler
+                            else ())
 
 
 def sekiguchi_eigenvalue(lam, n):

@@ -660,17 +660,18 @@ def test_closure_verdicts_match_dict_rows(grid):
 
 
 def one_bare_monomial(lam):
-    """A specialize that gives the admissible lam its bare m_lam, which has
-    P_lam's leading term, and every other partition its Jack."""
-    real = jackideal.basis.specialize
+    """A jack_at_key, build_basis's route to each element, that gives the
+    admissible lam its bare m_lam, which has P_lam's leading term, and
+    every other partition its Jack."""
+    real = jackideal.basis.jack_at_key
 
-    def specialize(mu, n, k, r, cache=None):
-        sp = real(mu, n, k, r, cache)
+    def jack_at_key(mu, n, beta0, cache):
+        sp = real(mu, n, beta0, cache)
         if sp.lam != lam:
             return sp
         return SpecializedJack(mu, n, sp.beta0, 1,
                                MSymPoly(n, {lam: 1}))
-    return specialize
+    return jack_at_key
 
 
 @pytest.mark.parametrize("grid, lam", [((1, 2, 3, 10), (4, 2)),
@@ -683,7 +684,7 @@ def test_closure_with_non_members_matches_per_tag_loop(monkeypatch, grid,
     read off the chain entries by position, off the built images or by the
     dict-row route, equal reduce_membership's on the per-tag loop, case by
     case."""
-    monkeypatch.setattr(jackideal.basis, "specialize", one_bare_monomial(lam))
+    monkeypatch.setattr(jackideal.basis, "jack_at_key", one_bare_monomial(lam))
     cache = JackCache()
     want = closure_per_tag(*grid, cache=cache)
     got = verify_closure(*grid, cache=cache)
@@ -701,7 +702,7 @@ def test_closure_with_non_members_at_n_5(monkeypatch):
     images and of the dict-row route, and some case fails with an
     obstruction."""
     grid = (3, 2, 5, 12, 4, 4)
-    monkeypatch.setattr(jackideal.basis, "specialize",
+    monkeypatch.setattr(jackideal.basis, "jack_at_key",
                         one_bare_monomial((3, 3, 1)))
     cache = JackCache()
     want = closure_images(*grid, cache=cache)

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from jackideal.jack import hamiltonian_matrix_row, hamiltonian_row
+from jackideal.jack import JackCache, hamiltonian_matrix_row, hamiltonian_row
 from jackideal.operators import _random_symmetric, apply_hamiltonian
 from jackideal.partitions import as_partition, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
@@ -68,9 +68,17 @@ def _hamiltonian_expanded(P, beta, validate=True):
     return out
 
 
+def matrix_row(mu, n):
+    """hamiltonian_matrix_row of mu, placed in a fresh table of its degree,
+    with its entries keyed back by partition: (euler, diag, {nu: h_nu})."""
+    order, pos, _ = JackCache().table(sum(mu), n)
+    euler, diag, off = hamiltonian_matrix_row(mu, n, pos)
+    return euler, diag, {order[j]: h for j, h in off}
+
+
 def int_row_as_betapoly(mu, n):
     """The int row the solver uses, as dict nu -> BetaPoly."""
-    euler, diag, off = hamiltonian_matrix_row(mu, n)
+    euler, diag, off = matrix_row(mu, n)
     row = {nu: BetaPoly((0, h)) for nu, h in off.items()}
     if euler or diag:
         row[mu] = BetaPoly((euler, diag))

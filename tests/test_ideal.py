@@ -357,15 +357,15 @@ def test_restriction_with_a_non_member_matches_reduce(monkeypatch, grid,
     verdicts and obstructions read off the normal-form table equal
     reduce_membership's, case by case."""
     k, r, n, dmax = grid
-    real = jackideal.basis.specialize
+    real = jackideal.basis.jack_at_key
 
-    def one_bare_monomial(mu, nn, kk, rr, cache=None):
-        sp = real(mu, nn, kk, rr, cache)
+    def one_bare_monomial(mu, nn, beta0, cache):
+        sp = real(mu, nn, beta0, cache)
         if (sp.lam, nn) != (lam, n - 1):
             return sp
         return SpecializedJack(mu, nn, sp.beta0, 1,
                                MSymPoly(nn, {lam: 1}))
-    monkeypatch.setattr(jackideal.basis, "specialize", one_bare_monomial)
+    monkeypatch.setattr(jackideal.basis, "jack_at_key", one_bare_monomial)
     cache = JackCache()
     got = verify_restriction(*grid, cache=cache)
     assert got.to_obj() == restriction_by_reduce(*grid, cache=cache).to_obj()
@@ -467,6 +467,6 @@ def test_warm_rerun_builds_no_table(monkeypatch, suite, grid):
 
     def refuse(*args, **kwargs):
         raise AssertionError("rebuilt on a warm cache")
-    monkeypatch.setattr(jackideal.basis, "specialize", refuse)
+    monkeypatch.setattr(jackideal.basis, "jack_at_key", refuse)
     monkeypatch.setattr(jackideal.basis, "partitions_leq", refuse)
     assert suite(*grid, cache=cache).to_obj() == first.to_obj()

@@ -393,9 +393,9 @@ def test_rows_are_memoized_per_cache(monkeypatch):
     computed = []
     row = jack.hamiltonian_matrix_row
 
-    def counted(mu, n):
+    def counted(mu, n, pos):
         computed.append((mu, n))
-        return row(mu, n)
+        return row(mu, n, pos)
     monkeypatch.setattr(jack, "hamiltonian_matrix_row", counted)
     lams = partitions_leq(6, 4)
     assert len(lams) == 9

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from jackideal.partitions import (DegreeMismatch, InvalidNode,
-                                  InvalidParameters, add_node,
+                                  InvalidParameters, _in_window, add_node,
                                   addable_rows, as_partition, beta_value,
                                   c_lambda, check_nonvanishing, conjugate,
                                   cs_eigenvalue, dominance_compare,
@@ -40,6 +40,15 @@ def test_conjugate_involution():
                                   reverse=True))
         assert conjugate(conjugate(lam)) == lam
         assert sum(conjugate(lam)) == sum(lam)
+
+
+def test_conjugate_matches_the_column_count():
+    # column j of lam holds the rows with lam_i >= j, counted one by one
+    for d in range(21):
+        for lam in partitions_of(d):
+            want = tuple(sum(1 for p in lam if p >= j)
+                         for j in range(1, lam[0] + 1)) if lam else ()
+            assert conjugate(lam) == want, lam
 
 
 def test_dominance():
@@ -131,6 +140,38 @@ def test_admissibility_window_pads_with_zeros():
     assert not is_admissible((), 1, 2, 2)
     with pytest.raises(ValueError):
         is_admissible((2, 1, 1), 1, 2, 2)         # longer than n
+
+
+def filtered_family(k, r, n, dmax):
+    """The admissible family as enumerate_admissible built it before its
+    pruned descent, the reference for it: every partition of each degree
+    with at most n parts, in decreasing lex order, filtered through the
+    window."""
+    return {d: tuple(lam for lam in partitions_leq(d, n)
+                     if _in_window(lam, k, r, n))
+            for d in range(dmax + 1)}
+
+
+def test_enumerate_admissible_matches_the_filter_on_every_small_grid():
+    # every coprime (k, r) with k <= 5 and r <= 5, n <= 7 and dmax <= 12:
+    # the same partitions in the same order, degree by degree
+    grids = [(k, r, n, dmax) for k in range(1, 6) for r in range(2, 6)
+             if gcd(k + 1, r - 1) == 1
+             for n in range(1, 8) for dmax in range(13)]
+    assert len(grids) == 1092
+    for grid in grids:
+        assert enumerate_admissible(*grid).by_degree \
+            == filtered_family(*grid), grid
+
+
+@pytest.mark.parametrize("grid", [(1, 2, 20, 40), (1, 2, 10, 60)])
+def test_enumerate_admissible_on_empty_families(grid):
+    # at k = 1, r = 2 the least admissible lam is (2(n-1), ..., 2, 0), of
+    # degree n(n-1) > dmax: every degree is present and empty, as the
+    # filter finds after visiting every partition up to dmax
+    fam = enumerate_admissible(*grid)
+    assert fam.by_degree == {d: () for d in range(grid[3] + 1)}
+    assert fam.by_degree == filtered_family(*grid)
 
 
 def test_enumerate_admissible_matches_filter():

@@ -34,6 +34,7 @@ from jackideal.partitions import (as_partition, beta_value, c_lambda,
                                   partitions_leq)
 from jackideal.ratfunc import BetaPoly, BetaRatFunc
 from jackideal.sympoly import MSymPoly
+from test_hamiltonian_oracle import matrix_row
 from test_jack import POINT_PAIRS
 
 
@@ -190,7 +191,7 @@ def test_solver_matches_betapoly_solver():
 def _dict_row(rows, mu, n):
     hit = rows.get((mu, n))
     if hit is None:
-        hit = rows[(mu, n)] = jack.hamiltonian_matrix_row(mu, n)
+        hit = rows[(mu, n)] = matrix_row(mu, n)
     return hit
 
 
@@ -342,8 +343,27 @@ def test_row_check_catches_an_entry_outside_the_cone(patched_rows, mu, n,
     patched_rows.setattr(jack, "hamiltonian_row",
                          _perturbed(mu, n, reach))
     with pytest.raises(AssertionError, match="outside the dominance cone"):
-        jack.hamiltonian_matrix_row(mu, n)
-    assert jack.hamiltonian_matrix_row(mu, n + 1)  # the unpatched row passes
+        matrix_row(mu, n)
+    assert matrix_row(mu, n + 1)  # the unpatched row passes
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: jack_symbolic((2, 2), 3),
+    lambda: jack.jack_at((2, 2), 3, Fraction(-2, 3)),
+], ids=["symbolic", "at_a_point"])
+def test_row_check_catches_an_entry_outside_the_table(patched_rows, solve):
+    # (2, 2, 1) has another weight than (2, 2) and is longer than it, so
+    # its partial sums stay under mu's as far as mu's run; no position of
+    # the degree-4 table holds it, and the walks must name the row rather
+    # than fail on a bare lookup
+    def reach(euler, h):
+        h[(2, 2, 1)] = 1
+        return euler, h
+    patched_rows.setattr(jack, "hamiltonian_row",
+                         _perturbed((2, 2), 3, reach))
+    with pytest.raises(AssertionError,
+                       match=r"H m_\(2, 2\) at n=3 hit \(2, 2, 1\) outside"):
+        solve()
 
 
 def test_row_check_catches_a_wrong_diagonal(patched_rows):
@@ -356,7 +376,7 @@ def test_row_check_catches_a_wrong_diagonal(patched_rows):
                          _perturbed(mu, n, bump))
     with pytest.raises(AssertionError,
                        match="disagrees with the closed-form eigenvalue"):
-        jack.hamiltonian_matrix_row(mu, n)
+        matrix_row(mu, n)
 
 
 @pytest.mark.parametrize("lam, n, nu", [

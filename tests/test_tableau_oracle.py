@@ -117,11 +117,12 @@ def test_tableau_oracle_catches_a_wrong_row(monkeypatch):
     # solve too, so only the oracle catches it
     original = jack.hamiltonian_matrix_row
 
-    def wrong_row(mu, n):
-        euler, diag, off = original(mu, n)
+    def wrong_row(mu, n, pos):
+        euler, diag, off = original(mu, n, pos)
         if (mu, n) == ((3, 1), 3):
             off = dict(off)
-            off[(2, 2)] = off.get((2, 2), 0) + 1
+            off[pos[(2, 2)]] = off.get(pos[(2, 2)], 0) + 1
+            off = tuple(off.items())
         return euler, diag, off
 
     pairs = [(1, 2), (2, 3), (2, 2), (3, 4)]

@@ -93,15 +93,15 @@ def test_vanishing_matches_expanded_with_a_stray_term(monkeypatch):
     positions still cancel: each vanish case of verify_wheel equals the
     coincidence on the element's S_n orbits, and only lam's fails."""
     k, n, dmax, lam, mu = 2, 4, 8, (4, 2, 1), (2, 2, 2, 1)
-    real = jackideal.basis.specialize
+    real = jackideal.basis.jack_at_key
 
-    def with_stray_term(nu, nn, kk, rr, cache=None):
-        sp = real(nu, nn, kk, rr, cache)
+    def with_stray_term(nu, nn, beta0, cache):
+        sp = real(nu, nn, beta0, cache)
         if sp.lam != lam:
             return sp
         stray = MSymPoly(nn, {mu: sp.den})
         return SpecializedJack(nu, nn, sp.beta0, sp.den, sp.num + stray)
-    monkeypatch.setattr(jackideal.basis, "specialize", with_stray_term)
+    monkeypatch.setattr(jackideal.basis, "jack_at_key", with_stray_term)
     cache = JackCache()
     basis = ideal.build_basis(k, 2, n, dmax, cache)
     cases = {case["id"]: case["status"] for case
