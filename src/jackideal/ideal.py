@@ -415,12 +415,12 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     the obstruction, and the report records only those.  Tags with one
     chain step (l_m and w^(2)_m) share one verdict, computed at the first
     tag that needs it and read in one pass over the entry's (position,
-    coefficient) pairs: per (image degree, shift) a list, filled on first
-    use, sends each class position, key (a,) + nu, to the position of
-    nu + (a + shift) in that degree's normal-form table and its
-    multiplicity.  The coefficients are summed by position and the nonzero
-    ones scatter their rows (IdealBasis._obstruction_at), so no image is
-    built.  One memo (`rows`) serves the chains for the whole run.
+    coefficient) pairs.  Key (a,) + nu at position p of class_table(n,
+    d - shift) is (a + shift,) + nu at p of class_table(n, d), so one list
+    per image degree d, filled on first use, sends p to the position of
+    nu + (a + shift) in degree d's normal-form table and its multiplicity;
+    the summed coefficients scatter their rows (IdealBasis._obstruction_at),
+    so no image is built.  One memo (`rows`) serves the chains of the run.
     """
     if mmax < 1 or tmax < 2:
         raise ValueError("closure needs mmax >= 1 and tmax >= 2")
@@ -430,7 +430,7 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
     basis = build_basis(k, r, n, dmax, cache)
     tags = [(tag.m, tag.chain_step(), "%s@" % tag)
             for tag in closure_tags(mmax, tmax)]
-    rows, positions = {}, {}
+    rows, maps = {}, {}  # maps: d -> (normal-form positions, keys, list)
     for lam in basis.family.all_partitions():
         chain = dunkl_chain(basis.elements[lam].num, tmax - 1, b0, rows)
         found = {}  # (s, shift) -> obstruction, None for a member
@@ -439,17 +439,17 @@ def verify_closure(k, r, n, dmax, mmax=4, tmax=4, cache=None):
             d = e + m
             if 0 <= d <= dmax:
                 if step not in found:
-                    s, shift = step
-                    pos = basis.normal_forms(d)[1]
-                    order = class_table(n, d - shift, rows)[0]
-                    memo = positions.get((d, shift)) or positions.setdefault(
-                        (d, shift), [None] * len(order))
+                    if d not in maps:
+                        order = class_table(n, d, rows)[0]
+                        maps[d] = (basis.normal_forms(d)[1], order,
+                                   [None] * len(order))
+                    pos, order, memo = maps[d]
                     coeffs = [0] * len(pos)
-                    for p, c in chain[s][1]:
+                    for p, c in chain[step[0]][1]:
                         hit = memo[p]
                         if hit is None:
                             mu, x = _replace_part(order[p][1:], n, 0,
-                                                  order[p][0] + shift)
+                                                  order[p][0])
                             hit = memo[p] = pos[mu], x
                         coeffs[hit[0]] += c * hit[1]
                     found[step] = basis._obstruction_at(d, coeffs)

@@ -165,20 +165,20 @@ def class_table(n, e, rows):
 def nabla_positions(Q, n, e, a, b, rows):
     """b d_t + a sum_{j > 1} (1 - K_1j)/(t - x_j) on Q, a sparse list of
     (position, coefficient) over class_table(n, e), as one over
-    class_table(n, e - 1): b nabla_1 at beta = a/b, and at (a, b) = (1, 0)
-    the bare Dunkl sum.  Each row goes into `rows` by position on first
-    use, each target once.  The sum is telescoped: on t^e m_nu each
-    distinct part v != e of nu padded to n - 1 slots gives t^i and a part
-    e+v-1-i, v <= i < e (negated when e < v), once per slot holding it."""
+    class_table(n, e - 1): b nabla_1 at beta = a/b, b d_t (position kept)
+    at a = 0, the bare Dunkl sum at (1, 0).  Each row goes into `rows` by
+    position on first use, each target once.  The sum is telescoped: on
+    t^f m_nu each distinct part v != f of nu padded to n - 1 slots gives
+    t^i and a part f+v-1-i, v <= i < f (negated when f < v), per slot."""
     order = class_table(n, e, rows)[0]
     below = class_table(n, e - 1, rows)[1]
     memo = rows.get(("nabla", n, a, b, e)) or rows.setdefault(
         ("nabla", n, a, b, e), [None] * len(order))
 
-    def row_of(key):
+    def row_of(p, key):
         f, nu, slots = key[0], key[1:], n - 1
-        row = {below[(f - 1,) + nu]: b * f} if b and f else {}
-        for v in set(padded(nu, slots)) - {f}:
+        row = {p: b * f} if b and f else {}
+        for v in (set(padded(nu, slots)) - {f}) if a else ():
             lo, hi, s = (v, f, a) if f > v else (f, v, -a)
             for i in range(lo, hi):
                 q, mult = _replace_part(nu, slots, v, lo + hi - 1 - i)
@@ -189,7 +189,7 @@ def nabla_positions(Q, n, e, a, b, rows):
     for p, c in Q:
         row = memo[p]
         if row is None:
-            row = memo[p] = row_of(order[p])
+            row = memo[p] = row_of(p, order[p])
         for q, x in row:
             acc[q] += c * x
     return [(q, x) for q, x in enumerate(acc) if x]
@@ -224,10 +224,10 @@ def dunkl_chain(P, smax, beta, rows=None):
     """[(c_s, Q_s) for s = 0..smax], P a homogeneous MSymPoly of degree e:
     Q_s = c_s nabla_1^s P on classes, a sparse list of (position, nonzero
     coefficient) over class_table(n, e - s).  In Z at a rational beta = a/b
-    (Q_0 = D P = P.cleared() at x_1 = t, Q_(s+1) = b nabla_1 Q_s,
-    c_s = D b^s); a symbolic beta runs it with (a, b, D) = (beta, 1, 1).
-    `rows` is the caller's memo (made here when none is given) of class
-    tables, step rows and coincident_row rows."""
+    (Q_0 = D P = P.cleared() at x_1 = t, Q_(s+1) = b nabla_1 Q_s, c_s =
+    D b^s, and Q_1 = b d_t Q_0 at (0, b): (1 - K_1j) P = 0); a symbolic
+    beta at (a, b, D) = (beta, 1, 1).  `rows` is the caller's memo (made
+    here when none is given) of class tables, step and coincident rows."""
     rational = isinstance(beta, (int, Fraction))
     a, b = (beta.numerator, beta.denominator) if rational else (beta, 1)
     D, P = P.cleared() if rational else (1, P)
@@ -239,7 +239,7 @@ def dunkl_chain(P, smax, beta, rows=None):
          for p, x in coincident_row(lam, n, 1, rows)]
     chain = [(D, Q)]
     for s in range(smax):
-        Q = nabla_positions(Q, n, e - s, a, b, rows)
+        Q = nabla_positions(Q, n, e - s, a if s else 0, b, rows)
         chain.append((chain[-1][0] * b, Q))
     return chain
 

@@ -50,13 +50,14 @@ from math import factorial, gcd
 import pytest
 
 import jackideal.basis
+import jackideal.ideal
 from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
                              verify_closure)
 from jackideal.jack import JackCache, SpecializedJack
 from jackideal.operators import (OperatorTag, _check_operator, _l_expanded,
                                  _w_expanded, apply_dunkl, apply_dunkl_power,
                                  apply_l, apply_p, apply_w, class_table,
-                                 dunkl_chain)
+                                 dunkl_chain, nabla_positions)
 from jackideal.partitions import beta_value, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
@@ -541,7 +542,9 @@ def test_memoized_class_steps_match_moves(grid):
     with a fresh memo per call and with one memo shared across the
     elements of the grid, as verify_closure and verify_wheel share it.
     The bare Dunkl sum, (a, b) = (1, 0), of every entry by position equals
-    the dict-row step's and the moves'.  Both chains run in Z."""
+    the dict-row step's and the moves'.  Both chains run in Z.  Entry 0 is
+    symmetric in x_1, so its bare Dunkl sum vanishes and entry 1, the step
+    b d_t alone, equals the full step nabla_positions at (a, b)."""
     k, r, n, dmax, mmax, tmax = grid
     b0 = beta_value(k, r)
     basis = build_basis(k, r, n, dmax, CACHE)
@@ -553,6 +556,9 @@ def test_memoized_class_steps_match_moves(grid):
             chain = dunkl_chain(P, tmax - 1, b0, rows)
             assert on_classes(P, chain) == want and runs_in_z(chain), lam
             assert dict_chain(P, tmax - 1, b0, rows) == want, lam
+        assert moves_dunkl_sum(want[0][1]).is_zero(), lam
+        assert chain[1][1] == nabla_positions(
+            chain[0][1], n, sum(lam), b0.numerator, b0.denominator, {}), lam
         for c, Q in want:
             for rows in (None, shared):
                 assert position_nabla(Q, 1, 0, rows) == moves_dunkl_sum(Q), \
@@ -562,6 +568,24 @@ def test_memoized_class_steps_match_moves(grid):
             for rows in (None, shared):
                 assert coincident_classes(P, cc, rows) == \
                     moves_coincident(P, cc), (lam, cc)
+
+
+def test_closure_fills_each_class_position_once(monkeypatch):
+    """verify_closure's class -> normal-form map is one list per image
+    degree d, shared by every shift: on (1,2,3,14) with a fresh cache each
+    (degree, position), that is each class key, is filled at most once,
+    which bounds the fills by the 372 class keys of degree <= 14; a list
+    per (degree, shift) made 1,241."""
+    real, fills = jackideal.ideal._replace_part, []
+
+    def counted(nu, n, v, w):
+        fills.append((nu, w))
+        return real(nu, n, v, w)
+    monkeypatch.setattr(jackideal.ideal, "_replace_part", counted)
+    assert verify_closure(1, 2, 3, 14, 4, 4, cache=JackCache()).all_pass()
+    keys = sum(len(class_table(3, d, {})[0]) for d in range(15))
+    assert keys == 372
+    assert len(set(fills)) == len(fills) <= keys
 
 
 def dict_normal_forms(basis, e):

@@ -239,7 +239,9 @@ def test_class_tables_match_the_direct_enumeration():
     """class_table grows degree e from degree e - 1: its keys and positions
     equal the per-a enumeration with a fresh memo, with one memo shared
     across every (n, e), and with first use out of order (e = 10 before
-    e = 3); below degree 0 the table is empty."""
+    e = 3); below degree 0 the table is empty.  Degree e begins with the
+    keys of every degree e - s, 0 <= s <= e, each with a raised by s, in
+    their order: verify_closure's one map per image degree rests on it."""
     shared, unordered = {}, {}
     for n in range(1, 8):
         class_table(n, 10, unordered)
@@ -249,3 +251,7 @@ def test_class_tables_match_the_direct_enumeration():
                 order, pos = class_table(n, e, rows)
                 assert order == want, (n, e)
                 assert pos == {key: i for i, key in enumerate(want)}, (n, e)
+            for s in range(e + 1):
+                lower = class_table(n, e - s, shared)[0]
+                assert want[:len(lower)] == [
+                    (key[0] + s,) + key[1:] for key in lower], (n, e, s)
