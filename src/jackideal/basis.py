@@ -5,10 +5,10 @@ this is the core, which every CLI command but verify runs on alone."""
 import json
 import os
 from fractions import Fraction
+from itertools import compress
 from math import gcd
 
-from .partitions import (as_partition, beta_value, enumerate_admissible,
-                         partitions_leq)
+from .partitions import as_partition, beta_value, enumerate_admissible
 from .jack import JackCache, jack_at_key
 
 
@@ -51,29 +51,31 @@ class IdealBasis:
     """Specialized Jack polynomials P_lam(beta0) over the admissible
     partitions of weight <= dmax, for fixed (k, r, n)."""
 
-    def __init__(self, k, r, n, dmax, beta0, family, elements):
+    def __init__(self, k, r, n, dmax, beta0, family, elements, tables):
         self.k, self.r, self.n, self.dmax = k, r, n, dmax
         self.beta0 = beta0
         self.family = family
         self.elements = elements  # dict lam -> SpecializedJack
+        self._tables = tables  # the row tables of the build's JackCache
         self._normal_forms = {}  # degree -> normal_forms(degree), on first use
 
     def normal_forms(self, e):
         """(cols, pos, rows) for degree e <= dmax: pos[mu] is the position of
-        mu in partitions_leq(e, n), cols the partitions not in elements in
-        that decreasing lex order, and rows[pos[mu]] the integer row
+        mu in partitions_leq(e, n), read off the row table (e, n) of the
+        build's cache, cols the partitions not in elements in that
+        decreasing lex order, and rows[pos[mu]] the integer row
         ((j, x), ...) with E NF(m_mu) = sum_j x m_cols[j], one E > 0 per
-        degree.  The normal form NF is m_mu off the basis and -sum_(mu < lam)
-        P_lam[mu] NF(m_mu) at each lam in elements, built in increasing lex
-        order from (D, N) = (den, num), N = D P_lam, of its SpecializedJack;
-        E grows by D/g, g = gcd(D, content), when D does not divide the sum.
+        degree.  The normal form NF is m_mu off the basis and
+        -sum_(mu < lam) P_lam[mu] NF(m_mu) at each lam in elements, built in
+        increasing lex order from (D, N) = (den, num), N = D P_lam, of its
+        SpecializedJack; E grows by D/g, g = gcd(D, content), when D does not
+        divide the sum.
         Rows and columns both come from elements, as in reduce_membership."""
         if e > self.dmax:
             raise DegreeOverflow("degree %d beyond basis dmax=%d"
                                  % (e, self.dmax))
         if e not in self._normal_forms:
-            order = partitions_leq(e, self.n)
-            pos = {mu: i for i, mu in enumerate(order)}
+            order, pos = self._tables[e, self.n][:2]
             cols = [mu for mu in order if mu not in self.elements]
             rows = [None] * len(order)
             for j, mu in enumerate(cols):
@@ -116,17 +118,17 @@ class IdealBasis:
     def _obstruction_at(self, d, coeffs):
         """The obstruction of sum_i coeffs[i] m_mu_i over the positions i of
         normal_forms(d): the lex-largest column where sum_i coeffs[i] E
-        NF(m_mu_i) is nonzero, None when it vanishes."""
+        NF(m_mu_i) is nonzero, None when it vanishes.  Only the nonzero
+        coefficients are scattered, and a member is answered by one any()
+        over the accumulator before any column is looked for."""
         cols, _, rows = self.normal_forms(d)
         acc = [0] * len(cols)
-        for c, row in zip(coeffs, rows):
-            if c:
-                for j, y in row:
-                    acc[j] += c * y
-        for j, y in enumerate(acc):
-            if y:
-                return cols[j]
-        return None
+        for c, row in compress(zip(coeffs, rows), coeffs):
+            for j, y in row:
+                acc[j] += c * y
+        if not any(acc):
+            return None
+        return next(compress(cols, acc))
 
     def by_degree(self, d):
         return self.family.by_degree.get(d, ())
@@ -171,7 +173,7 @@ def build_basis(k, r, n, dmax, cache=None):
                     for lam in fam.all_partitions()}
         with cache._lock:  # a racing build files first and both return it
             hit = cache._bases.setdefault((k, r, n, dmax), IdealBasis(
-                k, r, n, dmax, b0, fam, elements))
+                k, r, n, dmax, b0, fam, elements, cache._tables))
     return hit
 
 

@@ -26,17 +26,27 @@ jack_at_key, which takes partition keys as they are and is the one memo of
 Jacks at a point.  A lam with n nonzero parts is not walked.  With
 e_n = x_1...x_n and D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so
 H(e_n f) = e_n (H + 2E + n) f (E the Euler operator) and
-P_lam = e_n^c P_base identically in beta, with
-c = lam_n and base = lam - (c^n): jack_at_key maps each key mu of P_base
-at beta0, padded to n, to mu + (c^n), which keeps lex order and names a
-pole of P_base as the same pole of P_lam.  Rows of H (hamiltonian_row) are
-built from mu's parts, and hamiltonian_matrix_row checks each entry by mu's
-partial sums in the loop that places it in the table.
+P_lam = e_n P_(lam - (1^n)) identically in beta.  Adding 1 to each of n
+parts keeps decreasing lex order, so the j-th key with n nonzero parts
+(full-length) of JackCache.table(d, n) is key j of table (d - n, n) plus
+(1^n), and each table keeps the positions of its full-length keys in one
+list, full.  _row reads the row of a full-length nu off the row of
+nu - (1^n) where that table holds it (euler rises by 2(d - n) + n, diag
+stays, the entry at position k becomes the key at full[k]) and builds it
+otherwise (hamiltonian_row, from mu's parts); both routes end in
+_checked_row, the one check of the diagonal and of each entry's place in
+the table and against mu's partial sums.
+jack_at_key maps the num of a filed P_(lam - (1^n)) through full (a filed
+Jack has no pole), and otherwise jumps to P_base, base = lam - (c^n) with
+c = lam_n, with no table between: each key mu, padded to n, becomes
+mu + (c^n), which keeps lex order and names a pole of P_base as the same
+pole of P_lam.
 """
 
 import json
 import os
 import threading
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
@@ -203,19 +213,42 @@ class SpecializedJack:
                                                             self.beta0)
 
 
+class _Tables(dict):
+    """The row tables of a JackCache, (d, n) -> (order, pos, rows, full),
+    each made on first lookup: order = partitions_leq(d, n), in decreasing
+    lex order, pos[mu] the position of mu in it, rows[i] None until _row
+    fills it (a race at worst computes a row twice) and full the positions
+    of the keys with n nonzero parts, increasing: full[j] is key j of table
+    (d - n, n) plus (1^n).  A basis holds these, not its cache, which files
+    the basis: no cycle keeps a dropped cache alive."""
+
+    def __missing__(self, key):
+        d, n = key
+        order = partitions_leq(d, n)
+        pos = {mu: i for i, mu in enumerate(order)}
+        full = [i for i, mu in enumerate(order)
+                if len(mu) == n] if d >= n else []
+        # racing lookups all get the table filed first
+        return self.setdefault(key, (order, pos, [None] * len(order), full))
+
+
 class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
-    directory of JSON files, and, in memory only, Hamiltonian rows in one
-    table per (degree, n), Jacks at a point (lam, n, p, q) ->
-    SpecializedJack at beta0 = p/q, which jack_at_key files and reads, solved
-    at the point, so only a fallback reads or fills the symbolic Jacks,
-    and the bases (k, r, n, dmax) -> IdealBasis that basis.build_basis
-    files with their normal-form tables."""
+    directory of JSON files, and, in memory only:
+    - Hamiltonian rows in one table per (degree, n), which also lists the
+      positions of its full-length keys, so _row reads a row off the row
+      of nu - (1^n) one table down and jack_at_key a Jack off
+      P_(lam - (1^n));
+    - Jacks at a point (lam, n, p, q) -> SpecializedJack at beta0 = p/q,
+      which jack_at_key files and reads, solved at the point, so only a
+      fallback reads or fills the symbolic Jacks;
+    - the bases (k, r, n, dmax) -> IdealBasis that basis.build_basis files
+      with their normal-form tables, whose positions are the tables'."""
 
     def __init__(self, directory=None):
         self._mem = {}
-        self._tables = {}
+        self._tables = _Tables()
         self._at = {}
         self._bases = {}
         self._lock = threading.Lock()
@@ -261,15 +294,8 @@ class JackCache:
             os.replace(tmp, path)
 
     def table(self, d, n):
-        """(order, pos, rows): order = partitions_leq(d, n), in decreasing
-        lex order, pos[mu] the position of mu in it and rows[i] None until
-        _row fills it; a race at worst computes a row twice."""
-        hit = self._tables.get((d, n))
-        if hit is None:
-            order = partitions_leq(d, n)
-            pos = {mu: i for i, mu in enumerate(order)}
-            hit = self._tables[(d, n)] = order, pos, [None] * len(order)
-        return hit
+        """(order, pos, rows, full), the row table of (d, n): see _Tables."""
+        return self._tables[d, n]
 
     def clear(self):
         with self._lock:
@@ -327,23 +353,30 @@ def hamiltonian_matrix_row(mu, n, pos):
     """H m_mu in the m-basis with int entries, placed in mu's table:
     (euler, diag, ((pos[nu], h_nu), ...)) for
     H m_mu = (euler + diag beta) m_mu + beta sum_nu h_nu m_nu, with pos the
-    positions of JackCache.table(|mu|, n).
-
-    mu, a table key, is not validated again.  The diagonal entry is checked
-    to be the closed-form eigenvalue, and each other entry, in the loop
-    that places it, to be in the table (mu's weight, at most n parts) and
-    dominated by mu: no partial sum of nu exceeds mu's, taken once per row
-    (past mu's length none can, as the weights agree).
+    positions of JackCache.table(|mu|, n).  mu, a table key, is not
+    validated again; the row goes through _checked_row.
     """
     euler, off = hamiltonian_row(mu, n)
     diag = off.pop(mu, 0)
+    return _checked_row(mu, n, euler, diag, off.items(), pos)
+
+
+def _checked_row(mu, n, euler, diag, entries, pos):
+    """(euler, diag, ((pos[nu], h), ...)), the row of mu in its table, from
+    its entries (nu, h): the diagonal is checked to be the closed-form
+    eigenvalue, and each entry, in the loop that places it, to be in the
+    table (pos has nu: mu's weight, at most n parts) and
+    dominated by mu: no partial sum of nu exceeds mu's, taken once per row
+    (past mu's length none can, as the weights agree).  Both routes of
+    _row fill rows through this check.
+    """
     eig = cs_eigenvalue(mu, n).coeffs  # trailing zeros stripped
     if (euler, diag) != eig + (0,) * (2 - len(eig)):
         raise AssertionError("diagonal of H at %r disagrees with the "
                              "closed-form eigenvalue" % (mu,))
     pm = list(accumulate(mu))
     placed = []
-    for nu, h in off.items():
+    for nu, h in entries:
         j = pos.get(nu)
         if j is None or not all(map(le, accumulate(nu), pm)):
             raise AssertionError("H m_%r at n=%d hit %r outside the "
@@ -352,11 +385,27 @@ def hamiltonian_matrix_row(mu, n, pos):
     return euler, diag, tuple(placed)
 
 
-def _row(table, i, n):
-    """Fill row i of a JackCache.table, where rows[i] is None, with
-    hamiltonian_matrix_row at its key."""
-    order, pos, rows = table
-    rows[i] = row = hamiltonian_matrix_row(order[i], n, pos)
+def _row(cache, table, i, n):
+    """Fill row i of cache.table(d, n), where rows[i] is None.  A key nu
+    with n nonzero parts is nu' + (1^n) for key j of table (d - n, n)
+    (full[j] = i); where that table already holds row j, the row of nu is
+    read off it, as H(e_n f) = e_n (H + 2E + n) f: euler rises by
+    2(d - n) + n, diag stays and each entry at position k of table
+    (d - n, n) becomes the key at full[k].  Otherwise the row is
+    hamiltonian_matrix_row at nu.  Both routes end in _checked_row."""
+    order, pos, rows, full = table
+    nu = order[i]
+    if len(nu) == n:
+        d = sum(nu)
+        low = cache._tables.get((d - n, n))
+        core = low and low[2][bisect_left(full, i)]
+        if core:
+            euler, diag, off = core
+            rows[i] = row = _checked_row(
+                nu, n, euler + 2 * d - n, diag,
+                [(order[full[k]], h) for k, h in off], pos)
+            return row
+    rows[i] = row = hamiltonian_matrix_row(nu, n, pos)
     return row
 
 
@@ -394,9 +443,9 @@ def jack_symbolic(lam, n, cache=None):
     if hit is not None:
         return hit
 
-    order, pos, rows = table = cache.table(sum(lam), n)
+    order, pos, rows, _ = table = cache.table(sum(lam), n)
     i_lam = pos[lam]
-    euler, diag, off = rows[i_lam] or _row(table, i_lam, n)
+    euler, diag, off = rows[i_lam] or _row(cache, table, i_lam, n)
     den = c_lambda(lam)
     nums = {lam: den}
     sums = [None] * len(order)  # S_nu over the mu solved so far, by position
@@ -409,7 +458,7 @@ def jack_symbolic(lam, n, cache=None):
             continue
         sums[i] = None
         nu = order[i]
-        e, g, off = rows[i] or _row(table, i, n)
+        e, g, off = rows[i] or _row(cache, table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             # moving a box from row i down to row j lowers diag by 2(j - i)
@@ -453,9 +502,9 @@ def _solve_at(lam, n, cache, beta0):
     m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
     if not m_lam:
         return None
-    order, pos, rows = table = cache.table(sum(lam), n)
+    order, pos, rows, _ = table = cache.table(sum(lam), n)
     i_lam = pos[lam]
-    euler, diag, off = rows[i_lam] or _row(table, i_lam, n)
+    euler, diag, off = rows[i_lam] or _row(cache, table, i_lam, n)
     vals = {lam: m_lam}
     sums = [None] * len(order)
     for j, h in off:
@@ -464,7 +513,7 @@ def _solve_at(lam, n, cache, beta0):
         s = sums[i]
         if s is None:
             continue
-        e, g, off = rows[i] or _row(table, i, n)
+        e, g, off = rows[i] or _row(cache, table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             raise AssertionError("eigenvalues of %r and %r do not separate: "
@@ -493,6 +542,25 @@ def jack_at(lam, n, beta0, cache=None):
                        cache if cache is not None else JackCache())
 
 
+def _lifted(lam, n, beta0, cache):
+    """(den, num) of P_lam = e_n^c P_base for lam with n nonzero parts,
+    c = lam_n, base = lam - (c^n): each key mu of P_base's num, padded to n,
+    becomes mu + (c^n), and so does the mu of a pole of P_base."""
+    c = lam[-1]
+    cs = (c,) * n
+
+    def shifted(mu):  # mu + (c^n), mu padded to n
+        return tuple(map(add, mu, cs)) + cs[len(mu):]
+    try:  # lam - (c^n), its zero parts dropped
+        base = jack_at_key(tuple([x - c for x in lam if x != c]), n, beta0,
+                           cache)
+    except SpecializationPole as e:
+        raise SpecializationPole(lam, shifted(e.mu), e.order,
+                                 e.beta0) from None
+    return base.den, MSymPoly._raw(n, {
+        shifted(mu): x for mu, x in base.num.terms.items()})
+
+
 def jack_at_key(lam, n, beta0, cache):
     """jack_at for a partition key lam of at most n parts, taken as it is
     (build_basis hands it its family's keys), solved once per cache and
@@ -500,31 +568,32 @@ def jack_at_key(lam, n, beta0, cache):
     Where _solve_at stops it is read off jack_symbolic(...).at(beta0),
     which raises SpecializationPole at a pole, each time.
 
-    A lam with n nonzero parts is P_lam = e_n^c P_base, c = lam_n, with
-    P_base = jack_at_key(base, ...), filed before lam in a family walked by
-    degree: each key mu of its num, padded to n, becomes mu + (c^n), and so
-    does the mu of a pole.  num[lam] = den is checked once per Jack, as the
-    membership sweep clears lam by that entry and never ends without it."""
-    hit = cache._at.get((lam, n, beta0.numerator, beta0.denominator))
+    A lam with n nonzero parts is P_lam = e_n P_low, low = lam - (1^n).
+    Where P_low is filed (before lam, in a family walked by degree) each key
+    of its num goes through the list of JackCache.table(|lam|, n): mu at
+    position j of table (|low|, n) becomes the key at full[j], no tuple
+    built.  Otherwise P_lam = e_n^c P_base, c = lam_n, read off
+    P_base = jack_at_key(lam - (c^n), ...) without the tables between: each
+    key mu of its num, padded to n, becomes mu + (c^n), and so does the mu
+    of a pole.  num[lam] = den is checked once per Jack, as the membership
+    sweep clears lam by that entry and never ends without it."""
+    p, q = beta0.numerator, beta0.denominator
+    hit = cache._at.get((lam, n, p, q))
     if hit is not None:
         return hit
     if not lam or len(lam) < n:
         den, num = (_solve_at(lam, n, cache, beta0)
                     or jack_symbolic(lam, n, cache).at(beta0).cleared())
     else:
-        c = lam[-1]
-        cs = (c,) * n
-
-        def shifted(mu):  # mu + (c^n), mu padded to n
-            return tuple(map(add, mu, cs)) + cs[len(mu):]
-        try:  # lam - (c^n), its zero parts dropped
-            base = jack_at_key(tuple([x - c for x in lam if x != c]), n,
-                               beta0, cache)
-        except SpecializationPole as e:
-            raise SpecializationPole(lam, shifted(e.mu), e.order,
-                                     e.beta0) from None
-        den, num = base.den, MSymPoly._raw(n, {
-            shifted(mu): x for mu, x in base.num.terms.items()})
+        low = cache._at.get((tuple([x - 1 for x in lam if x > 1]), n, p, q))
+        if low is not None:
+            d = sum(lam)
+            order, _, _, full = cache.table(d, n)
+            lpos = cache.table(d - n, n)[1]
+            den, num = low.den, MSymPoly._raw(n, {
+                order[full[lpos[mu]]]: x for mu, x in low.num.terms.items()})
+        else:
+            den, num = _lifted(lam, n, beta0, cache)
     if num.terms.get(lam) != den:
         raise AssertionError("P_%r at %s: num[lam] != den" % (lam, beta0))
     hit = SpecializedJack(lam, n, beta0, den, num)

@@ -119,6 +119,14 @@ def test_jack_pole_exit(capsys):
     assert err == ("pole at the requested specialization: coefficient of "
                    "m_(2, 2, 2) in P_(3, 2, 1) has a pole of order 1 at "
                    "beta=-1/2\n")
+    # P_(5,4,3,2) is read off its base (3,2,1) = lam - (2^4), whose pole
+    # at m_(3,1,1,1) is named at m_(5,3,3,3) = mu + (2^4)
+    code, out, err = run_cli(capsys, "jack", "--lambda", "5,4,3,2", "--n",
+                             "4", "--beta=-1/2")
+    assert code == 1 and out == ""
+    assert err == ("pole at the requested specialization: coefficient of "
+                   "m_(5, 3, 3, 3) in P_(5, 4, 3, 2) has a pole of order 1 "
+                   "at beta=-1/2\n")
 
 
 def test_principal_specialization_pole_exit(capsys):

@@ -71,7 +71,7 @@ def _hamiltonian_expanded(P, beta, validate=True):
 def matrix_row(mu, n):
     """hamiltonian_matrix_row of mu, placed in a fresh table of its degree,
     with its entries keyed back by partition: (euler, diag, {nu: h_nu})."""
-    order, pos, _ = JackCache().table(sum(mu), n)
+    order, pos = JackCache().table(sum(mu), n)[:2]
     euler, diag, off = hamiltonian_matrix_row(mu, n, pos)
     return euler, diag, {order[j]: h for j, h in off}
 

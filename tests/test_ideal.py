@@ -6,11 +6,13 @@ import os
 import random
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import jackideal.basis
+import jackideal.jack
 from jackideal.basis import DegreeOverflow
 from jackideal.ideal import (_combine, bareiss_rank, build_basis,
                              clearing_zero_order, closure_tags,
@@ -403,9 +405,17 @@ def test_closure_catches_missing_element():
 def test_normal_forms_read_the_elements():
     # both membership engines see the same shrunken basis: (4,) becomes a
     # column of the degree-4 normal forms, not a row
-    basis = build_basis(1, 2, 2, 4)
+    cache = JackCache()
+    basis = build_basis(1, 2, 2, 4, cache)
     del basis.elements[(4,)]
     cols, pos, rows = basis.normal_forms(4)
+    # the positions are those of the table the build solved degree 4 in
+    assert pos is cache.table(4, 2)[1]
+    # the basis holds the cache's tables, not the cache that files it: a
+    # dropped cache goes with its last reference, no collection needed
+    gone = weakref.ref(cache)
+    del cache
+    assert gone() is None
     assert (4,) in cols and rows[pos[(4,)]] == ((cols.index((4,)), 1),)
     P3, P31 = basis.get((3,)).poly, basis.get((3, 1)).poly
     for P, want in ((apply_p(P3, 1), (4,)), (P31, None), (P31 + P3, None)):
@@ -468,5 +478,5 @@ def test_warm_rerun_builds_no_table(monkeypatch, suite, grid):
     def refuse(*args, **kwargs):
         raise AssertionError("rebuilt on a warm cache")
     monkeypatch.setattr(jackideal.basis, "jack_at_key", refuse)
-    monkeypatch.setattr(jackideal.basis, "partitions_leq", refuse)
+    monkeypatch.setattr(jackideal.jack, "partitions_leq", refuse)
     assert suite(*grid, cache=cache).to_obj() == first.to_obj()

@@ -386,30 +386,42 @@ def test_package_keeps_no_process_wide_memo():
 
 
 def test_rows_are_memoized_per_cache(monkeypatch):
-    """Each cache computes a row once, through jack.hamiltonian_matrix_row,
-    in the symbolic walk and in the point walk alike, and clear() forgets
-    the rows with the Jacks."""
+    """Each cache fills a row once, by either route of jack._row (built by
+    jack.hamiltonian_matrix_row or read off the row of nu - (1^n)), in the
+    symbolic walk and in the point walk alike, and clear() forgets the rows
+    with the Jacks."""
     from jackideal.ideal import build_basis
-    computed = []
-    row = jack.hamiltonian_matrix_row
+    filled, built = [], []
+    fill, row = jack._row, jack.hamiltonian_matrix_row
+
+    def counted_fill(cache, table, i, n):
+        assert table[2][i] is None
+        filled.append((table[0][i], n))
+        return fill(cache, table, i, n)
 
     def counted(mu, n, pos):
-        computed.append((mu, n))
+        built.append((mu, n))
         return row(mu, n, pos)
+    monkeypatch.setattr(jack, "_row", counted_fill)
     monkeypatch.setattr(jack, "hamiltonian_matrix_row", counted)
     lams = partitions_leq(6, 4)
     assert len(lams) == 9
 
     def solve_all(cache):
-        computed.clear()
+        filled.clear()
+        built.clear()
         for lam in lams:
             jack_symbolic(lam, 4, cache)
-        return sorted(computed)
+        # no row of degree 2 is filled: every row here is built
+        assert sorted(built) == sorted(filled)
+        return sorted(filled)
 
     def build(cache):
-        computed.clear()
+        filled.clear()
+        built.clear()
         build_basis(2, 3, 4, 12, cache)
-        return sorted(computed)
+        assert set(built) < set(filled)
+        return sorted(filled)
 
     want = sorted((lam, 4) for lam in lams)
     cache = JackCache()
@@ -424,6 +436,60 @@ def test_rows_are_memoized_per_cache(monkeypatch):
     assert build(JackCache()) == rows
     cache.clear()
     assert build(cache) == rows
+
+
+def test_rows_read_off_nu_minus_one_n_match_the_built_rows(monkeypatch):
+    """In table (d, n) the j-th key with n nonzero parts is key j of table
+    (d - n, n) plus (1^n), and, for every key of the tables n <= 6,
+    d <= 20 filled by degree, the row _row reads off the row of
+    nu - (1^n) equals hamiltonian_matrix_row at nu; only the keys with
+    fewer than n parts are built."""
+    row_of, built = jack.hamiltonian_matrix_row, []
+
+    def counted(mu, n, pos):
+        built.append(mu)
+        return row_of(mu, n, pos)
+    monkeypatch.setattr(jack, "hamiltonian_matrix_row", counted)
+    cache, derived = JackCache(), 0
+    for n in range(1, 7):
+        for d in range(21):
+            order, pos, rows, full = table = cache.table(d, n)
+            low = cache.table(d - n, n)[0] if d >= n else ()
+            assert [order[i] for i in full] == [
+                tuple(x + 1 for x in mu) + (1,) * (n - len(mu)) for mu in low]
+            for i, nu in enumerate(order):
+                built.clear()
+                row = jack._row(cache, table, i, n)
+                assert rows[i] is row
+                assert row == row_of(nu, n, pos), (nu, n)
+                assert built == ([] if len(nu) == n else [nu])
+                derived += len(nu) == n
+    assert derived == sum(len(cache.table(d, n)[3])
+                          for n in range(1, 7) for d in range(21))
+
+
+def test_rows_read_off_a_core_row_are_checked():
+    """A wrong entry in the row of nu - (1^n) makes the check of nu's row
+    raise, naming nu: an entry off the dominance cone, and a diagonal off
+    the closed-form eigenvalue."""
+    n, nu = 3, (3, 2, 1)
+    for bad in ("cone", "diagonal"):
+        cache = JackCache()
+        low = cache.table(3, n)
+        j = low[1][(2, 1)]
+        euler, diag, off = jack._row(cache, low, j, n)
+        if bad == "cone":  # position 0 is (3,), which (2, 1) does not dominate
+            low[2][j] = euler, diag, off + ((0, 1),)
+        else:
+            low[2][j] = euler, diag + 1, off
+        table = cache.table(6, n)
+        with pytest.raises(AssertionError) as err:
+            jack._row(cache, table, table[1][nu], n)
+        assert str(err.value) == (
+            "H m_(3, 2, 1) at n=3 hit (4, 1, 1) outside the dominance cone"
+            if bad == "cone" else "diagonal of H at (3, 2, 1) disagrees "
+            "with the closed-form eigenvalue")
+        assert table[2][table[1][nu]] is None
 
 
 def test_specializations_are_memoized_per_cache(monkeypatch):
