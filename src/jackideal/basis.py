@@ -51,31 +51,30 @@ class IdealBasis:
     """Specialized Jack polynomials P_lam(beta0) over the admissible
     partitions of weight <= dmax, for fixed (k, r, n)."""
 
-    def __init__(self, k, r, n, dmax, beta0, family, elements, tables):
+    def __init__(self, k, r, n, dmax, beta0, family, elements, cache):
         self.k, self.r, self.n, self.dmax = k, r, n, dmax
         self.beta0 = beta0
         self.family = family
         self.elements = elements  # dict lam -> SpecializedJack
-        self._tables = tables  # the row tables of the build's JackCache
+        self._cache = cache  # the JackCache that built it, for its row tables
         self._normal_forms = {}  # degree -> normal_forms(degree), on first use
 
     def normal_forms(self, e):
         """(cols, pos, rows) for degree e <= dmax: pos[mu] is the position of
-        mu in partitions_leq(e, n), read off the row table (e, n) of the
-        build's cache, cols the partitions not in elements in that
-        decreasing lex order, and rows[pos[mu]] the integer row
+        mu in order = partitions_leq(e, n), both read off table(e, n) of the
+        cache that built the basis, cols the partitions not in elements in
+        that decreasing lex order, and rows[pos[mu]] the integer row
         ((j, x), ...) with E NF(m_mu) = sum_j x m_cols[j], one E > 0 per
-        degree.  The normal form NF is m_mu off the basis and
-        -sum_(mu < lam) P_lam[mu] NF(m_mu) at each lam in elements, built in
-        increasing lex order from (D, N) = (den, num), N = D P_lam, of its
-        SpecializedJack; E grows by D/g, g = gcd(D, content), when D does not
-        divide the sum.
+        degree.  The normal form NF is m_mu off the basis and -sum_(mu < lam)
+        P_lam[mu] NF(m_mu) at each lam in elements, built in increasing lex
+        order from (D, N) = (den, num), N = D P_lam, of its SpecializedJack;
+        E grows by D/g, g = gcd(D, content), when D does not divide the sum.
         Rows and columns both come from elements, as in reduce_membership."""
         if e > self.dmax:
             raise DegreeOverflow("degree %d beyond basis dmax=%d"
                                  % (e, self.dmax))
         if e not in self._normal_forms:
-            order, pos = self._tables[e, self.n][:2]
+            order, pos = self._cache.table(e, self.n)[:2]
             cols = [mu for mu in order if mu not in self.elements]
             rows = [None] * len(order)
             for j, mu in enumerate(cols):
@@ -173,7 +172,7 @@ def build_basis(k, r, n, dmax, cache=None):
                     for lam in fam.all_partitions()}
         with cache._lock:  # a racing build files first and both return it
             hit = cache._bases.setdefault((k, r, n, dmax), IdealBasis(
-                k, r, n, dmax, b0, fam, elements, cache._tables))
+                k, r, n, dmax, b0, fam, elements, cache))
     return hit
 
 

@@ -213,25 +213,6 @@ class SpecializedJack:
                                                             self.beta0)
 
 
-class _Tables(dict):
-    """The row tables of a JackCache, (d, n) -> (order, pos, rows, full),
-    each made on first lookup: order = partitions_leq(d, n), in decreasing
-    lex order, pos[mu] the position of mu in it, rows[i] None until _row
-    fills it (a race at worst computes a row twice) and full the positions
-    of the keys with n nonzero parts, increasing: full[j] is key j of table
-    (d - n, n) plus (1^n).  A basis holds these, not its cache, which files
-    the basis: no cycle keeps a dropped cache alive."""
-
-    def __missing__(self, key):
-        d, n = key
-        order = partitions_leq(d, n)
-        pos = {mu: i for i, mu in enumerate(order)}
-        full = [i for i, mu in enumerate(order)
-                if len(mu) == n] if d >= n else []
-        # racing lookups all get the table filed first
-        return self.setdefault(key, (order, pos, [None] * len(order), full))
-
-
 class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
@@ -248,7 +229,7 @@ class JackCache:
 
     def __init__(self, directory=None):
         self._mem = {}
-        self._tables = _Tables()
+        self._tables = {}
         self._at = {}
         self._bases = {}
         self._lock = threading.Lock()
@@ -294,8 +275,20 @@ class JackCache:
             os.replace(tmp, path)
 
     def table(self, d, n):
-        """(order, pos, rows, full), the row table of (d, n): see _Tables."""
-        return self._tables[d, n]
+        """(order, pos, rows, full): order = partitions_leq(d, n), in
+        decreasing lex order, pos[mu] the position of mu in it, rows[i] None
+        until _row fills it (a race at worst computes a row twice) and full
+        the positions of the keys with n nonzero parts, increasing: full[j]
+        is key j of table (d - n, n) plus (1^n)."""
+        hit = self._tables.get((d, n))
+        if hit is None:
+            order = partitions_leq(d, n)
+            pos = {mu: i for i, mu in enumerate(order)}
+            full = [i for i, mu in enumerate(order)
+                    if len(mu) == n] if d >= n else []
+            hit = self._tables[(d, n)] = (order, pos, [None] * len(order),
+                                          full)
+        return hit
 
     def clear(self):
         with self._lock:
@@ -542,25 +535,6 @@ def jack_at(lam, n, beta0, cache=None):
                        cache if cache is not None else JackCache())
 
 
-def _lifted(lam, n, beta0, cache):
-    """(den, num) of P_lam = e_n^c P_base for lam with n nonzero parts,
-    c = lam_n, base = lam - (c^n): each key mu of P_base's num, padded to n,
-    becomes mu + (c^n), and so does the mu of a pole of P_base."""
-    c = lam[-1]
-    cs = (c,) * n
-
-    def shifted(mu):  # mu + (c^n), mu padded to n
-        return tuple(map(add, mu, cs)) + cs[len(mu):]
-    try:  # lam - (c^n), its zero parts dropped
-        base = jack_at_key(tuple([x - c for x in lam if x != c]), n, beta0,
-                           cache)
-    except SpecializationPole as e:
-        raise SpecializationPole(lam, shifted(e.mu), e.order,
-                                 e.beta0) from None
-    return base.den, MSymPoly._raw(n, {
-        shifted(mu): x for mu, x in base.num.terms.items()})
-
-
 def jack_at_key(lam, n, beta0, cache):
     """jack_at for a partition key lam of at most n parts, taken as it is
     (build_basis hands it its family's keys), solved once per cache and
@@ -593,7 +567,19 @@ def jack_at_key(lam, n, beta0, cache):
             den, num = low.den, MSymPoly._raw(n, {
                 order[full[lpos[mu]]]: x for mu, x in low.num.terms.items()})
         else:
-            den, num = _lifted(lam, n, beta0, cache)
+            c = lam[-1]
+            cs = (c,) * n
+
+            def shifted(mu):  # mu + (c^n), mu padded to n
+                return tuple(map(add, mu, cs)) + cs[len(mu):]
+            try:  # lam - (c^n), its zero parts dropped
+                base = jack_at_key(tuple([x - c for x in lam if x != c]),
+                                   n, beta0, cache)
+            except SpecializationPole as e:
+                raise SpecializationPole(lam, shifted(e.mu), e.order,
+                                         e.beta0) from None
+            den, num = base.den, MSymPoly._raw(n, {
+                shifted(mu): x for mu, x in base.num.terms.items()})
     if num.terms.get(lam) != den:
         raise AssertionError("P_%r at %s: num[lam] != den" % (lam, beta0))
     hit = SpecializedJack(lam, n, beta0, den, num)

@@ -521,6 +521,22 @@ def test_specializations_are_memoized_per_cache(monkeypatch):
     assert calls == walked
 
 
+def test_full_length_jack_is_read_off_its_filed_low():
+    """Where P_(lam - (1^n)) is filed, jack_at_key reads P_lam off it by
+    table position and keeps its den: a doubled copy of P_(4, 3, 2, 1)
+    gives P_(5, 4, 3, 2) doubled, which is, term by term, the
+    P_(5, 4, 3, 2) a fresh cache lifts off its base (3, 2, 1) doubled."""
+    n, b0 = 4, Fraction(1, 3)
+    cache = JackCache()
+    low = jack.jack_at_key((4, 3, 2, 1), n, b0, cache)
+    cache.put(jack.SpecializedJack(low.lam, n, b0, 2 * low.den, MSymPoly._raw(
+        n, {mu: 2 * x for mu, x in low.num.terms.items()})))
+    got = jack.jack_at_key((5, 4, 3, 2), n, b0, cache)
+    want = jack_at((5, 4, 3, 2), n, b0)
+    assert got.den == 2 * want.den
+    assert got.num.terms == {mu: 2 * x for mu, x in want.num.terms.items()}
+
+
 def test_cache_entry_validation():
     obj = jack_symbolic((2, 1), 3).to_obj()
     assert obj["version"] == 2 and obj["den"] == obj["nums"][0]["coeffs"]
