@@ -6,9 +6,12 @@ dominance order.  A JackPoly stores the integral form J_lam = c_lam P_lam:
 the shared denominator den = c_lambda(lam) and one integer-coefficient
 numerator per m-basis coefficient, so the solver, evaluation, pole
 profiles and the disk cache all work in Z[beta] without a gcd.  The solver
-runs in Z on int coefficient lists and int Hamiltonian rows, with one
-synthetic division by the linear eigenvalue gap per coefficient; each
-numerator becomes a BetaPoly once, at the end.  It walks the positions of
+is one walk in Z on int Hamiltonian rows at a rational point, _walk;
+jack_symbolic runs it at beta = 1 and beta = 2^K and reads each numerator
+off as the base-2^K digits of its value (Kronecker substitution), as the
+numerators have nonnegative integer coefficients (Knop-Sahi, Invent. Math.
+128, 1997).  Each walk divides exactly or raises, and the digits of a
+value must sum to its value at beta = 1.  It walks the positions of
 a per-degree JackCache.table in decreasing lex order, which extends
 dominance, and rows and pending sums are keyed by position.  Evaluation
 at a rational beta0 = a/b stays in Z too: each numerator is a dot product
@@ -402,113 +405,39 @@ def _row(cache, table, i, n):
     return row
 
 
-def _scatter(sums, off, num):
-    """sums[j] += h * num for every (j, h) of a row, on int lists."""
-    for j, h in off:
-        acc = sums[j]
-        if acc is None:
-            sums[j] = [h * c for c in num]
-            continue
-        if len(acc) < len(num):
-            acc.extend([0] * (len(num) - len(acc)))
-        for i, c in enumerate(num):
-            acc[i] += h * c
-
-
-def jack_symbolic(lam, n, cache=None):
-    """P_lam in n variables (unitriangular), in its integral form c_lam P_lam.
+def _walk(lam, n, cache, p, q, top):
+    """The one triangular walk, at beta0 = p/q from M_lam = top: {nu: M_nu}
+    in walk order, lam first and zeros dropped, or None where a visited gap
+    is 0 there.  From top = q^|lam| c_lam(beta0), M_nu = q^|lam| N_nu(beta0)
+    for the numerators N_nu = c_lam u_nu of jack_symbolic.  _solve_at runs
+    it at a Jack's point, jack_symbolic at beta = 1 and beta = 2^K.
 
     Solves (eps_lam - eps_nu) u_nu = sum_{nu < mu <= lam} u_mu h_{mu,nu}
-    downward in dominance order for the numerators N_nu = c_lam u_nu,
-    starting from N_lam = c_lam.  It walks the positions below lam in
-    cache.table(|lam|, n) and solves only the pending nu, those some solved
-    row reaches (sums[i] is not None).  The recursion runs in Z on int
-    coefficient lists: with the int rows of hamiltonian_matrix_row, the gap
-    is g0 + g1 beta with g1 > 0 (diag falls strictly down the dominance
-    order) and N_nu = beta S_nu / (g0 + g1 beta) for the int combination
-    S_nu = sum_mu h_{mu,nu} N_mu, one synthetic division from the top.  A
-    remainder raises, so each solve machine-checks that c_lam clears the
-    denominators of P_lam.  Without a cache the call makes its own.
+    downward over the positions below lam in cache.table(|lam|, n), only
+    at the pending nu, those some solved row reaches (sums[i] is not None).
+    With the int rows of hamiltonian_matrix_row the gap is g0 + g1 beta
+    with g1 > 0, and M_nu = p S_nu / (q g0 + p g1) with
+    S_nu = sum_mu h_{mu,nu} M_mu, an exact division in Z whose remainder
+    raises.  A zero M_nu still has its row scattered, so a vanishing gap
+    below it is met.
     """
-    lam = as_partition(lam, n)
-    cache = cache if cache is not None else JackCache()
-    hit = cache.get(lam, n)
-    if hit is not None:
-        return hit
-
     order, pos, rows, _ = table = cache.table(sum(lam), n)
     i_lam = pos[lam]
     euler, diag, off = rows[i_lam] or _row(cache, table, i_lam, n)
-    den = c_lambda(lam)
-    nums = {lam: den}
-    sums = [None] * len(order)  # S_nu over the mu solved so far, by position
-    _scatter(sums, off, den.coeffs)
+    vals = {lam: top}
+    sums = [None] * len(order)
+    for j, h in off:
+        sums[j] = h * top
     # a row reaches only partitions its mu dominates, which are lex-smaller,
-    # so every mu that reaches position i is scattered before the walk is there
+    # so every mu that reaches position i is solved before the walk is there
     for i in range(i_lam + 1, len(order)):
         s = sums[i]
         if s is None:
             continue
-        sums[i] = None
-        nu = order[i]
         e, g, off = rows[i] or _row(cache, table, i, n)
         g0, g1 = euler - e, diag - g
         if g1 <= 0:
             # moving a box from row i down to row j lowers diag by 2(j - i)
-            raise AssertionError("eigenvalues of %r and %r do not separate: "
-                                 "gap %d + %d beta" % (lam, nu, g0, g1))
-        while s and not s[-1]:
-            s.pop()
-        if not s:
-            continue
-        # beta S = (g0 + g1 beta) Q, by synthetic division from the top:
-        # Q_i = (S_i - g0 Q_(i+1)) / g1, and the remainder g0 Q_0 must vanish
-        q, c, r = [], 0, 0
-        for x in reversed(s):
-            c, r = divmod(x - g0 * c, g1)
-            if r:
-                break
-            q.append(c)
-        if r or g0 * c:
-            raise AssertionError("c_lambda does not clear the coefficient "
-                                 "of m_%r in P_%r" % (nu, lam))
-        q.reverse()
-        nums[nu] = BetaPoly.trusted(tuple(q))
-        _scatter(sums, off, q)
-    jp = JackPoly(lam, n, den, nums)
-    cache.put(jp)
-    return jp
-
-
-def _solve_at(lam, n, cache, beta0):
-    """P_lam at beta0 = p/q in integral form, (M_lam/g, M/g) with M the
-    int MSymPoly of the M_nu and g their gcd, signed like M_lam, or None
-    when M_lam or a visited gap is 0 there.
-
-    The walk of jack_symbolic on M_mu = q^|lam| N_mu(beta0) (no numerator
-    has a higher degree): M_lam = q^|lam| c_lam(beta0) and
-    M_nu = p S_nu / (q g0 + p g1) with S_nu = sum_mu h_{mu,nu} M_mu, an
-    exact division in Z whose remainder raises.  A zero M_nu still has its
-    row scattered, so a vanishing gap below it is met.
-    """
-    p, q = beta0.numerator, beta0.denominator
-    m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
-    if not m_lam:
-        return None
-    order, pos, rows, _ = table = cache.table(sum(lam), n)
-    i_lam = pos[lam]
-    euler, diag, off = rows[i_lam] or _row(cache, table, i_lam, n)
-    vals = {lam: m_lam}
-    sums = [None] * len(order)
-    for j, h in off:
-        sums[j] = h * m_lam
-    for i in range(i_lam + 1, len(order)):
-        s = sums[i]
-        if s is None:
-            continue
-        e, g, off = rows[i] or _row(cache, table, i, n)
-        g0, g1 = euler - e, diag - g
-        if g1 <= 0:
             raise AssertionError("eigenvalues of %r and %r do not separate: "
                                  "gap %d + %d beta" % (lam, order[i], g0, g1))
         gap = q * g0 + p * g1
@@ -522,6 +451,67 @@ def _solve_at(lam, n, cache, beta0):
             vals[order[i]] = m
         for j, h in off:  # None, not reached yet, counts as 0
             sums[j] = (sums[j] or 0) + h * m
+    return vals
+
+
+def jack_symbolic(lam, n, cache=None):
+    """P_lam in n variables (unitriangular), in its integral form c_lam P_lam:
+    den = c_lambda(lam) and the numerators N_nu = c_lam u_nu, read off
+    _walk at beta = 1 and beta = 2^K, each from c_lambda(lam) at the point.
+
+    N_nu is Stanley's J_lam[nu] at alpha = 1/beta read backwards, so its
+    coefficients are nonnegative integers (Knop-Sahi, Invent. Math. 128,
+    1997), none above N_nu(1).  With K the largest bit length of the N_nu(1),
+    nu != lam, the base-2^K digits of N_nu(2^K) are the coefficients of
+    N_nu (Kronecker substitution); a lam with no other term skips the second
+    walk.  Where the walks disagree on which nu are nonzero, or the digits
+    of N_nu(2^K) do not sum to N_nu(1), the decode raises the walk's own
+    "does not clear" error.  Without a cache the call makes its own.
+    """
+    lam = as_partition(lam, n)
+    cache = cache if cache is not None else JackCache()
+    hit = cache.get(lam, n)
+    if hit is not None:
+        return hit
+    den = c_lambda(lam)
+
+    # {nu: N_nu(2^K)}, nu != lam; no gap vanishes at beta > 0, as g1 > 0
+    # and euler, the sum of the squared parts, falls down the dominance order
+    def walk(K):
+        vals = _walk(lam, n, cache, 1 << K, 1,
+                     sum(c << K * i for i, c in enumerate(den.coeffs)))
+        del vals[lam]
+        return vals
+
+    ones, nums = walk(0), {lam: den}
+    if ones:
+        K = max(v.bit_length() for v in ones.values())
+        at, mask = walk(K), (1 << K) - 1
+        for nu in {**ones, **at}:  # walk order; a key of one walk only raises
+            v, digits = at.get(nu, 0), []
+            while v > 0:
+                digits.append(v & mask)
+                v >>= K
+            if v or sum(digits) != ones.get(nu, 0):
+                raise AssertionError("c_lambda does not clear the coefficient "
+                                     "of m_%r in P_%r" % (nu, lam))
+            nums[nu] = BetaPoly.trusted(tuple(digits))
+    jp = JackPoly(lam, n, den, nums)
+    cache.put(jp)
+    return jp
+
+
+def _solve_at(lam, n, cache, beta0):
+    """P_lam at beta0 = p/q in integral form, (M_lam/g, M/g) with M the
+    int MSymPoly of the M_nu and g their gcd, signed like M_lam, or None
+    when M_lam or a visited gap is 0 there: _walk from the hook product
+    M_lam = q^|lam| c_lam(beta0), one (arm q + (leg + 1) p) per node.
+    """
+    p, q = beta0.numerator, beta0.denominator
+    m_lam = prod(a * q + b * p for a, b in hook_factors(lam))
+    vals = m_lam and _walk(lam, n, cache, p, q, m_lam)
+    if not vals:
+        return None
     g = gcd(*vals.values()) * (1 if m_lam > 0 else -1)
     # every key is lam or a row key, so none needs validating again
     return m_lam // g, MSymPoly._raw(n, {nu: m // g for nu, m in vals.items()})

@@ -10,16 +10,19 @@ BetaPoly rows (betapoly_row, the Hamiltonian rows with BetaPoly entries):
   solver.
 - betapoly_solve is the integral-form recursion in BetaPoly arithmetic, one
   exact_div by the gap per coefficient.  jack_symbolic runs the same
-  recursion on int lists with a synthetic division, so its numerators must be
-  equal, and in the same order.
+  recursion as one integer walk (jack._walk) at beta = 1 and beta = 2^K and
+  reads each numerator off as the base-2^K digits of its value, so its
+  numerators must be equal, and in the same order.
 
 The walks jack_symbolic and jack._solve_at ran before their position table
 are kept too (dict_walk_symbolic, dict_walk_at): pending sums keyed by
-partition, the next one taken by max(sums).  The table walks must return
-the same numerators, the same values at beta(k, r), and None exactly where
-these do.
+partition, the next one taken by max(sums), and for the symbolic walk int
+coefficient lists with one synthetic division by the gap per coefficient.
+The table walk must return the same numerators, the same values at
+beta(k, r), and None exactly where these do.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -170,7 +173,9 @@ def test_solver_matches_gap_product_reference():
 
 def _solver_grid():
     """Criterion 3's grid (n <= 4, |lam| <= 8), then every admissible lam of
-    the basis-deep, basis-wide and (2,2,5,16) bases."""
+    the basis-deep, basis-wide and (2,2,5,16) bases, then two Jacks whose
+    symbolic solve reads digits of 70 and 78 bits (K of jack_symbolic),
+    wider than a machine word."""
     for n in range(1, 5):
         for d in range(9):
             for lam in partitions_leq(d, n):
@@ -178,6 +183,8 @@ def _solver_grid():
     for k, r, n, dmax in [(1, 2, 3, 18), (8, 2, 9, 8), (2, 2, 5, 16)]:
         for lam in enumerate_admissible(k, r, n, dmax).all_partitions():
             yield lam, n
+    yield (12, 9, 6, 3), 4
+    yield (14, 10, 6), 4
 
 
 def test_solver_matches_betapoly_solver():
@@ -423,3 +430,23 @@ def test_clearing_check_catches_a_short_denominator(monkeypatch):
     monkeypatch.setattr(jack, "c_lambda", lambda lam: BetaPoly((1,)))
     with pytest.raises(AssertionError, match="does not clear"):
         jack_symbolic((2,), 2, JackCache())
+
+
+@pytest.mark.parametrize("nu", [(3, 2), (2, 2, 1), (2, 1, 1, 1)])
+def test_digit_check_catches_a_wrong_value_at_one(monkeypatch, nu):
+    # the walk at beta = 1 returns N_nu(1) off by one, so the base-2^K
+    # digits of N_nu(2^K) no longer sum to it: the symbolic solve must name
+    # nu and lam, and file no Jack
+    lam, n, walk = (4, 1), 4, jack._walk
+
+    def planted(lam, n, cache, p, q, top):
+        vals = walk(lam, n, cache, p, q, top)
+        if (p, q) == (1, 1):
+            vals[nu] += 1
+        return vals
+    monkeypatch.setattr(jack, "_walk", planted)
+    cache = JackCache()
+    with pytest.raises(AssertionError, match=re.escape(
+            "does not clear the coefficient of m_%r in P_%r" % (nu, lam))):
+        jack_symbolic(lam, n, cache)
+    assert cache.get(lam, n) is None
