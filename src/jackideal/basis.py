@@ -2,7 +2,6 @@
 its span (reduce_membership).  With ratfunc, partitions, sympoly and jack
 this is the core, which every CLI command but verify runs on alone."""
 
-import json
 import os
 from fractions import Fraction
 from itertools import compress
@@ -146,13 +145,17 @@ class IdealBasis:
             yield self.elements[lam]
 
     def to_dir(self, path):
+        """One degree_NN.json per degree 0..dmax: k, r, n, the degree and
+        its elements' to_json, as json.dump writes the object."""
         os.makedirs(path, exist_ok=True)
+        keys = {}
         for d in range(self.dmax + 1):
-            obj = {"k": self.k, "r": self.r, "n": self.n, "degree": d,
-                   "elements": [self.elements[lam].to_obj()
-                                for lam in self.by_degree(d)]}
             with open(os.path.join(path, "degree_%02d.json" % d), "w") as fh:
-                json.dump(obj, fh)
+                fh.write('{"k": %d, "r": %d, "n": %d, "degree": %d, '
+                         '"elements": [%s]}' % (
+                             self.k, self.r, self.n, d, ", ".join(
+                                 self.elements[lam].to_json(keys)
+                                 for lam in self.by_degree(d))))
 
 
 def build_basis(k, r, n, dmax, cache=None):

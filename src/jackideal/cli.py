@@ -47,13 +47,26 @@ def parse_beta(text):
         raise UsageError("bad beta %r: %s" % (text, exc))
 
 
-def emit(obj, fmt, text_lines=None):
-    if fmt == "json":
-        print(json.dumps(obj, default=lambda o: o.to_obj()))
-    else:
+def emit(obj, fmt, text_lines=None, elements=None):
+    """Print obj as one line of JSON or, for text, each of text_lines (by
+    default that JSON line).  elements, JSON texts, are printed as the
+    dict obj's last key "elements", each as soon as it is made, so the
+    bytes are those of the whole object's json.dumps but it is never
+    built; text_lines is consumed as it comes too."""
+    if fmt == "text":
         for line in (text_lines if text_lines is not None else
-                     [json.dumps(obj, default=lambda o: o.to_obj())]):
+                     [json.dumps(obj)]):
             print(line)
+    elif elements is None:
+        print(json.dumps(obj))
+    else:
+        write = sys.stdout.write
+        write(json.dumps(obj)[:-1] + ', "elements": [')
+        sep = ""
+        for text in elements:
+            write(sep + text)
+            sep = ", "
+        write("]}\n")
 
 
 # add_common's names: a trailing "?" makes the option optional
@@ -246,7 +259,7 @@ def run(args):
         lam = parse_partition(args.lam, args.n)
         if args.k is not None:
             sp = specialize(lam, args.n, args.k, args.r, cache)
-            emit(sp.to_obj(), fmt, [str(sp.poly)])
+            print(sp.to_json({}) if fmt == "json" else sp.to_text({}))
             return 0
         if args.beta is not None:
             b0 = parse_beta(args.beta)
@@ -275,17 +288,16 @@ def run(args):
     if args.command == "ideal":
         if args.ideal_command == "basis":
             basis = build_basis(args.k, args.r, args.n, args.dmax, cache)
+            head = {"k": args.k, "r": args.r, "n": args.n,
+                    "dmax": args.dmax, "character": basis.character()}
             if args.out:
                 basis.to_dir(args.out)
-                emit({"k": args.k, "r": args.r, "n": args.n,
-                      "dmax": args.dmax, "character": basis.character(),
-                      "written": args.out}, fmt)
+                emit(dict(head, written=args.out), fmt)
             else:
-                obj = {"k": args.k, "r": args.r, "n": args.n,
-                       "dmax": args.dmax, "character": basis.character(),
-                       "elements": [e.to_obj() for e in basis]}
-                emit(obj, fmt, None if fmt == "json" else
-                     ["%s: %s" % (list(e.lam), e.poly) for e in basis])
+                names, keys = {}, {}  # partition -> its text, per format
+                emit(head, fmt, ("%s: %s" % (list(e.lam), e.to_text(names))
+                                 for e in basis),
+                     (e.to_json(keys) for e in basis))
             return 0
         P = read_poly(args.input, args.n, args.dmax)
         basis = build_basis(args.k, args.r, args.n, args.dmax, cache)

@@ -199,17 +199,33 @@ class SpecializedJack:
         """(den, num), as JackPoly.cleared() is in Z[beta]."""
         return self.den, self.num
 
-    def to_obj(self):
-        """The JSON form of .poly: each x/den reduced by one gcd."""
-        terms = []
-        for mu, x in self.num.sorted_terms():
-            g = gcd(x, self.den)
-            terms.append({MSymPoly.KEY: list(mu), "coeff": {
-                "num": str(x // g), "den": str(self.den // g)}})
-        return {"n": self.n, "basis": MSymPoly.BASIS, "terms": terms,
-                "k": self.k, "r": self.r, "beta": {
-                    "num": self.beta0.numerator,
-                    "den": self.beta0.denominator}}
+    def to_json(self, keys):
+        """The JSON text of .poly with k, r and beta0, as json.dumps prints
+        it, written from (den, num): each x/den reduced by one gcd, terms
+        in sorted_terms order.  keys is the caller's memo for one output,
+        mu -> the term's text up to its numerator, filled on first use."""
+        D, terms = self.den, self.num.sorted_terms()
+        keys.update((mu, '{"%s": [%s], "coeff": {"num": "' % (
+            MSymPoly.KEY, ", ".join(map(str, mu))))
+            for mu, _ in terms if mu not in keys)
+        return ('{"n": %d, "basis": "%s", "terms": [%s], "k": %d, "r": %d, '
+                '"beta": {"num": %d, "den": %d}}' % (
+                    self.n, MSymPoly.BASIS, ", ".join([
+                        '%s%d", "den": "%d"}}' % (keys[mu], x // g, D // g)
+                        for mu, x in terms for g in (gcd(x, D),)]),
+                    self.k, self.r, self.beta0.numerator,
+                    self.beta0.denominator))
+
+    def to_text(self, names):
+        """str(self.poly), written from (den, num) with one gcd per term.
+        names is the caller's memo for one output, mu -> "*m[..]"."""
+        D, terms = self.den, self.num.sorted_terms()
+        names.update((mu, "*m[%s]" % ",".join(map(str, mu)))
+                     for mu, _ in terms if mu not in names)
+        return " + ".join([
+            "(%d)%s" % (x // g, names[mu]) if g == D else
+            "(%d/%d)%s" % (x // g, D // g, names[mu])
+            for mu, x in terms for g in (gcd(x, D),)]) or "0"
 
     def __repr__(self):
         return "SpecializedJack(lam=%r, n=%d, beta0=%s)" % (self.lam, self.n,

@@ -12,6 +12,7 @@ import pytest
 
 import jackideal.basis
 import jackideal.jack
+from emit_oracle import specialized_to_obj
 from jackideal.basis import DegreeOverflow
 from jackideal.ideal import (_combine, bareiss_rank, build_basis,
                              clearing_zero_order, closure_tags,
@@ -95,7 +96,7 @@ def test_basis_to_dir_files(tmp_path):
         with open(str(tmp_path / name)) as fh:
             obj = json.load(fh)
         assert obj == {"k": 1, "r": 2, "n": 2, "degree": d,
-                       "elements": [basis.get(lam).to_obj()
+                       "elements": [specialized_to_obj(basis.get(lam))
                                     for lam in basis.by_degree(d)]}
     assert len(obj["elements"]) == 2
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import jackideal
+from emit_oracle import specialized_to_obj
 from jackideal import jack
 from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
                             evaluate_all_ones, jack_at, jack_symbolic,
@@ -338,7 +339,7 @@ def test_jackpoly_serialization():
     assert back.lam == (2, 1) and back.n == 3
     assert back.coeffs == jp.coeffs
     sp = specialize((2,), 2, 1, 2)
-    obj = sp.to_obj()
+    obj = specialized_to_obj(sp)
     assert (obj["k"], obj["r"], obj["beta"]) == (1, 2, {"num": -1, "den": 2})
     assert MSymPoly.from_obj(obj) == sp.poly
 
