@@ -10,15 +10,15 @@ _EXPORTS = {
     "ratfunc": "BETA BetaPoly BetaRatFunc PoleError",
     "partitions": """AdmissibleFamily DegreeMismatch InvalidNode
         InvalidParameters add_node addable_rows as_partition beta_value
-        c_lambda check_nonvanishing conjugate cs_eigenvalue dominance_compare
-        dominated_by enumerate_admissible is_admissible node_moves
-        partitions_leq partitions_of removable_rows remove_node
-        sekiguchi_eigenvalue""",
+        check_nonvanishing conjugate dominance_compare dominated_by
+        enumerate_admissible is_admissible node_moves partitions_leq
+        partitions_of removable_rows remove_node""",
     "sympoly": """ExpandedPoly MSymPoly NotSymmetric TermBudgetExceeded
         orbit_size power_sum""",
-    "jack": """JackCache JackPoly SpecializationPole SpecializedJack
-        evaluate_all_ones jack_at jack_symbolic pole_profile
-        principal_specialization specialize""",
+    "jack": "JackCache SpecializationPole SpecializedJack jack_at specialize",
+    "symbolic": """JackPoly c_lambda cs_eigenvalue evaluate_all_ones
+        jack_symbolic pole_profile principal_specialization
+        sekiguchi_eigenvalue""",
     "basis": """DegreeOverflow IdealBasis MembershipCertificate build_basis
         reduce_membership""",
     "operators": """OperatorTag apply_cherednik apply_dunkl apply_hamiltonian

@@ -1,6 +1,7 @@
 """The admissible Jack basis at beta(k, r) (build_basis) and membership in
-its span (reduce_membership).  With ratfunc, partitions, sympoly and jack
-this is the core, which every CLI command but verify runs on alone."""
+its span (reduce_membership).  With partitions, sympoly and jack this is the
+integer core, which every CLI command runs on alone but jack --symbolic,
+specialize-principal and verify."""
 
 import os
 from fractions import Fraction
@@ -8,6 +9,7 @@ from itertools import compress
 from math import gcd
 
 from .partitions import as_partition, beta_value, enumerate_admissible
+from .sympoly import rat_to_obj
 from .jack import JackCache, jack_at_key
 
 
@@ -29,7 +31,6 @@ class MembershipCertificate:
         self.obstruction = obstruction
 
     def to_obj(self):
-        from .ratfunc import rat_to_obj
         obj = {"member": self.member}
         if self.member:
             obj["combination"] = [

@@ -4,8 +4,8 @@ Exit codes: 0 success / all suite cases pass; 1 verification failure or
 mathematical obstruction (pole, non-member); 2 usage error, or an operation
 that would exceed sympoly.TERM_BUDGET terms.
 
-Only the core (ratfunc, partitions, sympoly, jack, basis) is imported
-here; `verify` imports its suite's module on use (VERIFY_SUITES).
+Only the integer core (partitions, sympoly, jack, basis) is imported here;
+the Q(beta) layer (ratfunc, symbolic) and each suite (VERIFY_SUITES) on use.
 """
 
 import argparse
@@ -13,13 +13,12 @@ import json
 import sys
 from fractions import Fraction
 from importlib import import_module
+from itertools import takewhile
 
-from .ratfunc import PoleError, rat_to_obj
 from .partitions import (InvalidParameters, as_partition,
                          enumerate_admissible, is_admissible)
-from .sympoly import MSymPoly, ExpandedPoly, TermBudgetExceeded
-from .jack import (JackCache, SpecializationPole, jack_at, jack_symbolic,
-                   principal_specialization, specialize)
+from .sympoly import MSymPoly, ExpandedPoly, TermBudgetExceeded, rat_to_obj
+from .jack import JackCache, SpecializationPole, jack_at, specialize
 from .basis import build_basis, reduce_membership
 
 
@@ -86,39 +85,51 @@ def add_common(sub, *names):
     sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
-def build_parser():
+def build_parser(argv=None):
+    """The parser with every command and subcommand and its help text, but
+    options only on the parsers that argv's words before its first option
+    name, one per level, as argparse picks them (on all where argv is None):
+    --help and usage errors read only parsers with their options."""
+    lead = list(takewhile(lambda word: not word.startswith("-"), argv or ()))
+
+    def add(parsers, *path, **kw):  # its parser, or one that drops options
+        parser = parsers.add_parser(path[-1], **kw)
+        if all(i >= len(lead) or lead[i] == w for i, w in enumerate(path)):
+            return parser
+        return argparse.Namespace(add_argument=lambda *args, **kwargs: None)
+
     ap = argparse.ArgumentParser(
         prog="jackideal",
         description="Exact Jack polynomials and their admissible-partition "
                     "span at beta = -(r-1)/(k+1)")
     sp = ap.add_subparsers(dest="command", required=True)
 
-    s = sp.add_parser("partitions", help="enumerate admissible partitions "
-                                         "or test one")
+    s = add(sp, "partitions", help="enumerate admissible partitions "
+                                   "or test one")
     add_common(s, "k", "r", "n", "lambda?")
     s.add_argument("--dmax", type=int)
 
-    s = sp.add_parser("character", help="admissible count per degree")
+    s = add(sp, "character", help="admissible count per degree")
     add_common(s, "k", "r", "n", "dmax")
 
-    s = sp.add_parser("jack", help="compute one Jack polynomial")
+    s = add(sp, "jack", help="compute one Jack polynomial")
     add_common(s, "lambda", "n", "k?", "r?", "cache?")
     s.add_argument("--symbolic", action="store_true")
     s.add_argument("--beta", help="rational evaluation point p/q "
                                   "(write --beta=-1/2 for negatives)")
 
-    s = sp.add_parser("specialize-principal",
-                      help="product formula for the all-ones value")
+    s = add(sp, "specialize-principal",
+            help="product formula for the all-ones value")
     add_common(s, "lambda", "n")
     s.add_argument("--beta", help="rational evaluation point p/q "
                                   "(write --beta=-1/2 for negatives)")
 
     s = sp.add_parser("ideal", help="basis construction and membership")
     isp = s.add_subparsers(dest="ideal_command", required=True)
-    b = isp.add_parser("basis")
+    b = add(isp, "ideal", "basis")
     add_common(b, "k", "r", "n", "dmax", "cache?")
     b.add_argument("--out", help="directory for per-degree JSON files")
-    m = isp.add_parser("member")
+    m = add(isp, "ideal", "member")
     add_common(m, "k", "r", "n", "dmax", "cache?")
     m.add_argument("--input", default="-",
                    help="polynomial JSON file, '-' for stdin")
@@ -126,7 +137,7 @@ def build_parser():
     s = sp.add_parser("verify", help="run a verification suite")
     vsp = s.add_subparsers(dest="suite", required=True)
 
-    v = vsp.add_parser("commutators")
+    v = add(vsp, "verify", "commutators")
     v.add_argument("--n", type=int, default=3)
     v.add_argument("--dmax", type=int, default=5)
     v.add_argument("--trials", type=int, default=25)
@@ -135,29 +146,29 @@ def build_parser():
     v.add_argument("--format", choices=("json", "text"), default="json")
 
     for name in ("pieri", "lassalle"):
-        v = vsp.add_parser(name)
+        v = add(vsp, "verify", name)
         add_common(v, "n", "dmax", "k?", "r?", "cache?")
         v.add_argument("--symbolic", action="store_true")
 
-    v = vsp.add_parser("closure")
+    v = add(vsp, "verify", "closure")
     add_common(v, "k", "r", "n", "dmax", "cache?")
     v.add_argument("--mmax", type=int, default=4)
     v.add_argument("--tmax", type=int, default=4)
 
-    v = vsp.add_parser("restriction")
+    v = add(vsp, "verify", "restriction")
     add_common(v, "k", "r", "n", "dmax", "cache?")
     v.add_argument("--jmax", type=int, default=2)
 
-    v = vsp.add_parser("regularity")
+    v = add(vsp, "verify", "regularity")
     add_common(v, "k", "r", "n", "dmax", "cache?")
 
-    v = vsp.add_parser("wheel")
+    v = add(vsp, "verify", "wheel")
     add_common(v, "k", "n", "dmax", "cache?")
 
-    v = vsp.add_parser("phi3")
+    v = add(vsp, "verify", "phi3")
     add_common(v, "r", "cache?")
 
-    v = vsp.add_parser("sekiguchi")
+    v = add(vsp, "verify", "sekiguchi")
     add_common(v, "n", "dmax", "cache?")
     return ap
 
@@ -193,7 +204,7 @@ def run_report(suite, rep, fmt):
     if not rep.cases:
         raise UsageError("verify %s has no cases for these parameters"
                          % suite)
-    emit(rep.to_obj(), fmt, rep.text_lines())
+    emit(rep.to_obj(), fmt, rep.text_lines() if fmt == "text" else None)
     return 0 if rep.all_pass() else 1
 
 
@@ -269,15 +280,23 @@ def run(args):
                            "den": str(b0.denominator)}
             emit(obj, fmt, [str(P)])
             return 0
+        from .symbolic import jack_symbolic
         P = jack_symbolic(lam, args.n, cache).msym()
         emit(P.to_obj(), fmt, [str(P)])
         return 0
 
     if args.command == "specialize-principal":
+        from .ratfunc import PoleError
+        from .symbolic import principal_specialization
         lam = parse_partition(args.lam, args.n)
         val = principal_specialization(lam, args.n)
         if args.beta is not None:
-            v = val(parse_beta(args.beta))
+            try:
+                v = val(parse_beta(args.beta))
+            except PoleError as exc:
+                print("pole at the requested evaluation point: %s" % exc,
+                      file=sys.stderr)
+                return 1
             emit({"partition": list(lam), "n": args.n,
                   "value": rat_to_obj(v)}, fmt, [str(v)])
         else:
@@ -319,8 +338,8 @@ def run(args):
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return run(args)
     except UsageError as exc:
@@ -331,10 +350,6 @@ def main(argv=None):
         return 2
     except SpecializationPole as exc:
         print("pole at the requested specialization: %s" % exc,
-              file=sys.stderr)
-        return 1
-    except PoleError as exc:
-        print("pole at the requested evaluation point: %s" % exc,
               file=sys.stderr)
         return 1
     except (OSError, json.JSONDecodeError) as exc:

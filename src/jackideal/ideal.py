@@ -9,12 +9,13 @@ from math import gcd, prod
 
 from .ratfunc import BETA, BetaPoly, BetaRatFunc, order_and_value
 from .partitions import (InvalidParameters, add_node, addable_rows,
-                         as_partition, beta_value, conjugate, c_lambda,
-                         cs_eigenvalue, enumerate_admissible,
-                         is_admissible, node_moves, padded, partitions_leq,
-                         removable_rows, remove_node, sekiguchi_eigenvalue)
+                         as_partition, beta_value, conjugate,
+                         enumerate_admissible, is_admissible, node_moves,
+                         padded, partitions_leq, removable_rows, remove_node)
 from .sympoly import MSymPoly, _replace_part
-from .jack import JackCache, jack_symbolic, pole_profile, specialize
+from .jack import JackCache, specialize
+from .symbolic import (c_lambda, cs_eigenvalue, jack_symbolic, pole_profile,
+                       sekiguchi_eigenvalue)
 from .basis import build_basis, reduce_membership
 from .operators import (OperatorTag, apply_hamiltonian, apply_l, apply_p,
                         apply_sekiguchi, class_table, coincident_row,

@@ -1,49 +1,27 @@
-"""Jack polynomials over Q(beta) by the triangular Hamiltonian recursion.
+"""Jack polynomials at a rational point, in Z, by the triangular
+Hamiltonian recursion (over Q(beta) they are in the symbolic module).
 
-P_lam is the unique eigenfunction of the Sutherland-type Hamiltonian that is
-unitriangular on monomial symmetric functions: P_lam = m_lam + lower terms in
-dominance order.  A JackPoly stores the integral form J_lam = c_lam P_lam:
-the shared denominator den = c_lambda(lam) and one integer-coefficient
-numerator per m-basis coefficient, so the solver, evaluation, pole
-profiles and the disk cache all work in Z[beta] without a gcd.  The solver
-is one walk in Z on int Hamiltonian rows at a rational point, _walk;
-jack_symbolic runs it at beta = 1 and beta = 2^K and reads each numerator
-off as the base-2^K digits of its value (Kronecker substitution), as the
-numerators have nonnegative integer coefficients (Knop-Sahi, Invent. Math.
-128, 1997).  Each walk divides exactly or raises, and the digits of a
-value must sum to its value at beta = 1.  It walks the positions of
-a per-degree JackCache.table in decreasing lex order, which extends
-dominance, and rows and pending sums are keyed by position.  Evaluation
-at a rational beta0 = a/b stays in Z too: each numerator is a dot product
-with the weights a^i b^(D-i), and one Fraction is built per coefficient
-(where den vanishes, order_and_value reads each unreduced numerator/den).
-Coefficients in Q(beta) (BetaRatFunc) are built only on request, by
-coefficient(), coeffs and msym(); at() never builds one.
-
-A Jack at a rational point (jack_at) skips Z[beta]: _solve_at runs the
-same walk on one integer per coefficient, and only where c_lambda or a
-visited gap vanishes there does it fall back to jack_symbolic(...).at().
-The result stays integral (SpecializedJack: den and an int num): the walk
-and the shift build no Fraction.  jack_at validates lam and hands it to
-jack_at_key, which takes partition keys as they are and is the one memo of
-Jacks at a point.  A lam with n nonzero parts is not walked.  With
-e_n = x_1...x_n and D_i = x_i d_i, D_i(e_n f) = e_n (D_i + 1) f, so
-H(e_n f) = e_n (H + 2E + n) f (E the Euler operator) and
-P_lam = e_n P_(lam - (1^n)) identically in beta.  Adding 1 to each of n
-parts keeps decreasing lex order, so the j-th key with n nonzero parts
-(full-length) of JackCache.table(d, n) is key j of table (d - n, n) plus
-(1^n), and each table keeps the positions of its full-length keys in one
-list, full.  _row reads the row of a full-length nu off the row of
-nu - (1^n) where that table holds it (euler rises by 2(d - n) + n, diag
-stays, the entry at position k becomes the key at full[k]) and builds it
-otherwise (hamiltonian_row, from mu's parts); both routes end in
-_checked_row, the one check of the diagonal and of each entry's place in
-the table and against mu's partial sums.
-jack_at_key maps the num of a filed P_(lam - (1^n)) through full (a filed
-Jack has no pole), and otherwise jumps to P_base, base = lam - (c^n) with
-c = lam_n, with no table between: each key mu, padded to n, becomes
-mu + (c^n), which keeps lex order and names a pole of P_base as the same
-pole of P_lam.
+P_lam is the unique eigenfunction of the Sutherland-type Hamiltonian that
+is unitriangular on monomial symmetric functions: P_lam = m_lam + lower
+terms in dominance order.  The solver is one walk in Z on int Hamiltonian
+rows at a rational point, _walk, over the positions of a per-degree
+JackCache.table in decreasing lex order, which extends dominance; rows and
+pending sums are keyed by position, and each division is exact or raises.
+jack_at runs it (_solve_at) on one integer per coefficient, and only where
+c_lambda or a visited gap vanishes there does it import symbolic, for
+jack_symbolic(...).at().  The result stays integral (SpecializedJack: den
+and an int num): the walk and the shift build no Fraction.  jack_at
+validates lam and hands it to jack_at_key, which takes partition keys as
+they are and is the one memo of Jacks at a point.  A lam with n nonzero
+parts is not walked: with e_n = x_1...x_n and E the Euler operator,
+H(e_n f) = e_n (H + 2E + n) f, so P_lam = e_n P_(lam - (1^n)) identically
+in beta, and adding 1 to each of n parts keeps decreasing lex order.  So
+_row reads the row of such a key off the table n degrees down, by the
+positions JackCache.table lists in full, and jack_at_key a Jack off a
+filed P_(lam - (1^n)) the same way, or else off its base lam - (lam_n^n).
+Every row goes through _checked_row, the one check of the diagonal
+(partitions.eigenvalue_pair), of each entry's place in the table and of
+mu's partial sums.
 """
 
 import json
@@ -55,13 +33,9 @@ from itertools import accumulate
 from math import gcd, prod
 from operator import add, le, mul
 
-from .ratfunc import BetaPoly, BetaRatFunc, order_and_value
-from .partitions import (as_partition, beta_value, c_lambda, cs_eigenvalue,
-                         dominated_by, hook_factors, partitions_leq)
-from .sympoly import MSymPoly, orbit_size
-
-# format of the JackPoly.to_obj() files that JackCache writes
-CACHE_VERSION = 2
+from .partitions import (as_partition, beta_value, eigenvalue_pair,
+                         hook_factors, partitions_leq)
+from .sympoly import MSymPoly
 
 
 class SpecializationPole(ArithmeticError):
@@ -71,103 +45,6 @@ class SpecializationPole(ArithmeticError):
         self.lam, self.mu, self.order, self.beta0 = lam, mu, order, beta0
         super().__init__("coefficient of m_%r in P_%r has a pole of order %d "
                          "at beta=%s" % (mu, lam, order, beta0))
-
-
-class JackPoly:
-    """Symbolic Jack polynomial in integral form: P_lam is
-    sum_mu (nums[mu] / den) m_mu with den = c_lambda(lam), every numerator
-    a nonzero integer-coefficient BetaPoly and nums[lam] = den."""
-
-    __slots__ = ("lam", "n", "den", "nums")
-
-    def __init__(self, lam, n, den, nums):
-        self.lam = as_partition(lam)
-        self.n = n
-        self.den = den
-        self.nums = nums  # dict partition -> BetaPoly, decreasing lex order
-
-    @property
-    def coeffs(self):
-        """The m-basis coefficients in Q(beta): dict partition -> BetaRatFunc."""
-        return {mu: BetaRatFunc(p, self.den) for mu, p in self.nums.items()}
-
-    def msym(self):
-        return MSymPoly(self.n, self.coeffs)
-
-    def coefficient(self, mu):
-        p = self.nums.get(as_partition(mu))
-        return BetaRatFunc(0) if p is None else BetaRatFunc(p, self.den)
-
-    def cleared(self):
-        """(den, nums): coefficient(mu) = nums[mu] / den exactly, with
-        den = c_lambda(lam) and integer-coefficient numerators."""
-        return self.den, self.nums
-
-    def at(self, beta0):
-        """The m-expansion at beta0 as an MSymPoly over Q.  Raises
-        SpecializationPole naming the first coefficient, in decreasing lex
-        order, that has a pole there.
-
-        With beta0 = a/b, every numerator and den are scaled by b^D (D the
-        top degree): p(beta0) b^D = sum_i c_i w_i with w_i = a^i b^(D-i),
-        an integer dot product, so each coefficient costs one Fraction.
-        Where den(beta0) = 0, order_and_value reads each (nums[mu], den)."""
-        beta0 = Fraction(beta0)
-        a, b = beta0.numerator, beta0.denominator
-        top = max(p.degree for p in (self.den, *self.nums.values()))
-        w = [a ** i * b ** (top - i) for i in range(top + 1)]
-        dv = sum(map(mul, self.den.coeffs, w))
-        if dv:
-            return MSymPoly(self.n, {
-                mu: Fraction(sum(map(mul, p.coeffs, w)), dv)
-                for mu, p in self.nums.items()})
-        terms = {}
-        for mu, p in self.nums.items():
-            order, terms[mu] = order_and_value(p, self.den, beta0)
-            if order > 0:
-                raise SpecializationPole(self.lam, mu, order, beta0)
-        return MSymPoly(self.n, terms)
-
-    def to_obj(self):
-        """The versioned cache-file shape: integer coefficient lists in
-        ascending powers of beta."""
-        return {"version": CACHE_VERSION, "lam": list(self.lam), "n": self.n,
-                "den": list(self.den.coeffs),
-                "nums": [{"partition": list(mu), "coeffs": list(p.coeffs)}
-                         for mu, p in self.nums.items()]}
-
-    @classmethod
-    def from_obj(cls, obj):
-        """Inverse of to_obj; raises ValueError (or KeyError/TypeError on a
-        malformed shape) unless obj is a consistent entry of this version."""
-        if not isinstance(obj, dict) or obj.get("version") != CACHE_VERSION:
-            raise ValueError("not a version-%d Jack entry" % CACHE_VERSION)
-        lam, n = as_partition(obj["lam"]), obj["n"]
-        if type(n) is not int or len(lam) > n:
-            raise ValueError("bad n=%r for %r" % (n, lam))
-        den = c_lambda(lam)
-        nums = {}
-        for t in obj["nums"]:
-            mu, coeffs = as_partition(t["partition"]), list(t["coeffs"])
-            while coeffs and isinstance(coeffs[-1], int) and not coeffs[-1]:
-                coeffs.pop()
-            if not coeffs or not all(type(c) is int for c in coeffs):
-                raise ValueError("numerator of m_%r is not a nonzero "
-                                 "integer polynomial" % (mu,))
-            if (len(mu) > n or sum(mu) != sum(lam)
-                    or not dominated_by(mu, lam)):
-                raise ValueError("m_%r outside the support of P_%r"
-                                 % (mu, lam))
-            if mu in nums:
-                raise ValueError("repeated numerator of m_%r" % (mu,))
-            nums[mu] = BetaPoly.trusted(tuple(coeffs))
-        if BetaPoly(obj["den"]) != den or nums.get(lam) != den:
-            raise ValueError("P_%r is not stored over c_lambda" % (lam,))
-        return cls(lam, n, den, dict(sorted(nums.items(), reverse=True)))
-
-    def __repr__(self):
-        return "JackPoly(lam=%r, n=%d, %d terms)" % (self.lam, self.n,
-                                                     len(self.nums))
 
 
 class SpecializedJack:
@@ -235,7 +112,7 @@ class SpecializedJack:
 class JackCache:
     """Memo state shared by the calls it is passed to, safe for concurrent
     readers: symbolic Jacks (lam, n) -> JackPoly, optionally backed by a
-    directory of JSON files, and, in memory only:
+    directory of JSON files read through symbolic, and, in memory only:
     - Hamiltonian rows in one table per (degree, n), which also lists the
       positions of its full-length keys, so _row reads a row off the row
       of nu - (1^n) one table down and jack_at_key a Jack off
@@ -265,6 +142,7 @@ class JackCache:
             hit = self._mem.get((lam, n))
         if hit is not None or not self.directory:
             return hit
+        from .symbolic import JackPoly
         try:
             with open(self._path(lam, n)) as fh:
                 jp = JackPoly.from_obj(json.load(fh))
@@ -376,14 +254,13 @@ def hamiltonian_matrix_row(mu, n, pos):
 def _checked_row(mu, n, euler, diag, entries, pos):
     """(euler, diag, ((pos[nu], h), ...)), the row of mu in its table, from
     its entries (nu, h): the diagonal is checked to be the closed-form
-    eigenvalue, and each entry, in the loop that places it, to be in the
+    eigenvalue (partitions.eigenvalue_pair), and each entry, in the loop that places it, to be in the
     table (pos has nu: mu's weight, at most n parts) and
     dominated by mu: no partial sum of nu exceeds mu's, taken once per row
     (past mu's length none can, as the weights agree).  Both routes of
     _row fill rows through this check.
     """
-    eig = cs_eigenvalue(mu, n).coeffs  # trailing zeros stripped
-    if (euler, diag) != eig + (0,) * (2 - len(eig)):
+    if (euler, diag) != eigenvalue_pair(mu, n):
         raise AssertionError("diagonal of H at %r disagrees with the "
                              "closed-form eigenvalue" % (mu,))
     pm = list(accumulate(mu))
@@ -470,53 +347,6 @@ def _walk(lam, n, cache, p, q, top):
     return vals
 
 
-def jack_symbolic(lam, n, cache=None):
-    """P_lam in n variables (unitriangular), in its integral form c_lam P_lam:
-    den = c_lambda(lam) and the numerators N_nu = c_lam u_nu, read off
-    _walk at beta = 1 and beta = 2^K, each from c_lambda(lam) at the point.
-
-    N_nu is Stanley's J_lam[nu] at alpha = 1/beta read backwards, so its
-    coefficients are nonnegative integers (Knop-Sahi, Invent. Math. 128,
-    1997), none above N_nu(1).  With K the largest bit length of the N_nu(1),
-    nu != lam, the base-2^K digits of N_nu(2^K) are the coefficients of
-    N_nu (Kronecker substitution); a lam with no other term skips the second
-    walk.  Where the walks disagree on which nu are nonzero, or the digits
-    of N_nu(2^K) do not sum to N_nu(1), the decode raises the walk's own
-    "does not clear" error.  Without a cache the call makes its own.
-    """
-    lam = as_partition(lam, n)
-    cache = cache if cache is not None else JackCache()
-    hit = cache.get(lam, n)
-    if hit is not None:
-        return hit
-    den = c_lambda(lam)
-
-    # {nu: N_nu(2^K)}, nu != lam; no gap vanishes at beta > 0, as g1 > 0
-    # and euler, the sum of the squared parts, falls down the dominance order
-    def walk(K):
-        vals = _walk(lam, n, cache, 1 << K, 1,
-                     sum(c << K * i for i, c in enumerate(den.coeffs)))
-        del vals[lam]
-        return vals
-
-    ones, nums = walk(0), {lam: den}
-    if ones:
-        K = max(v.bit_length() for v in ones.values())
-        at, mask = walk(K), (1 << K) - 1
-        for nu in {**ones, **at}:  # walk order; a key of one walk only raises
-            v, digits = at.get(nu, 0), []
-            while v > 0:
-                digits.append(v & mask)
-                v >>= K
-            if v or sum(digits) != ones.get(nu, 0):
-                raise AssertionError("c_lambda does not clear the coefficient "
-                                     "of m_%r in P_%r" % (nu, lam))
-            nums[nu] = BetaPoly.trusted(tuple(digits))
-    jp = JackPoly(lam, n, den, nums)
-    cache.put(jp)
-    return jp
-
-
 def _solve_at(lam, n, cache, beta0):
     """P_lam at beta0 = p/q in integral form, (M_lam/g, M/g) with M the
     int MSymPoly of the M_nu and g their gcd, signed like M_lam, or None
@@ -562,8 +392,11 @@ def jack_at_key(lam, n, beta0, cache):
     if hit is not None:
         return hit
     if not lam or len(lam) < n:
-        den, num = (_solve_at(lam, n, cache, beta0)
-                    or jack_symbolic(lam, n, cache).at(beta0).cleared())
+        solved = _solve_at(lam, n, cache, beta0)
+        if solved is None:
+            from .symbolic import jack_symbolic
+            solved = jack_symbolic(lam, n, cache).at(beta0).cleared()
+        den, num = solved
     else:
         low = cache._at.get((tuple([x - 1 for x in lam if x > 1]), n, p, q))
         if low is not None:
@@ -593,30 +426,6 @@ def jack_at_key(lam, n, beta0, cache):
     return hit
 
 
-def pole_profile(lam, n, beta0, cache=None):
-    """Worst pole order at beta0 over the coefficients of P_lam (0 = regular;
-    nums[lam] = den keeps it at >= 0)."""
-    jp = jack_symbolic(lam, n, cache)
-    return max(order_and_value(p, jp.den, beta0)[0] for p in jp.nums.values())
-
-
 def specialize(lam, n, k, r, cache=None):
     """P_lam at beta(k, r), as jack_at(lam, n, beta_value(k, r), cache)."""
     return jack_at(lam, n, beta_value(k, r), cache)
-
-
-def principal_specialization(lam, n):
-    """Closed product for P_lam(1, ..., 1): over nodes (i, j),
-    ((n - i + 1) beta + j - 1), over c_lambda(lam)."""
-    lam = as_partition(lam, n)
-    num = prod((BetaPoly((j - 1, n - i + 1)) for i, li in enumerate(lam, 1)
-                for j in range(1, li + 1)), start=BetaPoly((1,)))
-    return BetaRatFunc(num, c_lambda(lam))
-
-
-def evaluate_all_ones(lam, n, cache=None):
-    """P_lam at the all-ones point, exactly in Q(beta), from the m-expansion."""
-    jp = jack_symbolic(lam, n, cache)
-    total = sum((p * orbit_size(mu, n) for mu, p in jp.nums.items()),
-                BetaPoly())
-    return BetaRatFunc(total, jp.den)

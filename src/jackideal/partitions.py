@@ -1,4 +1,5 @@
-"""Partitions, dominance order, admissibility and hook-type products.
+"""Partitions, dominance order, admissibility, hook factors and eigenvalues,
+in Z (their Q[beta] forms are in the symbolic module).
 
 A partition is a plain tuple of weakly decreasing positive ints (trailing
 zeros are stripped on normalization).  Where an ambient number of variables
@@ -10,8 +11,6 @@ import operator
 from fractions import Fraction
 from itertools import repeat
 from math import gcd
-
-from .ratfunc import BetaPoly
 
 
 class InvalidParameters(ValueError):
@@ -253,40 +252,13 @@ def hook_factors(lam):
             for i, li in enumerate(lam, start=1) for j in range(1, li + 1)]
 
 
-def c_lambda(lam):
-    """Denominator-clearing hook product: over the nodes of lam, the
-    product of arm + (leg + 1) * beta, on an int coefficient list.  Every
-    beta-coefficient is a leg length plus one, at least 1, so the top
-    entry is nonzero."""
-    out = [1]
-    for a, b in hook_factors(lam):
-        out = [a * x + b * y for x, y in zip(out + [0], [0] + out)]
-    return BetaPoly.trusted(tuple(out))
-
-
-def cs_eigenvalue(lam, n):
-    """Sutherland-type eigenvalue: sum over rows of (lam_i + beta(n+1-2i)) lam_i."""
+def eigenvalue_pair(lam, n):
+    """(euler, diag) of the Sutherland-type eigenvalue euler + diag beta,
+    sum over rows of (lam_i + beta(n+1-2i)) lam_i, as two ints."""
     if len(lam) > n:
         raise ValueError("partition %r longer than n=%d" % (lam, n))
-    euler = sum(map(operator.mul, lam, lam))
-    diag = sum(map(operator.mul, range(n - 1, -n, -2), lam))
-    # euler > 0 unless lam = (), where diag = 0 too
-    return BetaPoly.trusted((euler, diag) if diag else (euler,) if euler
-                            else ())
-
-
-def sekiguchi_eigenvalue(lam, n):
-    """Coefficients in u (low degree first) of prod_i (u + lam_i + (n-i)beta)."""
-    lp = padded(lam, n)
-    out = [BetaPoly((1,))]
-    for i in range(1, n + 1):
-        lin = BetaPoly((lp[i - 1], n - i))
-        nxt = [BetaPoly()] * (len(out) + 1)
-        for m, c in enumerate(out):
-            nxt[m + 1] = nxt[m + 1] + c
-            nxt[m] = nxt[m] + c * lin
-        out = nxt
-    return out
+    return (sum(map(operator.mul, lam, lam)),
+            sum(map(operator.mul, range(n - 1, -n, -2), lam)))
 
 
 def check_nonvanishing(lam, k, r, n):
@@ -302,7 +274,7 @@ def check_nonvanishing(lam, k, r, n):
         for j in range(i + 1, n + 1):
             if (j - i) * b0 + lp[i - 1] - lp[j - 1] == 0:
                 return False
-    if c_lambda(lam)(b0) == 0:
+    if any(a + b * b0 == 0 for a, b in hook_factors(lam)):  # c_lambda(b0)
         return False
     for j in range(2, n + 1):
         if lp[j - 1] < lp[j - 2]:

@@ -12,6 +12,8 @@ and order_and_value reads pole order and value off such an unreduced pair.
 
 from fractions import Fraction
 
+from .sympoly import rat_from_obj, rat_to_obj
+
 
 class PoleError(ArithmeticError):
     """Evaluation of a rational function at a pole.  Carries the pole order."""
@@ -28,16 +30,6 @@ def _as_rat(x):
     if isinstance(x, (int, Fraction)):
         return x
     raise TypeError("expected int or Fraction, got %r" % (type(x).__name__,))
-
-
-def rat_to_obj(q):
-    """Serialize an exact rational as decimal strings."""
-    q = Fraction(q)
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
-def rat_from_obj(obj):
-    return Fraction(int(obj["num"]), int(obj["den"]))
 
 
 class BetaPoly:
@@ -330,24 +322,3 @@ class BetaRatFunc:
     @classmethod
     def from_obj(cls, obj):
         return cls(BetaPoly.from_obj(obj["num"]), BetaPoly.from_obj(obj["den"]))
-
-
-def coeff_to_obj(c):
-    """Serialize a coefficient from Q, Q[beta] or Q(beta)."""
-    if isinstance(c, (int, Fraction)):
-        return rat_to_obj(c)
-    if isinstance(c, BetaPoly):
-        return BetaRatFunc(c).to_obj()
-    if isinstance(c, BetaRatFunc):
-        return c.to_obj()
-    raise TypeError("cannot serialize coefficient %r" % (type(c).__name__,))
-
-
-def coeff_from_obj(obj):
-    """Read a coefficient; shape distinguishes Q from Q(beta)."""
-    if isinstance(obj["num"], str):
-        return rat_from_obj(obj)
-    f = BetaRatFunc.from_obj(obj)
-    if f.den == ONE and f.num.degree <= 0:
-        return f.num(0) if f.num.coeffs else Fraction(0)
-    return f

@@ -35,6 +35,7 @@ to_msym); S_n-orbits are built only where monomials are the output
 (MSymPoly.to_expanded, under TERM_BUDGET).
 """
 
+from fractions import Fraction
 from math import factorial, lcm
 
 from .partitions import as_partition, padded
@@ -49,6 +50,39 @@ class NotSymmetric(ValueError):
 
 class TermBudgetExceeded(RuntimeError):
     """An operation would produce more terms than TERM_BUDGET allows."""
+
+
+def rat_to_obj(q):
+    """Serialize an exact rational as decimal strings."""
+    q = Fraction(q)
+    return {"num": str(q.numerator), "den": str(q.denominator)}
+
+
+def rat_from_obj(obj):
+    return Fraction(int(obj["num"]), int(obj["den"]))
+
+
+def coeff_to_obj(c):
+    """Serialize a coefficient from Q, or via ratfunc from Q[beta], Q(beta)."""
+    if isinstance(c, (int, Fraction)):
+        return rat_to_obj(c)
+    from .ratfunc import BetaPoly, BetaRatFunc
+    if isinstance(c, BetaPoly):
+        return BetaRatFunc(c).to_obj()
+    if isinstance(c, BetaRatFunc):
+        return c.to_obj()
+    raise TypeError("cannot serialize coefficient %r" % (type(c).__name__,))
+
+
+def coeff_from_obj(obj):
+    """Read a coefficient; shape distinguishes Q from Q(beta)."""
+    if isinstance(obj["num"], str):
+        return rat_from_obj(obj)
+    from .ratfunc import ONE, BetaRatFunc
+    f = BetaRatFunc.from_obj(obj)
+    if f.den == ONE and f.num.degree <= 0:
+        return f.num(0) if f.num.coeffs else Fraction(0)
+    return f
 
 
 def _check_budget(count):
@@ -209,14 +243,12 @@ class _SparsePoly:
                                        len(self.terms))
 
     def to_obj(self):
-        from .ratfunc import coeff_to_obj
         return {"n": self.n, "basis": self.BASIS,
                 "terms": [{self.KEY: list(k), "coeff": coeff_to_obj(c)}
                           for k, c in self.sorted_terms()]}
 
     @classmethod
     def from_obj(cls, obj):
-        from .ratfunc import coeff_from_obj
         if obj.get("basis") != cls.BASIS:
             raise ValueError("not an %s-basis polynomial" % cls.BASIS)
         n = obj["n"]

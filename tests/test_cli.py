@@ -13,7 +13,8 @@ import pytest
 import jackideal
 
 from jackideal.cli import main, parse_partition
-from jackideal.jack import JackCache, jack_symbolic
+from jackideal.jack import JackCache
+from jackideal.symbolic import jack_symbolic
 
 
 def run_cli(capsys, *argv):
@@ -167,8 +168,7 @@ def test_jack_beta_solves_symbolically_only_where_the_walk_stops(
     def counted(*args, **kwargs):
         calls.append(args[0])
         return jack_symbolic(*args, **kwargs)
-    monkeypatch.setattr(jackideal.jack, "jack_symbolic", counted)
-    monkeypatch.setattr(jackideal.cli, "jack_symbolic", counted)
+    monkeypatch.setattr(jackideal.symbolic, "jack_symbolic", counted)
     code, out, _ = run_cli(capsys, "jack", "--lambda", lam, "--n", str(n),
                            "--beta=" + beta)
     assert code == exit_code
@@ -205,6 +205,47 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["no-such-command"])
     assert ei.value.code == 2
+
+
+TOP_USAGE = ("usage: jackideal [-h]\n"
+             "                 {partitions,character,jack,"
+             "specialize-principal,ideal,verify}\n"
+             "                 ...\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("ideal basis --k 1",
+     "usage: jackideal ideal basis [-h] --k K --r R --n N --dmax DMAX\n"
+     "                             [--cache-dir CACHE_DIR] "
+     "[--format {json,text}]\n"
+     "                             [--out OUT]\n"
+     "jackideal ideal basis: error: the following arguments are required: "
+     "--r, --n, --dmax\n"),
+    ("no-such-command",
+     TOP_USAGE + "jackideal: error: argument command: invalid choice: "
+     "'no-such-command' (choose from 'partitions', 'character', 'jack', "
+     "'specialize-principal', 'ideal', 'verify')\n"),
+    ("verify no-such-suite",
+     "usage: jackideal verify [-h]\n"
+     "                        {commutators,pieri,lassalle,closure,"
+     "restriction,regularity,wheel,phi3,sekiguchi}\n"
+     "                        ...\n"
+     "jackideal verify: error: argument suite: invalid choice: "
+     "'no-such-suite' (choose from 'commutators', 'pieri', 'lassalle', "
+     "'closure', 'restriction', 'regularity', 'wheel', 'phi3', "
+     "'sekiguchi')\n"),
+    ("ideal basis --k 1 --r 2 --n 3 --dmax 8 --bogus",
+     TOP_USAGE + "jackideal: error: unrecognized arguments: --bogus\n"),
+])
+def test_parser_errors_keep_their_text(capsys, monkeypatch, argv, err):
+    # build_parser gives options only to the parsers argv names; each
+    # message, at 80 columns, is the one the parser with every option gave
+    # (the same on Python 3.10 to 3.12)
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as ei:
+        main(argv.split())
+    assert ei.value.code == 2
+    assert capsys.readouterr() == ("", err)
 
 
 def test_member_rejects_rational_function_coefficients(capsys, tmp_path):
@@ -458,27 +499,30 @@ def test_cli_import_leaves_process_pool_out():
     assert proc.stdout == "False\n"
 
 
+BETA_MODULES = ["jackideal.ratfunc", "jackideal.symbolic"]
 SUITE_MODULES = ["jackideal.ideal", "jackideal.operators", "jackideal.report"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ("ideal basis --k 1 --r 2 --n 3 --dmax 8", []),
     ("ideal member --k 1 --r 2 --n 2 --dmax 4 --input {poly}", []),
-    ("jack --lambda 2,1 --n 3 --symbolic", []),
+    ("jack --lambda 2,1 --n 3 --symbolic", BETA_MODULES),
     ("jack --lambda 2,1 --n 3 --beta=-2/5", []),
     ("jack --lambda 4,2 --n 3 --k 1 --r 2", []),
     ("partitions --k 1 --r 2 --n 3 --dmax 8", []),
     ("partitions --k 1 --r 2 --n 3 --lambda 3,1", []),
     ("character --k 1 --r 2 --n 3 --dmax 8", []),
-    ("specialize-principal --lambda 2,1 --n 3", []),
-    ("specialize-principal --lambda 2,1 --n 3 --beta=-2/5", []),
-    ("verify phi3 --r 3", SUITE_MODULES),
+    ("specialize-principal --lambda 2,1 --n 3", BETA_MODULES),
+    ("specialize-principal --lambda 2,1 --n 3 --beta=-2/5", BETA_MODULES),
+    ("verify phi3 --r 3", sorted(BETA_MODULES + SUITE_MODULES)),
 ])
 def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
-    """The core (ratfunc, partitions, sympoly, jack, basis) answers every
-    command but verify, so a fresh interpreter running one of them leaves
-    the suites, the Dunkl-type operators and the reports unloaded; a verify
-    suite loads them."""
+    """The integer core (partitions, sympoly, jack, basis) answers every
+    command but jack --symbolic, specialize-principal and verify, so a
+    fresh interpreter running one of them leaves the Q(beta) layer
+    (ratfunc, symbolic), the suites, the Dunkl-type operators and the
+    reports unloaded; jack --symbolic and specialize-principal load the
+    Q(beta) layer alone, and a verify suite loads both."""
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"n": 2, "basis": "msym", "terms": [  # P_(2)
         {"partition": [2], "coeff": {"num": "1", "den": "1"}},
@@ -491,7 +535,8 @@ def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
          "with contextlib.redirect_stdout(io.StringIO()):\n"
          "    code = main(sys.argv[1:])\n"
          "print(json.dumps([code, sorted(m for m in sys.modules\n"
-         "                               if m in %r)]))" % SUITE_MODULES]
+         "                               if m in %r)]))"
+         % (BETA_MODULES + SUITE_MODULES)]
         + shlex.split(argv.format(poly=poly)),
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -15,10 +15,11 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jackideal.jack import JackCache, SpecializationPole, jack_symbolic
+from jackideal.jack import JackCache, SpecializationPole
 from jackideal.partitions import (beta_value, enumerate_admissible,
                                   partitions_leq)
 from jackideal.ratfunc import BetaPoly, BetaRatFunc
+from jackideal.symbolic import jack_symbolic
 
 
 def horner(p, beta0):

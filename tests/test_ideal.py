@@ -21,12 +21,12 @@ from jackideal.ideal import (_combine, bareiss_rank, build_basis,
                              verify_lassalle, verify_phi3, verify_pieri,
                              verify_regularity, verify_restriction,
                              verify_wheel, wheel_dimension)
-from jackideal.jack import (JackCache, SpecializedJack, jack_symbolic,
-                            specialize)
+from jackideal.jack import JackCache, SpecializedJack, specialize
 from jackideal.operators import apply_p
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.report import Report
+from jackideal.symbolic import jack_symbolic
 from jackideal.sympoly import ExpandedPoly, MSymPoly
 
 

@@ -13,14 +13,15 @@ import pytest
 import jackideal
 from emit_oracle import specialized_to_obj
 from jackideal import jack
-from jackideal.jack import (JackCache, JackPoly, SpecializationPole,
-                            evaluate_all_ones, jack_at, jack_symbolic,
-                            pole_profile, principal_specialization, specialize)
+from jackideal.jack import (JackCache, SpecializationPole, jack_at,
+                            specialize)
 from jackideal.ideal import (verify_eigensystem, verify_hamiltonian,
                              verify_sekiguchi)
-from jackideal.partitions import (beta_value, c_lambda, dominated_by,
-                                  partitions_leq)
+from jackideal.partitions import beta_value, dominated_by, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
+from jackideal.symbolic import (JackPoly, c_lambda, evaluate_all_ones,
+                                jack_symbolic, pole_profile,
+                                principal_specialization)
 from jackideal.sympoly import MSymPoly
 
 
@@ -66,7 +67,6 @@ def test_eigensystem_suite():
 
 def test_cleared_coefficients_are_polynomials():
     # c_lam clears every denominator at small scale
-    from jackideal.partitions import c_lambda
     for n in (2, 3):
         for d in range(7):
             for lam in partitions_leq(d, n):

@@ -10,8 +10,9 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from jackideal.jack import JackCache, jack_symbolic
+from jackideal.jack import JackCache
 from jackideal.partitions import partitions_leq
+from jackideal.symbolic import jack_symbolic
 
 CACHE = JackCache()
 

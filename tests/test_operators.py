@@ -11,9 +11,9 @@ from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
                                  apply_l, apply_p, apply_sekiguchi, apply_w,
                                  class_table, _l_expanded, _w_expanded,
                                  expanded_power_sum, verify_commutators)
-from jackideal.partitions import (cs_eigenvalue, partitions_leq,
-                                  sekiguchi_eigenvalue)
+from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
+from jackideal.symbolic import cs_eigenvalue, sekiguchi_eigenvalue
 from jackideal.sympoly import ExpandedPoly, MSymPoly
 
 HALF = Fraction(1, 2)

@@ -10,14 +10,13 @@ import pytest
 from jackideal.partitions import (DegreeMismatch, InvalidNode,
                                   InvalidParameters, _in_window, add_node,
                                   addable_rows, as_partition, beta_value,
-                                  c_lambda, check_nonvanishing, conjugate,
-                                  cs_eigenvalue, dominance_compare,
-                                  dominated_by, enumerate_admissible,
-                                  is_admissible, node_moves, padded,
-                                  partitions_leq, partitions_of,
-                                  removable_rows, remove_node,
-                                  sekiguchi_eigenvalue)
+                                  check_nonvanishing, conjugate,
+                                  dominance_compare, dominated_by,
+                                  enumerate_admissible, is_admissible,
+                                  node_moves, padded, partitions_leq,
+                                  partitions_of, removable_rows, remove_node)
 from jackideal.ratfunc import BetaPoly
+from jackideal.symbolic import c_lambda, cs_eigenvalue, sekiguchi_eigenvalue
 
 
 def test_as_partition_validates():

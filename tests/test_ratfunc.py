@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jackideal.ratfunc import (BETA, BetaPoly, BetaRatFunc, PoleError,
-                               coeff_from_obj, coeff_to_obj,
-                               order_and_value, poly_gcd, rat_from_obj,
+                               order_and_value, poly_gcd)
+from jackideal.sympoly import (coeff_from_obj, coeff_to_obj, rat_from_obj,
                                rat_to_obj)
 
 

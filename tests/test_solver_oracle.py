@@ -29,13 +29,13 @@ from math import prod
 
 import pytest
 
-from jackideal import jack
-from jackideal.jack import JackCache, jack_symbolic, specialize
-from jackideal.partitions import (as_partition, beta_value, c_lambda,
-                                  cs_eigenvalue, dominated_by,
-                                  enumerate_admissible, hook_factors,
-                                  partitions_leq)
+from jackideal import jack, symbolic
+from jackideal.jack import JackCache, specialize
+from jackideal.partitions import (as_partition, beta_value, dominated_by,
+                                  eigenvalue_pair, enumerate_admissible,
+                                  hook_factors, partitions_leq)
 from jackideal.ratfunc import BetaPoly, BetaRatFunc
+from jackideal.symbolic import c_lambda, cs_eigenvalue, jack_symbolic
 from jackideal.sympoly import MSymPoly
 from test_hamiltonian_oracle import matrix_row
 from test_jack import POINT_PAIRS
@@ -406,16 +406,16 @@ def test_eigenvalue_collision_raises(patched_rows):
     # give m_(1,1) the eigenvalue 4 + 2 beta of m_(2), in both the row and
     # the closed form, so the row checks pass and only the gap is zero
     lam, nu, n = (2,), (1, 1), 2
-    eps = cs_eigenvalue(lam, n)
+    eps = eigenvalue_pair(lam, n)
 
     def collide(euler, h):
-        h[nu] = eps.coeffs[1]
-        return eps.coeffs[0], h
+        h[nu] = eps[1]
+        return eps[0], h
     patched_rows.setattr(jack, "hamiltonian_row",
                          _perturbed(nu, n, collide))
-    patched_rows.setattr(jack, "cs_eigenvalue",
+    patched_rows.setattr(jack, "eigenvalue_pair",
                          lambda mu, m: eps if mu == nu else
-                         cs_eigenvalue(mu, m))
+                         eigenvalue_pair(mu, m))
     with pytest.raises(AssertionError, match="do not separate"):
         jack_symbolic(lam, n, JackCache())
     # the point solve makes the same check before it reads the gap at beta0
@@ -427,7 +427,7 @@ def test_eigenvalue_collision_raises(patched_rows):
 def test_clearing_check_catches_a_short_denominator(monkeypatch):
     # den = 1 in place of c_(2) = beta (1 + beta): the coefficient
     # 2 beta / (1 + beta) of m_(1,1) then leaves the remainder -g0 Q_0
-    monkeypatch.setattr(jack, "c_lambda", lambda lam: BetaPoly((1,)))
+    monkeypatch.setattr(symbolic, "c_lambda", lambda lam: BetaPoly((1,)))
     with pytest.raises(AssertionError, match="does not clear"):
         jack_symbolic((2,), 2, JackCache())
 
@@ -444,7 +444,7 @@ def test_digit_check_catches_a_wrong_value_at_one(monkeypatch, nu):
         if (p, q) == (1, 1):
             vals[nu] += 1
         return vals
-    monkeypatch.setattr(jack, "_walk", planted)
+    monkeypatch.setattr(symbolic, "_walk", planted)
     cache = JackCache()
     with pytest.raises(AssertionError, match=re.escape(
             "does not clear the coefficient of m_%r in P_%r" % (nu, lam))):

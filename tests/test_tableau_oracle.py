@@ -20,9 +20,9 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 import jackideal.jack as jack
-from jackideal.jack import (JackCache, SpecializationPole, jack_symbolic,
-                            specialize)
+from jackideal.jack import JackCache, SpecializationPole, specialize
 from jackideal.partitions import beta_value, partitions_leq
+from jackideal.symbolic import jack_symbolic
 from test_jack import POINT_PAIRS
 from test_kostka_oracle import _strip_removals
 
