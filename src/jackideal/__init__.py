@@ -23,10 +23,11 @@ _EXPORTS = {
         reduce_membership""",
     "operators": """OperatorTag apply_cherednik apply_dunkl apply_hamiltonian
         apply_l apply_sekiguchi apply_w verify_commutators""",
-    "ideal": """clearing_zero_order lassalle_down lassalle_up pieri_coefficient
-        verify_closure verify_eigensystem verify_hamiltonian verify_lassalle
-        verify_phi3 verify_pieri verify_regularity verify_restriction
-        verify_sekiguchi verify_wheel wheel_dimension""",
+    "ideal": """verify_closure verify_phi3 verify_restriction verify_wheel
+        wheel_dimension""",
+    "identities": """clearing_zero_order lassalle_down lassalle_up
+        pieri_coefficient verify_eigensystem verify_hamiltonian
+        verify_lassalle verify_pieri verify_regularity verify_sekiguchi""",
     "report": "Report",
 }
 

@@ -5,7 +5,10 @@ mathematical obstruction (pole, non-member); 2 usage error, or an operation
 that would exceed sympoly.TERM_BUDGET terms.
 
 Only the integer core (partitions, sympoly, jack, basis) is imported here;
-the Q(beta) layer (ratfunc, symbolic) and each suite (VERIFY_SUITES) on use.
+the Q(beta) layer (ratfunc, symbolic) and each suite's module
+(VERIFY_SUITES) on use.  The suites in ideal (closure, restriction, wheel,
+phi3) run on the core alone; those in identities, and commutators, bring
+in the Q(beta) layer.
 """
 
 import argparse
@@ -208,18 +211,20 @@ def run_report(suite, rep, fmt):
     return 0 if rep.all_pass() else 1
 
 
-# suite -> (module, function, its arguments: option names and the cache)
+# suite -> (module, function, its arguments: option names and the cache);
+# those in ideal run on the integer core alone, the rest add Q(beta) code
 VERIFY_SUITES = {
     "commutators": ("operators", "verify_commutators",
                     "n dmax trials seed tmax"),
-    "pieri": ("ideal", "verify_pieri", "n dmax k r symbolic cache"),
-    "lassalle": ("ideal", "verify_lassalle", "n dmax k r symbolic cache"),
+    "pieri": ("identities", "verify_pieri", "n dmax k r symbolic cache"),
+    "lassalle": ("identities", "verify_lassalle",
+                 "n dmax k r symbolic cache"),
     "closure": ("ideal", "verify_closure", "k r n dmax mmax tmax cache"),
     "restriction": ("ideal", "verify_restriction", "k r n dmax jmax cache"),
-    "regularity": ("ideal", "verify_regularity", "k r n dmax cache"),
+    "regularity": ("identities", "verify_regularity", "k r n dmax cache"),
     "wheel": ("ideal", "verify_wheel", "k n dmax cache"),
     "phi3": ("ideal", "verify_phi3", "r cache"),
-    "sekiguchi": ("ideal", "verify_eigensystem", "n dmax cache"),
+    "sekiguchi": ("identities", "verify_eigensystem", "n dmax cache"),
 }
 
 

@@ -24,14 +24,15 @@ common denominator of P: sparse (position, coefficient) lists, one
 nabla_positions per entry.  Every row is built once into a memo the
 caller holds and may share across calls (`rows`).  On monomials, l_m and
 w are _l_expanded and _w_expanded: the operators of the commutator suite,
-whose inputs need not be symmetric.
+whose inputs need not be symmetric.  That suite alone runs over Q(beta),
+and imports the generator BETA when it runs, so loading this module loads
+no Q(beta) code.
 """
 
 import random
 from fractions import Fraction
 from itertools import combinations
 
-from .ratfunc import BETA
 from .report import Report
 from .sympoly import (ExpandedPoly, MSymPoly, _replace_part, orbit_size,
                       power_sum)
@@ -362,8 +363,8 @@ def verify_commutators(n, degree, trials, seed, tmax=3):
     """
     if trials < 1 or tmax < 2:
         raise ValueError("commutators need trials >= 1 and tmax >= 2")
+    from .ratfunc import BETA as beta
     rng = random.Random(seed)
-    beta = BETA
     rep = Report("commutators", {"n": n, "degree": degree,
                                  "trials": trials, "seed": seed})
     gen = [(_random_expanded(rng, n, degree), _random_symmetric(rng, n, degree))

@@ -1,18 +1,20 @@
 """Command-line behavior: outputs, exit codes, determinism, caching."""
 
 import hashlib
+import inspect
 import json
 import os
 import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 
 import jackideal
 
-from jackideal.cli import main, parse_partition
+from jackideal.cli import VERIFY_SUITES, main, parse_partition
 from jackideal.jack import JackCache
 from jackideal.symbolic import jack_symbolic
 
@@ -501,6 +503,8 @@ def test_cli_import_leaves_process_pool_out():
 
 BETA_MODULES = ["jackideal.ratfunc", "jackideal.symbolic"]
 SUITE_MODULES = ["jackideal.ideal", "jackideal.operators", "jackideal.report"]
+BETA_SUITE_MODULES = sorted(BETA_MODULES + [
+    "jackideal.identities", "jackideal.operators", "jackideal.report"])
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -514,7 +518,16 @@ SUITE_MODULES = ["jackideal.ideal", "jackideal.operators", "jackideal.report"]
     ("character --k 1 --r 2 --n 3 --dmax 8", []),
     ("specialize-principal --lambda 2,1 --n 3", BETA_MODULES),
     ("specialize-principal --lambda 2,1 --n 3 --beta=-2/5", BETA_MODULES),
-    ("verify phi3 --r 3", sorted(BETA_MODULES + SUITE_MODULES)),
+    ("verify phi3 --r 3", SUITE_MODULES),
+    ("verify closure --k 1 --r 2 --n 3 --dmax 6", SUITE_MODULES),
+    ("verify restriction --k 1 --r 2 --n 3 --dmax 6", SUITE_MODULES),
+    ("verify wheel --k 1 --n 3 --dmax 6", SUITE_MODULES),
+    ("verify pieri --n 3 --dmax 3", BETA_SUITE_MODULES),
+    ("verify lassalle --n 3 --dmax 3", BETA_SUITE_MODULES),
+    ("verify regularity --k 1 --r 2 --n 3 --dmax 6", BETA_SUITE_MODULES),
+    ("verify sekiguchi --n 2 --dmax 3", BETA_SUITE_MODULES),
+    ("verify commutators --n 2 --dmax 2 --trials 1",
+     ["jackideal.operators", "jackideal.ratfunc", "jackideal.report"]),
 ])
 def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
     """The integer core (partitions, sympoly, jack, basis) answers every
@@ -522,7 +535,9 @@ def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
     fresh interpreter running one of them leaves the Q(beta) layer
     (ratfunc, symbolic), the suites, the Dunkl-type operators and the
     reports unloaded; jack --symbolic and specialize-principal load the
-    Q(beta) layer alone, and a verify suite loads both."""
+    Q(beta) layer alone.  The suites in ideal, which run in Z at
+    beta(k, r), load ideal, operators and report on the core alone; those
+    in identities load the Q(beta) layer too, and commutators ratfunc."""
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"n": 2, "basis": "msym", "terms": [  # P_(2)
         {"partition": [2], "coeff": {"num": "1", "den": "1"}},
@@ -536,11 +551,26 @@ def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
          "    code = main(sys.argv[1:])\n"
          "print(json.dumps([code, sorted(m for m in sys.modules\n"
          "                               if m in %r)]))"
-         % (BETA_MODULES + SUITE_MODULES)]
+         % (BETA_MODULES + SUITE_MODULES + BETA_SUITE_MODULES)]
         + shlex.split(argv.format(poly=poly)),
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, loaded]
+
+
+def test_each_verify_suite_names_a_function_taking_its_arguments():
+    """Each VERIFY_SUITES entry names a function of its module that takes
+    the entry's arguments, by position and in order (commutators calls
+    dmax its degree): a stale entry would end `verify` in an
+    AttributeError or TypeError traceback, not a documented exit code."""
+    for suite, (module, name, params) in VERIFY_SUITES.items():
+        fn = getattr(import_module("jackideal." + module), name, None)
+        assert callable(fn), suite
+        names = params.split()
+        signature = inspect.signature(fn)
+        signature.bind(*names)
+        taken = list(signature.parameters)[:len(names)]
+        assert [{"degree": "dmax"}.get(p, p) for p in taken] == names, suite
 
 
 def test_processes_share_one_cache_dir(tmp_path):

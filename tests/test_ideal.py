@@ -14,13 +14,14 @@ import jackideal.basis
 import jackideal.jack
 from emit_oracle import specialized_to_obj
 from jackideal.basis import DegreeOverflow
-from jackideal.ideal import (_combine, bareiss_rank, build_basis,
-                             clearing_zero_order, closure_tags,
-                             lassalle_down, lassalle_up, pieri_coefficient,
-                             reduce_membership, verify_closure,
-                             verify_lassalle, verify_phi3, verify_pieri,
-                             verify_regularity, verify_restriction,
-                             verify_wheel, wheel_dimension)
+from jackideal.ideal import (bareiss_rank, build_basis, closure_tags,
+                             reduce_membership, verify_closure, verify_phi3,
+                             verify_restriction, verify_wheel,
+                             wheel_dimension)
+from jackideal.identities import (_combine, clearing_zero_order,
+                                  lassalle_down, lassalle_up,
+                                  pieri_coefficient, verify_lassalle,
+                                  verify_pieri, verify_regularity)
 from jackideal.jack import JackCache, SpecializedJack, specialize
 from jackideal.operators import apply_p
 from jackideal.partitions import partitions_leq
@@ -144,14 +145,14 @@ def test_symbolic_check_catches_perturbed_numerator(monkeypatch, builder,
                                                     suite, case):
     # the cross-multiplied check in Z[beta] is not vacuous: one numerator
     # raised by 1 fails exactly the case whose expansion uses it
-    import jackideal.ideal as ideal
-    exact = getattr(ideal, builder)
+    import jackideal.identities as identities
+    exact = getattr(identities, builder)
 
     def perturbed(mu, row, *rest):
         num, den = exact(mu, row, *rest)
         return (num + 1 if (mu, row) == ((2, 1), 1) else num), den
 
-    monkeypatch.setattr(ideal, builder, perturbed)
+    monkeypatch.setattr(identities, builder, perturbed)
     rep = suite(3, 5)
     assert [c["id"] for c in rep.failures()] == [case]
 
@@ -175,14 +176,14 @@ def test_specialized_check_catches_perturbed_denominator(monkeypatch, builder,
     # toward an admissible one: that neighbour's case fails, Pieri skips
     # the identity and membership of its mu, and Lassalle's identity,
     # which the pole drops out of, fails too
-    import jackideal.ideal as ideal
-    exact = getattr(ideal, builder)
+    import jackideal.identities as identities
+    exact = getattr(identities, builder)
 
     def perturbed(*args):
         num, den = exact(*args)
         return num, (den * BetaPoly((1, 2)) if args == move else den)
 
-    monkeypatch.setattr(ideal, builder, perturbed)
+    monkeypatch.setattr(identities, builder, perturbed)
     rep = suite(2, 6, 1, 2)
     assert [c["id"] for c in rep.failures()] == cases
 

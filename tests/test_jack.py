@@ -15,8 +15,8 @@ from emit_oracle import specialized_to_obj
 from jackideal import jack
 from jackideal.jack import (JackCache, SpecializationPole, jack_at,
                             specialize)
-from jackideal.ideal import (verify_eigensystem, verify_hamiltonian,
-                             verify_sekiguchi)
+from jackideal.identities import (verify_eigensystem, verify_hamiltonian,
+                                  verify_sekiguchi)
 from jackideal.partitions import beta_value, dominated_by, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.symbolic import (JackPoly, c_lambda, evaluate_all_ones,

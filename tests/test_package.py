@@ -37,7 +37,9 @@ def test_unknown_attribute_raises():
 
 def test_bare_import_loads_nothing_until_asked():
     """`import jackideal` loads no submodule; an export loads its module and
-    what that imports, and a submodule resolves as an attribute."""
+    what that imports, and a submodule resolves as an attribute.  The
+    suites in ideal sit on the integer core alone, and those in identities
+    on the Q(beta) layer (ratfunc, symbolic)."""
     src = os.path.dirname(os.path.dirname(jackideal.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, jackideal\n"
@@ -48,14 +50,17 @@ def test_bare_import_loads_nothing_until_asked():
          "jackideal.build_basis\n"
          "print(loaded())\n"
          "print(jackideal.ideal.__name__, jackideal.report.Report.__name__)\n"
+         "print(loaded())\n"
+         "jackideal.verify_pieri\n"
          "print(loaded())"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=60)
     assert proc.returncode == 0, proc.stderr
     core = ["jackideal.basis", "jackideal.jack", "jackideal.partitions",
             "jackideal.sympoly"]
+    suites = core + ["jackideal.ideal", "jackideal.operators",
+                     "jackideal.report"]
     assert proc.stdout.splitlines() == [
-        "[]", repr(core), "jackideal.ideal Report",
-        repr(sorted(core + ["jackideal.ideal", "jackideal.operators",
-                            "jackideal.ratfunc", "jackideal.report",
-                            "jackideal.symbolic"]))]
+        "[]", repr(core), "jackideal.ideal Report", repr(sorted(suites)),
+        repr(sorted(suites + ["jackideal.identities", "jackideal.ratfunc",
+                              "jackideal.symbolic"]))]
