@@ -151,7 +151,6 @@ def build_parser(argv=None):
     for name in ("pieri", "lassalle"):
         v = add(vsp, "verify", name)
         add_common(v, "n", "dmax", "k?", "r?", "cache?")
-        v.add_argument("--symbolic", action="store_true")
 
     v = add(vsp, "verify", "closure")
     add_common(v, "k", "r", "n", "dmax", "cache?")
@@ -216,9 +215,8 @@ def run_report(suite, rep, fmt):
 VERIFY_SUITES = {
     "commutators": ("operators", "verify_commutators",
                     "n dmax trials seed tmax"),
-    "pieri": ("identities", "verify_pieri", "n dmax k r symbolic cache"),
-    "lassalle": ("identities", "verify_lassalle",
-                 "n dmax k r symbolic cache"),
+    "pieri": ("identities", "verify_pieri", "n dmax k r cache"),
+    "lassalle": ("identities", "verify_lassalle", "n dmax k r cache"),
     "closure": ("ideal", "verify_closure", "k r n dmax mmax tmax cache"),
     "restriction": ("ideal", "verify_restriction", "k r n dmax jmax cache"),
     "regularity": ("identities", "verify_regularity", "k r n dmax cache"),

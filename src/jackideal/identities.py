@@ -235,28 +235,27 @@ def _combine(basis, combination):
                MSymPoly(basis.n))
 
 
-def verify_pieri(n, dmax, k=None, r=None, symbolic=False, cache=None):
+def verify_pieri(n, dmax, k=None, r=None, cache=None):
     """Pieri rule for p_1 on Jack polynomials.
 
-    Symbolic part (when symbolic or without k; identically in beta, on
-    cleared integer numerators by _expansion_holds): p_1 P_mu = sum psi'
-    P_lam for every mu of weight < dmax.  Specialized part (needs k, r):
-    for admissible mu, psi' toward non-admissible lam vanishes at
-    beta(k, r) and toward admissible lam stays regular, the specialized
-    identity holds over Q, and the product reduces to exactly that
-    combination under membership.
+    Without k, the symbolic part (identically in beta, on cleared integer
+    numerators by _expansion_holds): p_1 P_mu = sum psi' P_lam for every
+    mu of weight < dmax.  With k and r, the specialized part: for
+    admissible mu, psi' toward non-admissible lam vanishes at beta(k, r)
+    and toward admissible lam stays regular, the specialized identity
+    holds over Q, and the product reduces to exactly that combination
+    under membership.
     """
-    symbolic = symbolic or k is None
     cache = cache if cache is not None else JackCache()
     rep = Report("pieri", {"n": n, "dmax": dmax, "k": k, "r": r,
-                           "symbolic": symbolic})
-    if symbolic:
+                           "symbolic": k is None})
+    if k is None:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
                 rep.add("symbolic:%s" % (list(mu),), _expansion_holds(
                     lambda N: apply_p(N, 1), mu,
                     _raise_moves(mu, n, _pieri_factors), n, cache))
-    if k is not None:
+    else:
         basis = build_basis(k, r, n, dmax, cache)
         for mu in basis.family.all_partitions():
             if sum(mu) + 1 > dmax:
@@ -307,21 +306,20 @@ def _down_vanishing_factor(mu, i, basis):
     return ok, {"mechanism": "prefactor"}
 
 
-def verify_lassalle(n, dmax, k=None, r=None, symbolic=False, cache=None):
+def verify_lassalle(n, dmax, k=None, r=None, cache=None):
     """Raising/lowering expansions l_1 P_mu and l_-1 P_mu in the Jack basis.
 
-    Symbolic part (when symbolic or without k) checks both expansions
-    identically in beta for all mu with |mu| < dmax, on cleared integer
-    numerators (_expansion_holds); the specialized part (needs k, r)
-    checks, for admissible mu, the per-neighbour vanishing mechanism at
-    beta(k, r) (asserting the specific vanishing factor, not just the
-    product) and the specialized identities over Q.
+    Without k, the symbolic part checks both expansions identically in
+    beta for all mu with |mu| < dmax, on cleared integer numerators
+    (_expansion_holds); with k and r, the specialized part checks, for
+    admissible mu, the per-neighbour vanishing mechanism at beta(k, r)
+    (asserting the specific vanishing factor, not just the product) and
+    the specialized identities over Q.
     """
-    symbolic = symbolic or k is None
     cache = cache if cache is not None else JackCache()
     rep = Report("lassalle", {"n": n, "dmax": dmax, "k": k, "r": r,
-                              "symbolic": symbolic})
-    if symbolic:
+                              "symbolic": k is None})
+    if k is None:
         for d in range(dmax):
             for mu in partitions_leq(d, n):
                 rep.add("symbolic-up:%s" % (list(mu),), _expansion_holds(
@@ -330,7 +328,7 @@ def verify_lassalle(n, dmax, k=None, r=None, symbolic=False, cache=None):
                 rep.add("symbolic-down:%s" % (list(mu),), _expansion_holds(
                     lambda N: apply_l(N, -1), mu, _lower_moves(mu, n), n,
                     cache))
-    if k is not None:
+    else:
         basis = build_basis(k, r, n, dmax, cache)
         for mu in basis.family.all_partitions():
             _, ups = _neighbour_cases(

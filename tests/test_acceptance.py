@@ -84,9 +84,9 @@ def test_criterion_05_symbolic_pieri_lassalle(capsys):
     failures = []
     for n in range(1, 5):
         collect(failures, "pieri n=%d" % n,
-                J.verify_pieri(n, 7, symbolic=True, cache=CACHE))
+                J.verify_pieri(n, 7, cache=CACHE))
         collect(failures, "lassalle n=%d" % n,
-                J.verify_lassalle(n, 7, symbolic=True, cache=CACHE))
+                J.verify_lassalle(n, 7, cache=CACHE))
     conclude(capsys, 5, failures)
 
 

@@ -190,6 +190,19 @@ def test_jack_conflicting_modes_exit(capsys, modes):
     assert err == "error: jack takes one of --symbolic, --beta and --k/--r\n"
 
 
+@pytest.mark.parametrize("suite", ["pieri", "lassalle"])
+@pytest.mark.parametrize("coupling", [(), ("--k", "1", "--r", "2")])
+def test_pieri_and_lassalle_take_no_symbolic_flag(capsys, suite, coupling):
+    # the coupling picks the half: the symbolic check runs without --k/--r
+    # and the check at beta(k, r) with them, so there is no switch
+    with pytest.raises(SystemExit) as ei:
+        main(["verify", suite, "--n", "2", "--dmax", "4", *coupling,
+              "--symbolic"])
+    captured = capsys.readouterr()
+    assert ei.value.code == 2 and captured.out == ""
+    assert "unrecognized arguments: --symbolic" in captured.err
+
+
 def test_invalid_parameters_exit(capsys):
     code, _, err = run_cli(capsys, "jack", "--lambda", "2", "--n", "2",
                            "--k", "1", "--r", "3")

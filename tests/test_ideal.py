@@ -115,9 +115,11 @@ def test_pieri_coefficient_oracles():
 
 
 def test_symbolic_pieri_identity_small():
+    # without a coupling the suite runs its symbolic half alone
     rep = verify_pieri(3, 5)
     assert rep.all_pass()
     assert rep.params["symbolic"] is True
+    assert all(c["id"].startswith("symbolic") for c in rep.cases)
 
 
 def test_lassalle_coefficient_oracles():
@@ -135,6 +137,8 @@ def test_lassalle_coefficient_oracles():
 def test_symbolic_lassalle_identity_small():
     rep = verify_lassalle(3, 5)
     assert rep.all_pass()
+    assert rep.params["symbolic"] is True
+    assert all(c["id"].startswith("symbolic") for c in rep.cases)
 
 
 @pytest.mark.parametrize("builder, suite, case", [
@@ -200,8 +204,8 @@ def test_pieri_and_lassalle_build_no_ratfunc(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(BetaRatFunc, "__init__", counting)
-    assert verify_pieri(4, 7, symbolic=True).all_pass()
-    assert verify_lassalle(4, 7, symbolic=True).all_pass()
+    assert verify_pieri(4, 7).all_pass()
+    assert verify_lassalle(4, 7).all_pass()
     assert verify_pieri(4, 10, 2, 3).all_pass()
     assert verify_lassalle(4, 10, 2, 3).all_pass()
     jp = jack_symbolic((2, 2), 3)
@@ -211,12 +215,17 @@ def test_pieri_and_lassalle_build_no_ratfunc(monkeypatch):
 
 
 def test_specialized_pieri_and_lassalle():
+    # with a coupling each suite runs its half at beta(k, r) alone
     for (k, r, n) in [(1, 2, 2), (2, 3, 3), (2, 2, 2)]:
         rp = verify_pieri(n, 6, k, r)
         assert rp.all_pass(), rp.failures()[:2]
         assert rp.params["symbolic"] is False
         rl = verify_lassalle(n, 6, k, r)
         assert rl.all_pass(), rl.failures()[:2]
+        assert rl.params["symbolic"] is False
+        for rep in (rp, rl):
+            assert rep.cases
+            assert not any(c["id"].startswith("symbolic") for c in rep.cases)
 
 
 def test_pieri_vanishing_factor_example():

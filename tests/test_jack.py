@@ -538,6 +538,21 @@ def test_full_length_jack_is_read_off_its_filed_low():
     assert got.num.terms == {mu: 2 * x for mu, x in want.num.terms.items()}
 
 
+def test_full_length_jack_is_read_off_its_base_in_one_step():
+    """Where P_(lam - (1^n)) is not filed, jack_at reads P_lam off its base
+    lam - (lam_n^n) in one step: with no frame per unit of lam_n, since
+    (1502, 1500) would pass Python's default recursion limit of 1,000, and
+    with no table between the base's and lam's, since each of those would
+    hold every partition of its degree into at most n parts."""
+    sp = jack_at((1502, 1500), 2, Fraction(-1, 3))
+    # P_(2) = m_(2) + 2b/(1 + b) m_(1,1) at -1/3, shifted by (1500, 1500)
+    assert sp.den == 1
+    assert sp.num.terms == {(1502, 1500): 1, (1501, 1501): -1}
+    cache = JackCache()
+    jack_at((30, 29, 28, 27, 26, 25), 6, beta_value(4, 3), cache)
+    assert sorted(cache._tables) == [(15, 6)]
+
+
 def test_cache_entry_validation():
     obj = jack_symbolic((2, 1), 3).to_obj()
     assert obj["version"] == 2 and obj["den"] == obj["nums"][0]["coeffs"]
