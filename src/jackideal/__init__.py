@@ -13,16 +13,16 @@ _EXPORTS = {
         check_nonvanishing conjugate dominance_compare dominated_by
         enumerate_admissible is_admissible node_moves partitions_leq
         partitions_of removable_rows remove_node""",
-    "sympoly": """ExpandedPoly MSymPoly NotSymmetric TermBudgetExceeded
-        orbit_size power_sum""",
+    "sympoly": "MSymPoly NotSymmetric TermBudgetExceeded orbit_size power_sum",
     "jack": "JackCache SpecializationPole SpecializedJack jack_at specialize",
     "symbolic": """JackPoly c_lambda cs_eigenvalue evaluate_all_ones
         jack_symbolic pole_profile principal_specialization
         sekiguchi_eigenvalue""",
     "basis": """DegreeOverflow IdealBasis MembershipCertificate build_basis
         reduce_membership""",
-    "operators": """OperatorTag apply_cherednik apply_dunkl apply_hamiltonian
-        apply_l apply_sekiguchi apply_w verify_commutators""",
+    "operators": "OperatorTag apply_hamiltonian apply_l apply_w",
+    "expanded": """ExpandedPoly apply_cherednik apply_dunkl apply_sekiguchi
+        verify_commutators""",
     "ideal": """verify_closure verify_phi3 verify_restriction verify_wheel
         wheel_dimension""",
     "identities": """clearing_zero_order lassalle_down lassalle_up

@@ -5,10 +5,10 @@ mathematical obstruction (pole, non-member); 2 usage error, or an operation
 that would exceed sympoly.TERM_BUDGET terms.
 
 Only the integer core (partitions, sympoly, jack, basis) is imported here;
-the Q(beta) layer (ratfunc, symbolic) and each suite's module
-(VERIFY_SUITES) on use.  The suites in ideal (closure, restriction, wheel,
-phi3) run on the core alone; those in identities, and commutators, bring
-in the Q(beta) layer.
+the Q(beta) layer (ratfunc, symbolic), the monomial layer (expanded) and
+each suite's module (VERIFY_SUITES) on use.  The suites in ideal (closure,
+restriction, wheel, phi3) run on the core alone; those in identities, and
+commutators in expanded, bring in the Q(beta) layer.
 """
 
 import argparse
@@ -20,7 +20,7 @@ from itertools import takewhile
 
 from .partitions import (InvalidParameters, as_partition,
                          enumerate_admissible, is_admissible)
-from .sympoly import MSymPoly, ExpandedPoly, TermBudgetExceeded, rat_to_obj
+from .sympoly import MSymPoly, TermBudgetExceeded, rat_to_obj
 from .jack import JackCache, SpecializationPole, jack_at, specialize
 from .basis import build_basis, reduce_membership
 
@@ -89,10 +89,10 @@ def add_common(sub, *names):
 
 
 def build_parser(argv=None):
-    """The parser with every command and subcommand and its help text, but
-    options only on the parsers that argv's words before its first option
-    name, one per level, as argparse picks them (on all where argv is None):
-    --help and usage errors read only parsers with their options."""
+    """The parser with every command and its help text; subcommands only
+    under the command argv's first word names (all where it names none),
+    options only on the parsers argv's words before its first option name,
+    one per level: --help and usage errors read only parsers built whole."""
     lead = list(takewhile(lambda word: not word.startswith("-"), argv or ()))
 
     def add(parsers, *path, **kw):  # its parser, or one that drops options
@@ -128,16 +128,19 @@ def build_parser(argv=None):
                                   "(write --beta=-1/2 for negatives)")
 
     s = sp.add_parser("ideal", help="basis construction and membership")
-    isp = s.add_subparsers(dest="ideal_command", required=True)
-    b = add(isp, "ideal", "basis")
-    add_common(b, "k", "r", "n", "dmax", "cache?")
-    b.add_argument("--out", help="directory for per-degree JSON files")
-    m = add(isp, "ideal", "member")
-    add_common(m, "k", "r", "n", "dmax", "cache?")
-    m.add_argument("--input", default="-",
-                   help="polynomial JSON file, '-' for stdin")
+    if lead[:1] in ([], ["ideal"]):
+        isp = s.add_subparsers(dest="ideal_command", required=True)
+        b = add(isp, "ideal", "basis")
+        add_common(b, "k", "r", "n", "dmax", "cache?")
+        b.add_argument("--out", help="directory for per-degree JSON files")
+        m = add(isp, "ideal", "member")
+        add_common(m, "k", "r", "n", "dmax", "cache?")
+        m.add_argument("--input", default="-",
+                       help="polynomial JSON file, '-' for stdin")
 
     s = sp.add_parser("verify", help="run a verification suite")
+    if lead[:1] not in ([], ["verify"]):
+        return ap
     vsp = s.add_subparsers(dest="suite", required=True)
 
     v = add(vsp, "verify", "commutators")
@@ -184,6 +187,7 @@ def read_poly(path, n, dmax):
             obj = json.load(fh)
     try:
         if obj.get("basis") == "expanded":
+            from .expanded import ExpandedPoly
             P = ExpandedPoly.from_obj(obj).to_msym()
         else:
             P = MSymPoly.from_obj(obj)
@@ -213,7 +217,7 @@ def run_report(suite, rep, fmt):
 # suite -> (module, function, its arguments: option names and the cache);
 # those in ideal run on the integer core alone, the rest add Q(beta) code
 VERIFY_SUITES = {
-    "commutators": ("operators", "verify_commutators",
+    "commutators": ("expanded", "verify_commutators",
                     "n dmax trials seed tmax"),
     "pieri": ("identities", "verify_pieri", "n dmax k r cache"),
     "lassalle": ("identities", "verify_lassalle", "n dmax k r cache"),

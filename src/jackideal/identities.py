@@ -18,7 +18,7 @@ from .jack import JackCache
 from .symbolic import (c_lambda, cs_eigenvalue, jack_symbolic, pole_profile,
                        sekiguchi_eigenvalue)
 from .basis import build_basis, reduce_membership
-from .operators import apply_hamiltonian, apply_l, apply_p, apply_sekiguchi
+from .operators import apply_hamiltonian, apply_l, apply_p
 from .report import Report
 
 
@@ -109,6 +109,7 @@ def verify_hamiltonian(lam, n, cache=None):
 def verify_sekiguchi(lam, n, cache=None):
     """Exact check of the full Sekiguchi eigen-equation
     S(u, beta) P_lam = prod_i (u + lam_i + (n-i) beta) P_lam in Q[beta][u]."""
+    from .expanded import apply_sekiguchi
     Q = MSymPoly(n, jack_symbolic(lam, n, cache).nums).to_expanded()
     got = apply_sekiguchi(Q, BETA)
     want = sekiguchi_eigenvalue(lam, n)

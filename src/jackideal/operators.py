@@ -1,6 +1,6 @@
-"""Operators on polynomials: Dunkl, Cherednik, Sekiguchi, the
-Sutherland-type Hamiltonian and the degree-shift families l_m, w^(t)_m.
-The exchange K_ij is ExpandedPoly.swap.
+"""Operators that preserve symmetry, on the m-basis: the Sutherland-type
+Hamiltonian, p_m, l_m and w^(t)_m.  Those that break it take an
+ExpandedPoly and live in the expanded module, which this one never loads.
 
 Every operator takes the coupling as an explicit scalar `beta`, which is a
 Fraction (specialized) or a BetaPoly (symbolic), never a BetaRatFunc (a
@@ -8,11 +8,10 @@ value with no arithmetic); the arithmetic is whatever the coefficients
 support.  Divisions by (x_i - x_j) are always performed exactly through
 the telescoping identity, so no operator ever leaves the coefficient ring.
 
-An operator that preserves symmetry takes an MSymPoly (TypeError on anything
-else), and Dunkl, Cherednik and the Sekiguchi product built from them take
-an ExpandedPoly.  The Hamiltonian acts on the m-basis in closed form, row
-by row (jack.hamiltonian_row, which the Jack solve reads, so jack imports
-no operator), and so do p_m and l_m (OperatorTag.apply).  w^(t)_m is
+An operator here takes an MSymPoly (TypeError on anything else).  The
+Hamiltonian acts on the m-basis in closed form, row by row
+(jack.hamiltonian_row, which the Jack solve reads, so jack imports no
+operator), and so do p_m and l_m (OperatorTag.apply).  w^(t)_m is
 sum_j x_j^(m+t-1) K_1j nabla_1^(t-1) P (nabla_j^s P = K_1j nabla_1^s P
 for symmetric P), read off dunkl_chain.
 
@@ -22,66 +21,15 @@ chain at c = 1 and the wheel at c = k + 1.  At a rational beta = a/b
 dunkl_chain runs in Z as c_s nabla_1^s P, c_s = D b^s > 0 with D the
 common denominator of P: sparse (position, coefficient) lists, one
 nabla_positions per entry.  Every row is built once into a memo the
-caller holds and may share across calls (`rows`).  On monomials, l_m and
-w are _l_expanded and _w_expanded: the operators of the commutator suite,
-whose inputs need not be symmetric.  That suite alone runs over Q(beta),
-and imports the generator BETA when it runs, so loading this module loads
-no Q(beta) code.
+caller holds and may share across calls (`rows`).
 """
 
-import random
 from fractions import Fraction
 from itertools import combinations
 
-from .report import Report
-from .sympoly import (ExpandedPoly, MSymPoly, _replace_part, orbit_size,
-                      power_sum)
+from .sympoly import MSymPoly, _replace_part, orbit_size
 from .partitions import padded, partitions_leq
 from .jack import hamiltonian_row
-
-
-def apply_dunkl(P, i, beta):
-    """nabla_i = d/dx_i + beta * sum_{j != i} (1 - K_ij)/(x_i - x_j)."""
-    out = P.partial(i)
-    acc = None
-    for j in range(1, P.n + 1):
-        if j != i:
-            d = P.divided_difference(i, j)
-            acc = d if acc is None else acc + d
-    if acc is not None:
-        out = out + acc * beta
-    return out
-
-
-def apply_dunkl_power(P, i, t, beta):
-    for _ in range(t):
-        P = apply_dunkl(P, i, beta)
-    return P
-
-
-def apply_cherednik(P, i, beta):
-    """dhat_i = x_i nabla_i + beta * sum_{j > i} K_ij."""
-    out = apply_dunkl(P, i, beta).mul_var(i)
-    acc = None
-    for j in range(i + 1, P.n + 1):
-        s = P.swap(i, j)
-        acc = s if acc is None else acc + s
-    if acc is not None:
-        out = out + acc * beta
-    return out
-
-
-def apply_sekiguchi(P, beta):
-    """prod_i (u + dhat_i) applied to P; returns coefficients of powers of u,
-    low degree first (a list of n+1 expanded polynomials)."""
-    coeffs = [P]
-    for i in range(1, P.n + 1):
-        nxt = [apply_cherednik(c, i, beta) for c in coeffs]
-        nxt.append(ExpandedPoly.zero(P.n))
-        for m in range(len(coeffs)):
-            nxt[m + 1] = nxt[m + 1] + coeffs[m]
-        coeffs = nxt
-    return coeffs
 
 
 def _check_msym(P):
@@ -121,15 +69,6 @@ def _check_operator(kind, m, t=None):
         raise ValueError("unknown operator kind %r" % (kind,))
 
 
-def _l_expanded(P, m):
-    """l_m = sum_j x_j^(m+1) d/dx_j (m >= -1); beta-free."""
-    _check_operator("l", m)
-    out = ExpandedPoly.zero(P.n)
-    for j in range(1, P.n + 1):
-        out = out + P.partial(j).mul_var(j, m + 1)
-    return out
-
-
 def apply_l(P, m):
     """l_m P for an MSymPoly P (m >= -1), on the m-basis."""
     return OperatorTag("l", m).apply(P, None)
@@ -138,15 +77,6 @@ def apply_l(P, m):
 def apply_p(P, m):
     """p_m P for an MSymPoly P (m >= 1), on the m-basis."""
     return OperatorTag("p", m).apply(P, None)
-
-
-def _w_expanded(P, t, m, beta):
-    """w^(t)_m = sum_j x_j^(m+t-1) nabla_j^(t-1) (t >= 2, m >= -t+1)."""
-    _check_operator("w", m, t)
-    out = ExpandedPoly.zero(P.n)
-    for j in range(1, P.n + 1):
-        out = out + apply_dunkl_power(P, j, t - 1, beta).mul_var(j, m + t - 1)
-    return out
 
 
 def class_table(n, e, rows):
@@ -250,14 +180,6 @@ def apply_w(P, t, m, beta):
     return OperatorTag("w", m, t).apply(P, beta)
 
 
-def expanded_power_sum(n, m):
-    if m < 0:
-        raise ValueError("need m >= 0")
-    if m == 0:
-        return ExpandedPoly(n, {(0,) * n: n})
-    return power_sum(m, n).to_expanded()
-
-
 class OperatorTag:
     """A validated name for one operator instance: p_m, l_m or w^(t)_m."""
 
@@ -311,144 +233,3 @@ class OperatorTag:
         return "%s(%d)" % (self.kind, self.m)
 
     __repr__ = __str__
-
-
-def _w_general(P, t, m, beta):
-    """w with the t = 1 convention w^(1)_m = p_m (and p_0 = n)."""
-    if t == 1:
-        return P * expanded_power_sum(P.n, m)
-    return _w_expanded(P, t, m, beta)
-
-
-def _random_expanded(rng, n, degree, nterms=4):
-    terms = {}
-    for _ in range(nterms):
-        d = rng.randint(0, degree)
-        e = [0] * n
-        for _ in range(d):
-            e[rng.randrange(n)] += 1
-        c = rng.choice([x for x in range(-5, 6) if x])
-        key = tuple(e)
-        terms[key] = terms.get(key, 0) + c
-    return ExpandedPoly(n, terms)
-
-
-def _random_symmetric(rng, n, degree, nterms=3):
-    terms = {}
-    for _ in range(nterms):
-        d = rng.randint(0, degree)
-        parts = partitions_leq(d, n)
-        lam = parts[rng.randrange(len(parts))]
-        c = rng.choice([x for x in range(-5, 6) if x])
-        terms[lam] = terms.get(lam, 0) + c
-    return MSymPoly(n, terms).to_expanded()
-
-
-def verify_commutators(n, degree, trials, seed, tmax=3):
-    """Randomized exact check of the operator algebra:
-
-    (a) Dunkl family: [nabla_i, nabla_j] = 0,
-        [nabla_i, x_j] = delta_ij (1 + beta sum_{t != i} K_it) - beta K_ij
-        (i != j), and K_ij nabla_m = nabla_(ij)(m) K_ij;
-    (b) [l_a, l_b] = (b - a) l_(a+b);
-    (c) [l_-1, w^(3)_0] = 2 w^(3)_-1,
-        [w^(t)_(-t+1), w^(3)_-1] = (t-1) w^(t+1)_(-t),
-        and, on symmetric inputs only,
-        [w^(t+1)_m, p_2] ~ 2t w^(t)_(m+2) + t(t-1)(1-beta) w^(t-1)_(m+2)
-            + 2 beta sum_i (t-1-i) w^(i+1)_(m+t-i) w^(t-1-i)_(-t+2+i);
-    (d) [l_1, p_m] = m p_(m+1).
-
-    All checks are identical in beta: inputs have integer coefficients and
-    beta is the symbolic generator, so a pass is a polynomial identity.
-    """
-    if trials < 1 or tmax < 2:
-        raise ValueError("commutators need trials >= 1 and tmax >= 2")
-    from .ratfunc import BETA as beta
-    rng = random.Random(seed)
-    rep = Report("commutators", {"n": n, "degree": degree,
-                                 "trials": trials, "seed": seed})
-    gen = [(_random_expanded(rng, n, degree), _random_symmetric(rng, n, degree))
-           for _ in range(trials)]
-
-    def run(case_id, check, symmetric=False):
-        for idx, (pg, ps) in enumerate(gen):
-            P = ps if symmetric else pg
-            if not check(P):
-                rep.add(case_id, False, trials=trials, seed=seed,
-                        counterexample={"trial": idx, "input": P.to_obj()})
-                return
-        rep.add(case_id, True, trials=trials, seed=seed)
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            run("nabla-commute[%d,%d]" % (i, j), lambda P, i=i, j=j:
-                apply_dunkl(apply_dunkl(P, j, beta), i, beta)
-                == apply_dunkl(apply_dunkl(P, i, beta), j, beta))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            def check(P, i=i, j=j):
-                lhs = apply_dunkl(P.mul_var(j), i, beta) \
-                    - apply_dunkl(P, i, beta).mul_var(j)
-                if i == j:
-                    rhs = P
-                    for t in range(1, n + 1):
-                        if t != i:
-                            rhs = rhs + P.swap(i, t) * beta
-                else:
-                    rhs = P.swap(i, j) * (-beta)
-                return lhs == rhs
-            run("nabla-x[%d,%d]" % (i, j), check)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            for m in range(1, n + 1):
-                sm = j if m == i else (i if m == j else m)
-                run("exchange-nabla[%d,%d;%d]" % (i, j, m), lambda P, i=i, j=j,
-                    m=m, sm=sm: apply_dunkl(P, m, beta).swap(i, j)
-                    == apply_dunkl(P.swap(i, j), sm, beta))
-
-    for a in range(-1, 3):
-        for b in range(a, 3):
-            if a + b < -1 and b != a:
-                continue
-
-            def check(P, a=a, b=b):
-                lhs = _l_expanded(_l_expanded(P, b), a) \
-                    - _l_expanded(_l_expanded(P, a), b)
-                if b == a:
-                    return lhs.is_zero()
-                return lhs == _l_expanded(P, a + b) * (b - a)
-            run("l-bracket[%d,%d]" % (a, b), check)
-
-    run("l-1-w30", lambda P:
-        _l_expanded(_w_expanded(P, 3, 0, beta), -1)
-        - _w_expanded(_l_expanded(P, -1), 3, 0, beta)
-        == _w_expanded(P, 3, -1, beta) * 2)
-    for t in range(2, tmax + 1):
-        run("w%d-w3-ladder" % t, lambda P, t=t:
-            _w_expanded(_w_expanded(P, 3, -1, beta), t, -t + 1, beta)
-            - _w_expanded(_w_expanded(P, t, -t + 1, beta), 3, -1, beta)
-            == _w_expanded(P, t + 1, -t, beta) * (t - 1))
-
-    for t in range(2, tmax + 1):
-        for m in range(-t, 3):
-            def check(P, t=t, m=m):
-                p2 = expanded_power_sum(P.n, 2)
-                lhs = _w_expanded(P * p2, t + 1, m, beta) \
-                    - _w_expanded(P, t + 1, m, beta) * p2
-                rhs = _w_general(P, t, m + 2, beta) * (2 * t)
-                rhs = rhs + _w_general(P, t - 1, m + 2, beta) \
-                    * (t * (t - 1) * (1 - beta))
-                for i in range(t - 1):
-                    inner = _w_general(P, t - 1 - i, -t + 2 + i, beta)
-                    outer = _w_general(inner, i + 1, m + t - i, beta)
-                    rhs = rhs + outer * (2 * beta * (t - 1 - i))
-                return lhs == rhs
-            run("w%d-p2[m=%d]" % (t + 1, m), check, symmetric=True)
-
-    for m in range(1, 5):
-        run("l1-p[%d]" % m, lambda P, m=m:
-            _l_expanded(P * expanded_power_sum(P.n, m), 1)
-            - _l_expanded(P, 1) * expanded_power_sum(P.n, m)
-            == P * expanded_power_sum(P.n, m + 1) * m)
-
-    return rep

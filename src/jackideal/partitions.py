@@ -172,9 +172,9 @@ def enumerate_admissible(k, r, n, dmax):
     """All admissible partitions of weight <= dmax, each degree in
     decreasing lex order, with the checks of is_admissible run once for
     (k, r, n, dmax).  Each lam, padded to n, is grown from its last row up:
-    a suffix (lam_i, ..., lam_n) is dropped as soon as it fails _in_window
-    on its own slots, which no row above can mend, or when its least
-    completion, every row above equal to lam_i, passes dmax."""
+    a suffix (lam_i, ..., lam_n) is dropped when, longer than k, it fails
+    _in_window on its own slots, which no row above can mend, or when its
+    least completion, every row above equal to lam_i, passes dmax."""
     _check_kr(k, r)
     if n < 1 or dmax < 0:
         raise InvalidParameters("need n >= 1 and dmax >= 0")
@@ -189,7 +189,7 @@ def enumerate_admissible(k, r, n, dmax):
         v = suffix[0] if suffix else 0
         while total + v * left <= dmax:
             grown = (v,) + suffix
-            if _in_window(grown, k, r, len(grown)):
+            if len(grown) <= k or _in_window(grown, k, r, len(grown)):
                 stack.append((grown, total + v))
             v += 1
     return AdmissibleFamily(k, r, n, dmax, {

@@ -1,38 +1,33 @@
-"""Sparse polynomials in n variables: expanded monomial form and the
-monomial-symmetric basis.
+"""Sparse polynomials in n variables: the monomial-symmetric basis and the
+sparse-term core it shares with ExpandedPoly (module expanded, loaded on
+first use of to_expanded or of sympoly.ExpandedPoly, PEP 562).
 
-ExpandedPoly maps exponent tuples to coefficients; MSymPoly maps partitions
-to coefficients (the m-basis).  The class form t^a m_nu(x_2, ..., x_n) of a
-coincidence x_1 = ... = x_c = t or a Dunkl chain entry lives as positions
-in the operators module (class_table), not here.  Both share one
-sparse-term core (_SparsePoly): equality, sums, negation, scaling,
-grading, repr and the JSON form.  Only ExpandedPoly multiplies polynomials:
-MSymPoly is scaled by coefficients alone, since the operators that
-preserve symmetry act on the m-basis directly (operators module), and
-MSymPoly * MSymPoly raises TypeError.  Coefficients may live in Q
-(int/Fraction) or Q[beta] (BetaPoly); all operations here are
-coefficient-ring agnostic and never divide by coefficients.  Jacks reach
-this module in integral form: symbolic ones as integer BetaPoly numerators
-over a shared denominator (JackPoly.cleared()), specialized ones as an int
-MSymPoly over one int den (SpecializedJack.num), in Q only as its .poly.
-Q(beta) coefficients (BetaRatFunc, from JackPoly.msym() at the API boundary)
-support equality, JSON and printing only: they have no arithmetic.
+MSymPoly maps partitions to coefficients (the m-basis).  The class form
+t^a m_nu(x_2, ..., x_n) of a coincidence x_1 = ... = x_c = t or a Dunkl
+chain entry lives as positions in the operators module (class_table), not
+here.  The core (_SparsePoly) gives equality, sums, negation, scaling,
+grading, repr and the JSON form.  MSymPoly is scaled by coefficients
+alone, since the operators that preserve symmetry act on the m-basis
+directly (operators module), and MSymPoly * MSymPoly raises TypeError.
+Coefficients may live in Q (int/Fraction) or Q[beta] (BetaPoly); all
+operations here are coefficient-ring agnostic and never divide by
+coefficients.  Jacks reach this module in integral form: symbolic ones as
+integer BetaPoly numerators over a shared denominator (JackPoly.cleared()),
+specialized ones as an int MSymPoly over one int den (SpecializedJack.num),
+in Q only as its .poly.  Q(beta) coefficients (BetaRatFunc, from
+JackPoly.msym() at the API boundary) support equality, JSON and printing
+only: they have no arithmetic.
 
 Keys are validated at the boundary only.  The public constructor and
-from_obj check every key (an exponent vector must be n non-negative
-integers; a partition is normalized by as_partition and has at most n
-parts), reject a key repeated once normalized and drop zero coefficients
-(_checked).  They serve outside input and results whose keys may be
-unnormalized or whose terms may cancel.  Results whose keys come from an
-existing polynomial and whose coefficients cannot be zero (the coefficient
-rings have no zero divisors) are built unchecked by _raw, or by _collect
-where terms may cancel: negation, nonzero scaling, sums and products after
-pruning, homogeneous components, restrict_last, to_expanded, to_msym, the
-m-basis images of p_m, l_m and w^(t)_m (OperatorTag.apply) and the Dunkl
-building blocks (partial, mul_var, swap, divided_difference).  Symmetry is
-decided from orbit sizes in one pass over the terms (is_symmetric,
-to_msym); S_n-orbits are built only where monomials are the output
-(MSymPoly.to_expanded, under TERM_BUDGET).
+from_obj check every key (_key: a partition is normalized by as_partition
+and has at most n parts), reject a key repeated once normalized and drop
+zero coefficients (_checked).  They serve outside input and results whose
+keys may be unnormalized or whose terms may cancel.  Results whose keys
+come from an existing polynomial and whose coefficients cannot be zero
+(the coefficient rings have no zero divisors) are built unchecked by _raw,
+or by _collect where terms may cancel: negation, nonzero scaling, sums,
+homogeneous components, restrict_last, to_expanded and the m-basis images
+of p_m, l_m and w^(t)_m (OperatorTag.apply).
 """
 
 from fractions import Fraction
@@ -89,33 +84,6 @@ def _check_budget(count):
     if count > TERM_BUDGET:
         raise TermBudgetExceeded(
             "operation needs %d terms, budget is %d" % (count, TERM_BUDGET))
-
-
-def distinct_permutations(seq):
-    """All distinct permutations of a multiset, in ascending lex order
-    (plain next-permutation sweep, never the n! filter)."""
-    a = sorted(seq)
-    n = len(a)
-    if n == 0:
-        yield ()
-        return
-    while True:
-        yield tuple(a)
-        j = n - 2
-        while j >= 0 and a[j] >= a[j + 1]:
-            j -= 1
-        if j < 0:
-            return
-        l = n - 1
-        while a[j] >= a[l]:
-            l -= 1
-        a[j], a[l] = a[l], a[j]
-        a[j + 1:] = a[:j:-1]
-
-
-def orbit_exponents(lam, n):
-    """Exponent vectors of the S_n-orbit of lam padded to n slots."""
-    return tuple(distinct_permutations(padded(lam, n)))
 
 
 def orbit_size(lam, n):
@@ -258,123 +226,6 @@ class _SparsePoly:
             (t[cls.KEY], coeff_from_obj(t["coeff"])) for t in obj["terms"])))
 
 
-class ExpandedPoly(_SparsePoly):
-    """Polynomial as a dict {exponent tuple: coefficient}.  Treat as frozen."""
-
-    __slots__ = ()
-    BASIS, KEY = "expanded", "exponents"
-
-    @staticmethod
-    def _key(e, n):
-        e = tuple(e)
-        if len(e) != n or not all(type(a) is int and a >= 0 for a in e):
-            raise ValueError("bad exponent vector %r for n=%r" % (e, n))
-        return e
-
-    def __mul__(self, other):
-        """The polynomial product, or scaling by a coefficient."""
-        if type(other) is not ExpandedPoly:
-            return self.scale(other)
-        if self.n != other.n:
-            raise ValueError("variable counts differ")
-        _check_budget(len(self.terms) * len(other.terms))
-        return self._collect(self.n, (
-            (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-            for ea, ca in self.terms.items()
-            for eb, cb in other.terms.items()))
-
-    def mul_var(self, i, power=1):
-        """Multiply by x_i**power (power >= 0)."""
-        if power < 0:
-            raise ValueError("negative power")
-        if power == 0:
-            return self
-        j = i - 1
-        out = {e[:j] + (e[j] + power,) + e[j + 1:]: c for e, c in self.terms.items()}
-        return self._raw(self.n, out)
-
-    def partial(self, i):
-        """d/dx_i."""
-        j = i - 1
-        out = {}
-        for e, c in self.terms.items():
-            a = e[j]
-            if a:
-                out[e[:j] + (a - 1,) + e[j + 1:]] = c * a
-        return self._raw(self.n, out)
-
-    def swap(self, i, j):
-        """Exchange variables x_i and x_j."""
-        if i == j:
-            return self
-        a, b = i - 1, j - 1
-        out = {}
-        for e, c in self.terms.items():
-            f = list(e)
-            f[a], f[b] = f[b], f[a]
-            out[tuple(f)] = c
-        return self._raw(self.n, out)
-
-    def divided_difference(self, i, j):
-        """(P - K_ij P)/(x_i - x_j), exact by the telescoping identity
-        (x^a y^b - x^b y^a)/(x - y) = x^b y^b sum_t x^t y^(a-b-1-t)."""
-        if i == j:
-            raise ValueError("need distinct variables")
-        a_i, a_j = i - 1, j - 1
-
-        def moves():
-            for e, c in self.terms.items():
-                a, b = e[a_i], e[a_j]
-                if a < b:
-                    a, b, c = b, a, -c
-                base = list(e)
-                for t in range(a - b):
-                    base[a_i], base[a_j] = b + t, a - 1 - t
-                    yield tuple(base), c
-        return self._collect(self.n, moves())
-
-    def evaluate(self, point):
-        if len(point) != self.n:
-            raise ValueError("point has %d coordinates, need %d" % (len(point), self.n))
-        total = 0
-        for e, c in self.terms.items():
-            v = c
-            for x, a in zip(point, e):
-                if a:
-                    v = v * x ** a
-            total = total + v
-        return total
-
-    def _orbit_coeffs(self):
-        """{lam: c} if every S_n-orbit is whole with one coefficient c, else
-        None.  The terms sorting to lam are distinct permutations of it, at
-        most orbit_size(lam, n) of them, so the orbits are whole exactly
-        when the term count is the sum of their sizes."""
-        coeffs = {}
-        for e, c in self.terms.items():
-            lam = tuple(sorted(e, reverse=True))
-            if coeffs.setdefault(lam[:len(lam) - lam.count(0)], c) != c:
-                return None
-        if len(self.terms) == sum(orbit_size(lam, self.n) for lam in coeffs):
-            return coeffs
-        return None
-
-    def is_symmetric(self):
-        """Invariant under every exchange of variables, decided in time
-        linear in the number of terms (see _orbit_coeffs)."""
-        return self._orbit_coeffs() is not None
-
-    def to_msym(self):
-        """Collect into the m-basis; NotSymmetric unless is_symmetric()."""
-        coeffs = self._orbit_coeffs()
-        if coeffs is None:
-            raise NotSymmetric("polynomial is not symmetric")
-        return MSymPoly._raw(self.n, coeffs)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
-
-
 class MSymPoly(_SparsePoly):
     """Symmetric polynomial as a dict {partition: coefficient} in the
     monomial-symmetric basis m_lambda.  Treat as frozen."""
@@ -385,6 +236,7 @@ class MSymPoly(_SparsePoly):
     _key = staticmethod(as_partition)
 
     def to_expanded(self):
+        from .expanded import ExpandedPoly, orbit_exponents
         _check_budget(sum(orbit_size(lam, self.n) for lam in self.terms))
         out = {}
         for lam, c in self.terms.items():
@@ -431,3 +283,10 @@ def power_sum(m, n):
     if n == 0:
         return MSymPoly(0)
     return MSymPoly(n, {(m,): 1})
+
+
+def __getattr__(name):  # ExpandedPoly, read off its module on first access
+    if name != "ExpandedPoly":
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from .expanded import ExpandedPoly
+    return ExpandedPoly

@@ -12,9 +12,9 @@ coincidence on the monomials of an ExpandedPoly E."""
 
 from itertools import combinations
 
+from jackideal.expanded import ExpandedPoly
 from jackideal.partitions import as_partition, padded
-from jackideal.sympoly import (ExpandedPoly, MSymPoly, _SparsePoly,
-                              _replace_part, orbit_size)
+from jackideal.sympoly import MSymPoly, _SparsePoly, _replace_part, orbit_size
 
 
 class PartSymPoly(_SparsePoly):

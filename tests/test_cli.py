@@ -518,6 +518,8 @@ BETA_MODULES = ["jackideal.ratfunc", "jackideal.symbolic"]
 SUITE_MODULES = ["jackideal.ideal", "jackideal.operators", "jackideal.report"]
 BETA_SUITE_MODULES = sorted(BETA_MODULES + [
     "jackideal.identities", "jackideal.operators", "jackideal.report"])
+EXPANDED_MODULES = ["jackideal.expanded", "jackideal.operators",
+                    "jackideal.report"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -538,23 +540,30 @@ BETA_SUITE_MODULES = sorted(BETA_MODULES + [
     ("verify pieri --n 3 --dmax 3", BETA_SUITE_MODULES),
     ("verify lassalle --n 3 --dmax 3", BETA_SUITE_MODULES),
     ("verify regularity --k 1 --r 2 --n 3 --dmax 6", BETA_SUITE_MODULES),
-    ("verify sekiguchi --n 2 --dmax 3", BETA_SUITE_MODULES),
+    ("verify sekiguchi --n 2 --dmax 3",
+     sorted(BETA_SUITE_MODULES + ["jackideal.expanded"])),
     ("verify commutators --n 2 --dmax 2 --trials 1",
-     ["jackideal.operators", "jackideal.ratfunc", "jackideal.report"]),
+     sorted(EXPANDED_MODULES + ["jackideal.ratfunc"])),
+    ("ideal member --k 1 --r 2 --n 2 --dmax 4 --input {expanded}",
+     EXPANDED_MODULES),
 ])
 def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
     """The integer core (partitions, sympoly, jack, basis) answers every
     command but jack --symbolic, specialize-principal and verify, so a
     fresh interpreter running one of them leaves the Q(beta) layer
-    (ratfunc, symbolic), the suites, the Dunkl-type operators and the
+    (ratfunc, symbolic), the suites, the monomial layer (expanded) and the
     reports unloaded; jack --symbolic and specialize-principal load the
-    Q(beta) layer alone.  The suites in ideal, which run in Z at
-    beta(k, r), load ideal, operators and report on the core alone; those
-    in identities load the Q(beta) layer too, and commutators ratfunc."""
+    Q(beta) layer alone, and ideal member on expanded input the monomial
+    layer.  The suites in ideal, which run in Z at beta(k, r), load ideal,
+    operators and report on the core alone; those in identities load the
+    Q(beta) layer too, sekiguchi also the monomial layer, and commutators
+    the monomial layer and ratfunc."""
     poly = tmp_path / "poly.json"
     poly.write_text(json.dumps({"n": 2, "basis": "msym", "terms": [  # P_(2)
         {"partition": [2], "coeff": {"num": "1", "den": "1"}},
         {"partition": [1, 1], "coeff": {"num": "-2", "den": "1"}}]}))
+    expanded = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data", "member_expanded.json")  # P_(2) too
     src = os.path.dirname(os.path.dirname(jackideal.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -564,8 +573,9 @@ def test_a_command_loads_only_the_layer_it_runs(tmp_path, argv, loaded):
          "    code = main(sys.argv[1:])\n"
          "print(json.dumps([code, sorted(m for m in sys.modules\n"
          "                               if m in %r)]))"
-         % (BETA_MODULES + SUITE_MODULES + BETA_SUITE_MODULES)]
-        + shlex.split(argv.format(poly=poly)),
+         % (BETA_MODULES + SUITE_MODULES + BETA_SUITE_MODULES
+            + EXPANDED_MODULES)]
+        + shlex.split(argv.format(poly=poly, expanded=expanded)),
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, loaded]

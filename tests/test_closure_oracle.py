@@ -54,14 +54,15 @@ import jackideal.ideal
 from jackideal.ideal import (build_basis, closure_tags, reduce_membership,
                              verify_closure)
 from jackideal.jack import JackCache, SpecializedJack
-from jackideal.operators import (OperatorTag, _check_operator, _l_expanded,
-                                 _w_expanded, apply_dunkl, apply_dunkl_power,
-                                 apply_l, apply_p, apply_w, class_table,
-                                 dunkl_chain, nabla_positions)
+from jackideal.expanded import (ExpandedPoly, _l_expanded, _w_expanded,
+                                apply_dunkl, apply_dunkl_power)
+from jackideal.operators import (OperatorTag, _check_operator, apply_l,
+                                 apply_p, apply_w, class_table, dunkl_chain,
+                                 nabla_positions)
 from jackideal.partitions import beta_value, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.report import Report
-from jackideal.sympoly import ExpandedPoly, MSymPoly, _replace_part, power_sum
+from jackideal.sympoly import MSymPoly, _replace_part, power_sum
 
 from class_oracle import PartSymPoly, substitute_coincident
 from test_sympoly import coincident_classes, collect_classes, position_nabla

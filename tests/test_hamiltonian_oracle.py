@@ -14,12 +14,12 @@ from fractions import Fraction
 
 import pytest
 
+from jackideal.expanded import ExpandedPoly, _random_symmetric
 from jackideal.jack import JackCache, hamiltonian_matrix_row, hamiltonian_row
-from jackideal.operators import _random_symmetric, apply_hamiltonian
+from jackideal.operators import apply_hamiltonian
 from jackideal.partitions import as_partition, padded, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
-from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
-                               orbit_size)
+from jackideal.sympoly import MSymPoly, NotSymmetric, orbit_size
 
 
 def _hamiltonian_expanded(P, beta, validate=True):

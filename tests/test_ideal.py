@@ -14,6 +14,7 @@ import jackideal.basis
 import jackideal.jack
 from emit_oracle import specialized_to_obj
 from jackideal.basis import DegreeOverflow
+from jackideal.expanded import ExpandedPoly
 from jackideal.ideal import (bareiss_rank, build_basis, closure_tags,
                              reduce_membership, verify_closure, verify_phi3,
                              verify_restriction, verify_wheel,
@@ -28,7 +29,7 @@ from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
 from jackideal.report import Report
 from jackideal.symbolic import jack_symbolic
-from jackideal.sympoly import ExpandedPoly, MSymPoly
+from jackideal.sympoly import MSymPoly
 
 
 def certificate_holds(P, basis, cert):

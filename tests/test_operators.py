@@ -6,15 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from jackideal.operators import (OperatorTag, apply_cherednik, apply_dunkl,
-                                 apply_dunkl_power, apply_hamiltonian,
-                                 apply_l, apply_p, apply_sekiguchi, apply_w,
-                                 class_table, _l_expanded, _w_expanded,
-                                 expanded_power_sum, verify_commutators)
+from jackideal.expanded import (ExpandedPoly, apply_cherednik, apply_dunkl,
+                                apply_dunkl_power, apply_sekiguchi,
+                                _l_expanded, _w_expanded, expanded_power_sum,
+                                verify_commutators)
+from jackideal.operators import (OperatorTag, apply_hamiltonian, apply_l,
+                                 apply_p, apply_w, class_table)
 from jackideal.partitions import partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly
 from jackideal.symbolic import cs_eigenvalue, sekiguchi_eigenvalue
-from jackideal.sympoly import ExpandedPoly, MSymPoly
+from jackideal.sympoly import MSymPoly
 
 HALF = Fraction(1, 2)
 

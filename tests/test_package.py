@@ -39,7 +39,8 @@ def test_bare_import_loads_nothing_until_asked():
     """`import jackideal` loads no submodule; an export loads its module and
     what that imports, and a submodule resolves as an attribute.  The
     suites in ideal sit on the integer core alone, and those in identities
-    on the Q(beta) layer (ratfunc, symbolic)."""
+    on the Q(beta) layer (ratfunc, symbolic); neither loads the monomial
+    layer (expanded), which the commutator suite lives in."""
     src = os.path.dirname(os.path.dirname(jackideal.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, jackideal\n"
@@ -52,6 +53,8 @@ def test_bare_import_loads_nothing_until_asked():
          "print(jackideal.ideal.__name__, jackideal.report.Report.__name__)\n"
          "print(loaded())\n"
          "jackideal.verify_pieri\n"
+         "print(loaded())\n"
+         "jackideal.verify_commutators\n"
          "print(loaded())"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
         timeout=60)
@@ -60,7 +63,19 @@ def test_bare_import_loads_nothing_until_asked():
             "jackideal.sympoly"]
     suites = core + ["jackideal.ideal", "jackideal.operators",
                      "jackideal.report"]
+    beta_suites = suites + ["jackideal.identities", "jackideal.ratfunc",
+                            "jackideal.symbolic"]
     assert proc.stdout.splitlines() == [
         "[]", repr(core), "jackideal.ideal Report", repr(sorted(suites)),
-        repr(sorted(suites + ["jackideal.identities", "jackideal.ratfunc",
-                              "jackideal.symbolic"]))]
+        repr(sorted(beta_suites)),
+        repr(sorted(beta_suites + ["jackideal.expanded"]))]
+
+
+def test_sympoly_reads_expanded_poly_off_the_expanded_module():
+    """ExpandedPoly lives in expanded; sympoly.ExpandedPoly, which readers
+    outside the package name, resolves to that class, and no other name."""
+    from jackideal.sympoly import ExpandedPoly
+    assert ExpandedPoly is jackideal.sympoly.ExpandedPoly
+    assert ExpandedPoly is jackideal.expanded.ExpandedPoly
+    with pytest.raises(AttributeError, match="no attribute 'orbit_exponents'"):
+        jackideal.sympoly.orbit_exponents

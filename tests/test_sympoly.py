@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jackideal.expanded as expanded
 import jackideal.sympoly as sympoly
+from jackideal.expanded import (ExpandedPoly, distinct_permutations,
+                                orbit_exponents)
 from jackideal.operators import (apply_l, apply_p, apply_w, class_table,
                                  coincident_row, nabla_positions)
 from jackideal.partitions import as_partition, partitions_leq
 from jackideal.ratfunc import BETA, BetaPoly, BetaRatFunc
-from jackideal.sympoly import (ExpandedPoly, MSymPoly, NotSymmetric,
-                               TermBudgetExceeded, distinct_permutations,
-                               orbit_exponents, orbit_size, power_sum)
+from jackideal.sympoly import (MSymPoly, NotSymmetric, TermBudgetExceeded,
+                               orbit_size, power_sum)
 
 from class_oracle import (PartSymPoly, expanded_coincident,
                           substitute_coincident)
@@ -145,8 +147,8 @@ def test_symmetry_builds_no_orbit(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("an S_n-orbit was built")
-    monkeypatch.setattr(sympoly, "orbit_exponents", refuse)
-    monkeypatch.setattr(sympoly, "distinct_permutations", refuse)
+    monkeypatch.setattr(expanded, "orbit_exponents", refuse)
+    monkeypatch.setattr(expanded, "distinct_permutations", refuse)
     # 12! members in the orbit of one term with 12 distinct exponents
     p = ExpandedPoly(12, {tuple(range(12)): 1})
     assert not p.is_symmetric()
